@@ -19,8 +19,8 @@ from fractions import Fraction
 from math import comb
 
 from .liealg import LieAlgebra, LieMorphism
-from .ratlin import (Matrix, Vector, exterior_power, image_basis, kernel_basis,
-                     kron, p_subsets, rank, rref, solve_in_span, NotInSpan)
+from .ratlin import (Matrix, NotInSpan, complete_basis, exterior_power,
+                     kernel_and_image, kron, p_subsets, solve_all_in_span)
 from .repn import Intertwiner, Representation
 
 
@@ -65,17 +65,13 @@ def build_complex(algebra: LieAlgebra, module: Representation) -> CochainComplex
         raise ModuleAlgebraMismatch("module is not over the given algebra")
     n = algebra.dim
     m = module.dim
-    dims = tuple(_binomial(n, p) * m for p in range(n + 1))
+    dims = tuple(comb(n, p) * m for p in range(n + 1))
     differentials = tuple(_differential(algebra, module, p) for p in range(n))
     for p in range(n - 1):
         if not (differentials[p + 1] * differentials[p]).is_zero():
             raise InternalDSquareNonzero(p)
     return CochainComplex(algebra=algebra, module=module, dims=dims,
                           differentials=differentials)
-
-
-def _binomial(n: int, p: int) -> int:
-    return comb(n, p)
 
 
 def _differential(algebra: LieAlgebra, module: Representation, p: int) -> Matrix:
@@ -129,8 +125,10 @@ class CohomologyData:
     """Per-degree bases, all deterministic.
 
     representative_basis extends coboundary_basis to a basis of the cocycle
-    space, chosen greedily from the kernel basis in its natural order; its
-    classes form the basis used for induced cohomology maps.
+    space: the cocycles that are pivot columns past the coboundaries in one
+    rref of [coboundaries | cocycles], which is the set the greedy
+    left-to-right extension over the kernel basis picks.  Its classes form
+    the basis used for induced cohomology maps.
     """
     degree: int
     betti: int
@@ -140,19 +138,21 @@ class CohomologyData:
 
 
 def cohomology(complex_: CochainComplex) -> list[CohomologyData]:
-    n = complex_.top_degree
+    """One rref per differential d_p gives both the degree-p cocycles (its
+    kernel) and the degree-(p+1) coboundaries (its image)."""
+    top = complex_.dims[complex_.top_degree]
+    pairs = [kernel_and_image(d) for d in complex_.differentials]
+    cocycles_by_degree = [kernel for kernel, _ in pairs] + [
+        [tuple(Fraction(i == j) for i in range(top)) for j in range(top)]]
+    coboundaries_by_degree = [[]] + [image for _, image in pairs]
     out = []
-    for p in range(n + 1):
-        if p < n:
-            cocycles = kernel_basis(complex_.differentials[p])
-        else:
-            dim = complex_.dims[n]
-            cocycles = [tuple(Fraction(i == j) for i in range(dim))
-                        for j in range(dim)]
-        coboundaries = image_basis(complex_.differentials[p - 1]) if p > 0 else []
-        reps = _complete_basis(coboundaries, cocycles)
+    for p, (cocycles, coboundaries) in enumerate(
+            zip(cocycles_by_degree, coboundaries_by_degree)):
+        reps = complete_basis(coboundaries, cocycles)
         betti = len(cocycles) - len(coboundaries)
-        assert len(reps) == betti, "representative count disagrees with betti"
+        if len(reps) != betti:
+            raise InternalConsistencyFailure(
+                f"{len(reps)} representatives but betti {betti} at degree {p}")
         out.append(CohomologyData(degree=p, betti=betti,
                                   cocycle_basis=tuple(cocycles),
                                   coboundary_basis=tuple(coboundaries),
@@ -168,22 +168,6 @@ def cohomology(complex_: CochainComplex) -> list[CohomologyData]:
 
 def betti_numbers(complex_: CochainComplex) -> tuple:
     return tuple(data.betti for data in cohomology(complex_))
-
-
-def _complete_basis(fixed: list, candidates: list) -> list:
-    """Greedy rank extension: keep candidates (in order) that grow the span
-    of `fixed`.  Deterministic because candidate order is canonical."""
-    span_rows = [list(v) for v in fixed]
-    current = rank(Matrix(span_rows)) if span_rows else 0
-    chosen = []
-    for cand in candidates:
-        trial = span_rows + [list(cand)]
-        r = rank(Matrix(trial))
-        if r > current:
-            span_rows = trial
-            current = r
-            chosen.append(cand)
-    return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -218,24 +202,23 @@ def induced_cohomology_map(cohom: list[CohomologyData],
 
     Each image F_p h is a cocycle, hence expressible in the independent
     system (representatives | coboundaries); the representative block of the
-    coefficients is the column.  NotInSpan here is an internal failure.
+    coefficients is the column.  All images of a degree are solved in one
+    rref.  NotInSpan here is an internal failure.
     """
     out = []
     for p, data in enumerate(cohom):
         reps = list(data.representative_basis)
-        bound = list(data.coboundary_basis)
         if not reps:
             out.append(Matrix([]))
             continue
-        cols = []
-        for h in reps:
-            image = chain_map.blocks[p].apply(h)
-            try:
-                coeffs = solve_in_span(reps + bound, image)
-            except NotInSpan as exc:
-                raise InternalConsistencyFailure(
-                    f"induced cocycle leaves the cocycle space at degree {p}"
-                ) from exc
-            cols.append(tuple(coeffs[: len(reps)]))
-        out.append(Matrix.from_columns(cols, rows=len(reps)))
+        images = [chain_map.blocks[p].apply(h) for h in reps]
+        try:
+            coeffs = solve_all_in_span(reps + list(data.coboundary_basis),
+                                       images)
+        except NotInSpan as exc:
+            raise InternalConsistencyFailure(
+                f"induced cocycle leaves the cocycle space at degree {p}"
+            ) from exc
+        out.append(Matrix.from_columns([c[: len(reps)] for c in coeffs],
+                                       rows=len(reps)))
     return out

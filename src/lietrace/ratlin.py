@@ -232,10 +232,20 @@ class Matrix:
                        for row in self.entries])
 
     def apply(self, v: Vector) -> Vector:
-        """Matrix times column vector."""
-        assert len(v) == self.cols
-        return tuple(sum((row[j] * v[j] for j in range(self.cols)),
-                         Fraction(0)) for row in self.entries)
+        """Matrix times column vector; zero products are skipped."""
+        if len(v) != self.cols:
+            raise ValueError(f"shape mismatch {self.rows}x{self.cols} * "
+                             f"{len(v)}x1")
+        nonzero = [(j, x) for j, x in enumerate(v) if x != 0]
+        out = []
+        for row in self.entries:
+            acc = Fraction(0)
+            for j, x in nonzero:
+                a = row[j]
+                if a != 0:
+                    acc += a * x
+            out.append(acc)
+        return tuple(out)
 
     def trace(self) -> Fraction:
         if not self.is_square():
@@ -291,19 +301,17 @@ def rank(m: Matrix) -> int:
     return rref(m)[2]
 
 
-def kernel_basis(m: Matrix) -> list[Vector]:
-    """Basis of the null space, one vector per free column.
+def kernel_and_image(m: Matrix) -> tuple[list[Vector], list[Vector]]:
+    """Kernel basis and image basis of m, both read off one rref of m.
 
-    Convention: the free variable is set to 1, pivot variables are read off
-    the reduced rows.  Free columns are visited left to right, so the result
-    order is canonical.  kernel_basis([[1,1]]) == [(-1, 1)].
+    Kernel convention: one vector per free column, visited left to right;
+    the free variable is set to 1 and the pivot variables are read off the
+    reduced rows, so kernel_and_image([[1,1]])[0] == [(-1, 1)].  The image
+    basis is the pivot columns of m itself, in order.
     """
-    if m.rows == 0:
-        return [tuple(Fraction(i == j) for i in range(m.cols))
-                for j in range(m.cols)]
     reduced, pivots, _ = rref(m)
     pivot_set = set(pivots)
-    basis = []
+    kernel = []
     for free in range(m.cols):
         if free in pivot_set:
             continue
@@ -311,14 +319,34 @@ def kernel_basis(m: Matrix) -> list[Vector]:
         v[free] = Fraction(1)
         for prow, pcol in enumerate(pivots):
             v[pcol] = -reduced.entries[prow][free]
-        basis.append(tuple(v))
-    return basis
+        kernel.append(tuple(v))
+    return kernel, [m.column(j) for j in pivots]
+
+
+def kernel_basis(m: Matrix) -> list[Vector]:
+    """Basis of the null space; see kernel_and_image for the convention."""
+    return kernel_and_image(m)[0]
 
 
 def image_basis(m: Matrix) -> list[Vector]:
     """Pivot columns of m: a canonical basis of the column space."""
-    _, pivots, _ = rref(m)
-    return [m.column(j) for j in pivots]
+    return kernel_and_image(m)[1]
+
+
+def complete_basis(fixed: list[Vector], candidates: list[Vector]) -> list[Vector]:
+    """The candidates, in order, that each grow the span of `fixed` and the
+    candidates before them.
+
+    This is the greedy left-to-right rank extension, computed as the pivot
+    columns past `fixed` of one rref of the columns [fixed | candidates]:
+    a column is a pivot exactly when it is outside the span of the columns
+    to its left.
+    """
+    if not candidates:
+        return []
+    columns = list(fixed) + list(candidates)
+    _, pivots, _ = rref(Matrix.from_columns(columns))
+    return [columns[j] for j in pivots if j >= len(fixed)]
 
 
 def determinant(m: Matrix) -> Fraction:
@@ -365,24 +393,38 @@ def solve_in_span(basis: list[Vector], target: Vector) -> list[Fraction]:
     """Coefficients expressing target in an independent basis.
 
     Raises NotInSpan when the basis is dependent or the target falls outside
-    its span.  Used to read induced cohomology maps off representative bases,
-    where failure means an internal inconsistency upstream.
+    its span.
+    """
+    return solve_all_in_span(basis, [target])[0]
+
+
+def solve_all_in_span(basis: list[Vector],
+                      targets: list[Vector]) -> list[list[Fraction]]:
+    """Coefficients of every target in an independent basis, from one rref
+    of the columns [basis | targets].
+
+    Raises NotInSpan when the basis is dependent or some target falls
+    outside its span.  Used to read induced cohomology maps off
+    representative bases, where failure means an internal inconsistency
+    upstream.
     """
     if not basis:
-        if is_zero_vec(target):
-            return []
+        if all(is_zero_vec(t) for t in targets):
+            return [[] for _ in targets]
         raise NotInSpan("empty basis cannot express a nonzero target")
-    b = Matrix.from_columns(basis)
-    assert len(target) == b.rows
-    reduced, pivots, r = rref(b.hstack(Matrix.from_columns([target])))
-    if r > 0 and pivots[-1] == b.cols:
+    dim, k = len(basis[0]), len(basis)
+    for t in targets:
+        if len(t) != dim:
+            raise ValueError(f"shape mismatch: basis vectors of length {dim}, "
+                             f"target of length {len(t)}")
+    reduced, pivots, r = rref(Matrix.from_columns(list(basis) + list(targets)))
+    if r > 0 and pivots[-1] >= k:
         raise NotInSpan("target not in span of basis")
-    if r < b.cols:
+    if r < k:
         raise NotInSpan("basis is linearly dependent")
-    coeffs = [Fraction(0)] * b.cols
-    for prow, pcol in enumerate(pivots):
-        coeffs[pcol] = reduced.entries[prow][b.cols]
-    return coeffs
+    # pivots are exactly 0..k-1, so row i holds the coefficient of basis[i]
+    return [[reduced.entries[i][k + j] for i in range(k)]
+            for j in range(len(targets))]
 
 
 # ---------------------------------------------------------------------------

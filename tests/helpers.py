@@ -6,7 +6,7 @@ import random
 
 from lietrace.catalog import get, list_entries, sample_endomorphisms
 from lietrace.liealg import LieAlgebra
-from lietrace.ratlin import Matrix, determinant
+from lietrace.ratlin import Matrix, determinant, rank
 from lietrace.repn import Representation, adjoint_module, trivial_module
 
 
@@ -25,6 +25,22 @@ def random_invertible(rng: random.Random, n: int) -> Matrix:
 def random_int_matrix(rng: random.Random, n: int, bound=3):
     return tuple(tuple(rng.randint(-bound, bound) for _ in range(n))
                  for _ in range(n))
+
+
+def greedy_complete(fixed: list, candidates: list) -> list:
+    """Reference for ratlin.complete_basis: keep the candidates, in order,
+    that raise the rank of `fixed` plus the candidates kept so far, with one
+    full rank computation per candidate."""
+    span_rows = [list(v) for v in fixed]
+    current = rank(Matrix(span_rows)) if span_rows else 0
+    chosen = []
+    for cand in candidates:
+        trial = span_rows + [list(cand)]
+        r = rank(Matrix(trial))
+        if r > current:
+            span_rows, current = trial, r
+            chosen.append(cand)
+    return chosen
 
 
 def conjugated_module(module: Representation, p: Matrix) -> Representation:

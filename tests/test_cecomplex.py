@@ -5,16 +5,20 @@ from fractions import Fraction
 
 import pytest
 
+from lietrace import cecomplex
 from lietrace.catalog import get, random_graded_endomorphism, sample_endomorphisms
-from lietrace.cecomplex import (ChainMapViolation, ModuleAlgebraMismatch,
-                                betti_numbers, build_complex, cohomology,
-                                induced_chain_map, induced_cohomology_map)
-from lietrace.liealg import endomorphism
-from lietrace.ratlin import Matrix, inverse, zero_vec
+from lietrace.cecomplex import (ChainMap, ChainMapViolation,
+                                InternalConsistencyFailure,
+                                ModuleAlgebraMismatch, betti_numbers,
+                                build_complex, cohomology, induced_chain_map,
+                                induced_cohomology_map)
+from lietrace.liealg import LieAlgebra, endomorphism
+from lietrace.ratlin import Matrix, NotInSpan, inverse, solve_in_span, zero_vec
 from lietrace.repn import (Intertwiner, adjoint_module, identity_intertwiner,
                            trivial_module)
 
-from helpers import (ALL_NAMES, heisenberg_defining_module, random_modules)
+from helpers import (ALL_NAMES, greedy_complete, heisenberg_defining_module,
+                     random_modules)
 
 HEIS3 = get("heisenberg3").algebra
 SOL3 = get("sol3").algebra
@@ -227,3 +231,106 @@ def test_sample_endomorphisms_induce_chain_maps():
         cx = build_complex(algebra, module)
         for f in sample_endomorphisms(get(name)):
             induced_chain_map(cx, f, identity_intertwiner(f, module))
+
+
+# ---------------------------------------------------------------------------
+# one elimination per job agrees with the per-candidate / per-image reference
+# ---------------------------------------------------------------------------
+
+def _reference_induced(cohom, chain_map) -> list:
+    """Per-representative solve_in_span loop: the reference for the batched
+    solve in induced_cohomology_map."""
+    out = []
+    for p, data in enumerate(cohom):
+        reps = list(data.representative_basis)
+        if not reps:
+            out.append(Matrix([]))
+            continue
+        cols = []
+        for h in reps:
+            coeffs = solve_in_span(reps + list(data.coboundary_basis),
+                                   chain_map.blocks[p].apply(h))
+            cols.append(tuple(coeffs[: len(reps)]))
+        out.append(Matrix.from_columns(cols, rows=len(reps)))
+    return out
+
+
+def _assert_matches_reference(algebra, module, maps):
+    cx = build_complex(algebra, module)
+    coh = cohomology(cx)
+    for data in coh:
+        assert data.representative_basis == tuple(
+            greedy_complete(data.coboundary_basis, data.cocycle_basis))
+    for f, xi in maps:
+        cm = induced_chain_map(cx, f, xi)
+        assert induced_cohomology_map(coh, cm) == _reference_induced(coh, cm)
+
+
+def _graded_adjoint_maps(algebra, weights, ts):
+    """diag(t^w) with the adjoint coefficient map xi = f^-1."""
+    module = adjoint_module(algebra)
+    maps = []
+    for t in ts:
+        f = endomorphism(algebra, Matrix.diagonal([t ** w for w in weights]))
+        maps.append((f, Intertwiner(morphism=f, module=module,
+                                    matrix=inverse(f.matrix))))
+    return module, maps
+
+
+def test_trivial_module_matches_reference_on_catalog():
+    for name in ALL_NAMES:
+        algebra = get(name).algebra
+        module = trivial_module(algebra)
+        maps = [(f, identity_intertwiner(f, module))
+                for f in sample_endomorphisms(get(name))]
+        _assert_matches_reference(algebra, module, maps)
+
+
+def test_adjoint_module_matches_reference_on_graded_maps():
+    for name in ALL_NAMES:
+        entry = get(name)
+        if entry.grading is None or entry.algebra.dim > 5:
+            continue
+        module, maps = _graded_adjoint_maps(
+            entry.algebra, entry.grading, (Fraction(2), Fraction(-1, 2)))
+        _assert_matches_reference(entry.algebra, module, maps)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_filiform_model_matches_reference(n):
+    # [e0, ei] = e(i+1), graded by weights (1, 1, 2, ..., n-1)
+    algebra = LieAlgebra(dim=n, brackets={
+        (0, i): {i + 1: Fraction(1)} for i in range(1, n - 1)})
+    weights = (1,) + tuple(range(1, n))
+    module, maps = _graded_adjoint_maps(algebra, weights, (Fraction(-2),))
+    _assert_matches_reference(algebra, module, maps)
+    trivial = trivial_module(algebra)
+    _assert_matches_reference(algebra, trivial, [
+        (f, identity_intertwiner(f, trivial)) for f, _ in maps])
+
+
+def test_cocycle_leaving_block_is_an_internal_failure():
+    # e0* is a cocycle of heisenberg3, e2* is not (d e2* = -e0^e1): a degree
+    # one block swapping them breaks the chain-map property that
+    # induced_chain_map would have checked
+    module = trivial_module(HEIS3)
+    cx = build_complex(HEIS3, module)
+    ident = endomorphism(HEIS3, Matrix.identity(3))
+    blocks = list(induced_chain_map(
+        cx, ident, identity_intertwiner(ident, module)).blocks)
+    blocks[1] = Matrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    bad = ChainMap(complex=cx, blocks=tuple(blocks))
+    with pytest.raises(InternalConsistencyFailure, match="degree 1") as err:
+        induced_cohomology_map(cohomology(cx), bad)
+    assert not isinstance(err.value, NotInSpan)
+    assert isinstance(err.value.__cause__, NotInSpan)
+
+
+def test_representative_count_is_certified(monkeypatch):
+    # the representatives = betti certificate is an explicit check, not an
+    # assert, so it holds under python -O too
+    def drop_last(fixed, candidates):
+        return greedy_complete(fixed, candidates)[:-1]
+    monkeypatch.setattr(cecomplex, "complete_basis", drop_last)
+    with pytest.raises(InternalConsistencyFailure, match="degree 0"):
+        cohomology(build_complex(HEIS3, trivial_module(HEIS3)))

@@ -4,15 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lietrace.ratlin import (DegreeOutOfRange, JordanParts, Matrix, NonSquare,
-                             NotInSpan, determinant, exterior_power,
-                             format_rational, inverse, is_nilpotent_matrix,
-                             is_squarefree, jordan_chevalley, kernel_basis,
+                             NotInSpan, complete_basis, determinant,
+                             exterior_power, format_rational, inverse,
+                             is_nilpotent_matrix, is_squarefree,
+                             jordan_chevalley, kernel_basis,
                              minimal_polynomial, parse_rational, rank, rref,
-                             solve_in_span, squarefree_part)
+                             solve_all_in_span, solve_in_span, squarefree_part)
 
-from helpers import random_invertible, random_matrix
+from helpers import greedy_complete, random_invertible, random_matrix
 
 
 def test_parse_and_format_rational():
@@ -111,6 +114,78 @@ def test_solve_in_span_frozen_examples():
         [Fraction(1), Fraction(-1)]
     with pytest.raises(NotInSpan):  # dependent basis is refused
         solve_in_span([e0, e0], e0)
+    with pytest.raises(ValueError, match="length 2, target of length 1"):
+        solve_in_span([e0], (Fraction(1),))
+
+
+def test_apply_shape_mismatch_names_both_shapes():
+    m = Matrix([[1, 0, 2], [0, 3, 0]])
+    assert m.apply((Fraction(1), Fraction(1), Fraction(1))) == (3, 3)
+    with pytest.raises(ValueError, match="2x3 \\* 2x1"):
+        m.apply((Fraction(1), Fraction(1)))
+
+
+# small rational vectors with many dependencies: entries in {-2..2}/{1,2}
+_ENTRY = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2]))
+
+
+def _vectors(dim, max_count, min_count=0):
+    return st.lists(st.tuples(*[_ENTRY] * dim), min_size=min_count,
+                    max_size=max_count)
+
+
+@st.composite
+def _fixed_and_candidates(draw):
+    dim = draw(st.integers(1, 4))
+    return draw(_vectors(dim, 4)), draw(_vectors(dim, 6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_fixed_and_candidates())
+def test_complete_basis_is_greedy_rank_extension(pair):
+    fixed, candidates = pair
+    assert complete_basis(fixed, candidates) == greedy_complete(fixed,
+                                                                candidates)
+
+
+@st.composite
+def _basis_and_coefficients(draw, codim=0):
+    """An independent basis of at most dim - codim vectors, and coefficient
+    lists for targets in its span."""
+    dim = draw(st.integers(1 + codim, 4))
+    basis = draw(_vectors(dim, dim - codim, min_count=1))
+    assume(rank(Matrix(basis)) == len(basis))
+    coeffs = draw(st.lists(st.lists(_ENTRY, min_size=len(basis),
+                                    max_size=len(basis)), max_size=4))
+    return basis, coeffs
+
+
+def _combine(basis, coeffs):
+    return tuple(sum((c * v[i] for c, v in zip(coeffs, basis)), Fraction(0))
+                 for i in range(len(basis[0])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_basis_and_coefficients())
+def test_batched_solve_equals_per_target_solve(case):
+    basis, coeffs = case
+    targets = [_combine(basis, c) for c in coeffs]
+    batched = solve_all_in_span(basis, targets)
+    assert batched == [solve_in_span(basis, t) for t in targets]
+    assert batched == coeffs  # an independent basis gives unique coefficients
+
+
+@settings(max_examples=80, deadline=None)
+@given(_basis_and_coefficients(codim=1), st.data())
+def test_out_of_span_target_raises(case, data):
+    basis, coeffs = case
+    outside = data.draw(st.tuples(*[_ENTRY] * len(basis[0])))
+    assume(rank(Matrix(basis + [outside])) > len(basis))
+    with pytest.raises(NotInSpan):
+        solve_in_span(basis, outside)
+    targets = [_combine(basis, c) for c in coeffs] + [outside]
+    with pytest.raises(NotInSpan):
+        solve_all_in_span(basis, targets)
 
 
 def test_exterior_power_frozen_examples():
