@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb
 
 from .liealg import LieAlgebra, LieMorphism
-from .ratlin import (Matrix, NotInSpan, complete_basis, exterior_power,
+from .ratlin import (Matrix, NotInSpan, complete_basis, exterior_powers,
                      kernel_and_image, kron, p_subsets, solve_all_in_span)
 from .repn import Intertwiner, Representation
 
@@ -188,7 +188,7 @@ def induced_chain_map(complex_: CochainComplex, f: LieMorphism,
     if f.source.dim != n or f.target.dim != n:
         raise ModuleAlgebraMismatch("morphism dimension does not match the complex")
     ft = f.matrix.transpose()
-    blocks = tuple(kron(exterior_power(ft, p), xi.matrix) for p in range(n + 1))
+    blocks = tuple(kron(power, xi.matrix) for power in exterior_powers(ft))
     for p in range(n):
         d = complex_.differentials[p]
         if blocks[p + 1] * d != d * blocks[p]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cecomplex import InternalConsistencyFailure
 from .liealg import (LieAlgebra, LieMorphism, endomorphism, is_morphism,
                      is_nilpotent, is_solvable, validate)
 from .ratlin import Matrix, determinant, jordan_chevalley
@@ -208,7 +209,10 @@ def induced_shadow_map(result: ShadowResult, t: LieMorphism) -> ShadowMapReport:
     shadow_map = endomorphism(result.shadow, t.matrix)
     det_input = determinant(Matrix.identity(t.matrix.rows) - t.matrix)
     det_shadow = determinant(Matrix.identity(t.matrix.rows) - shadow_map.matrix)
-    assert det_input == det_shadow, "identification must preserve det(I - .)"
+    if det_input != det_shadow:
+        raise InternalConsistencyFailure(
+            f"shadow transport changed det(I - T) from {det_input} "
+            f"to {det_shadow}")
     return ShadowMapReport(shadow_map=shadow_map,
                            is_shadow_morphism=is_morphism(shadow_map),
                            det_input=det_input,

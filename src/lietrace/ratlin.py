@@ -1,11 +1,15 @@
 """Exact rational linear algebra.
 
 Everything downstream (cochain complexes, Lefschetz numbers, fixed point
-counts) is built on the primitives here.  All arithmetic is over Fraction;
-there are no floats and no tolerances anywhere.  Determinism matters: rref
-scans columns left to right and always picks the first usable pivot row, so
-every derived basis (kernels, image bases, cohomology representatives) is
-reproducible across runs and platforms.
+counts) is built on the primitives here.  All values are Fraction; there are
+no floats and no tolerances anywhere.  Elimination (rref, determinant) runs
+on integer rows: each row is scaled by the lcm of its denominators, reduced
+fraction-free, and turned back into Fraction only at the end.  The reduced
+row echelon form is unique, so this gives the same bases as elimination over
+Fraction would.  Determinism matters: rref scans columns left to right and
+always picks the first usable pivot row, so every derived basis (kernels,
+image bases, cohomology representatives) is reproducible across runs and
+platforms.
 """
 
 from __future__ import annotations
@@ -14,6 +18,10 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class NonSquare(ValueError):
@@ -80,13 +88,19 @@ def vec(values) -> Vector:
     return tuple(as_fraction(v) for v in values)
 
 
+def _check_same_length(u: Vector, v: Vector) -> None:
+    if len(u) != len(v):
+        raise ValueError(f"shape mismatch: vectors of length {len(u)} "
+                         f"and {len(v)}")
+
+
 def vec_add(u: Vector, v: Vector) -> Vector:
-    assert len(u) == len(v)
+    _check_same_length(u, v)
     return tuple(a + b for a, b in zip(u, v))
 
 
 def vec_sub(u: Vector, v: Vector) -> Vector:
-    assert len(u) == len(v)
+    _check_same_length(u, v)
     return tuple(a - b for a, b in zip(u, v))
 
 
@@ -112,6 +126,8 @@ class Matrix:
 
     Row-major tuple-of-tuples storage.  Multiplication skips zero entries,
     which makes products with the (very sparse) cochain differentials cheap.
+    The public constructor coerces every entry with as_fraction; results
+    computed here from Fraction entries go through the trusted Matrix._of.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -125,22 +141,36 @@ class Matrix:
                 raise ValueError("ragged rows")
         self.entries = rows
 
+    @classmethod
+    def _of(cls, rows: tuple) -> "Matrix":
+        """Trusted constructor: `rows` is a tuple of equal-length tuples of
+        Fraction, taken as is without coercion or shape checks."""
+        self = object.__new__(cls)
+        self.rows = len(rows)
+        self.cols = len(rows[0]) if rows else 0
+        self.entries = rows
+        return self
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[Fraction(i == j) for j in range(n)] for i in range(n)])
+        return Matrix._of(tuple(tuple(_ONE if i == j else _ZERO
+                                      for j in range(n)) for i in range(n)))
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix([[Fraction(0)] * cols for _ in range(rows)])
+        return Matrix._of(((_ZERO,) * cols,) * rows)
 
     @staticmethod
     def from_columns(columns, rows: int | None = None) -> "Matrix":
         columns = list(columns)
         if rows is None:
             rows = len(columns[0])
-        return Matrix([[col[i] for col in columns] for i in range(rows)])
+        out = tuple(tuple(col[i] for col in columns) for i in range(rows))
+        if all(type(x) is Fraction for row in out for x in row):
+            return Matrix._of(out)
+        return Matrix(out)
 
     @staticmethod
     def diagonal(values) -> "Matrix":
@@ -184,65 +214,71 @@ class Matrix:
         return all(x == 0 for row in self.entries for x in row)
 
     def transpose(self) -> "Matrix":
-        return Matrix([[self.entries[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)])
+        return Matrix._of(tuple(zip(*self.entries)))
 
     def to_lists(self):
         return [list(row) for row in self.entries]
 
     # -- arithmetic ---------------------------------------------------------
 
+    def _check_same_shape(self, other: "Matrix", op: str) -> None:
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError(f"shape mismatch {self.rows}x{self.cols} {op} "
+                             f"{other.rows}x{other.cols}")
+
     def __add__(self, other: "Matrix") -> "Matrix":
-        assert self.rows == other.rows and self.cols == other.cols
-        return Matrix([[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.entries, other.entries)])
+        self._check_same_shape(other, "+")
+        return Matrix._of(tuple(tuple(a + b for a, b in zip(r1, r2))
+                                for r1, r2 in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        assert self.rows == other.rows and self.cols == other.cols
-        return Matrix([[a - b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.entries, other.entries)])
+        self._check_same_shape(other, "-")
+        return Matrix._of(tuple(tuple(a - b for a, b in zip(r1, r2))
+                                for r1, r2 in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self.entries])
+        return Matrix._of(tuple(tuple(-a for a in row) for row in self.entries))
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise ValueError(f"shape mismatch {self.rows}x{self.cols} * "
-                                 f"{other.rows}x{other.cols}")
-            out = [[Fraction(0)] * other.cols for _ in range(self.rows)]
-            for i in range(self.rows):
-                row = self.entries[i]
-                acc = out[i]
-                for k in range(self.cols):
-                    a = row[k]
-                    if a == 0:
-                        continue
-                    brow = other.entries[k]
-                    for j in range(other.cols):
-                        b = brow[j]
-                        if b != 0:
-                            acc[j] += a * b
-            return Matrix(out)
-        return Matrix([[as_fraction(other) * a for a in row]
-                       for row in self.entries])
+        if not isinstance(other, Matrix):
+            return self._scaled(other)
+        if self.cols != other.rows:
+            raise ValueError(f"shape mismatch {self.rows}x{self.cols} * "
+                             f"{other.rows}x{other.cols}")
+        # each right-hand row as its (column, value) nonzero list, built once
+        nonzero = [[(j, b) for j, b in enumerate(brow) if b]
+                   for brow in other.entries]
+        width = other.cols
+        out = []
+        for row in self.entries:
+            acc = [_ZERO] * width
+            for a, brow in zip(row, nonzero):
+                if a:
+                    for j, b in brow:
+                        acc[j] += a * b
+            out.append(tuple(acc))
+        return Matrix._of(tuple(out))
 
     def __rmul__(self, other):
-        return Matrix([[as_fraction(other) * a for a in row]
-                       for row in self.entries])
+        return self._scaled(other)
+
+    def _scaled(self, c) -> "Matrix":
+        c = as_fraction(c)
+        return Matrix._of(tuple(tuple(c * a for a in row)
+                                for row in self.entries))
 
     def apply(self, v: Vector) -> Vector:
         """Matrix times column vector; zero products are skipped."""
         if len(v) != self.cols:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * "
                              f"{len(v)}x1")
-        nonzero = [(j, x) for j, x in enumerate(v) if x != 0]
+        nonzero = [(j, x) for j, x in enumerate(v) if x]
         out = []
         for row in self.entries:
-            acc = Fraction(0)
+            acc = _ZERO
             for j, x in nonzero:
                 a = row[j]
-                if a != 0:
+                if a:
                     acc += a * x
             out.append(acc)
         return tuple(out)
@@ -253,16 +289,37 @@ class Matrix:
         return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
-        return Matrix([[self.entries[i][j] for j in col_idx] for i in row_idx])
+        col_idx = tuple(col_idx)
+        return Matrix._of(tuple(tuple(self.entries[i][j] for j in col_idx)
+                                for i in row_idx))
 
     def hstack(self, other: "Matrix") -> "Matrix":
-        assert self.rows == other.rows
-        return Matrix([r1 + r2 for r1, r2 in zip(self.entries, other.entries)])
+        if self.rows != other.rows:
+            raise ValueError(f"shape mismatch {self.rows}x{self.cols} hstack "
+                             f"{other.rows}x{other.cols}")
+        return Matrix._of(tuple(r1 + r2 for r1, r2
+                                in zip(self.entries, other.entries)))
 
 
 # ---------------------------------------------------------------------------
 # elimination
 # ---------------------------------------------------------------------------
+
+def _integer_rows(m: Matrix) -> tuple[list[list[int]], int]:
+    """Each row of m times the lcm of its denominators, and the product of
+    those scales.  Scaling a row by a nonzero constant keeps the row space
+    and the zero pattern."""
+    out = []
+    scale = 1
+    for row in m.entries:
+        den = lcm(*[x.denominator for x in row])
+        if den == 1:
+            out.append([x.numerator for x in row])
+        else:
+            out.append([x.numerator * (den // x.denominator) for x in row])
+            scale *= den
+    return out, scale
+
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """Reduced row echelon form.
@@ -270,9 +327,17 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     Deterministic pivot rule: scan columns left to right; in each column take
     the first row (top to bottom, at or below the current pivot row) with a
     nonzero entry.  Returns (reduced, pivot_columns, rank).
+
+    The elimination is fraction-free on integer-scaled rows: a row with
+    entry b in the pivot column becomes (a/g)*row - (b/g)*pivot_row, with a
+    the pivot and g = gcd(a, b), and is then divided by its content.  Only
+    the pivot row's nonzero entries are visited.  Pivot rows are divided by
+    their pivots at the end, giving the unique reduced form.
     """
-    work = [list(row) for row in m.entries]
     nrows, ncols = m.rows, m.cols
+    if not nrows:
+        return m, (), 0
+    work, _ = _integer_rows(m)
     pivots = []
     prow = 0
     for col in range(ncols):
@@ -280,21 +345,47 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
             break
         sel = None
         for r in range(prow, nrows):
-            if work[r][col] != 0:
+            if work[r][col]:
                 sel = r
                 break
         if sel is None:
             continue
         work[prow], work[sel] = work[sel], work[prow]
-        inv = 1 / work[prow][col]
-        work[prow] = [x * inv for x in work[prow]]
+        pivot_row = work[prow]
+        a = pivot_row[col]
+        nonzero = [(j, x) for j, x in enumerate(pivot_row) if x]
         for r in range(nrows):
-            if r != prow and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[prow])]
+            row = work[r]
+            b = row[col]
+            if not b or r == prow:
+                continue
+            g = gcd(a, b)
+            ag, bg = a // g, b // g
+            if ag != 1:
+                row = [ag * x for x in row]
+            for j, x in nonzero:
+                row[j] -= bg * x
+            content = gcd(*row)
+            if content > 1:
+                row = [x // content for x in row]
+            work[r] = row
         pivots.append(col)
         prow += 1
-    return Matrix(work) if nrows else m, tuple(pivots), len(pivots)
+    zero_row = (_ZERO,) * ncols
+    out = []
+    for r in range(nrows):
+        if r >= prow:
+            out.append(zero_row)
+            continue
+        row = work[r]
+        a = row[pivots[r]]
+        if a == 1:
+            out.append(tuple(Fraction(x) if x else _ZERO for x in row))
+        elif a == -1:
+            out.append(tuple(Fraction(-x) if x else _ZERO for x in row))
+        else:
+            out.append(tuple(Fraction(x, a) if x else _ZERO for x in row))
+    return Matrix._of(tuple(out)), tuple(pivots), len(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -315,8 +406,8 @@ def kernel_and_image(m: Matrix) -> tuple[list[Vector], list[Vector]]:
     for free in range(m.cols):
         if free in pivot_set:
             continue
-        v = [Fraction(0)] * m.cols
-        v[free] = Fraction(1)
+        v = [_ZERO] * m.cols
+        v[free] = _ONE
         for prow, pcol in enumerate(pivots):
             v[pcol] = -reduced.entries[prow][free]
         kernel.append(tuple(v))
@@ -350,32 +441,38 @@ def complete_basis(fixed: list[Vector], candidates: list[Vector]) -> list[Vector
 
 
 def determinant(m: Matrix) -> Fraction:
-    """Exact Gaussian elimination with row swaps (sign tracked)."""
+    """Fraction-free (Bareiss) elimination on the integer-scaled rows, with
+    a sign flip per row swap; the product of the row scales is divided out
+    once at the end."""
     if not m.is_square():
         raise NonSquare(f"determinant of {m.rows}x{m.cols} matrix")
     n = m.rows
     if n == 0:
         return Fraction(1)
-    work = [list(row) for row in m.entries]
-    det = Fraction(1)
-    for col in range(n):
-        sel = None
-        for r in range(col, n):
-            if work[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            return Fraction(0)
-        if sel != col:
-            work[col], work[sel] = work[sel], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = 1 / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                factor = work[r][col] * inv
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return det
+    work, scale = _integer_rows(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not work[k][k]:
+            sel = None
+            for r in range(k + 1, n):
+                if work[r][k]:
+                    sel = r
+                    break
+            if sel is None:
+                return Fraction(0)
+            work[k], work[sel] = work[sel], work[k]
+            sign = -sign
+        pivot_row = work[k]
+        a = pivot_row[k]
+        for i in range(k + 1, n):
+            row = work[i]
+            b = row[k]
+            # exact by Sylvester's identity: prev divides every 2x2 term
+            work[i] = [0] * (k + 1) + [(a * row[j] - b * pivot_row[j]) // prev
+                                       for j in range(k + 1, n)]
+        prev = a
+    return Fraction(sign * work[n - 1][n - 1], scale)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -436,34 +533,71 @@ def p_subsets(n: int, p: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(n), p))
 
 
-def exterior_power(m: Matrix, p: int) -> Matrix:
-    """p-th exterior power: rows/columns indexed by lexicographically ordered
-    p-subsets; entry (S, T) is the minor of m with rows S and columns T.
+def exterior_powers(m: Matrix) -> list[Matrix]:
+    """Lambda^0 m .. Lambda^n m.  Rows and columns of Lambda^p are indexed
+    by lexicographically ordered p-subsets; entry (S, T) is the minor of m
+    with rows S and columns T.
 
-    Multiplicative (Cauchy-Binet) and Lambda^1 m == m; Lambda^0 m == [1].
+    Each degree-p minor is the first-row Laplace expansion over degree-(p-1)
+    minors: with s the first row of S, minor(S, T) is the sum over positions
+    k of (-1)^k m[s][T[k]] minor(S - s, T - T[k]).  Zero terms are skipped.
     """
     if not m.is_square():
         raise NonSquare("exterior power of non-square matrix")
     n = m.rows
-    if p < 0 or p > n:
-        raise DegreeOutOfRange(f"degree {p} not in 0..{n}")
-    subsets = p_subsets(n, p)
-    return Matrix([[determinant(m.submatrix(s, t)) for t in subsets]
-                   for s in subsets])
+    powers = [Matrix._of(((_ONE,),))]
+    index = {(): 0}
+    for p in range(1, n + 1):
+        subsets = p_subsets(n, p)
+        # per column subset T: (column T[k], index of T - T[k], sign)
+        faces = [[(t, index[cols[:k] + cols[k + 1:]], k % 2 == 1)
+                  for k, t in enumerate(cols)] for cols in subsets]
+        prev = powers[-1].entries
+        rows = []
+        for s in subsets:
+            mrow = m.entries[s[0]]
+            minors = prev[index[s[1:]]]
+            out = []
+            for face in faces:
+                acc = _ZERO
+                for t, j, negative in face:
+                    a = mrow[t]
+                    if a:
+                        b = minors[j]
+                        if b:
+                            if negative:
+                                acc -= a * b
+                            else:
+                                acc += a * b
+                out.append(acc)
+            rows.append(tuple(out))
+        powers.append(Matrix._of(tuple(rows)))
+        index = {s: i for i, s in enumerate(subsets)}
+    return powers
+
+
+def exterior_power(m: Matrix, p: int) -> Matrix:
+    """p-th exterior power, read off exterior_powers.
+
+    Multiplicative (Cauchy-Binet) and Lambda^1 m == m; Lambda^0 m == [1].
+    """
+    powers = exterior_powers(m)
+    if not 0 <= p < len(powers):
+        raise DegreeOutOfRange(f"degree {p} not in 0..{m.rows}")
+    return powers[p]
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; block (i,j) is a[i][j] * b."""
+    zero_block = (_ZERO,) * b.cols
     out = []
-    for i in range(a.rows):
-        for w in range(b.rows):
+    for arow in a.entries:
+        for brow in b.entries:
             row = []
-            for j in range(a.cols):
-                aij = a.entries[i][j]
-                row.extend(aij * x if aij != 0 else Fraction(0)
-                           for x in b.entries[w])
-            out.append(row)
-    return Matrix(out)
+            for aij in arow:
+                row.extend(tuple(aij * x for x in brow) if aij else zero_block)
+            out.append(tuple(row))
+    return Matrix._of(tuple(out))
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Independent cross-check for the determinant formula: a map with integer
 matrix A has x fixed iff (A - I) x is integral, so when det(A - I) != 0 the
 fixed points are the points (A - I)^(-1) k that land in [0,1)^n.  They are
-counted two ways — |det(A - I)| and explicit enumeration — and the two
-counts are asserted equal.  All candidates x = adj(A - I) k / det(A - I) are
-handled in integer arithmetic, so membership in [0,1)^n is exact.
+counted two ways — |det(A - I)| and explicit enumeration — and a mismatch
+raises InternalConsistencyFailure.  All candidates x = adj(A - I) k / det(A - I)
+are handled in integer arithmetic, so membership in [0,1)^n is exact.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratlin import Matrix, determinant
+from .cecomplex import InternalConsistencyFailure
+from .ratlin import Matrix, determinant, inverse
 
 
 class DegenerateMap(ValueError):
@@ -65,7 +66,12 @@ def count_fixed_points(torus_map: TorusMap) -> FixedPointReport:
     lefschetz = (-1) ** n * det_b          # det(I - A) = (-1)^n det(A - I)
     count_det = abs(det_b)
 
-    adj = _int_adjugate(b)
+    # adj(B) = det(B) B^-1, integral because B is
+    adj = det_b * inverse(Matrix(b))
+    if any(x.denominator != 1 for row in adj.entries for x in row):
+        raise InternalConsistencyFailure(
+            f"adjugate {adj} of an integer matrix is not integral")
+    adj = [[x.numerator for x in row] for row in adj.entries]
     # k = (A - I) x with x in [0,1)^n lies in the box given by the row-wise
     # sums of negative resp. positive entries (closed bounds are safe).
     ranges = []
@@ -84,35 +90,25 @@ def count_fixed_points(torus_map: TorusMap) -> FixedPointReport:
         if ok:
             points.append(tuple(Fraction(yi, det_b) for yi in y))
     points.sort()
-    assert len(points) == count_det, (
-        f"enumeration found {len(points)} fixed points, determinant says {count_det}")
+    if len(points) != count_det:
+        raise InternalConsistencyFailure(
+            f"enumeration found {len(points)} fixed points, "
+            f"determinant says {count_det}")
     index = 1 if lefschetz > 0 else -1
-    assert lefschetz == index * count_det
+    if lefschetz != index * count_det:
+        raise InternalConsistencyFailure(
+            f"fixed point index {index} times count {count_det} "
+            f"is not det(I - A) = {lefschetz}")
     return FixedPointReport(count=count_det, lefschetz=lefschetz,
                             index_each=index, points=tuple(points))
 
 
 def _int_determinant(rows) -> int:
     d = determinant(Matrix(rows))
-    assert d.denominator == 1
+    if d.denominator != 1:
+        raise InternalConsistencyFailure(
+            f"determinant {d} of an integer matrix is not an integer")
     return d.numerator
-
-
-def _int_adjugate(rows) -> list:
-    """Adjugate via cofactors; adj(B) B = det(B) I."""
-    n = len(rows)
-    if n == 1:
-        return [[1]]
-    m = Matrix(rows)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = m.submatrix([r for r in range(n) if r != j],
-                                [c for c in range(n) if c != i])
-            cof = determinant(minor)
-            assert cof.denominator == 1
-            adj[i][j] = (-1) ** (i + j) * cof.numerator
-    return adj
 
 
 def cross_check_with_ce(torus_map: TorusMap):

@@ -6,7 +6,7 @@ import random
 
 from lietrace.catalog import get, list_entries, sample_endomorphisms
 from lietrace.liealg import LieAlgebra
-from lietrace.ratlin import Matrix, determinant, rank
+from lietrace.ratlin import Matrix, NonSquare, determinant, p_subsets, rank
 from lietrace.repn import Representation, adjoint_module, trivial_module
 
 
@@ -41,6 +41,75 @@ def greedy_complete(fixed: list, candidates: list) -> list:
             span_rows, current = trial, r
             chosen.append(cand)
     return chosen
+
+
+# Reference kernels: plain Gaussian elimination over Fraction, as ratlin had
+# them before elimination moved onto integer rows.  The tests compare the
+# fraction-free kernels against these with ==.
+
+def reference_rref(m: Matrix):
+    """Gauss-Jordan over Fraction with the same pivot rule as ratlin.rref:
+    columns left to right, first nonzero row at or below the pivot row."""
+    work = [list(row) for row in m.entries]
+    nrows, ncols = m.rows, m.cols
+    pivots = []
+    prow = 0
+    for col in range(ncols):
+        if prow >= nrows:
+            break
+        sel = None
+        for r in range(prow, nrows):
+            if work[r][col] != 0:
+                sel = r
+                break
+        if sel is None:
+            continue
+        work[prow], work[sel] = work[sel], work[prow]
+        inv = 1 / work[prow][col]
+        work[prow] = [x * inv for x in work[prow]]
+        for r in range(nrows):
+            if r != prow and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [a - factor * b for a, b in zip(work[r], work[prow])]
+        pivots.append(col)
+        prow += 1
+    return Matrix(work) if nrows else m, tuple(pivots), len(pivots)
+
+
+def reference_determinant(m: Matrix) -> Fraction:
+    """Gaussian elimination over Fraction with row swaps (sign tracked)."""
+    if not m.is_square():
+        raise NonSquare(f"determinant of {m.rows}x{m.cols} matrix")
+    n = m.rows
+    if n == 0:
+        return Fraction(1)
+    work = [list(row) for row in m.entries]
+    det = Fraction(1)
+    for col in range(n):
+        sel = None
+        for r in range(col, n):
+            if work[r][col] != 0:
+                sel = r
+                break
+        if sel is None:
+            return Fraction(0)
+        if sel != col:
+            work[col], work[sel] = work[sel], work[col]
+            det = -det
+        det *= work[col][col]
+        inv = 1 / work[col][col]
+        for r in range(col + 1, n):
+            if work[r][col] != 0:
+                factor = work[r][col] * inv
+                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+    return det
+
+
+def reference_exterior_power(m: Matrix, p: int) -> Matrix:
+    """Lambda^p m with one full determinant per minor."""
+    subsets = p_subsets(m.rows, p)
+    return Matrix([[reference_determinant(m.submatrix(s, t)) for t in subsets]
+                   for s in subsets])
 
 
 def conjugated_module(module: Representation, p: Matrix) -> Representation:

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from lietrace.catalog import get, random_graded_endomorphism, sample_endomorphisms
+from lietrace.catalog import (get, list_entries, random_graded_endomorphism,
+                              sample_endomorphisms)
 from lietrace.cecomplex import build_complex
 from lietrace.lefschetz import (alternating_trace, hopf_trace_identity_check,
                                 linearization, twisted_lefschetz)
@@ -148,6 +149,23 @@ def test_catalog_samples_all_agree_untwisted():
             report = _trivial_run(entry.algebra, f.matrix)
             assert report.agree, (name, f.matrix.entries)
             assert report.lefschetz == linearization(f.matrix)
+
+
+def test_report_values_are_fractions_over_the_catalog():
+    # no int may leak out of the trusted Matrix constructor into a report
+    def fractions_only(values):
+        return all(type(x) is Fraction for x in values)
+
+    for name in list_entries():
+        entry = get(name)
+        for f in sample_endomorphisms(entry):
+            report = _trivial_run(entry.algebra, f.matrix)
+            assert fractions_only(report.cohomology_traces)
+            assert fractions_only(report.cochain_traces)
+            assert fractions_only([report.lefschetz, report.hopf,
+                                   report.det_i_minus_a])
+            for m in report.cohomology_maps:
+                assert fractions_only(x for row in m.entries for x in row)
 
 
 def test_graded_scalings_product_formula():

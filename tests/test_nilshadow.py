@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from lietrace import nilshadow
 from lietrace.catalog import get
+from lietrace.cecomplex import InternalConsistencyFailure
 from lietrace.lefschetz import twisted_lefschetz
 from lietrace.liealg import LieAlgebra, endomorphism, is_nilpotent
 from lietrace.nilshadow import (ComplementNotAbelian, IdealNotNilpotent,
@@ -117,6 +119,15 @@ def test_transport_frozen_determinants():
         assert report.det_input == det
         assert report.det_shadow == det
         assert report.is_shadow_morphism  # the shadow is abelian
+
+
+def test_transport_certificate_raises(monkeypatch):
+    # the second determinant (the shadow side) is made to disagree
+    values = iter([Fraction(2), Fraction(3)])
+    monkeypatch.setattr(nilshadow, "determinant", lambda m: next(values))
+    t = endomorphism(SOL3.algebra, Matrix([[-1, 0, 0], [0, 0, 2], [0, 1, 0]]))
+    with pytest.raises(InternalConsistencyFailure, match="from 2 to 3"):
+        induced_shadow_map(_sol3_shadow(), t)
 
 
 def test_transport_diagonal_and_zero_maps_end_to_end():

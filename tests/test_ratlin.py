@@ -1,21 +1,28 @@
 """Exact linear algebra layer: frozen small oracles plus seeded properties."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import lietrace
 from lietrace.ratlin import (DegreeOutOfRange, JordanParts, Matrix, NonSquare,
                              NotInSpan, complete_basis, determinant,
-                             exterior_power, format_rational, inverse,
-                             is_nilpotent_matrix, is_squarefree,
-                             jordan_chevalley, kernel_basis,
+                             exterior_power, exterior_powers, format_rational,
+                             inverse, is_nilpotent_matrix, is_squarefree,
+                             jordan_chevalley, kernel_basis, kron,
                              minimal_polynomial, parse_rational, rank, rref,
-                             solve_all_in_span, solve_in_span, squarefree_part)
+                             solve_all_in_span, solve_in_span, squarefree_part,
+                             vec_add, vec_sub)
 
-from helpers import greedy_complete, random_invertible, random_matrix
+from helpers import (greedy_complete, random_invertible, random_matrix,
+                     reference_determinant, reference_exterior_power,
+                     reference_rref)
 
 
 def test_parse_and_format_rational():
@@ -228,6 +235,143 @@ def test_characteristic_identity_random():
         lhs = sum((-1) ** p * exterior_power(m, p).trace()
                   for p in range(n + 1))
         assert lhs == determinant(Matrix.identity(n) - m)
+
+
+# Fraction-free kernels against the Fraction references in helpers.  Entries
+# are mostly zero, with negative numerators and denominators up to 10**6;
+# rows may be dependent, columns zero, and the first pivot may need a swap.
+_WIDE_ENTRY = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3])),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)))
+
+
+@st.composite
+def _kernel_matrices(draw, square=False, max_rows=5):
+    rows = draw(st.integers(1, max_rows))
+    cols = rows if square else draw(st.integers(0, 6))
+    entries = [[draw(_WIDE_ENTRY) for _ in range(cols)] for _ in range(rows)]
+    if cols and rows > 1 and draw(st.booleans()):
+        # last row a combination of the first two: rank deficient
+        a, b = draw(_ENTRY), draw(_ENTRY)
+        entries[-1] = [a * x + b * y for x, y in zip(entries[0], entries[1])]
+    if cols and draw(st.booleans()):
+        j = draw(st.integers(0, cols - 1))
+        for row in entries:
+            row[j] = Fraction(0)
+    if cols and rows > 1 and draw(st.booleans()):
+        # zero top-left entry over a nonzero one: the first pivot swaps rows
+        entries[0][0] = Fraction(0)
+        entries[1][0] = draw(_WIDE_ENTRY.filter(bool))
+    return Matrix(entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_matrices())
+def test_rref_equals_fraction_reference(m):
+    assert rref(m) == reference_rref(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_matrices(square=True))
+def test_determinant_equals_fraction_reference(m):
+    assert determinant(m) == reference_determinant(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kernel_matrices(square=True, max_rows=4))
+def test_exterior_powers_equal_minor_reference(m):
+    powers = exterior_powers(m)
+    assert len(powers) == m.rows + 1
+    for p, power in enumerate(powers):
+        assert power == reference_exterior_power(m, p)
+        assert exterior_power(m, p) == power
+
+
+def test_kernels_on_edge_shapes():
+    empty = Matrix([])  # a matrix without rows has no columns either: 0x0
+    assert (empty.rows, empty.cols) == (0, 0)
+    no_columns = Matrix([[], [], []])
+    assert (no_columns.rows, no_columns.cols) == (3, 0)
+    singles = [Matrix([[0]]), Matrix([[Fraction(-7, 10**6)]]),
+               Matrix([[Fraction(999999, 1000000)]])]
+    for m in [empty, no_columns] + singles:
+        assert rref(m) == reference_rref(m)
+    for m in [empty] + singles:
+        assert determinant(m) == reference_determinant(m)
+        assert exterior_powers(m) == [reference_exterior_power(m, p)
+                                      for p in range(m.rows + 1)]
+    assert determinant(empty) == 1
+    assert exterior_powers(empty) == [Matrix([[1]])]
+    with pytest.raises(NonSquare):
+        exterior_powers(no_columns)
+
+
+def _only_fractions(m: Matrix) -> bool:
+    return all(type(x) is Fraction for row in m.entries for x in row)
+
+
+def test_internal_results_hold_only_fractions():
+    # built from ints through the public constructor; no result may carry an
+    # int, even where a product or sum is exactly zero
+    a = Matrix([[1, 0, 2], [3, 4, 0]])
+    b = Matrix([[0, 1], [2, 0], [0, 5]])
+    sq = Matrix([[2, 1, 0], [1, 1, 0], [0, 0, -3]])
+    results = [rref(a)[0], rref(Matrix.zero(2, 2))[0], a * b,
+               a * Matrix.zero(3, 2), 3 * a, a * Fraction(1, 2), a + a, a - a,
+               -a, a.transpose(), a.submatrix([1], [0, 2]), a.hstack(a),
+               kron(sq, a), Matrix.from_columns(a.columns()),
+               Matrix.from_columns([(1, 2), (3, 4)]), Matrix.identity(3),
+               Matrix.zero(2, 3), inverse(sq)]
+    results += exterior_powers(sq) + exterior_powers(Matrix.zero(3, 3))
+    for m in results:
+        assert _only_fractions(m), m
+
+
+def test_shape_mismatch_names_both_shapes():
+    two, three = (Fraction(1),) * 2, (Fraction(1),) * 3
+    with pytest.raises(ValueError, match="length 2 and 3"):
+        vec_add(two, three)
+    with pytest.raises(ValueError, match="length 3 and 2"):
+        vec_sub(three, two)
+    a, b = Matrix([[1, 2]]), Matrix([[1], [2]])
+    with pytest.raises(ValueError, match="1x2 \\+ 2x1"):
+        a + b
+    with pytest.raises(ValueError, match="1x2 - 2x1"):
+        a - b
+    with pytest.raises(ValueError, match="1x2 hstack 2x1"):
+        a.hstack(b)
+
+
+# Run under `python -O`, which strips assert statements: the shape checks
+# must still raise.
+_OPTIMIZED_SHAPE_SCRIPT = """
+import sys
+from lietrace.ratlin import Matrix, vec_add
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+missing = []
+try:
+    Matrix([[1, 2]]) + Matrix([[1], [2]])
+    missing.append("Matrix.__add__")
+except ValueError:
+    pass
+try:
+    vec_add((1, 2), (1,))
+    missing.append("vec_add")
+except ValueError:
+    pass
+sys.exit("no ValueError from " + ", ".join(missing) if missing else 0)
+"""
+
+
+def test_shape_checks_survive_python_O():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lietrace.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_SHAPE_SCRIPT],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_minimal_polynomial_frozen():

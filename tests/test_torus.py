@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from lietrace import torus_oracle
+from lietrace.cecomplex import InternalConsistencyFailure
+from lietrace.ratlin import determinant, inverse
 from lietrace.torus_oracle import (DegenerateMap, NotInteger, TorusMap,
                                    count_fixed_points, cross_check_with_ce)
 
@@ -112,3 +115,23 @@ def test_cross_check_with_cochain_pipeline():
         report, cochain_value, verdict = cross_check_with_ce(TorusMap(rows))
         assert verdict
         assert cochain_value == report.lefschetz
+
+
+def test_certificates_raise_when_the_determinant_lies(monkeypatch):
+    # a doubled determinant leaves the enumerated points as they are, so the
+    # count certificate fails; a non-integer determinant or adjugate fails
+    # its integrality check
+    shear = TorusMap(((2, 1), (1, 1)))
+    monkeypatch.setattr(torus_oracle, "determinant",
+                        lambda m: 2 * determinant(m))
+    with pytest.raises(InternalConsistencyFailure, match="enumeration found 1"):
+        count_fixed_points(shear)
+    monkeypatch.setattr(torus_oracle, "determinant",
+                        lambda m: determinant(m) / 2)
+    with pytest.raises(InternalConsistencyFailure, match="not an integer"):
+        count_fixed_points(shear)
+    monkeypatch.setattr(torus_oracle, "determinant", determinant)
+    monkeypatch.setattr(torus_oracle, "inverse",
+                        lambda m: Fraction(1, 2) * inverse(m))
+    with pytest.raises(InternalConsistencyFailure, match="not integral"):
+        count_fixed_points(shear)
