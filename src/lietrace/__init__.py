@@ -18,8 +18,7 @@ from .repn import (Intertwiner, Representation, adjoint_module,
                    validate_intertwiner, validate_rep)
 from .cecomplex import (CochainComplex, betti_numbers, build_complex,
                         cohomology, induced_chain_map, induced_cohomology_map)
-from .lefschetz import (LefschetzReport, hopf_trace_identity_check,
-                        linearization, twisted_lefschetz)
+from .lefschetz import LefschetzReport, linearization, twisted_lefschetz
 from .nilshadow import (SplitPresentation, build_shadow, induced_shadow_map,
                         validate_split)
 from .torus_oracle import TorusMap, count_fixed_points, cross_check_with_ce
@@ -34,8 +33,7 @@ __all__ = [
     "pullback", "trivial_module", "validate_intertwiner", "validate_rep",
     "CochainComplex", "betti_numbers", "build_complex", "cohomology",
     "induced_chain_map", "induced_cohomology_map",
-    "LefschetzReport", "hopf_trace_identity_check", "linearization",
-    "twisted_lefschetz",
+    "LefschetzReport", "linearization", "twisted_lefschetz",
     "SplitPresentation", "build_shadow", "induced_shadow_map", "validate_split",
     "TorusMap", "count_fixed_points", "cross_check_with_ce",
     "catalog",

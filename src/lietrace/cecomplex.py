@@ -19,8 +19,9 @@ from fractions import Fraction
 from math import comb
 
 from .liealg import LieAlgebra, LieMorphism
-from .ratlin import (Matrix, NotInSpan, complete_basis, exterior_powers,
-                     kernel_and_image, kron, p_subsets, solve_all_in_span)
+from .ratlin import (InternalConsistencyFailure, Matrix, NotInSpan,
+                     complete_basis, exterior_powers, kernel_and_image, kron,
+                     p_subsets, solve_all_in_span)
 from .repn import Intertwiner, Representation
 
 
@@ -40,11 +41,6 @@ class ChainMapViolation(ValueError):
     def __init__(self, degree: int):
         self.degree = degree
         super().__init__(f"induced map does not commute with d at degree {degree}")
-
-
-class InternalConsistencyFailure(ArithmeticError):
-    """An identity that must hold (Hopf trace, span membership of induced
-    cocycles) failed; indicates a bug, not bad input."""
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import catalog as catalog_mod
 from .cecomplex import (ChainMapViolation, InternalConsistencyFailure,
@@ -38,7 +37,8 @@ from .ratlin import NotInSpan, format_rational
 from .repn import (DimensionMismatch, NotARepresentation, NotEquivariant,
                    identity_intertwiner, trivial_module, validate_intertwiner,
                    validate_rep)
-from .torus_oracle import DegenerateMap, NotInteger, TorusMap, count_fixed_points
+from .torus_oracle import (DegenerateMap, NotInteger, TorusMap,
+                           cross_check_with_ce)
 
 EXIT_OK = 0
 EXIT_VERDICT_FALSE = 1
@@ -53,7 +53,8 @@ _INPUT_ERRORS = (InvalidDocument, JacobiViolation, NotAMorphism,
                  catalog_mod.UnknownEntry, catalog_mod.NoGrading, ValueError)
 
 _INTERNAL_ERRORS = (InternalConsistencyFailure, InternalDSquareNonzero,
-                    ChainMapViolation, NotInSpan, AssertionError)
+                    ChainMapViolation, NotInSpan, ZeroDivisionError,
+                    AssertionError)
 
 
 def main(argv=None) -> int:
@@ -248,8 +249,7 @@ def _cmd_shadow(args) -> int:
             shadow_module = trivial_module(result.shadow)
             lef = twisted_lefschetz(
                 result.shadow, shadow_module, map_report.shadow_map,
-                identity_intertwiner(map_report.shadow_map, shadow_module),
-                linearization_matrix=map_report.shadow_map.matrix)
+                identity_intertwiner(map_report.shadow_map, shadow_module))
             doc["shadow_lefschetz"] = format_rational(lef.lefschetz)
             verdict = lef.lefschetz == map_report.det_input
         else:
@@ -272,14 +272,12 @@ def _cmd_shadow(args) -> int:
 
 def _cmd_torus(args) -> int:
     matrix = _parse_int_matrix(args.matrix)
-    report = count_fixed_points(TorusMap(matrix=matrix))
-    algebra_side = _torus_ce_lefschetz(matrix)
-    agree = algebra_side == Fraction(report.lefschetz)
+    report, ce_lefschetz, agree = cross_check_with_ce(TorusMap(matrix=matrix))
     doc = {"count": report.count,
            "lefschetz": report.lefschetz,
            "index_each": report.index_each,
            "points": [[format_rational(x) for x in pt] for pt in report.points],
-           "ce_lefschetz": format_rational(algebra_side),
+           "ce_lefschetz": format_rational(ce_lefschetz),
            "agree": agree}
     if args.json:
         _print_json(doc)
@@ -289,20 +287,9 @@ def _cmd_torus(args) -> int:
             print("  ", "(" + ", ".join(format_rational(x) for x in pt) + ")")
         print("lefschetz:", report.lefschetz,
               f"(index {report.index_each} each)")
-        print("cochain cross-check:", format_rational(algebra_side),
+        print("cochain cross-check:", format_rational(ce_lefschetz),
               "agree" if agree else "DISAGREE")
     return EXIT_OK if agree else EXIT_VERDICT_FALSE
-
-
-def _torus_ce_lefschetz(matrix) -> Fraction:
-    from .liealg import LieAlgebra, endomorphism
-    from .repn import Intertwiner
-
-    algebra = LieAlgebra(dim=len(matrix))
-    module = trivial_module(algebra)
-    f = endomorphism(algebra, [[Fraction(x) for x in row] for row in matrix])
-    xi = Intertwiner(morphism=f, module=module, matrix=[[1]])
-    return twisted_lefschetz(algebra, module, f, xi).lefschetz
 
 
 def _parse_int_matrix(text: str):

@@ -68,7 +68,7 @@ def algebra_from_doc(doc, path="/algebra") -> LieAlgebra:
     if not isinstance(doc, dict):
         _fail(path, "expected an object")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         _fail(f"{path}/dim", "expected a positive integer")
     labels = doc.get("basis")
     if labels is not None:
@@ -126,14 +126,12 @@ def algebra_to_doc(algebra: LieAlgebra) -> dict:
 # ---------------------------------------------------------------------------
 
 class TaskDocument:
-    def __init__(self, algebra, morphism, module, intertwiner, split,
-                 has_explicit_module):
+    def __init__(self, algebra, morphism, module, intertwiner, split):
         self.algebra = algebra
         self.morphism = morphism            # LieMorphism or None
         self.module = module                # Representation
         self.intertwiner = intertwiner      # Intertwiner or None (no map)
         self.split = split                  # (nil_ideal, complement) or None
-        self.has_explicit_module = has_explicit_module
 
 
 def task_from_doc(doc) -> TaskDocument:
@@ -160,8 +158,7 @@ def task_from_doc(doc) -> TaskDocument:
         split = None
 
     module = trivial_module(algebra)
-    has_module = "module" in doc
-    if has_module:
+    if "module" in doc:
         module = module_from_doc(doc["module"], algebra, "/module")
 
     morphism = None
@@ -203,15 +200,14 @@ def task_from_doc(doc) -> TaskDocument:
         split = (tuple(ideal), tuple(comp))
 
     return TaskDocument(algebra=algebra, morphism=morphism, module=module,
-                        intertwiner=intertwiner, split=split,
-                        has_explicit_module=has_module)
+                        intertwiner=intertwiner, split=split)
 
 
 def module_from_doc(doc, algebra, path="/module") -> Representation:
     if not isinstance(doc, dict):
         _fail(path, "expected an object")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         _fail(f"{path}/dim", "expected a positive integer")
     raw_actions = doc.get("actions")
     if not isinstance(raw_actions, list) or len(raw_actions) != algebra.dim:

@@ -5,8 +5,7 @@ Three numbers are computed side by side and never collapsed:
   * the cochain-level alternating trace  sum_p (-1)^p tr F_p,
   * the cohomology-level alternating trace over induced maps on H^p,
   * det(I - A) for the designated linear map A (by default the morphism
-    matrix itself; callers working with a solvable algebra through its
-    nilshadow pass the induced shadow map instead).
+    matrix itself).
 
 The first two must agree for every valid input (Hopf trace identity for an
 exact-category chain map); a mismatch raises.  The third is the linearized
@@ -19,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cecomplex import (CochainComplex, InternalConsistencyFailure,
-                        build_complex, cohomology, induced_chain_map,
-                        induced_cohomology_map)
-from .liealg import LieAlgebra, LieMorphism, check_morphism, validate
+from .cecomplex import (InternalConsistencyFailure, build_complex, cohomology,
+                        induced_chain_map, induced_cohomology_map)
+from .liealg import (LieAlgebra, LieMorphism, check_morphism, is_nilpotent,
+                     validate)
 from .ratlin import Matrix, determinant
 from .repn import Intertwiner, Representation, validate_intertwiner, validate_rep
 
@@ -58,8 +57,7 @@ def twisted_lefschetz(algebra: LieAlgebra, module: Representation,
     """Full pipeline: validate, build the complex, induce maps on cohomology,
     and compare the alternating trace with det(I - A).
 
-    linearization_matrix defaults to the morphism matrix; the nilshadow path
-    passes the induced shadow map here.
+    linearization_matrix defaults to the morphism matrix.
     """
     if validate_inputs:
         validate(algebra)
@@ -89,7 +87,6 @@ def twisted_lefschetz(algebra: LieAlgebra, module: Representation,
     agree = lefschetz_number == det_value
     note = ""
     if not agree:
-        from .liealg import is_nilpotent
         if not is_nilpotent(algebra):
             note = ("disagreement is expected: the algebra is not nilpotent, "
                     "so cohomology at the algebra level need not compute the "
@@ -109,23 +106,3 @@ def twisted_lefschetz(algebra: LieAlgebra, module: Representation,
         agree=agree,
         note=note,
     )
-
-
-def hopf_trace_identity_check(complex_: CochainComplex, morphism: LieMorphism,
-                              intertwiner: Intertwiner):
-    """Return (cochain value, cohomology value, det(I - f) * tr(xi)).
-
-    The first two are asserted equal (exactness of the trace under passage to
-    cohomology); the third equals them exactly when the complex is the full
-    exterior-power complex with the product chain map, which is the only kind
-    built here — but no assertion ties it in, callers compare as they wish.
-    """
-    chain_map = induced_chain_map(complex_, morphism, intertwiner)
-    maps = induced_cohomology_map(cohomology(complex_), chain_map)
-    cochain_value = alternating_trace(chain_map.blocks)
-    cohomology_value = alternating_trace(maps)
-    if cochain_value != cohomology_value:
-        raise InternalConsistencyFailure(
-            f"Hopf trace identity failed: {cochain_value} != {cohomology_value}")
-    det_value = linearization(morphism.matrix) * intertwiner.matrix.trace()
-    return cochain_value, cohomology_value, det_value

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ratlin import (Matrix, Vector, as_fraction, format_rational, is_zero_vec,
-                     rref, vec_add, vec_scale, zero_vec)
+                     rref, vec_add, zero_vec)
 
 
 class JacobiViolation(ValueError):
@@ -109,7 +109,9 @@ def _unit(n: int, i: int) -> Vector:
 def bracket(algebra: LieAlgebra, x: Vector, y: Vector) -> Vector:
     """Bilinear extension of the structure constants."""
     n = algebra.dim
-    assert len(x) == n and len(y) == n
+    if len(x) != n or len(y) != n:
+        raise ValueError(f"bracket of vectors of length {len(x)} and "
+                         f"{len(y)} in an algebra of dim {n}")
     out = [Fraction(0)] * n
     for (i, j), comps in algebra.brackets.items():
         coeff = x[i] * y[j] - x[j] * y[i]
@@ -131,7 +133,7 @@ def ad(algebra: LieAlgebra, x: Vector) -> Matrix:
 # subspaces and series
 # ---------------------------------------------------------------------------
 
-def _span_basis(vectors: list[Vector], n: int) -> list[Vector]:
+def _span_basis(vectors: list[Vector]) -> list[Vector]:
     """Canonical basis (nonzero rref rows) of the span of the given vectors."""
     if not vectors:
         return []
@@ -141,7 +143,7 @@ def _span_basis(vectors: list[Vector], n: int) -> list[Vector]:
 
 def _bracket_span(algebra: LieAlgebra, us: list[Vector], vs: list[Vector]) -> list[Vector]:
     products = [bracket(algebra, u, v) for u in us for v in vs]
-    return _span_basis(products, algebra.dim)
+    return _span_basis(products)
 
 
 @dataclass(frozen=True)

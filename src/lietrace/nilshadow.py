@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cecomplex import InternalConsistencyFailure
-from .liealg import (LieAlgebra, LieMorphism, endomorphism, is_morphism,
+from .liealg import (LieAlgebra, LieMorphism, ad, endomorphism, is_morphism,
                      is_nilpotent, is_solvable, validate)
 from .ratlin import Matrix, determinant, jordan_chevalley
 
@@ -68,10 +68,14 @@ class SplitPresentation:
             raise ValueError("nil_ideal and complement must partition the basis indices")
 
 
-def validate_split(split: SplitPresentation) -> None:
+def validate_split(split: SplitPresentation) -> tuple:
     """All structural preconditions, in a fixed order so failures are stable:
     solvability, ideal property, abelian complement, nilpotency of the ideal,
-    commuting semisimple parts that kill the complement."""
+    commuting semisimple parts that kill the complement.
+
+    Returns the Jordan-Chevalley parts (JordanParts) of ad(e_c) for each
+    complement generator c, in complement order.
+    """
     algebra = split.algebra
     validate(algebra)
     if not is_solvable(algebra):
@@ -98,8 +102,10 @@ def validate_split(split: SplitPresentation) -> None:
     if split.nil_ideal and not is_nilpotent(_restrict_to_ideal(split)):
         raise IdealNotNilpotent("marked ideal is not nilpotent")
 
-    semis = [jordan_chevalley(_ad_matrix(algebra, c)).semisimple
-             for c in split.complement]
+    units = Matrix.identity(n)
+    parts = tuple(jordan_chevalley(ad(algebra, units.row(c)))
+                  for c in split.complement)
+    semis = [p.semisimple for p in parts]
     for idx, s in zip(split.complement, semis):
         for c in split.complement:
             if any(s[r, c] != 0 for r in range(n)):
@@ -111,6 +117,7 @@ def validate_split(split: SplitPresentation) -> None:
                 raise SemisimplePartsDoNotCommute(
                     f"semisimple parts of ad(e{split.complement[x]}) and "
                     f"ad(e{split.complement[y]}) do not commute")
+    return parts
 
 
 def _restrict_to_ideal(split: SplitPresentation) -> LieAlgebra:
@@ -121,11 +128,6 @@ def _restrict_to_ideal(split: SplitPresentation) -> LieAlgebra:
         if i in pos and j in pos:
             sub[(pos[i], pos[j])] = {pos[k]: c for k, c in comps.items()}
     return LieAlgebra(dim=len(split.nil_ideal), brackets=sub)
-
-
-def _ad_matrix(algebra: LieAlgebra, index: int) -> Matrix:
-    cols = [algebra.basis_bracket(index, j) for j in range(algebra.dim)]
-    return Matrix.from_columns(cols, rows=algebra.dim)
 
 
 @dataclass(frozen=True)
@@ -143,16 +145,11 @@ def build_shadow(split: SplitPresentation) -> ShadowResult:
     nil(ad a) = ad a - semisimple(ad a).  The result is validated (Jacobi)
     and must be nilpotent.
     """
-    validate_split(split)
+    parts = validate_split(split)
     algebra = split.algebra
     n = algebra.dim
     ideal = set(split.nil_ideal)
-    nil_parts = {}
-    semis = []
-    for c in split.complement:
-        parts = jordan_chevalley(_ad_matrix(algebra, c))
-        nil_parts[c] = parts.nilpotent
-        semis.append(parts.semisimple)
+    nil_parts = {c: p.nilpotent for c, p in zip(split.complement, parts)}
 
     brackets = {}
     def _put(i, j, column):
@@ -175,7 +172,7 @@ def build_shadow(split: SplitPresentation) -> ShadowResult:
     if not is_nilpotent(shadow):
         raise IdealNotNilpotent("shadow bracket failed to be nilpotent")
     return ShadowResult(split=split, shadow=shadow,
-                        semisimple_parts=tuple(semis))
+                        semisimple_parts=tuple(p.semisimple for p in parts))
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,12 @@ class SingularMatrix(ValueError):
     """Inverse of a singular matrix was requested."""
 
 
+class InternalConsistencyFailure(ArithmeticError):
+    """An identity that must hold (Hopf trace, span membership of induced
+    cocycles, convergence of an exact iteration) failed; indicates a bug, not
+    bad input."""
+
+
 # ---------------------------------------------------------------------------
 # rational text form: optional '-', digits, optional '/' digits
 # ---------------------------------------------------------------------------
@@ -419,11 +425,6 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     return kernel_and_image(m)[0]
 
 
-def image_basis(m: Matrix) -> list[Vector]:
-    """Pivot columns of m: a canonical basis of the column space."""
-    return kernel_and_image(m)[1]
-
-
 def complete_basis(fixed: list[Vector], candidates: list[Vector]) -> list[Vector]:
     """The candidates, in order, that each grow the span of `fixed` and the
     candidates before them.
@@ -636,7 +637,8 @@ def _poly_mul(p, q):
 
 def _poly_divmod(p, q):
     q = _poly_trim(list(q))
-    assert q, "division by zero polynomial"
+    if not q:
+        raise ZeroDivisionError("division by zero polynomial")
     p = list(p)
     quot = [Fraction(0)] * max(0, len(p) - len(q) + 1)
     lead = q[-1]
@@ -702,7 +704,9 @@ def minimal_polynomial(m: Matrix) -> list[Fraction]:
             coeffs = solve_in_span(flat, flat_target)
         except NotInSpan:
             powers.append(target)
-            assert k <= n, "minimal polynomial degree exceeded dimension"
+            if k > n:
+                raise InternalConsistencyFailure(
+                    f"minimal polynomial degree {k} exceeded dimension {n}")
             continue
         # m^k = sum coeffs[i] m^i  ->  x^k - sum coeffs[i] x^i
         return _poly_trim([-c for c in coeffs] + [Fraction(1)])
@@ -712,7 +716,9 @@ def squarefree_part(p) -> list[Fraction]:
     """p / gcd(p, p'), monic: the radical of p."""
     g = _poly_gcd(p, _poly_derivative(p))
     quot, rem = _poly_divmod(p, g)
-    assert not rem
+    if rem:
+        raise InternalConsistencyFailure(
+            "gcd(p, p') does not divide p in the squarefree part")
     if quot:
         quot = _poly_scale(1 / quot[-1], quot)
     return quot
@@ -750,10 +756,12 @@ def jordan_chevalley(m: Matrix) -> JordanParts:
             break
         deriv = _poly_divmod(_poly_compose_mod(rad_prime, a, mu), mu)[1]
         inv = _poly_mod_inverse(deriv, mu)
-        assert inv is not None, "derivative not invertible mod minimal polynomial"
+        if inv is None:
+            raise InternalConsistencyFailure(
+                "derivative not invertible mod minimal polynomial")
         a = _poly_divmod(_poly_add(a, _poly_scale(Fraction(-1), _poly_mul(val, inv))), mu)[1]
-    assert not _poly_divmod(_poly_compose_mod(rad, a, mu), mu)[1], \
-        "Newton iteration failed to converge"
+    if _poly_divmod(_poly_compose_mod(rad, a, mu), mu)[1]:
+        raise InternalConsistencyFailure("Newton iteration failed to converge")
     semi = _poly_eval_matrix(a, m)
     return JordanParts(semisimple=semi, nilpotent=m - semi)
 

@@ -51,9 +51,6 @@ class Representation:
                                         f"expected {self.dim}x{self.dim}")
         object.__setattr__(self, "actions", actions)
 
-    def act(self, x_index: int) -> Matrix:
-        return self.actions[x_index]
-
 
 def trivial_module(algebra: LieAlgebra) -> Representation:
     """The one-dimensional module with zero action."""

@@ -167,6 +167,23 @@ def test_shadow_solvable_with_map(tmp_path, capsys):
     assert report["agree"] is True
 
 
+def test_boolean_algebra_dim_is_rejected(tmp_path, capsys):
+    # bool is an int subclass; "dim": true must not pass as dimension 1
+    doc = {"algebra": {"dim": True}, "map": {"matrix": [["2"]]}}
+    code = main(["lefschetz", _write(tmp_path, "bool.json", doc)])
+    assert code == EXIT_INVALID_INPUT
+    assert "/algebra/dim" in capsys.readouterr().err
+
+
+def test_boolean_module_dim_is_rejected(tmp_path, capsys):
+    doc = {"algebra": {"dim": 1},
+           "module": {"dim": True, "actions": [[["0"]]]},
+           "map": {"matrix": [["2"]]}}
+    code = main(["lefschetz", _write(tmp_path, "bool.json", doc)])
+    assert code == EXIT_INVALID_INPUT
+    assert "/module/dim" in capsys.readouterr().err
+
+
 def test_shadow_needs_a_split(tmp_path, capsys):
     doc = {"algebra": {"dim": 2, "brackets": []}}
     code = main(["shadow", _write(tmp_path, "nosplit.json", doc)])
@@ -212,10 +229,18 @@ def test_internal_failures_exit_three(monkeypatch, capsys):
     def boom(_):
         raise InternalConsistencyFailure("forced for the test")
 
-    monkeypatch.setattr("lietrace.cli.count_fixed_points", boom)
+    monkeypatch.setattr("lietrace.torus_oracle.count_fixed_points", boom)
     code = main(["torus", "--matrix", "2,1;1,1"])
     assert code == EXIT_INTERNAL
     assert "internal consistency failure" in capsys.readouterr().err
+
+
+def test_zero_polynomial_divisor_exits_three(tmp_path, monkeypatch, capsys):
+    # a zero gcd makes the squarefree part divide by the zero polynomial
+    monkeypatch.setattr("lietrace.ratlin._poly_gcd", lambda p, q: [])
+    code = main(["shadow", _write(tmp_path, "sol3.json", {"algebra": "sol3"})])
+    assert code == EXIT_INTERNAL
+    assert "division by zero polynomial" in capsys.readouterr().err
 
 
 def test_catalog_commands(capsys):

@@ -110,6 +110,11 @@ def test_bracket_frozen_linearity_example():
         (Fraction(0), Fraction(1), Fraction(-1))
 
 
+def test_bracket_length_mismatch_raises():
+    with pytest.raises(ValueError, match="length 3 and 2"):
+        bracket(SOL3, (Fraction(1),) * 3, (Fraction(1),) * 2)
+
+
 def test_series_frozen_dims():
     assert series(HEIS3, "lower_central").dims == (3, 1, 0)
     assert series(HEIS3, "derived").dims == (3, 1, 0)

@@ -9,13 +9,13 @@ from lietrace import nilshadow
 from lietrace.catalog import get
 from lietrace.cecomplex import InternalConsistencyFailure
 from lietrace.lefschetz import twisted_lefschetz
-from lietrace.liealg import LieAlgebra, endomorphism, is_nilpotent
+from lietrace.liealg import LieAlgebra, ad, endomorphism, is_nilpotent
 from lietrace.nilshadow import (ComplementNotAbelian, IdealNotNilpotent,
                                 NotAnIdeal, SemisimplePartsDoNotCommute,
                                 ShadowResult, SplitNotPreserved,
                                 SplitPresentation, build_shadow,
                                 induced_shadow_map, validate_split)
-from lietrace.ratlin import Matrix, determinant
+from lietrace.ratlin import Matrix, determinant, jordan_chevalley
 from lietrace.repn import identity_intertwiner, trivial_module
 
 SOL3 = get("sol3")
@@ -68,6 +68,30 @@ def test_nilpotent_passthrough():
             complement=()))
         assert result.shadow.brackets == algebra.brackets
         assert result.semisimple_parts == ()
+
+
+def test_jordan_chevalley_once_per_complement_generator(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return jordan_chevalley(m)
+
+    monkeypatch.setattr(nilshadow, "jordan_chevalley", counting)
+    cases = [(SOL3.algebra, (1, 2), (0,)), (MIXED, (0, 1, 2), (3,)),
+             (HEIS3, (0, 1, 2), ())]
+    for algebra, ideal, complement in cases:
+        calls.clear()
+        build_shadow(SplitPresentation(algebra=algebra, nil_ideal=ideal,
+                                       complement=complement))
+        assert len(calls) == len(complement)
+
+
+def test_validate_split_returns_jordan_parts():
+    parts = validate_split(SplitPresentation(algebra=MIXED,
+                                             nil_ideal=(0, 1, 2),
+                                             complement=(3,)))
+    assert parts == (jordan_chevalley(ad(MIXED, (0, 0, 0, 1))),)
 
 
 def test_split_partition_guard():

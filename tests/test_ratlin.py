@@ -11,8 +11,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lietrace
-from lietrace.ratlin import (DegreeOutOfRange, JordanParts, Matrix, NonSquare,
-                             NotInSpan, complete_basis, determinant,
+from lietrace import ratlin
+from lietrace.ratlin import (DegreeOutOfRange, InternalConsistencyFailure,
+                             JordanParts, Matrix, NonSquare, NotInSpan,
+                             complete_basis, determinant,
                              exterior_power, exterior_powers, format_rational,
                              inverse, is_nilpotent_matrix, is_squarefree,
                              jordan_chevalley, kernel_basis, kron,
@@ -347,6 +349,7 @@ def test_shape_mismatch_names_both_shapes():
 # must still raise.
 _OPTIMIZED_SHAPE_SCRIPT = """
 import sys
+from lietrace.liealg import LieAlgebra, bracket
 from lietrace.ratlin import Matrix, vec_add
 if not sys.flags.optimize:
     sys.exit("not running under -O")
@@ -359,6 +362,11 @@ except ValueError:
 try:
     vec_add((1, 2), (1,))
     missing.append("vec_add")
+except ValueError:
+    pass
+try:
+    bracket(LieAlgebra(dim=2), (1, 2), (1,))
+    missing.append("bracket")
 except ValueError:
     pass
 sys.exit("no ValueError from " + ", ".join(missing) if missing else 0)
@@ -396,6 +404,34 @@ def test_jordan_chevalley_frozen_examples():
     parts = jordan_chevalley(Matrix.diagonal([1, -1]))
     assert parts.semisimple == Matrix.diagonal([1, -1])
     assert parts.nilpotent.is_zero()
+
+
+def test_polynomial_certificates_raise(monkeypatch):
+    # each internal identity of the Jordan-Chevalley path raises a real
+    # exception (not an assert) when a helper is made to lie
+    with pytest.raises(ZeroDivisionError):
+        ratlin._poly_divmod([Fraction(1)], [Fraction(0)])
+    block = Matrix([[1, 1], [0, 1]])
+    with monkeypatch.context() as mp:
+        mp.setattr(ratlin, "solve_in_span", _always_not_in_span)
+        with pytest.raises(InternalConsistencyFailure, match="exceeded"):
+            minimal_polynomial(block)
+    with monkeypatch.context() as mp:
+        mp.setattr(ratlin, "_poly_gcd", lambda p, q: [Fraction(2), Fraction(1)])
+        with pytest.raises(InternalConsistencyFailure, match="squarefree"):
+            squarefree_part([Fraction(-1), Fraction(0), Fraction(1)])
+    with monkeypatch.context() as mp:
+        mp.setattr(ratlin, "_poly_mod_inverse", lambda p, modulus: None)
+        with pytest.raises(InternalConsistencyFailure, match="not invertible"):
+            jordan_chevalley(block)
+    with monkeypatch.context() as mp:
+        mp.setattr(ratlin, "_poly_mod_inverse", lambda p, modulus: [])
+        with pytest.raises(InternalConsistencyFailure, match="converge"):
+            jordan_chevalley(block)
+
+
+def _always_not_in_span(basis, target):
+    raise NotInSpan("forced for the test")
 
 
 def _check_jordan_parts(m: Matrix, parts: JordanParts):
