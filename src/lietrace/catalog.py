@@ -16,14 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .liealg import LieAlgebra, LieMorphism, endomorphism
-from .ratlin import Matrix
+from .ratlin import InvalidInput, Matrix
 
 
-class UnknownEntry(KeyError):
+class UnknownEntry(InvalidInput, KeyError):
     pass
 
 
-class NoGrading(ValueError):
+class NoGrading(InvalidInput):
     pass
 
 
@@ -98,7 +98,11 @@ def get(name: str) -> CatalogEntry:
         path = os.path.join(extra, name + ".json")
         if os.path.exists(path):
             with open(path) as fh:
-                return _entry_from_doc(name, json.load(fh))
+                try:
+                    doc = json.load(fh)
+                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                    raise InvalidInput(f"{path}: not valid JSON: {exc}")
+            return _entry_from_doc(name, doc)
     if name not in _BY_NAME:
         raise UnknownEntry(name)
     return _BY_NAME[name]

@@ -19,13 +19,13 @@ from fractions import Fraction
 from math import comb
 
 from .liealg import LieAlgebra, LieMorphism
-from .ratlin import (InternalConsistencyFailure, Matrix, NotInSpan,
-                     complete_basis, exterior_powers, kernel_and_image, kron,
-                     p_subsets, solve_all_in_span)
+from .ratlin import (InternalConsistencyFailure, InvalidInput, Matrix,
+                     NotInSpan, complete_basis, exterior_powers,
+                     kernel_and_image, kron, p_subsets, solve_all_in_span)
 from .repn import Intertwiner, Representation
 
 
-class ModuleAlgebraMismatch(ValueError):
+class ModuleAlgebraMismatch(InvalidInput):
     pass
 
 

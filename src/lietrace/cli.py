@@ -20,41 +20,30 @@ import json
 import sys
 
 from . import catalog as catalog_mod
-from .cecomplex import (ChainMapViolation, InternalConsistencyFailure,
-                        InternalDSquareNonzero, ModuleAlgebraMismatch,
-                        build_complex, cohomology, induced_chain_map,
-                        induced_cohomology_map)
+from .cecomplex import (InternalDSquareNonzero, build_complex, cohomology,
+                        induced_chain_map, induced_cohomology_map)
 from .documents import (InvalidDocument, algebra_to_doc, matrix_to_doc,
                         module_from_doc, task_from_doc)
 from .lefschetz import twisted_lefschetz
-from .liealg import (JacobiViolation, NotAMorphism, check_morphism,
-                     is_nilpotent, is_solvable, validate)
-from .nilshadow import (ComplementNotAbelian, IdealNotNilpotent, NotAnIdeal,
-                        SemisimplePartsDoNotCommute, SplitNotPreserved,
-                        SplitPresentation, build_shadow, induced_shadow_map,
+from .liealg import check_morphism, is_nilpotent, is_solvable, validate
+from .nilshadow import (SplitPresentation, build_shadow, induced_shadow_map,
                         validate_split)
-from .ratlin import NotInSpan, format_rational
-from .repn import (DimensionMismatch, NotARepresentation, NotEquivariant,
-                   identity_intertwiner, trivial_module, validate_intertwiner,
+from .ratlin import InternalConsistencyFailure, InvalidInput, format_rational
+from .repn import (identity_intertwiner, trivial_module, validate_intertwiner,
                    validate_rep)
-from .torus_oracle import (DegenerateMap, NotInteger, TorusMap,
-                           cross_check_with_ce)
+from .torus_oracle import TorusMap, cross_check_with_ce
 
 EXIT_OK = 0
 EXIT_VERDICT_FALSE = 1
 EXIT_INVALID_INPUT = 2
 EXIT_INTERNAL = 3
 
-_INPUT_ERRORS = (InvalidDocument, JacobiViolation, NotAMorphism,
-                 NotARepresentation, NotEquivariant, DimensionMismatch,
-                 ModuleAlgebraMismatch, NotAnIdeal, IdealNotNilpotent,
-                 ComplementNotAbelian, SemisimplePartsDoNotCommute,
-                 SplitNotPreserved, DegenerateMap, NotInteger,
-                 catalog_mod.UnknownEntry, catalog_mod.NoGrading, ValueError)
+_INPUT_ERRORS = (InvalidInput, OSError)
 
+# checked after _INPUT_ERRORS: a ValueError that is not InvalidInput (a shape
+# mismatch, NotInSpan, ChainMapViolation) is a library bug
 _INTERNAL_ERRORS = (InternalConsistencyFailure, InternalDSquareNonzero,
-                    ChainMapViolation, NotInSpan, ZeroDivisionError,
-                    AssertionError)
+                    ZeroDivisionError, AssertionError, ValueError)
 
 
 def main(argv=None) -> int:
@@ -65,15 +54,12 @@ def main(argv=None) -> int:
         return EXIT_INVALID_INPUT
     try:
         return args.handler(args)
-    except _INTERNAL_ERRORS as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except _INPUT_ERRORS as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except OSError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+    except _INTERNAL_ERRORS as exc:
+        print(f"internal consistency failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -118,16 +104,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_task(path: str):
+def _load_json(path: str, pointer: str = ""):
     with open(path) as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidDocument("", f"not valid JSON: {exc}")
-    return task_from_doc(doc)
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InvalidDocument(pointer, f"not valid JSON: {exc}")
+
+
+def _load_task(path: str):
+    return task_from_doc(_load_json(path))
+
+
+def _split_presentation(task) -> SplitPresentation:
+    return SplitPresentation(algebra=task.algebra, nil_ideal=task.split[0],
+                             complement=task.split[1])
 
 
 def _validate_task(task) -> list[str]:
+    lines = _validate_all_but_split(task)
+    if task.split is not None:
+        validate_split(_split_presentation(task))
+        lines.append("split: ok (nilpotent ideal, abelian complement)")
+    return lines
+
+
+def _validate_all_but_split(task) -> list[str]:
     lines = []
     validate(task.algebra)
     lines.append(f"algebra: ok (dim {task.algebra.dim}, Jacobi verified)")
@@ -139,11 +141,6 @@ def _validate_task(task) -> list[str]:
     if task.intertwiner is not None:
         validate_intertwiner(task.intertwiner)
         lines.append("intertwiner: ok (equivariant)")
-    if task.split is not None:
-        validate_split(SplitPresentation(algebra=task.algebra,
-                                         nil_ideal=task.split[0],
-                                         complement=task.split[1]))
-        lines.append("split: ok (nilpotent ideal, abelian complement)")
     return lines
 
 
@@ -161,8 +158,8 @@ def _cmd_check(args) -> int:
 def _cmd_cohomology(args) -> int:
     task = _load_task(args.file)
     if args.module:
-        with open(args.module) as fh:
-            task.module = module_from_doc(json.load(fh), task.algebra, "/module")
+        task.module = module_from_doc(_load_json(args.module, "/module"),
+                                      task.algebra, "/module")
         if task.intertwiner is not None:
             task.intertwiner = identity_intertwiner(task.morphism, task.module)
     _validate_task(task)
@@ -234,10 +231,8 @@ def _cmd_shadow(args) -> int:
     if task.split is None:
         raise InvalidDocument("/split", "shadow needs a split presentation "
                               "(or a catalog algebra that carries one)")
-    _validate_task(task)
-    split = SplitPresentation(algebra=task.algebra, nil_ideal=task.split[0],
-                              complement=task.split[1])
-    result = build_shadow(split)
+    _validate_all_but_split(task)
+    result = build_shadow(_split_presentation(task))   # validates the split
     doc = {"shadow": algebra_to_doc(result.shadow),
            "shadow_nilpotent": True}
     verdict = True

@@ -10,11 +10,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .liealg import LieAlgebra, LieMorphism
-from .ratlin import Matrix, format_rational, parse_rational
+from .ratlin import InvalidInput, Matrix, format_rational, parse_rational
 from .repn import Intertwiner, Representation
 
 
-class InvalidDocument(ValueError):
+class InvalidDocument(InvalidInput):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")

@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cecomplex import (InternalConsistencyFailure, build_complex, cohomology,
-                        induced_chain_map, induced_cohomology_map)
+from .cecomplex import (build_complex, cohomology, induced_chain_map,
+                        induced_cohomology_map)
 from .liealg import (LieAlgebra, LieMorphism, check_morphism, is_nilpotent,
                      validate)
-from .ratlin import Matrix, determinant
+from .ratlin import InternalConsistencyFailure, Matrix, determinant
 from .repn import Intertwiner, Representation, validate_intertwiner, validate_rep
 
 

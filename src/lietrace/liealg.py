@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ratlin import (Matrix, Vector, as_fraction, format_rational, is_zero_vec,
-                     rref, vec_add, zero_vec)
+from .ratlin import (InvalidInput, Matrix, Vector, as_fraction,
+                     format_rational, is_zero_vec, rref, vec_add, zero_vec)
 
 
-class JacobiViolation(ValueError):
+class JacobiViolation(InvalidInput):
     def __init__(self, i: int, j: int, k: int, defect: Vector):
         self.triple = (i, j, k)
         self.defect = defect
@@ -23,7 +23,7 @@ class JacobiViolation(ValueError):
                          f"defect {_fmt_vec(defect)}")
 
 
-class NotAMorphism(ValueError):
+class NotAMorphism(InvalidInput):
     def __init__(self, i: int, j: int, defect: Vector):
         self.pair = (i, j)
         self.defect = defect
@@ -48,22 +48,22 @@ class LieAlgebra:
 
     def __post_init__(self):
         if self.dim < 1:
-            raise ValueError("dimension must be at least 1")
+            raise InvalidInput("dimension must be at least 1")
         clean = {}
         for (i, j), comps in self.brackets.items():
             if not (0 <= i < j < self.dim):
-                raise ValueError(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
+                raise InvalidInput(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
             entry = {k: as_fraction(c) for k, c in comps.items()
                      if as_fraction(c) != 0}
             for k in entry:
                 if not 0 <= k < self.dim:
-                    raise ValueError(f"bracket result index {k} out of range")
+                    raise InvalidInput(f"bracket result index {k} out of range")
             if entry:
                 clean[(i, j)] = entry
         object.__setattr__(self, "brackets", clean)
         labels = self.labels or tuple(f"e{i}" for i in range(self.dim))
         if len(labels) != self.dim:
-            raise ValueError("labels length must equal dim")
+            raise InvalidInput("labels length must equal dim")
         object.__setattr__(self, "labels", tuple(labels))
 
     def __eq__(self, other):
@@ -197,8 +197,8 @@ class LieMorphism:
 
     def __post_init__(self):
         if self.matrix.rows != self.target.dim or self.matrix.cols != self.source.dim:
-            raise ValueError(f"matrix shape {self.matrix.rows}x{self.matrix.cols} "
-                             f"does not map dim {self.source.dim} into dim {self.target.dim}")
+            raise InvalidInput(f"matrix shape {self.matrix.rows}x{self.matrix.cols} "
+                               f"does not map dim {self.source.dim} into dim {self.target.dim}")
 
 
 def endomorphism(algebra: LieAlgebra, matrix) -> LieMorphism:

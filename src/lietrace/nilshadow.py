@@ -19,29 +19,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cecomplex import InternalConsistencyFailure
 from .liealg import (LieAlgebra, LieMorphism, ad, endomorphism, is_morphism,
                      is_nilpotent, is_solvable, validate)
-from .ratlin import Matrix, determinant, jordan_chevalley
+from .ratlin import (InternalConsistencyFailure, InvalidInput, Matrix,
+                     determinant, jordan_chevalley)
 
 
-class NotAnIdeal(ValueError):
+class NotAnIdeal(InvalidInput):
     pass
 
 
-class IdealNotNilpotent(ValueError):
+class IdealNotNilpotent(InvalidInput):
     pass
 
 
-class ComplementNotAbelian(ValueError):
+class ComplementNotAbelian(InvalidInput):
     pass
 
 
-class SemisimplePartsDoNotCommute(ValueError):
+class SemisimplePartsDoNotCommute(InvalidInput):
     pass
 
 
-class SplitNotPreserved(ValueError):
+class SplitNotPreserved(InvalidInput):
     def __init__(self, index: int):
         self.index = index
         super().__init__(f"map sends ideal basis vector {index} outside the ideal")
@@ -65,7 +65,7 @@ class SplitPresentation:
         n = self.algebra.dim
         combined = sorted(self.nil_ideal + self.complement)
         if combined != list(range(n)):
-            raise ValueError("nil_ideal and complement must partition the basis indices")
+            raise InvalidInput("nil_ideal and complement must partition the basis indices")
 
 
 def validate_split(split: SplitPresentation) -> tuple:
@@ -79,7 +79,7 @@ def validate_split(split: SplitPresentation) -> tuple:
     algebra = split.algebra
     validate(algebra)
     if not is_solvable(algebra):
-        raise ValueError("algebra is not solvable")
+        raise InvalidInput("algebra is not solvable")
     ideal = set(split.nil_ideal)
     n = algebra.dim
 
@@ -194,9 +194,9 @@ def induced_shadow_map(result: ShadowResult, t: LieMorphism) -> ShadowMapReport:
     """
     split = result.split
     if t.source is not t.target and t.source != t.target:
-        raise ValueError("shadow transport needs an endomorphism")
+        raise InvalidInput("shadow transport needs an endomorphism")
     if t.source != split.algebra:
-        raise ValueError("endomorphism is not over the split algebra")
+        raise InvalidInput("endomorphism is not over the split algebra")
     ideal = set(split.nil_ideal)
     for j in split.nil_ideal:
         col = t.matrix.column(j)

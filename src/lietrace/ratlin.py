@@ -40,6 +40,12 @@ class SingularMatrix(ValueError):
     """Inverse of a singular matrix was requested."""
 
 
+class InvalidInput(ValueError):
+    """Outside input that the library rejects (a malformed document, a map
+    that is not a morphism, a split that does not hold).  Every other
+    ValueError raised by the library means a bug."""
+
+
 class InternalConsistencyFailure(ArithmeticError):
     """An identity that must hold (Hopf trace, span membership of induced
     cocycles, convergence of an exact iteration) failed; indicates a bug, not
@@ -90,10 +96,6 @@ def as_fraction(value) -> Fraction:
 Vector = tuple  # tuple[Fraction, ...]
 
 
-def vec(values) -> Vector:
-    return tuple(as_fraction(v) for v in values)
-
-
 def _check_same_length(u: Vector, v: Vector) -> None:
     if len(u) != len(v):
         raise ValueError(f"shape mismatch: vectors of length {len(u)} "
@@ -108,11 +110,6 @@ def vec_add(u: Vector, v: Vector) -> Vector:
 def vec_sub(u: Vector, v: Vector) -> Vector:
     _check_same_length(u, v)
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v: Vector) -> Vector:
-    c = as_fraction(c)
-    return tuple(c * a for a in v)
 
 
 def zero_vec(n: int) -> Vector:
@@ -221,9 +218,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix._of(tuple(zip(*self.entries)))
-
-    def to_lists(self):
-        return [list(row) for row in self.entries]
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -602,8 +596,8 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Fraction (dense, low degree first) -- internal helpers for
-# the Jordan-Chevalley decomposition
+# polynomials over Fraction (dense, low degree first): minimal polynomial,
+# squarefree part, and their evaluation at a matrix
 # ---------------------------------------------------------------------------
 
 def _poly_trim(p):
@@ -612,27 +606,8 @@ def _poly_trim(p):
     return p
 
 
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    p = p + [Fraction(0)] * (n - len(p))
-    q = q + [Fraction(0)] * (n - len(q))
-    return _poly_trim([a + b for a, b in zip(p, q)])
-
-
 def _poly_scale(c, p):
     return _poly_trim([c * a for a in p])
-
-
-def _poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _poly_trim(out)
 
 
 def _poly_divmod(p, q):
@@ -664,19 +639,6 @@ def _poly_gcd(p, q):
 
 def _poly_derivative(p):
     return _poly_trim([i * a for i, a in enumerate(p)][1:])
-
-
-def _poly_mod_inverse(p, modulus):
-    """Inverse of p in Q[x]/(modulus) via extended Euclid; None if not a unit."""
-    r0, r1 = _poly_trim(list(modulus)), _poly_divmod(p, modulus)[1]
-    s0, s1 = [], [Fraction(1)]
-    while r1:
-        q, rem = _poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _poly_add(s0, _poly_scale(Fraction(-1), _poly_mul(q, s1)))
-    if len(r0) != 1:  # gcd not constant -> not invertible
-        return None
-    return _poly_divmod(_poly_scale(1 / r0[0], s0), modulus)[1]
 
 
 def _poly_eval_matrix(p, m: Matrix) -> Matrix:
@@ -737,42 +699,33 @@ class JordanParts:
 
 def jordan_chevalley(m: Matrix) -> JordanParts:
     """Decompose m = S + N with S semisimple (squarefree minimal polynomial
-    over Q), N nilpotent, SN = NS.  No eigenvalues are computed: S = a(m) for
-    a polynomial a obtained by Newton iteration on the squarefree part of the
-    minimal polynomial in Q[x]/(min poly).
+    over Q), N nilpotent, SN = NS.  No eigenvalues are computed: with r the
+    squarefree part of the minimal polynomial, Newton's iteration
+    S <- S - r(S) r'(S)^-1 from S = m runs on matrices until r(S) = 0.
+    Every iterate is a polynomial in m; r(S) lies in an ideal that squares
+    each step, so log2 of the degree of the minimal polynomial steps suffice.
     """
     if not m.is_square():
         raise NonSquare("jordan_chevalley of non-square matrix")
     mu = minimal_polynomial(m)
     rad = squarefree_part(mu)
     rad_prime = _poly_derivative(rad)
-    a = [Fraction(0), Fraction(1)]  # start at a(x) = x
-    # f_rad(a_k) lies in an ideal that squares each step; deg mu iterations
-    # are more than enough for the multiplicities to be exhausted.
-    steps = max(1, (len(mu) - 1).bit_length())
-    for _ in range(steps):
-        val = _poly_divmod(_poly_compose_mod(rad, a, mu), mu)[1]
-        if not val:
+    semi = m
+    for _ in range(max(1, (len(mu) - 1).bit_length())):
+        value = _poly_eval_matrix(rad, semi)
+        if value.is_zero():
             break
-        deriv = _poly_divmod(_poly_compose_mod(rad_prime, a, mu), mu)[1]
-        inv = _poly_mod_inverse(deriv, mu)
-        if inv is None:
+        try:
+            step = value * inverse(_poly_eval_matrix(rad_prime, semi))
+        except SingularMatrix:
             raise InternalConsistencyFailure(
-                "derivative not invertible mod minimal polynomial")
-        a = _poly_divmod(_poly_add(a, _poly_scale(Fraction(-1), _poly_mul(val, inv))), mu)[1]
-    if _poly_divmod(_poly_compose_mod(rad, a, mu), mu)[1]:
-        raise InternalConsistencyFailure("Newton iteration failed to converge")
-    semi = _poly_eval_matrix(a, m)
+                "r'(S) is not invertible in the Newton iteration")
+        semi = semi - step
+    else:
+        if not _poly_eval_matrix(rad, semi).is_zero():
+            raise InternalConsistencyFailure(
+                "Newton iteration failed to converge")
     return JordanParts(semisimple=semi, nilpotent=m - semi)
-
-
-def _poly_compose_mod(p, a, modulus):
-    """p(a(x)) mod modulus, Horner in the quotient ring."""
-    out = []
-    for c in reversed(p):
-        out = _poly_divmod(_poly_add(_poly_mul(out, a), [c] if c != 0 else []),
-                           modulus)[1]
-    return out
 
 
 def is_nilpotent_matrix(m: Matrix) -> bool:

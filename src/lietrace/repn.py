@@ -12,23 +12,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .liealg import LieAlgebra, LieMorphism, ad
-from .ratlin import Matrix
+from .ratlin import InvalidInput, Matrix
 
 
-class NotARepresentation(ValueError):
+class NotARepresentation(InvalidInput):
     def __init__(self, i: int, j: int):
         self.pair = (i, j)
         super().__init__(f"compatibility fails on basis pair ({i},{j}): "
                          f"rho([e_i,e_j]) != [rho(e_i), rho(e_j)]")
 
 
-class NotEquivariant(ValueError):
+class NotEquivariant(InvalidInput):
     def __init__(self, basis_index: int):
         self.basis_index = basis_index
         super().__init__(f"intertwiner not equivariant at basis vector {basis_index}")
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(InvalidInput):
     pass
 
 

@@ -1,28 +1,29 @@
 """Fixed points of integer self-maps of the torus R^n / Z^n.
 
 Independent cross-check for the determinant formula: a map with integer
-matrix A has x fixed iff (A - I) x is integral, so when det(A - I) != 0 the
-fixed points are the points (A - I)^(-1) k that land in [0,1)^n.  They are
-counted two ways — |det(A - I)| and explicit enumeration — and a mismatch
-raises InternalConsistencyFailure.  All candidates x = adj(A - I) k / det(A - I)
-are handled in integer arithmetic, so membership in [0,1)^n is exact.
+matrix A has x fixed iff B x is integral, B = A - I, so when det B != 0 the
+fixed points form the finite group B^(-1) Z^n / Z^n.  It is generated by the
+columns of B^(-1) reduced mod 1, and is found as the closure of {0} under
+adding them, in Theta(n |det B|) vector additions.  The points are counted
+two ways — |det B| and the closure — and a mismatch raises
+InternalConsistencyFailure.  Everything is exact, so membership in [0,1)^n
+is too.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cecomplex import InternalConsistencyFailure
-from .ratlin import Matrix, determinant, inverse
+from .ratlin import (InternalConsistencyFailure, InvalidInput, Matrix,
+                     determinant, inverse)
 
 
-class DegenerateMap(ValueError):
+class DegenerateMap(InvalidInput):
     """det(A - I) = 0: the fixed point set is not finite."""
 
 
-class NotInteger(ValueError):
+class NotInteger(InvalidInput):
     pass
 
 
@@ -38,7 +39,7 @@ class TorusMap:
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise NotInteger(f"entry {x!r} is not an integer")
             if len(row) != len(rows):
-                raise ValueError("matrix must be square")
+                raise InvalidInput("matrix must be square")
         object.__setattr__(self, "matrix", rows)
 
     @property
@@ -57,8 +58,13 @@ class FixedPointReport:
 def count_fixed_points(torus_map: TorusMap) -> FixedPointReport:
     n = torus_map.dim
     a = torus_map.matrix
-    b = [[a[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    det_b = _int_determinant(b)
+    b = Matrix([[a[i][j] - (1 if i == j else 0) for j in range(n)]
+                for i in range(n)])
+    det_b = determinant(b)
+    if det_b.denominator != 1:
+        raise InternalConsistencyFailure(
+            f"determinant {det_b} of an integer matrix is not an integer")
+    det_b = det_b.numerator
     if det_b == 0:
         raise DegenerateMap("det(A - I) = 0, fixed points are not isolated; "
                             "the Lefschetz number is still available through "
@@ -66,29 +72,21 @@ def count_fixed_points(torus_map: TorusMap) -> FixedPointReport:
     lefschetz = (-1) ** n * det_b          # det(I - A) = (-1)^n det(A - I)
     count_det = abs(det_b)
 
-    # adj(B) = det(B) B^-1, integral because B is
-    adj = det_b * inverse(Matrix(b))
-    if any(x.denominator != 1 for row in adj.entries for x in row):
-        raise InternalConsistencyFailure(
-            f"adjugate {adj} of an integer matrix is not integral")
-    adj = [[x.numerator for x in row] for row in adj.entries]
-    # k = (A - I) x with x in [0,1)^n lies in the box given by the row-wise
-    # sums of negative resp. positive entries (closed bounds are safe).
-    ranges = []
-    for i in range(n):
-        low = sum(min(v, 0) for v in b[i])
-        high = sum(max(v, 0) for v in b[i])
-        ranges.append(range(low, high + 1))
-    points = []
-    for k in itertools.product(*ranges):
-        y = [sum(adj[i][j] * k[j] for j in range(n)) for i in range(n)]
-        # x_i = y_i / det_b must satisfy 0 <= x_i < 1
-        if det_b > 0:
-            ok = all(0 <= yi < det_b for yi in y)
-        else:
-            ok = all(det_b < yi <= 0 for yi in y)
-        if ok:
-            points.append(tuple(Fraction(yi, det_b) for yi in y))
+    # generators of B^-1 Z^n / Z^n; each must satisfy B g in Z^n
+    gens = [tuple(x % 1 for x in col) for col in inverse(b).columns()]
+    for g in gens:
+        if any(y.denominator != 1 for y in b.apply(g)):
+            raise InternalConsistencyFailure(
+                f"(A - I) g is not integral for the generator g = "
+                f"({', '.join(map(str, g))})")
+    points = [(Fraction(0),) * n]
+    seen = set(points)
+    for x in points:                       # the list grows while it is read
+        for g in gens:
+            y = tuple((xi + gi) % 1 for xi, gi in zip(x, g))
+            if y not in seen:
+                seen.add(y)
+                points.append(y)
     points.sort()
     if len(points) != count_det:
         raise InternalConsistencyFailure(
@@ -101,14 +99,6 @@ def count_fixed_points(torus_map: TorusMap) -> FixedPointReport:
             f"is not det(I - A) = {lefschetz}")
     return FixedPointReport(count=count_det, lefschetz=lefschetz,
                             index_each=index, points=tuple(points))
-
-
-def _int_determinant(rows) -> int:
-    d = determinant(Matrix(rows))
-    if d.denominator != 1:
-        raise InternalConsistencyFailure(
-            f"determinant {d} of an integer matrix is not an integer")
-    return d.numerator
 
 
 def cross_check_with_ce(torus_map: TorusMap):

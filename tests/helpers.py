@@ -2,11 +2,13 @@
 modules, and the catalog shortcuts used across files."""
 
 from fractions import Fraction
+import itertools
 import random
 
 from lietrace.catalog import get, list_entries, sample_endomorphisms
 from lietrace.liealg import LieAlgebra
-from lietrace.ratlin import Matrix, NonSquare, determinant, p_subsets, rank
+from lietrace.ratlin import (Matrix, NonSquare, determinant, inverse,
+                             p_subsets, rank)
 from lietrace.repn import Representation, adjoint_module, trivial_module
 
 
@@ -112,9 +114,29 @@ def reference_exterior_power(m: Matrix, p: int) -> Matrix:
                    for s in subsets])
 
 
+def reference_fixed_points(rows) -> tuple:
+    """Fixed points of the torus map with integer matrix `rows`, as
+    count_fixed_points found them before it closed the group B^-1 Z^n / Z^n:
+    scan every k in the bounding box of B x for x in [0,1)^n, B = A - I, and
+    keep the x = adj(B) k / det(B) that land in [0,1)^n.  Sorted tuple."""
+    n = len(rows)
+    b = [[rows[i][j] - (i == j) for j in range(n)] for i in range(n)]
+    det_b = determinant(Matrix(b))
+    adj = [[(det_b * x).numerator for x in row]
+           for row in inverse(Matrix(b)).entries]
+    ranges = [range(sum(min(v, 0) for v in row), sum(max(v, 0) for v in row) + 1)
+              for row in b]
+    points = []
+    for k in itertools.product(*ranges):
+        x = tuple(Fraction(sum(adj[i][j] * k[j] for j in range(n)), det_b)
+                  for i in range(n))
+        if all(0 <= xi < 1 for xi in x):
+            points.append(x)
+    return tuple(sorted(points))
+
+
 def conjugated_module(module: Representation, p: Matrix) -> Representation:
     """rho'(x) = P rho(x) P^-1: a representation whenever rho is."""
-    from lietrace.ratlin import inverse
     p_inv = inverse(p)
     return Representation(algebra=module.algebra, dim=module.dim,
                           actions=tuple(p * a * p_inv for a in module.actions))

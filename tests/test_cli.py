@@ -7,6 +7,7 @@ import pytest
 from lietrace.cecomplex import InternalConsistencyFailure
 from lietrace.cli import (EXIT_INTERNAL, EXIT_INVALID_INPUT, EXIT_OK,
                           EXIT_VERDICT_FALSE, main)
+from lietrace.ratlin import jordan_chevalley
 
 
 def _write(tmp_path, name, doc):
@@ -67,6 +68,7 @@ def test_document_error_paths_are_json_pointers(tmp_path, capsys):
 
 def test_missing_file_and_bad_json(tmp_path, capsys):
     assert main(["check", str(tmp_path / "nope.json")]) == EXIT_INVALID_INPUT
+    assert "No such file" in capsys.readouterr().err
     path = tmp_path / "garbled.json"
     path.write_text("{not json")
     assert main(["check", str(path)]) == EXIT_INVALID_INPUT
@@ -222,7 +224,9 @@ def test_torus_rejects_degenerate_and_malformed(capsys):
     assert main(["torus", "--matrix", "1,0;0,1"]) == EXIT_INVALID_INPUT
     assert "not isolated" in capsys.readouterr().err
     assert main(["torus", "--matrix", "1,x;0,1"]) == EXIT_INVALID_INPUT
+    assert "/matrix: not an integer: 'x'" in capsys.readouterr().err
     assert main(["torus", "--matrix", "1,2,3;4,5,6"]) == EXIT_INVALID_INPUT
+    assert "/matrix: matrix must be square" in capsys.readouterr().err
 
 
 def test_internal_failures_exit_three(monkeypatch, capsys):
@@ -233,6 +237,47 @@ def test_internal_failures_exit_three(monkeypatch, capsys):
     code = main(["torus", "--matrix", "2,1;1,1"])
     assert code == EXIT_INTERNAL
     assert "internal consistency failure" in capsys.readouterr().err
+
+
+def test_library_value_error_exits_three(tmp_path, monkeypatch, capsys):
+    # a ValueError that is not InvalidInput comes from inside the library
+    def shape_bug(*args):
+        raise ValueError("shape mismatch 3x3 * 4x1")
+
+    monkeypatch.setattr("lietrace.cli.build_complex", shape_bug)
+    code = main(["cohomology", _task_heis(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_INTERNAL
+    assert "internal consistency failure: shape mismatch 3x3 * 4x1" in err
+    assert "invalid input" not in err
+
+
+def test_shadow_decomposes_each_generator_once(tmp_path, monkeypatch, capsys):
+    from lietrace import nilshadow
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return jordan_chevalley(m)
+
+    monkeypatch.setattr(nilshadow, "jordan_chevalley", counting)
+    path = _write(tmp_path, "sol3.json", {"algebra": "sol3"})
+    assert main(["shadow", path]) == EXIT_OK
+    assert len(calls) == 1      # sol3 has one complement generator
+
+
+def test_invalid_split_exits_two_from_shadow(tmp_path, capsys):
+    # the split is validated inside build_shadow, with the same messages
+    doc = {"algebra": {"dim": 2, "brackets": []},
+           "split": {"nil_ideal": [0], "complement": []}}
+    code = main(["shadow", _write(tmp_path, "partial.json", doc)])
+    assert code == EXIT_INVALID_INPUT
+    assert "must partition the basis indices" in capsys.readouterr().err
+    doc = {"algebra": "heisenberg3",
+           "split": {"nil_ideal": [0], "complement": [1, 2]}}
+    code = main(["shadow", _write(tmp_path, "notideal.json", doc)])
+    assert code == EXIT_INVALID_INPUT
+    assert "leaves the span of the ideal" in capsys.readouterr().err
 
 
 def test_zero_polynomial_divisor_exits_three(tmp_path, monkeypatch, capsys):
@@ -260,7 +305,9 @@ def test_catalog_commands(capsys):
     assert "all entries pass" in capsys.readouterr().out
 
     assert main(["catalog", "show"]) == EXIT_INVALID_INPUT
+    assert "/name: catalog show needs a name" in capsys.readouterr().err
     assert main(["catalog", "export", "nosuch"]) == EXIT_INVALID_INPUT
+    assert capsys.readouterr().err == "invalid input: 'nosuch'\n"
 
 
 def test_no_arguments_prints_help(capsys):

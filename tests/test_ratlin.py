@@ -14,6 +14,7 @@ import lietrace
 from lietrace import ratlin
 from lietrace.ratlin import (DegreeOutOfRange, InternalConsistencyFailure,
                              JordanParts, Matrix, NonSquare, NotInSpan,
+                             SingularMatrix,
                              complete_basis, determinant,
                              exterior_power, exterior_powers, format_rational,
                              inverse, is_nilpotent_matrix, is_squarefree,
@@ -346,11 +347,13 @@ def test_shape_mismatch_names_both_shapes():
 
 
 # Run under `python -O`, which strips assert statements: the shape checks
-# must still raise.
+# and the torus generator certificate must still raise.
 _OPTIMIZED_SHAPE_SCRIPT = """
 import sys
+from fractions import Fraction
+from lietrace import torus_oracle
 from lietrace.liealg import LieAlgebra, bracket
-from lietrace.ratlin import Matrix, vec_add
+from lietrace.ratlin import InternalConsistencyFailure, Matrix, inverse, vec_add
 if not sys.flags.optimize:
     sys.exit("not running under -O")
 missing = []
@@ -369,7 +372,15 @@ try:
     missing.append("bracket")
 except ValueError:
     pass
-sys.exit("no ValueError from " + ", ".join(missing) if missing else 0)
+# halved generators of the fixed point group fail B g in Z^n
+torus_oracle.inverse = lambda m: Fraction(1, 2) * inverse(m)
+try:
+    torus_oracle.count_fixed_points(torus_oracle.TorusMap(((2, 1), (1, 1))))
+    missing.append("count_fixed_points")
+except InternalConsistencyFailure as exc:
+    if "not integral" not in str(exc):
+        missing.append("count_fixed_points")
+sys.exit("no check fired in " + ", ".join(missing) if missing else 0)
 """
 
 
@@ -421,13 +432,17 @@ def test_polynomial_certificates_raise(monkeypatch):
         with pytest.raises(InternalConsistencyFailure, match="squarefree"):
             squarefree_part([Fraction(-1), Fraction(0), Fraction(1)])
     with monkeypatch.context() as mp:
-        mp.setattr(ratlin, "_poly_mod_inverse", lambda p, modulus: None)
+        mp.setattr(ratlin, "inverse", _always_singular)
         with pytest.raises(InternalConsistencyFailure, match="not invertible"):
             jordan_chevalley(block)
     with monkeypatch.context() as mp:
-        mp.setattr(ratlin, "_poly_mod_inverse", lambda p, modulus: [])
+        mp.setattr(ratlin, "inverse", lambda m: Matrix.zero(m.rows, m.cols))
         with pytest.raises(InternalConsistencyFailure, match="converge"):
             jordan_chevalley(block)
+
+
+def _always_singular(m):
+    raise SingularMatrix("forced for the test")
 
 
 def _always_not_in_span(basis, target):

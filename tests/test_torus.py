@@ -1,6 +1,7 @@
 """Torus fixed-point counting against hand-worked examples."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from lietrace.cecomplex import InternalConsistencyFailure
 from lietrace.ratlin import determinant, inverse
 from lietrace.torus_oracle import (DegenerateMap, NotInteger, TorusMap,
                                    count_fixed_points, cross_check_with_ce)
+
+from helpers import random_int_matrix, reference_fixed_points
 
 
 def test_cat_like_map_frozen():
@@ -109,6 +112,40 @@ def test_transpose_has_same_count():
         assert first.lefschetz == second.lefschetz
 
 
+def test_points_equal_bounding_box_scan_on_random_maps():
+    rng = random.Random(139)
+    checked = 0
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        rows = random_int_matrix(rng, n, bound=3 if n < 4 else 2)
+        try:
+            report = count_fixed_points(TorusMap(rows))
+        except DegenerateMap:
+            continue
+        checked += 1
+        assert report.points == reference_fixed_points(rows), rows
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 11, 17, 30])
+def test_points_equal_bounding_box_scan_on_shears(k):
+    for rows in (((2, k, k), (0, 2, k), (0, 0, 2)),
+                 ((-1, k, 0), (0, -1, k), (0, 0, 3))):
+        report = count_fixed_points(TorusMap(rows))
+        assert report.points == reference_fixed_points(rows)
+
+
+def test_huge_shear_costs_its_points_not_its_entries():
+    # det(A - I) = 1: the one fixed point is the origin; the bounding box of
+    # A - I would hold about 4 * 10^12 candidates
+    k = 10 ** 6
+    start = time.perf_counter()
+    report = count_fixed_points(TorusMap(((2, k, k), (0, 2, k), (0, 0, 2))))
+    assert time.perf_counter() - start < 1
+    assert report.count == 1 and report.lefschetz == -1
+    assert report.points == ((Fraction(0), Fraction(0), Fraction(0)),)
+
+
 def test_cross_check_with_cochain_pipeline():
     for rows in (((2, 1), (1, 1)), ((0, -1), (1, 0)), ((2, 0), (0, 3)),
                  ((3,),), ((2, 1, 0), (0, 2, 1), (0, 0, -1))):
@@ -119,8 +156,8 @@ def test_cross_check_with_cochain_pipeline():
 
 def test_certificates_raise_when_the_determinant_lies(monkeypatch):
     # a doubled determinant leaves the enumerated points as they are, so the
-    # count certificate fails; a non-integer determinant or adjugate fails
-    # its integrality check
+    # count certificate fails; a non-integer determinant fails its
+    # integrality check, and halved generators g fail B g in Z^n
     shear = TorusMap(((2, 1), (1, 1)))
     monkeypatch.setattr(torus_oracle, "determinant",
                         lambda m: 2 * determinant(m))
