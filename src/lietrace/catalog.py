@@ -9,7 +9,6 @@ documents the command line accepts; see `export`.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 from dataclasses import dataclass
@@ -97,12 +96,7 @@ def get(name: str) -> CatalogEntry:
     if extra:
         path = os.path.join(extra, name + ".json")
         if os.path.exists(path):
-            with open(path) as fh:
-                try:
-                    doc = json.load(fh)
-                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                    raise InvalidInput(f"{path}: not valid JSON: {exc}")
-            return _entry_from_doc(name, doc)
+            return _load_entry(name, path)
     if name not in _BY_NAME:
         raise UnknownEntry(name)
     return _BY_NAME[name]
@@ -113,14 +107,21 @@ def _external_dir():
     return path if path and os.path.isdir(path) else None
 
 
-def _entry_from_doc(name: str, doc: dict) -> CatalogEntry:
-    from .documents import algebra_from_doc
+def _load_entry(name: str, path: str) -> CatalogEntry:
+    """An external entry: an algebra document, or an object with the
+    algebra and optional grading, split and notes, read by the parsers that
+    read task documents.  Errors carry JSON pointers into the entry file."""
+    from .documents import (InvalidDocument, algebra_from_doc,
+                            grading_from_doc, load_json, split_from_doc)
+    doc = load_json(path, path)
+    if not isinstance(doc, dict):
+        raise InvalidDocument("", "expected a top-level object")
     algebra = algebra_from_doc(doc.get("algebra", doc), "/algebra")
-    grading = tuple(doc["grading"]) if doc.get("grading") else None
-    split = None
-    if doc.get("split"):
-        split = (tuple(doc["split"]["nil_ideal"]),
-                 tuple(doc["split"]["complement"]))
+    grading = split = None
+    if "grading" in doc:
+        grading = grading_from_doc(doc["grading"], algebra.dim)
+    if "split" in doc:
+        split = split_from_doc(doc["split"], algebra.dim)
     return CatalogEntry(name=name, algebra=algebra, grading=grading,
                         split=split, notes=doc.get("notes", ""))
 

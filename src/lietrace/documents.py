@@ -7,6 +7,7 @@ errors carry a JSON-pointer-style path to the offending field.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 from .liealg import LieAlgebra, LieMorphism
@@ -22,6 +23,18 @@ class InvalidDocument(InvalidInput):
 
 def _fail(path, message):
     raise InvalidDocument(path, message)
+
+
+def load_json(path: str, pointer: str = ""):
+    """The JSON document in the file at path.  Every decoder failure is an
+    InvalidDocument at pointer: malformed text, bytes that are not UTF-8 and
+    an integer past the interpreter's digit limit (each a ValueError), and
+    nesting past the recursion limit (RecursionError)."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise InvalidDocument(pointer, f"not valid JSON: {exc}")
 
 
 def _rational(value, path) -> Fraction:
@@ -186,21 +199,33 @@ def task_from_doc(doc) -> TaskDocument:
         _fail("/intertwiner", "an intertwiner needs a map")
 
     if "split" in doc:
-        raw_split = doc["split"]
-        if not isinstance(raw_split, dict):
-            _fail("/split", "expected an object")
-        ideal = raw_split.get("nil_ideal")
-        comp = raw_split.get("complement")
-        if not isinstance(ideal, list) or not isinstance(comp, list):
-            _fail("/split", "expected 'nil_ideal' and 'complement' index lists")
-        ideal = [_index(x, f"/split/nil_ideal/{k}", algebra.dim)
-                 for k, x in enumerate(ideal)]
-        comp = [_index(x, f"/split/complement/{k}", algebra.dim)
-                for k, x in enumerate(comp)]
-        split = (tuple(ideal), tuple(comp))
+        split = split_from_doc(doc["split"], algebra.dim)
 
     return TaskDocument(algebra=algebra, morphism=morphism, module=module,
                         intertwiner=intertwiner, split=split)
+
+
+def split_from_doc(raw, dim) -> tuple:
+    """(nil_ideal, complement) index tuples of the split at /split."""
+    if not isinstance(raw, dict):
+        _fail("/split", "expected an object")
+    ideal = raw.get("nil_ideal")
+    comp = raw.get("complement")
+    if not isinstance(ideal, list) or not isinstance(comp, list):
+        _fail("/split", "expected 'nil_ideal' and 'complement' index lists")
+    return (tuple(_index(x, f"/split/nil_ideal/{k}", dim)
+                  for k, x in enumerate(ideal)),
+            tuple(_index(x, f"/split/complement/{k}", dim)
+                  for k, x in enumerate(comp)))
+
+
+def grading_from_doc(raw, dim) -> tuple:
+    """The positive integer weights, one per basis vector, at /grading."""
+    if (not isinstance(raw, list) or len(raw) != dim
+            or not all(isinstance(w, int) and not isinstance(w, bool)
+                       and w > 0 for w in raw)):
+        _fail("/grading", f"expected {dim} positive integer weights")
+    return tuple(raw)
 
 
 def module_from_doc(doc, algebra, path="/module") -> Representation:

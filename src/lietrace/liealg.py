@@ -1,9 +1,12 @@
 """Finite-dimensional Lie algebras over Q, given by structure constants.
 
 A bracket table stores [e_i, e_j] for i < j only; antisymmetry holds by
-construction and Jacobi is checked explicitly.  Subspaces (for the lower
-central and derived series) are handled as row spaces in reduced echelon
-form, so all reported dimensions and bases are deterministic.
+construction and Jacobi is checked explicitly.  Every bracket is read through
+ad(x), built in one pass over the structure constants: bracket(x, y) is
+ad(x) applied to y, Jacobi defects and the series apply ad of basis vectors.
+Subspaces (for the lower central and derived series) are handled as row
+spaces in reduced echelon form, so all reported dimensions and bases are
+deterministic.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ratlin import (InvalidInput, Matrix, Vector, as_fraction,
-                     format_rational, is_zero_vec, rref, vec_add, zero_vec)
+                     format_rational, is_zero_vec, rref, zero_vec)
 
 
 class JacobiViolation(InvalidInput):
@@ -86,47 +89,50 @@ class LieAlgebra:
 def validate(algebra: LieAlgebra) -> None:
     """Check the Jacobi identity on all basis triples i < j < k.
 
-    The defect reported is [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j].
+    The defect reported is [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j],
+    computed as -(ad e_k [e_i,e_j] + ad e_i [e_j,e_k] + ad e_j [e_k,e_i]).
     """
     n = algebra.dim
+    ads = [ad(algebra, e) for e in Matrix.identity(n).entries]
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                defect = vec_add(
-                    vec_add(bracket(algebra, algebra.basis_bracket(i, j),
-                                    _unit(n, k)),
-                            bracket(algebra, algebra.basis_bracket(j, k),
-                                    _unit(n, i))),
-                    bracket(algebra, algebra.basis_bracket(k, i), _unit(n, j)))
+                terms = zip(ads[k].apply(algebra.basis_bracket(i, j)),
+                            ads[i].apply(algebra.basis_bracket(j, k)),
+                            ads[j].apply(algebra.basis_bracket(k, i)))
+                defect = tuple(-(a + b + c) for a, b, c in terms)
                 if not is_zero_vec(defect):
                     raise JacobiViolation(i, j, k, defect)
 
 
-def _unit(n: int, i: int) -> Vector:
-    return tuple(Fraction(a == i) for a in range(n))
-
-
 def bracket(algebra: LieAlgebra, x: Vector, y: Vector) -> Vector:
-    """Bilinear extension of the structure constants."""
+    """Bilinear extension of the structure constants: ad(x) applied to y."""
     n = algebra.dim
     if len(x) != n or len(y) != n:
         raise ValueError(f"bracket of vectors of length {len(x)} and "
                          f"{len(y)} in an algebra of dim {n}")
-    out = [Fraction(0)] * n
-    for (i, j), comps in algebra.brackets.items():
-        coeff = x[i] * y[j] - x[j] * y[i]
-        if coeff == 0:
-            continue
-        for k, c in comps.items():
-            out[k] += coeff * c
-    return tuple(out)
+    return ad(algebra, x).apply(y)
 
 
 def ad(algebra: LieAlgebra, x: Vector) -> Matrix:
-    """Adjoint operator ad(x) = [x, -]; column j is [x, e_j]."""
-    cols = [bracket(algebra, x, _unit(algebra.dim, j))
-            for j in range(algebra.dim)]
-    return Matrix.from_columns(cols, rows=algebra.dim)
+    """Adjoint operator ad(x) = [x, -]; column j is [x, e_j].
+
+    One pass over the structure constants: c_k e_k in [e_i, e_j] puts
+    x_i c_k at (k, j) and -x_j c_k at (k, i).
+    """
+    n = algebra.dim
+    if len(x) != n:
+        raise ValueError(f"ad of a vector of length {len(x)} in an algebra "
+                         f"of dim {n}")
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), comps in algebra.brackets.items():
+        xi, xj = x[i], x[j]
+        for k, c in comps.items():
+            if xi:
+                rows[k][j] += xi * c
+            if xj:
+                rows[k][i] -= xj * c
+    return Matrix._of(tuple(tuple(row) for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +148,9 @@ def _span_basis(vectors: list[Vector]) -> list[Vector]:
 
 
 def _bracket_span(algebra: LieAlgebra, us: list[Vector], vs: list[Vector]) -> list[Vector]:
-    products = [bracket(algebra, u, v) for u in us for v in vs]
-    return _span_basis(products)
+    """Span of [u, v] over u in us, v in vs, with one ad per u."""
+    ads = [ad(algebra, u) for u in us]
+    return _span_basis([a.apply(v) for a in ads for v in vs])
 
 
 @dataclass(frozen=True)
@@ -160,7 +167,7 @@ def series(algebra: LieAlgebra, kind: str) -> SeriesReport:
     """
     if kind not in ("lower_central", "derived"):
         raise ValueError(f"unknown series kind {kind!r}")
-    full = [_unit(algebra.dim, i) for i in range(algebra.dim)]
+    full = list(Matrix.identity(algebra.dim).entries)
     current = full
     dims = [algebra.dim]
     while True:
@@ -212,9 +219,11 @@ def check_morphism(f: LieMorphism) -> None:
     The defect reported is [f e_i, f e_j] - f([e_i, e_j]).
     """
     src, tgt, m = f.source, f.target, f.matrix
-    for i in range(src.dim):
+    images = m.columns()
+    for i in range(src.dim - 1):
+        ad_image = ad(tgt, images[i])
         for j in range(i + 1, src.dim):
-            lhs = bracket(tgt, m.column(i), m.column(j))
+            lhs = ad_image.apply(images[j])
             rhs = m.apply(src.basis_bracket(i, j))
             defect = tuple(a - b for a, b in zip(lhs, rhs))
             if not is_zero_vec(defect):

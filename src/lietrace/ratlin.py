@@ -9,7 +9,8 @@ row echelon form is unique, so this gives the same bases as elimination over
 Fraction would.  Determinism matters: rref scans columns left to right and
 always picks the first usable pivot row, so every derived basis (kernels,
 image bases, cohomology representatives) is reproducible across runs and
-platforms.
+platforms.  The minimal polynomial is the first non-pivot column of one rref
+of the Krylov columns [vec I | vec m | ... | vec m^n].
 """
 
 from __future__ import annotations
@@ -94,22 +95,6 @@ def as_fraction(value) -> Fraction:
 # ---------------------------------------------------------------------------
 
 Vector = tuple  # tuple[Fraction, ...]
-
-
-def _check_same_length(u: Vector, v: Vector) -> None:
-    if len(u) != len(v):
-        raise ValueError(f"shape mismatch: vectors of length {len(u)} "
-                         f"and {len(v)}")
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    _check_same_length(u, v)
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    _check_same_length(u, v)
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def zero_vec(n: int) -> Vector:
@@ -651,27 +636,25 @@ def _poly_eval_matrix(p, m: Matrix) -> Matrix:
 
 
 def minimal_polynomial(m: Matrix) -> list[Fraction]:
-    """Monic minimal polynomial, found as the first linear dependence among
-    I, m, m^2, ... (flattened to vectors)."""
+    """Monic minimal polynomial, from one rref of the Krylov columns
+    [vec I | vec m | ... | vec m^n].  Column k is a pivot exactly when m^k is
+    outside the span of the lower powers, so the pivots are 0..k-1 and the
+    first non-pivot column k holds the coefficients of m^k in I .. m^(k-1)."""
     if not m.is_square():
         raise NonSquare("minimal polynomial of non-square matrix")
     n = m.rows
     powers = [Matrix.identity(n)]
-    while True:
-        k = len(powers)
-        flat = [tuple(x for row in mat.entries for x in row) for mat in powers]
-        target = powers[-1] * m
-        flat_target = tuple(x for row in target.entries for x in row)
-        try:
-            coeffs = solve_in_span(flat, flat_target)
-        except NotInSpan:
-            powers.append(target)
-            if k > n:
-                raise InternalConsistencyFailure(
-                    f"minimal polynomial degree {k} exceeded dimension {n}")
-            continue
-        # m^k = sum coeffs[i] m^i  ->  x^k - sum coeffs[i] x^i
-        return _poly_trim([-c for c in coeffs] + [Fraction(1)])
+    for _ in range(n):
+        powers.append(powers[-1] * m)
+    reduced, pivots, k = rref(Matrix.from_columns(
+        [tuple(x for row in p.entries for x in row) for p in powers]))
+    if k > n or pivots != tuple(range(k)):
+        raise InternalConsistencyFailure(
+            f"minimal polynomial degree exceeded dimension {n}: Krylov "
+            f"pivots {list(pivots)} are not 0..k-1 for some k <= {n}")
+    # m^k = sum c_i m^i  ->  x^k - sum c_i x^i
+    return _poly_trim([-reduced.entries[i][k] for i in range(k)]
+                      + [Fraction(1)])
 
 
 def squarefree_part(p) -> list[Fraction]:
@@ -684,10 +667,6 @@ def squarefree_part(p) -> list[Fraction]:
     if quot:
         quot = _poly_scale(1 / quot[-1], quot)
     return quot
-
-
-def is_squarefree(p) -> bool:
-    return len(_poly_gcd(p, _poly_derivative(p))) == 1
 
 
 @dataclass(frozen=True)
@@ -727,13 +706,3 @@ def jordan_chevalley(m: Matrix) -> JordanParts:
                 "Newton iteration failed to converge")
     return JordanParts(semisimple=semi, nilpotent=m - semi)
 
-
-def is_nilpotent_matrix(m: Matrix) -> bool:
-    if not m.is_square():
-        raise NonSquare("nilpotency test of non-square matrix")
-    power = m
-    for _ in range(m.rows):
-        if power.is_zero():
-            return True
-        power = power * m
-    return power.is_zero()

@@ -9,7 +9,6 @@ complexes comparable; equivariance is checked exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .liealg import LieAlgebra, LieMorphism, ad
 from .ratlin import InvalidInput, Matrix
@@ -61,8 +60,7 @@ def trivial_module(algebra: LieAlgebra) -> Representation:
 
 def adjoint_module(algebra: LieAlgebra) -> Representation:
     """The algebra acting on itself by ad; a representation by Jacobi."""
-    units = [tuple(Fraction(a == i) for a in range(algebra.dim))
-             for i in range(algebra.dim)]
+    units = Matrix.identity(algebra.dim).entries
     return Representation(algebra=algebra, dim=algebra.dim,
                           actions=tuple(ad(algebra, u) for u in units))
 

@@ -5,10 +5,13 @@ from fractions import Fraction
 import itertools
 import random
 
+from lietrace import ratlin
 from lietrace.catalog import get, list_entries, sample_endomorphisms
-from lietrace.liealg import LieAlgebra
-from lietrace.ratlin import (Matrix, NonSquare, determinant, inverse,
-                             p_subsets, rank)
+from lietrace.liealg import (JacobiViolation, LieAlgebra, NotAMorphism,
+                             SeriesReport)
+from lietrace.ratlin import (Matrix, NonSquare, NotInSpan, determinant,
+                             inverse, is_zero_vec, p_subsets, rank, rref,
+                             solve_in_span)
 from lietrace.repn import Representation, adjoint_module, trivial_module
 
 
@@ -133,6 +136,115 @@ def reference_fixed_points(rows) -> tuple:
         if all(0 <= xi < 1 for xi in x):
             points.append(x)
     return tuple(sorted(points))
+
+
+# Reference Lie algebra kernels: the dense bracket over every structure
+# constant key on unit vectors, as liealg had it before every bracket went
+# through ad.  The tests compare liealg against these with == and on the
+# exact exception messages.
+
+def _unit(n: int, i: int) -> tuple:
+    return tuple(Fraction(a == i) for a in range(n))
+
+
+def reference_bracket(algebra: LieAlgebra, x, y) -> tuple:
+    n = algebra.dim
+    if len(x) != n or len(y) != n:
+        raise ValueError(f"bracket of vectors of length {len(x)} and "
+                         f"{len(y)} in an algebra of dim {n}")
+    out = [Fraction(0)] * n
+    for (i, j), comps in algebra.brackets.items():
+        coeff = x[i] * y[j] - x[j] * y[i]
+        if coeff == 0:
+            continue
+        for k, c in comps.items():
+            out[k] += coeff * c
+    return tuple(out)
+
+
+def reference_ad(algebra: LieAlgebra, x) -> Matrix:
+    return Matrix.from_columns([reference_bracket(algebra, x,
+                                                  _unit(algebra.dim, j))
+                                for j in range(algebra.dim)],
+                               rows=algebra.dim)
+
+
+def reference_validate(algebra: LieAlgebra) -> None:
+    n = algebra.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                terms = (reference_bracket(algebra, algebra.basis_bracket(a, b),
+                                           _unit(n, c))
+                         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)))
+                defect = tuple(sum(t, Fraction(0)) for t in zip(*terms))
+                if not is_zero_vec(defect):
+                    raise JacobiViolation(i, j, k, defect)
+
+
+def reference_check_morphism(f) -> None:
+    src, tgt, m = f.source, f.target, f.matrix
+    for i in range(src.dim):
+        for j in range(i + 1, src.dim):
+            lhs = reference_bracket(tgt, m.column(i), m.column(j))
+            rhs = m.apply(src.basis_bracket(i, j))
+            defect = tuple(a - b for a, b in zip(lhs, rhs))
+            if not is_zero_vec(defect):
+                raise NotAMorphism(i, j, defect)
+
+
+def reference_series(algebra: LieAlgebra, kind: str) -> SeriesReport:
+    def span(us, vs):
+        products = [reference_bracket(algebra, u, v) for u in us for v in vs]
+        if not products:
+            return []
+        reduced, _, r = rref(Matrix(products))
+        return [reduced.row(i) for i in range(r)]
+
+    full = [_unit(algebra.dim, i) for i in range(algebra.dim)]
+    current, dims = full, [algebra.dim]
+    while True:
+        nxt = span(full if kind == "lower_central" else current, current)
+        dims.append(len(nxt))
+        if len(nxt) == 0 or len(nxt) == len(current):
+            break
+        current = nxt
+    return SeriesReport(kind=kind, dims=tuple(dims),
+                        terminates_at_zero=dims[-1] == 0)
+
+
+def reference_minimal_polynomial(m: Matrix) -> list:
+    """The first linear dependence among I, m, m^2, ..., one solve_in_span
+    per degree."""
+    n = m.rows
+    powers = [Matrix.identity(n)]
+    while True:
+        flat = [tuple(x for row in p.entries for x in row) for p in powers]
+        target = powers[-1] * m
+        try:
+            coeffs = solve_in_span(flat, tuple(x for row in target.entries
+                                               for x in row))
+        except NotInSpan:
+            if len(powers) > n:
+                raise
+            powers.append(target)
+            continue
+        return ratlin._poly_trim([-c for c in coeffs] + [Fraction(1)])
+
+
+def is_squarefree(p) -> bool:
+    return len(ratlin._poly_gcd(p, ratlin._poly_derivative(p))) == 1
+
+
+def is_nilpotent_matrix(m: Matrix) -> bool:
+    if not m.is_square():
+        raise NonSquare("nilpotency test of non-square matrix")
+    power = m
+    for _ in range(m.rows):
+        if power.is_zero():
+            return True
+        power = power * m
+    return power.is_zero()
 
 
 def conjugated_module(module: Representation, p: Matrix) -> Representation:

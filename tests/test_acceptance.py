@@ -20,7 +20,6 @@ from lietrace.lefschetz import (alternating_trace, linearization,
                                 twisted_lefschetz)
 from lietrace.liealg import check_morphism, endomorphism, validate
 from lietrace.ratlin import (Matrix, determinant, exterior_power, inverse,
-                             is_nilpotent_matrix, is_squarefree,
                              jordan_chevalley, minimal_polynomial)
 from lietrace.repn import (Intertwiner, adjoint_module, identity_intertwiner,
                            trivial_module, validate_intertwiner, validate_rep)
@@ -29,7 +28,8 @@ from lietrace.nilshadow import (SplitPresentation, build_shadow,
 from lietrace.torus_oracle import (DegenerateMap, TorusMap,
                                    cross_check_with_ce)
 
-from helpers import ALL_NAMES, NILPOTENT_NAMES, random_matrix, random_modules
+from helpers import (ALL_NAMES, NILPOTENT_NAMES, is_nilpotent_matrix,
+                     is_squarefree, random_matrix, random_modules)
 
 
 def _criterion(number, label):

@@ -75,6 +75,24 @@ def test_missing_file_and_bad_json(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_decoder_limits_exit_two(tmp_path, capsys):
+    # an integer past the interpreter's 4300-digit limit and an array nested
+    # past the recursion limit are malformed documents, not library bugs
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"algebra": "heisenberg3", "map": {"matrix": [[%s, 0, 0], '
+                    '[0, 1, 0], [0, 0, 1]]}}' % ("1" * 5001))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for path in (huge, deep):
+        assert main(["lefschetz", str(path)]) == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: : not valid JSON: ")
+        assert "Traceback" not in err
+    assert main(["cohomology", _task_heis(tmp_path), "--module",
+                 str(deep)]) == EXIT_INVALID_INPUT
+    assert "/module: not valid JSON: " in capsys.readouterr().err
+
+
 def test_cohomology_json_shape(tmp_path, capsys):
     code = main(["cohomology", _task_heis(tmp_path), "--json"])
     out = capsys.readouterr().out
@@ -250,6 +268,46 @@ def test_library_value_error_exits_three(tmp_path, monkeypatch, capsys):
     assert code == EXIT_INTERNAL
     assert "internal consistency failure: shape mismatch 3x3 * 4x1" in err
     assert "invalid input" not in err
+
+
+@pytest.mark.parametrize("error", [KeyError, TypeError])
+def test_any_other_exception_exits_three(tmp_path, monkeypatch, capsys, error):
+    def bug(*args, **kwargs):
+        raise error("forced for the test")
+
+    monkeypatch.setattr("lietrace.cli.twisted_lefschetz", bug)
+    assert main(["lefschetz", _task_heis(tmp_path)]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal consistency failure: ")
+    assert "forced for the test" in err and "Traceback" not in err
+
+
+def test_external_catalog_entry_errors_exit_two(tmp_path, monkeypatch, capsys):
+    # entries in LEFSCHETZ_CATALOG_DIR go through the task document parsers
+    catalog_dir = tmp_path / "catalog"
+    catalog_dir.mkdir()
+    algebra = {"dim": 3, "brackets": [
+        {"left": 0, "right": 1, "result": {"2": "1"}}]}
+    entries = {
+        "nocomplement": ({"algebra": algebra, "split": {"nil_ideal": [0]}},
+                         "/split: expected 'nil_ideal' and 'complement'"),
+        "badindex": ({"algebra": algebra,
+                      "split": {"nil_ideal": [0, 1, 7], "complement": []}},
+                     "/split/nil_ideal/2: expected a basis index in 0..2"),
+        "badgrading": ({"algebra": algebra, "grading": [1, 1, 0]},
+                       "/grading: expected 3 positive integer weights"),
+        "notanobject": ([algebra], ": expected a top-level object"),
+    }
+    for name, (doc, _) in entries.items():
+        _write(catalog_dir, f"{name}.json", doc)
+    monkeypatch.setenv("LEFSCHETZ_CATALOG_DIR", str(catalog_dir))
+    for name, (_, message) in entries.items():
+        path = _write(tmp_path, "task.json", {
+            "algebra": name, "map": {"matrix": [[1, 0, 0], [0, 1, 0],
+                                                [0, 0, 1]]}})
+        assert main(["lefschetz", path]) == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input: {message}"), err
 
 
 def test_shadow_decomposes_each_generator_once(tmp_path, monkeypatch, capsys):

@@ -4,15 +4,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lietrace.catalog import get
+from lietrace.cecomplex import build_complex
 from lietrace.liealg import (JacobiViolation, LieAlgebra, NotAMorphism, ad,
                              bracket, check_morphism, endomorphism,
                              is_morphism, is_nilpotent, is_solvable, series,
                              validate)
-from lietrace.ratlin import Matrix
+from lietrace.ratlin import Matrix, kernel_basis, p_subsets
+from lietrace.repn import trivial_module
 
-from helpers import ALL_NAMES
+from helpers import (ALL_NAMES, reference_ad, reference_bracket,
+                     reference_check_morphism, reference_series,
+                     reference_validate)
 
 
 HEIS3 = get("heisenberg3").algebra
@@ -113,6 +119,90 @@ def test_bracket_frozen_linearity_example():
 def test_bracket_length_mismatch_raises():
     with pytest.raises(ValueError, match="length 3 and 2"):
         bracket(SOL3, (Fraction(1),) * 3, (Fraction(1),) * 2)
+
+
+def test_ad_length_mismatch_raises():
+    with pytest.raises(ValueError, match="length 2 in an algebra of dim 3"):
+        ad(SOL3, (Fraction(1),) * 2)
+
+
+# ad, bracket, validate, series and check_morphism against the dense
+# reference kernels in helpers, on structure-constant tables beyond the
+# catalog: == results and identical violation messages.
+
+_COEFF = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+
+
+@st.composite
+def _broken_tables(draw):
+    """Random structure constants; most of them break Jacobi."""
+    n = draw(st.integers(2, 5))
+    pairs = draw(st.lists(st.sampled_from(p_subsets(n, 2)), unique=True))
+    return LieAlgebra(dim=n, brackets={
+        pair: draw(st.dictionaries(st.integers(0, n - 1), _COEFF,
+                                   min_size=1, max_size=2))
+        for pair in pairs})
+
+
+@st.composite
+def _central_extensions(draw):
+    """g + Qz with [x, y]' = [x, y] + w(x, y) z for a catalog algebra g and
+    a small integer combination w of the 2-cocycles of its trivial-module
+    complex: the cocycle identity is Jacobi for the extension."""
+    base = get(draw(st.sampled_from(ALL_NAMES))).algebra
+    n = base.dim
+    pairs = p_subsets(n, 2)
+    if n >= 3:
+        cocycles = kernel_basis(build_complex(
+            base, trivial_module(base)).differentials[2])
+    else:
+        cocycles = list(Matrix.identity(len(pairs)).entries)
+    weights = draw(st.lists(st.integers(-2, 2), min_size=len(cocycles),
+                            max_size=len(cocycles)))
+    brackets = {pair: dict(comps) for pair, comps in base.brackets.items()}
+    for idx, pair in enumerate(pairs):
+        w = sum((c * v[idx] for c, v in zip(weights, cocycles)), Fraction(0))
+        if w:
+            brackets.setdefault(pair, {})[n] = w
+    return LieAlgebra(dim=n + 1, brackets=brackets)
+
+
+def _outcome(check, arg):
+    try:
+        check(arg)
+    except (JacobiViolation, NotAMorphism) as exc:
+        return type(exc), str(exc), exc.defect
+    return None
+
+
+def _vector(n):
+    return st.tuples(*[st.sampled_from([0, 0, 1, -1, Fraction(1, 2), 3])
+                       .map(Fraction)] * n)
+
+
+def _agrees_with_reference(algebra, data):
+    assert _outcome(validate, algebra) == _outcome(reference_validate, algebra)
+    for kind in ("lower_central", "derived"):
+        assert series(algebra, kind) == reference_series(algebra, kind)
+    n = algebra.dim
+    x, y = data.draw(_vector(n)), data.draw(_vector(n))
+    assert bracket(algebra, x, y) == reference_bracket(algebra, x, y)
+    assert ad(algebra, x) == reference_ad(algebra, x)
+    f = endomorphism(algebra, Matrix([data.draw(_vector(n)) for _ in range(n)]))
+    assert _outcome(check_morphism, f) == _outcome(reference_check_morphism, f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_broken_tables(), st.data())
+def test_random_tables_agree_with_dense_reference(algebra, data):
+    _agrees_with_reference(algebra, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_central_extensions(), st.data())
+def test_central_extensions_agree_with_dense_reference(algebra, data):
+    validate(algebra)
+    _agrees_with_reference(algebra, data)
 
 
 def test_series_frozen_dims():

@@ -17,14 +17,13 @@ from lietrace.ratlin import (DegreeOutOfRange, InternalConsistencyFailure,
                              SingularMatrix,
                              complete_basis, determinant,
                              exterior_power, exterior_powers, format_rational,
-                             inverse, is_nilpotent_matrix, is_squarefree,
-                             jordan_chevalley, kernel_basis, kron,
+                             inverse, jordan_chevalley, kernel_basis, kron,
                              minimal_polynomial, parse_rational, rank, rref,
-                             solve_all_in_span, solve_in_span, squarefree_part,
-                             vec_add, vec_sub)
+                             solve_all_in_span, solve_in_span, squarefree_part)
 
-from helpers import (greedy_complete, random_invertible, random_matrix,
-                     reference_determinant, reference_exterior_power,
+from helpers import (greedy_complete, is_nilpotent_matrix, is_squarefree,
+                     random_invertible, random_matrix, reference_determinant,
+                     reference_exterior_power, reference_minimal_polynomial,
                      reference_rref)
 
 
@@ -332,11 +331,6 @@ def test_internal_results_hold_only_fractions():
 
 
 def test_shape_mismatch_names_both_shapes():
-    two, three = (Fraction(1),) * 2, (Fraction(1),) * 3
-    with pytest.raises(ValueError, match="length 2 and 3"):
-        vec_add(two, three)
-    with pytest.raises(ValueError, match="length 3 and 2"):
-        vec_sub(three, two)
     a, b = Matrix([[1, 2]]), Matrix([[1], [2]])
     with pytest.raises(ValueError, match="1x2 \\+ 2x1"):
         a + b
@@ -353,18 +347,13 @@ import sys
 from fractions import Fraction
 from lietrace import torus_oracle
 from lietrace.liealg import LieAlgebra, bracket
-from lietrace.ratlin import InternalConsistencyFailure, Matrix, inverse, vec_add
+from lietrace.ratlin import InternalConsistencyFailure, Matrix, inverse
 if not sys.flags.optimize:
     sys.exit("not running under -O")
 missing = []
 try:
     Matrix([[1, 2]]) + Matrix([[1], [2]])
     missing.append("Matrix.__add__")
-except ValueError:
-    pass
-try:
-    vec_add((1, 2), (1,))
-    missing.append("vec_add")
 except ValueError:
     pass
 try:
@@ -405,6 +394,41 @@ def test_minimal_polynomial_frozen():
         [Fraction(-1), Fraction(1)]
 
 
+@st.composite
+def _repeated_eigenvalue_matrices(draw):
+    """P (D + N0) P^-1 with eigenvalues from a set of three, so they repeat,
+    and N0 strictly upper inside equal-eigenvalue blocks."""
+    n = draw(st.integers(1, 5))
+    eigen = sorted(draw(st.lists(st.sampled_from([-1, 0, 2]), min_size=n,
+                                 max_size=n)))
+    n0 = Matrix([[draw(st.integers(-2, 2)) if i < j and eigen[i] == eigen[j]
+                  else 0 for j in range(n)] for i in range(n)])
+    p = random_invertible(random.Random(draw(st.integers(0, 10 ** 6))), n)
+    return p * (Matrix.diagonal(eigen) + n0) * inverse(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_repeated_eigenvalue_matrices())
+def test_minimal_polynomial_equals_iterated_reference(m):
+    assert minimal_polynomial(m) == reference_minimal_polynomial(m)
+
+
+def test_minimal_polynomial_makes_one_rref(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m.cols)
+        return rref(m)
+
+    monkeypatch.setattr(ratlin, "rref", counting)
+    rng = random.Random(59)
+    for m in [Matrix([[1, 1], [0, 1]]), 5 * Matrix.identity(3)] + \
+            [random_matrix(rng, rng.randint(1, 4)) for _ in range(10)]:
+        calls.clear()
+        minimal_polynomial(m)
+        assert calls == [m.rows + 1]   # the Krylov columns I, m, ..., m^n
+
+
 def test_jordan_chevalley_frozen_examples():
     parts = jordan_chevalley(Matrix([[1, 1], [0, 1]]))
     assert parts.semisimple == Matrix.identity(2)
@@ -423,10 +447,11 @@ def test_polynomial_certificates_raise(monkeypatch):
     with pytest.raises(ZeroDivisionError):
         ratlin._poly_divmod([Fraction(1)], [Fraction(0)])
     block = Matrix([[1, 1], [0, 1]])
-    with monkeypatch.context() as mp:
-        mp.setattr(ratlin, "solve_in_span", _always_not_in_span)
-        with pytest.raises(InternalConsistencyFailure, match="exceeded"):
-            minimal_polynomial(block)
+    for lie in (_every_column_a_pivot, lambda m: (m, (0, 2), 2)):
+        with monkeypatch.context() as mp:
+            mp.setattr(ratlin, "rref", lie)
+            with pytest.raises(InternalConsistencyFailure, match="exceeded"):
+                minimal_polynomial(block)
     with monkeypatch.context() as mp:
         mp.setattr(ratlin, "_poly_gcd", lambda p, q: [Fraction(2), Fraction(1)])
         with pytest.raises(InternalConsistencyFailure, match="squarefree"):
@@ -445,8 +470,9 @@ def _always_singular(m):
     raise SingularMatrix("forced for the test")
 
 
-def _always_not_in_span(basis, target):
-    raise NotInSpan("forced for the test")
+def _every_column_a_pivot(m):
+    # claims I, m, ..., m^n are independent, which Cayley-Hamilton forbids
+    return m, tuple(range(m.cols)), m.cols
 
 
 def _check_jordan_parts(m: Matrix, parts: JordanParts):
