@@ -110,18 +110,21 @@ def _external_dir():
 def _load_entry(name: str, path: str) -> CatalogEntry:
     """An external entry: an algebra document, or an object with the
     algebra and optional grading, split and notes, read by the parsers that
-    read task documents.  Errors carry JSON pointers into the entry file."""
+    read task documents.  Errors read "<entry file>#<JSON pointer>"."""
     from .documents import (InvalidDocument, algebra_from_doc,
                             grading_from_doc, load_json, split_from_doc)
     doc = load_json(path, path)
     if not isinstance(doc, dict):
-        raise InvalidDocument("", "expected a top-level object")
-    algebra = algebra_from_doc(doc.get("algebra", doc), "/algebra")
-    grading = split = None
-    if "grading" in doc:
-        grading = grading_from_doc(doc["grading"], algebra.dim)
-    if "split" in doc:
-        split = split_from_doc(doc["split"], algebra.dim)
+        raise InvalidDocument(path, "expected a top-level object")
+    try:
+        algebra = algebra_from_doc(doc.get("algebra", doc), "/algebra")
+        grading = split = None
+        if "grading" in doc:
+            grading = grading_from_doc(doc["grading"], algebra.dim)
+        if "split" in doc:
+            split = split_from_doc(doc["split"], algebra.dim)
+    except InvalidDocument as exc:
+        raise InvalidDocument(f"{path}#{exc.path}", exc.message) from exc
     return CatalogEntry(name=name, algebra=algebra, grading=grading,
                         split=split, notes=doc.get("notes", ""))
 

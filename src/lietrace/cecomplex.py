@@ -15,13 +15,13 @@ module the first sum drops out and d is determined by the brackets alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .liealg import LieAlgebra, LieMorphism
 from .ratlin import (InternalConsistencyFailure, InvalidInput, Matrix,
                      NotInSpan, complete_basis, exterior_powers,
-                     kernel_and_image, kron, p_subsets, solve_all_in_span)
+                     kernel_and_image, kron, p_subsets, packed_row,
+                     solve_all_in_span)
 from .repn import Intertwiner, Representation
 
 
@@ -76,21 +76,19 @@ def _differential(algebra: LieAlgebra, module: Representation, p: int) -> Matrix
     sources = p_subsets(n, p)
     targets = p_subsets(n, p + 1)
     src_rank = {s: a for a, s in enumerate(sources)}
-    rows = [[Fraction(0)] * (len(sources) * m) for _ in range(len(targets) * m)]
+    rows = [{} for _ in range(len(targets) * m)]
 
     for t_rank, big in enumerate(targets):
+        row0 = t_rank * m
         # first sum: remove one argument, act by it on the module
         for a, x in enumerate(big):          # a is 0-based; formula uses a+1
             rest = big[:a] + big[a + 1:]
             sign = 1 if a % 2 == 0 else -1   # (-1)^((a+1)+1)
-            action = module.actions[x]
             col0 = src_rank[rest] * m
-            row0 = t_rank * m
-            for w in range(m):
-                arow = action.entries[w]
-                for u in range(m):
-                    if arow[u] != 0:
-                        rows[row0 + w][col0 + u] += sign * arow[u]
+            for w, arow in enumerate(module.actions[x].sparse):
+                acc = rows[row0 + w]
+                for u, value in arow:
+                    acc[col0 + u] = acc.get(col0 + u, 0) + sign * value
         # second sum: bracket two arguments back into the cochain
         for a in range(p + 1):
             for b in range(a + 1, p + 1):
@@ -106,10 +104,10 @@ def _differential(algebra: LieAlgebra, module: Representation, p: int) -> Matrix
                     merged = tuple(sorted(rest + (k,)))
                     sign = pair_sign * (1 if pos % 2 == 0 else -1)
                     col0 = src_rank[merged] * m
-                    row0 = t_rank * m
                     for u in range(m):
-                        rows[row0 + u][col0 + u] += sign * c
-    return Matrix(rows)
+                        acc = rows[row0 + u]
+                        acc[col0 + u] = acc.get(col0 + u, 0) + sign * c
+    return Matrix._of(tuple(packed_row(acc) for acc in rows), len(sources) * m)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +136,8 @@ def cohomology(complex_: CochainComplex) -> list[CohomologyData]:
     kernel) and the degree-(p+1) coboundaries (its image)."""
     top = complex_.dims[complex_.top_degree]
     pairs = [kernel_and_image(d) for d in complex_.differentials]
-    cocycles_by_degree = [kernel for kernel, _ in pairs] + [
-        [tuple(Fraction(i == j) for i in range(top)) for j in range(top)]]
+    cocycles_by_degree = ([kernel for kernel, _ in pairs]
+                          + [list(Matrix.identity(top).entries)])
     coboundaries_by_degree = [[]] + [image for _, image in pairs]
     out = []
     for p, (cocycles, coboundaries) in enumerate(

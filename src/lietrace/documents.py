@@ -18,6 +18,7 @@ from .repn import Intertwiner, Representation
 class InvalidDocument(InvalidInput):
     def __init__(self, path: str, message: str):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")
 
 

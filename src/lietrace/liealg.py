@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ratlin import (InvalidInput, Matrix, Vector, as_fraction,
-                     format_rational, is_zero_vec, rref, zero_vec)
+                     format_rational, is_zero_vec, packed_row, rref, zero_vec)
 
 
 class JacobiViolation(InvalidInput):
@@ -124,15 +124,15 @@ def ad(algebra: LieAlgebra, x: Vector) -> Matrix:
     if len(x) != n:
         raise ValueError(f"ad of a vector of length {len(x)} in an algebra "
                          f"of dim {n}")
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [{} for _ in range(n)]
     for (i, j), comps in algebra.brackets.items():
         xi, xj = x[i], x[j]
         for k, c in comps.items():
             if xi:
-                rows[k][j] += xi * c
+                rows[k][j] = rows[k].get(j, 0) + xi * c
             if xj:
-                rows[k][i] -= xj * c
-    return Matrix._of(tuple(tuple(row) for row in rows))
+                rows[k][i] = rows[k].get(i, 0) - xj * c
+    return Matrix._of(tuple(packed_row(row) for row in rows), n)
 
 
 # ---------------------------------------------------------------------------

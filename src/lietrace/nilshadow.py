@@ -151,22 +151,18 @@ def build_shadow(split: SplitPresentation) -> ShadowResult:
     ideal = set(split.nil_ideal)
     nil_parts = {c: p.nilpotent for c, p in zip(split.complement, parts)}
 
-    brackets = {}
-    def _put(i, j, column):
-        entry = {k: column[k] for k in range(n) if column[k] != 0}
-        if entry:
-            brackets[(i, j)] = entry
-
+    brackets = {}   # LieAlgebra drops the zero coefficients
     for i in range(n):
         for j in range(i + 1, n):
             if i in ideal and j in ideal:
-                _put(i, j, algebra.basis_bracket(i, j))
+                column = algebra.basis_bracket(i, j)
             elif i in ideal:          # j in complement: [n, a] = -nil(ad a)(n)
-                _put(i, j, tuple(-x for x in nil_parts[j].column(i)))
+                column = tuple(-x for x in nil_parts[j].column(i))
             elif j in ideal:          # i in complement: [a, n] = nil(ad a)(n)
-                _put(i, j, nil_parts[i].column(j))
-            # complement x complement: zero
-
+                column = nil_parts[i].column(j)
+            else:                     # complement x complement: zero
+                continue
+            brackets[(i, j)] = dict(enumerate(column))
     shadow = LieAlgebra(dim=n, brackets=brackets, labels=algebra.labels)
     validate(shadow)
     if not is_nilpotent(shadow):

@@ -2,24 +2,26 @@
 
 Everything downstream (cochain complexes, Lefschetz numbers, fixed point
 counts) is built on the primitives here.  All values are Fraction; there are
-no floats and no tolerances anywhere.  Elimination (rref, determinant) runs
-on integer rows: each row is scaled by the lcm of its denominators, reduced
-fraction-free, and turned back into Fraction only at the end.  The reduced
-row echelon form is unique, so this gives the same bases as elimination over
-Fraction would.  Determinism matters: rref scans columns left to right and
-always picks the first usable pivot row, so every derived basis (kernels,
-image bases, cohomology representatives) is reproducible across runs and
-platforms.  The minimal polynomial is the first non-pivot column of one rref
-of the Krylov columns [vec I | vec m | ... | vec m^n].
+no floats and no tolerances anywhere.  A Matrix stores only its nonzeros,
+and products, sums, exterior powers and elimination walk only those: the
+cochain differentials are a few percent nonzero.  Elimination (rref,
+determinant) runs on integer rows: each row is scaled by the lcm of its
+denominators, reduced fraction-free, and turned back into Fraction only at
+the end.  The reduced row echelon form is unique, so this gives the same
+bases as elimination over Fraction in any row order, and every derived basis
+(kernels, images, cohomology representatives) is reproducible across runs
+and platforms.  The minimal polynomial is the first non-pivot column of one
+rref of the Krylov columns [vec I | vec m | ... | vec m^n].
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, compress, repeat
 from math import gcd, lcm
+from operator import is_not
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -109,73 +111,98 @@ def is_zero_vec(v: Vector) -> bool:
 # Matrix
 # ---------------------------------------------------------------------------
 
+def _nonzeros(v) -> list:
+    """The (index, value) pairs of a dense vector that are nonzero or not
+    Fraction; _ZERO, the zero written here, is skipped by identity."""
+    return [p for p in compress(enumerate(v), map(is_not, v, repeat(_ZERO)))
+            if p[1] or type(p[1]) is not Fraction]
+
+
+def packed_row(acc: dict) -> tuple:
+    """A sparse row from a {column: Fraction} accumulator, zeros dropped."""
+    return tuple([item for item in sorted(acc.items()) if item[1]])
+
+
+def _densified(row: tuple, n: int) -> Vector:
+    out = [_ZERO] * n
+    for j, x in row:
+        out[j] = x
+    return tuple(out)
+
+
 class Matrix:
-    """Immutable dense matrix over Fraction.
+    """Immutable matrix over Fraction.  `sparse` holds each row as its
+    nonzero (column, Fraction) pairs sorted by column, and every operation
+    here walks only those; `entries`, a dense view built on first read and
+    cached, is for repr, indexing and readers outside this module.  The
+    constructor coerces dense rows with as_fraction; results computed here
+    go through the trusted Matrix._of."""
 
-    Row-major tuple-of-tuples storage.  Multiplication skips zero entries,
-    which makes products with the (very sparse) cochain differentials cheap.
-    The public constructor coerces every entry with as_fraction; results
-    computed here from Fraction entries go through the trusted Matrix._of.
-    """
-
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "sparse", "_dense")
 
     def __init__(self, entries):
-        rows = tuple(tuple(as_fraction(x) for x in row) for row in entries)
-        self.rows = len(rows)
+        rows = [tuple(as_fraction(x) for x in row) for row in entries]
         self.cols = len(rows[0]) if rows else 0
-        for row in rows:
-            if len(row) != self.cols:
-                raise ValueError("ragged rows")
-        self.entries = rows
+        if any(len(row) != self.cols for row in rows):
+            raise ValueError("ragged rows")
+        self.rows = len(rows)
+        self.sparse = tuple(tuple(_nonzeros(row)) for row in rows)
+        self._dense = None
 
     @classmethod
-    def _of(cls, rows: tuple) -> "Matrix":
-        """Trusted constructor: `rows` is a tuple of equal-length tuples of
-        Fraction, taken as is without coercion or shape checks."""
+    def _of(cls, sparse: tuple, cols: int) -> "Matrix":
+        """Trusted constructor: `sparse` rows as stored, taken as is."""
         self = object.__new__(cls)
-        self.rows = len(rows)
-        self.cols = len(rows[0]) if rows else 0
-        self.entries = rows
+        self.rows = len(sparse)
+        self.cols = cols
+        self.sparse = sparse
+        self._dense = None
         return self
+
+    @property
+    def entries(self) -> tuple:
+        """Dense row-major view, built on first read and cached."""
+        if self._dense is None:
+            self._dense = tuple(_densified(row, self.cols)
+                                for row in self.sparse)
+        return self._dense
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix._of(tuple(tuple(_ONE if i == j else _ZERO
-                                      for j in range(n)) for i in range(n)))
+        return Matrix._of(tuple(((i, _ONE),) for i in range(n)), n)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix._of(((_ZERO,) * cols,) * rows)
+        return Matrix._of(((),) * rows, cols)
 
     @staticmethod
     def from_columns(columns, rows: int | None = None) -> "Matrix":
         columns = list(columns)
-        if rows is None:
-            rows = len(columns[0])
-        out = tuple(tuple(col[i] for col in columns) for i in range(rows))
-        if all(type(x) is Fraction for row in out for x in row):
-            return Matrix._of(out)
-        return Matrix(out)
+        rows = len(columns[0]) if rows is None else rows
+        if any(len(col) != rows for col in columns):
+            raise ValueError("ragged columns")
+        cols = [_nonzeros(col) for col in columns]
+        if any(type(x) is not Fraction for col in cols for _, x in col):
+            return Matrix([[col[i] for col in columns] for i in range(rows)])
+        return Matrix._of(tuple(map(tuple, cols)), rows).transpose()
 
     @staticmethod
     def diagonal(values) -> "Matrix":
         values = [as_fraction(v) for v in values]
-        n = len(values)
-        return Matrix([[values[i] if i == j else Fraction(0) for j in range(n)]
-                       for i in range(n)])
+        return Matrix._of(tuple(((i, v),) if v else ()
+                                for i, v in enumerate(values)), len(values))
 
     # -- basic structure ----------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, Matrix)
                 and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
+                and self.sparse == other.sparse)
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.rows, self.cols, self.sparse))
 
     def __repr__(self):
         body = "; ".join(" ".join(format_rational(x) for x in row)
@@ -190,19 +217,23 @@ class Matrix:
         return self.entries[i]
 
     def column(self, j: int) -> Vector:
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        return tuple(row[j] for row in self.entries)
 
     def columns(self):
-        return [self.column(j) for j in range(self.cols)]
+        return list(self.transpose().entries)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(self.sparse)
 
     def transpose(self) -> "Matrix":
-        return Matrix._of(tuple(zip(*self.entries)))
+        out = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse):
+            for j, x in row:
+                out[j].append((i, x))
+        return Matrix._of(tuple(map(tuple, out)), self.rows)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -213,16 +244,21 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other, "+")
-        return Matrix._of(tuple(tuple(a + b for a, b in zip(r1, r2))
-                                for r1, r2 in zip(self.entries, other.entries)))
+        out = []
+        for r1, r2 in zip(self.sparse, other.sparse):
+            acc = dict(r1)
+            for j, x in r2:
+                acc[j] = acc[j] + x if j in acc else x
+            out.append(packed_row(acc))
+        return Matrix._of(tuple(out), self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other, "-")
-        return Matrix._of(tuple(tuple(a - b for a, b in zip(r1, r2))
-                                for r1, r2 in zip(self.entries, other.entries)))
+        return self + -other
 
     def __neg__(self) -> "Matrix":
-        return Matrix._of(tuple(tuple(-a for a in row) for row in self.entries))
+        return Matrix._of(tuple(tuple((j, -x) for j, x in row)
+                                for row in self.sparse), self.cols)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -230,40 +266,37 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * "
                              f"{other.rows}x{other.cols}")
-        # each right-hand row as its (column, value) nonzero list, built once
-        nonzero = [[(j, b) for j, b in enumerate(brow) if b]
-                   for brow in other.entries]
-        width = other.cols
+        brows = other.sparse
         out = []
-        for row in self.entries:
-            acc = [_ZERO] * width
-            for a, brow in zip(row, nonzero):
-                if a:
-                    for j, b in brow:
-                        acc[j] += a * b
-            out.append(tuple(acc))
-        return Matrix._of(tuple(out))
-
-    def __rmul__(self, other):
-        return self._scaled(other)
+        for row in self.sparse:
+            acc = {}
+            for k, a in row:
+                for j, b in brows[k]:
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            out.append(packed_row(acc))
+        return Matrix._of(tuple(out), other.cols)
 
     def _scaled(self, c) -> "Matrix":
         c = as_fraction(c)
-        return Matrix._of(tuple(tuple(c * a for a in row)
-                                for row in self.entries))
+        if not c:
+            return Matrix.zero(self.rows, self.cols)
+        return Matrix._of(tuple(tuple((j, c * x) for j, x in row)
+                                for row in self.sparse), self.cols)
+
+    __rmul__ = _scaled
 
     def apply(self, v: Vector) -> Vector:
-        """Matrix times column vector; zero products are skipped."""
+        """Matrix times column vector, over the nonzeros of both."""
         if len(v) != self.cols:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * "
                              f"{len(v)}x1")
-        nonzero = [(j, x) for j, x in enumerate(v) if x]
+        nonzero = dict(_nonzeros(v))
         out = []
-        for row in self.entries:
+        for row in self.sparse:
             acc = _ZERO
-            for j, x in nonzero:
-                a = row[j]
-                if a:
+            for j, a in row:
+                x = nonzero.get(j)
+                if x is not None:
                     acc += a * x
             out.append(acc)
         return tuple(out)
@@ -271,106 +304,96 @@ class Matrix:
     def trace(self) -> Fraction:
         if not self.is_square():
             raise NonSquare("trace of non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
+        return sum((dict(row).get(i, _ZERO)
+                    for i, row in enumerate(self.sparse)), _ZERO)
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
         col_idx = tuple(col_idx)
-        return Matrix._of(tuple(tuple(self.entries[i][j] for j in col_idx)
-                                for i in row_idx))
+        where = {}
+        for new, j in enumerate(col_idx):
+            where.setdefault(j, []).append(new)
+        return Matrix._of(tuple(
+            tuple(sorted((new, x) for j, x in self.sparse[i] if j in where
+                         for new in where[j]))
+            for i in row_idx), len(col_idx))
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} hstack "
                              f"{other.rows}x{other.cols}")
-        return Matrix._of(tuple(r1 + r2 for r1, r2
-                                in zip(self.entries, other.entries)))
+        shift = self.cols
+        return Matrix._of(tuple(r1 + tuple((j + shift, x) for j, x in r2)
+                                for r1, r2 in zip(self.sparse, other.sparse)),
+                          self.cols + other.cols)
 
 
 # ---------------------------------------------------------------------------
 # elimination
 # ---------------------------------------------------------------------------
 
-def _integer_rows(m: Matrix) -> tuple[list[list[int]], int]:
-    """Each row of m times the lcm of its denominators, and the product of
-    those scales.  Scaling a row by a nonzero constant keeps the row space
-    and the zero pattern."""
+def _integer_rows(m: Matrix) -> tuple[list[dict], int]:
+    """Each row of m as {column: integer}, times the lcm of its
+    denominators, and the product of those scales.  Scaling a row by a
+    nonzero constant keeps the row space and the zero pattern."""
     out = []
     scale = 1
-    for row in m.entries:
-        den = lcm(*[x.denominator for x in row])
-        if den == 1:
-            out.append([x.numerator for x in row])
-        else:
-            out.append([x.numerator * (den // x.denominator) for x in row])
-            scale *= den
+    for row in m.sparse:
+        ratios = [(j, *x.as_integer_ratio()) for j, x in row]
+        den = lcm(*[d for _, _, d in ratios])
+        out.append({j: num * (den // d) for j, num, d in ratios})
+        scale *= den
     return out, scale
 
 
+def _eliminate(row: dict, col: int, pivot_row: dict) -> dict:
+    """(a/g) row - (b/g) pivot_row over its content, for a and b their
+    entries in column col and g = gcd(a, b): row with col cleared, visiting
+    only the pivot row's nonzeros.  `row` may be changed in place."""
+    a, b = pivot_row[col], row[col]
+    g = gcd(a, b)
+    ag, bg = a // g, b // g
+    if ag != 1:
+        row = {j: ag * x for j, x in row.items()}
+    for j, x in pivot_row.items():
+        y = row.get(j, 0) - bg * x
+        if y:
+            row[j] = y
+        else:
+            del row[j]
+    content = gcd(*row.values())
+    if content > 1:
+        row = {j: x // content for j, x in row.items()}
+    return row
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
-    """Reduced row echelon form.
+    """Reduced row echelon form: (reduced, pivot_columns, rank).
 
-    Deterministic pivot rule: scan columns left to right; in each column take
-    the first row (top to bottom, at or below the current pivot row) with a
-    nonzero entry.  Returns (reduced, pivot_columns, rank).
-
-    The elimination is fraction-free on integer-scaled rows: a row with
-    entry b in the pivot column becomes (a/g)*row - (b/g)*pivot_row, with a
-    the pivot and g = gcd(a, b), and is then divided by its content.  Only
-    the pivot row's nonzero entries are visited.  Pivot rows are divided by
-    their pivots at the end, giving the unique reduced form.
+    Fraction-free on the sparse integer-scaled rows, inserted one at a time
+    into a table of reduced pivot rows: a row is cleared at the pivot columns
+    it meets, and what is left leads with a new pivot, cleared from the rows
+    in the table.  The RREF is unique, so the insertion order does not change
+    the result.  Pivot rows are divided by their pivots at the end.
     """
-    nrows, ncols = m.rows, m.cols
-    if not nrows:
+    if not m.rows:
         return m, (), 0
     work, _ = _integer_rows(m)
-    pivots = []
-    prow = 0
-    for col in range(ncols):
-        if prow >= nrows:
-            break
-        sel = None
-        for r in range(prow, nrows):
-            if work[r][col]:
-                sel = r
-                break
-        if sel is None:
+    table = {}   # pivot column -> its row, zero at every other pivot column
+    for row in work:
+        for col in [c for c in row if c in table]:
+            row = _eliminate(row, col, table[col])
+        if not row:
             continue
-        work[prow], work[sel] = work[sel], work[prow]
-        pivot_row = work[prow]
-        a = pivot_row[col]
-        nonzero = [(j, x) for j, x in enumerate(pivot_row) if x]
-        for r in range(nrows):
-            row = work[r]
-            b = row[col]
-            if not b or r == prow:
-                continue
-            g = gcd(a, b)
-            ag, bg = a // g, b // g
-            if ag != 1:
-                row = [ag * x for x in row]
-            for j, x in nonzero:
-                row[j] -= bg * x
-            content = gcd(*row)
-            if content > 1:
-                row = [x // content for x in row]
-            work[r] = row
-        pivots.append(col)
-        prow += 1
-    zero_row = (_ZERO,) * ncols
-    out = []
-    for r in range(nrows):
-        if r >= prow:
-            out.append(zero_row)
-            continue
-        row = work[r]
-        a = row[pivots[r]]
-        if a == 1:
-            out.append(tuple(Fraction(x) if x else _ZERO for x in row))
-        elif a == -1:
-            out.append(tuple(Fraction(-x) if x else _ZERO for x in row))
-        else:
-            out.append(tuple(Fraction(x, a) if x else _ZERO for x in row))
-    return Matrix._of(tuple(out)), tuple(pivots), len(pivots)
+        lead = min(row)
+        for col, other in table.items():
+            if lead in other:
+                table[col] = _eliminate(other, lead, row)
+        table[lead] = row
+    pivots = tuple(sorted(table))
+    out = tuple(tuple((j, Fraction(x, table[col][col]))
+                      for j, x in sorted(table[col].items())) for col in pivots)
+    return (Matrix._of(out + ((),) * (m.rows - len(pivots)), m.cols), pivots,
+            len(pivots))
 
 
 def rank(m: Matrix) -> int:
@@ -386,17 +409,12 @@ def kernel_and_image(m: Matrix) -> tuple[list[Vector], list[Vector]]:
     basis is the pivot columns of m itself, in order.
     """
     reduced, pivots, _ = rref(m)
-    pivot_set = set(pivots)
-    kernel = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [_ZERO] * m.cols
-        v[free] = _ONE
-        for prow, pcol in enumerate(pivots):
-            v[pcol] = -reduced.entries[prow][free]
-        kernel.append(tuple(v))
-    return kernel, [m.column(j) for j in pivots]
+    pivot_set, reduced_columns = set(pivots), reduced.transpose().sparse
+    kernel = [_densified([(j, _ONE)] + [(pivots[i], -x)
+                                        for i, x in reduced_columns[j]], m.cols)
+              for j in range(m.cols) if j not in pivot_set]
+    columns = m.transpose().sparse
+    return kernel, [_densified(columns[j], m.rows) for j in pivots]
 
 
 def kernel_basis(m: Matrix) -> list[Vector]:
@@ -430,24 +448,19 @@ def determinant(m: Matrix) -> Fraction:
     if n == 0:
         return Fraction(1)
     work, scale = _integer_rows(m)
-    sign = 1
-    prev = 1
+    work = [[row.get(j, 0) for j in range(n)] for row in work]
+    sign, prev = 1, 1
     for k in range(n - 1):
-        if not work[k][k]:
-            sel = None
-            for r in range(k + 1, n):
-                if work[r][k]:
-                    sel = r
-                    break
-            if sel is None:
-                return Fraction(0)
+        sel = next((r for r in range(k, n) if work[r][k]), None)
+        if sel is None:
+            return Fraction(0)
+        if sel != k:
             work[k], work[sel] = work[sel], work[k]
             sign = -sign
         pivot_row = work[k]
         a = pivot_row[k]
         for i in range(k + 1, n):
-            row = work[i]
-            b = row[k]
+            row, b = work[i], work[i][k]
             # exact by Sylvester's identity: prev divides every 2x2 term
             work[i] = [0] * (k + 1) + [(a * row[j] - b * pivot_row[j]) // prev
                                        for j in range(k + 1, n)]
@@ -467,11 +480,8 @@ def inverse(m: Matrix) -> Matrix:
 
 
 def solve_in_span(basis: list[Vector], target: Vector) -> list[Fraction]:
-    """Coefficients expressing target in an independent basis.
-
-    Raises NotInSpan when the basis is dependent or the target falls outside
-    its span.
-    """
+    """Coefficients expressing target in an independent basis; NotInSpan
+    when the basis is dependent or the target falls outside its span."""
     return solve_all_in_span(basis, [target])[0]
 
 
@@ -500,8 +510,7 @@ def solve_all_in_span(basis: list[Vector],
     if r < k:
         raise NotInSpan("basis is linearly dependent")
     # pivots are exactly 0..k-1, so row i holds the coefficient of basis[i]
-    return [[reduced.entries[i][k + j] for i in range(k)]
-            for j in range(len(targets))]
+    return [list(_densified(col, k)) for col in reduced.transpose().sparse[k:]]
 
 
 # ---------------------------------------------------------------------------
@@ -510,74 +519,70 @@ def solve_all_in_span(basis: list[Vector],
 
 def p_subsets(n: int, p: int) -> list[tuple[int, ...]]:
     """All p-element subsets of {0..n-1} in lexicographic order."""
-    return list(itertools.combinations(range(n), p))
+    return list(combinations(range(n), p))
 
 
 def exterior_powers(m: Matrix) -> list[Matrix]:
     """Lambda^0 m .. Lambda^n m.  Rows and columns of Lambda^p are indexed
     by lexicographically ordered p-subsets; entry (S, T) is the minor of m
-    with rows S and columns T.
+    with rows S and columns T."""
+    return list(_exterior_powers(m))
+
+
+def _exterior_powers(m: Matrix):
+    """Lambda^0 m, Lambda^1 m, ... generated degree by degree.
 
     Each degree-p minor is the first-row Laplace expansion over degree-(p-1)
     minors: with s the first row of S, minor(S, T) is the sum over positions
-    k of (-1)^k m[s][T[k]] minor(S - s, T - T[k]).  Zero terms are skipped.
+    k of (-1)^k m[s][T[k]] minor(S - s, T - T[k]).  It is accumulated over
+    the nonzeros of row s of m and of row S - s of Lambda^(p-1) m.
     """
     if not m.is_square():
         raise NonSquare("exterior power of non-square matrix")
     n = m.rows
-    powers = [Matrix._of(((_ONE,),))]
+    power = Matrix.identity(1)
+    yield power
     index = {(): 0}
     for p in range(1, n + 1):
         subsets = p_subsets(n, p)
-        # per column subset T: (column T[k], index of T - T[k], sign)
-        faces = [[(t, index[cols[:k] + cols[k + 1:]], k % 2 == 1)
-                  for k, t in enumerate(cols)] for cols in subsets]
-        prev = powers[-1].entries
+        # per (p-1)-subset F: column t -> (index of F + t, sign of t's place)
+        grow = [{} for _ in index]
+        for col, cols in enumerate(subsets):
+            for k, t in enumerate(cols):
+                grow[index[cols[:k] + cols[k + 1:]]][t] = (col, k % 2 == 1)
+        prev = power.sparse
         rows = []
         for s in subsets:
-            mrow = m.entries[s[0]]
-            minors = prev[index[s[1:]]]
-            out = []
-            for face in faces:
-                acc = _ZERO
-                for t, j, negative in face:
-                    a = mrow[t]
-                    if a:
-                        b = minors[j]
-                        if b:
-                            if negative:
-                                acc -= a * b
-                            else:
-                                acc += a * b
-                out.append(acc)
-            rows.append(tuple(out))
-        powers.append(Matrix._of(tuple(rows)))
+            mrow = m.sparse[s[0]]
+            acc = {}
+            for face, b in prev[index[s[1:]]]:
+                faces = grow[face]
+                for t, a in mrow:
+                    if t in faces:
+                        col, negative = faces[t]
+                        term = -a * b if negative else a * b
+                        acc[col] = acc[col] + term if col in acc else term
+            rows.append(packed_row(acc))
+        power = Matrix._of(tuple(rows), len(subsets))
+        yield power
         index = {s: i for i, s in enumerate(subsets)}
-    return powers
 
 
 def exterior_power(m: Matrix, p: int) -> Matrix:
-    """p-th exterior power, read off exterior_powers.
-
-    Multiplicative (Cauchy-Binet) and Lambda^1 m == m; Lambda^0 m == [1].
-    """
-    powers = exterior_powers(m)
-    if not 0 <= p < len(powers):
-        raise DegreeOutOfRange(f"degree {p} not in 0..{m.rows}")
-    return powers[p]
+    """p-th exterior power, built up to degree p only.  Multiplicative
+    (Cauchy-Binet), Lambda^1 m == m and Lambda^0 m == [1]."""
+    for q, power in enumerate(_exterior_powers(m)):
+        if q == p:
+            return power
+    raise DegreeOutOfRange(f"degree {p} not in 0..{m.rows}")
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; block (i,j) is a[i][j] * b."""
-    zero_block = (_ZERO,) * b.cols
-    out = []
-    for arow in a.entries:
-        for brow in b.entries:
-            row = []
-            for aij in arow:
-                row.extend(tuple(aij * x for x in brow) if aij else zero_block)
-            out.append(tuple(row))
-    return Matrix._of(tuple(out))
+    width = b.cols
+    return Matrix._of(tuple(
+        tuple((ja * width + jb, x * y) for ja, x in arow for jb, y in brow)
+        for arow in a.sparse for brow in b.sparse), a.cols * b.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -589,10 +594,6 @@ def _poly_trim(p):
     while p and p[-1] == 0:
         p = p[:-1]
     return p
-
-
-def _poly_scale(c, p):
-    return _poly_trim([c * a for a in p])
 
 
 def _poly_divmod(p, q):
@@ -617,9 +618,7 @@ def _poly_gcd(p, q):
     p, q = _poly_trim(list(p)), _poly_trim(list(q))
     while q:
         p, q = q, _poly_divmod(p, q)[1]
-    if p:
-        p = _poly_scale(1 / p[-1], p)
-    return p
+    return [a / p[-1] for a in p]
 
 
 def _poly_derivative(p):
@@ -643,18 +642,21 @@ def minimal_polynomial(m: Matrix) -> list[Fraction]:
     if not m.is_square():
         raise NonSquare("minimal polynomial of non-square matrix")
     n = m.rows
-    powers = [Matrix.identity(n)]
-    for _ in range(n):
-        powers.append(powers[-1] * m)
-    reduced, pivots, k = rref(Matrix.from_columns(
-        [tuple(x for row in p.entries for x in row) for p in powers]))
+    krylov = [[] for _ in range(n * n)]   # row i*n + j holds entry (i, j)
+    power = Matrix.identity(n)
+    for k in range(n + 1):
+        for i, row in enumerate(power.sparse):
+            for j, x in row:
+                krylov[i * n + j].append((k, x))
+        power = power * m
+    reduced, pivots, k = rref(Matrix._of(tuple(map(tuple, krylov)), n + 1))
     if k > n or pivots != tuple(range(k)):
         raise InternalConsistencyFailure(
             f"minimal polynomial degree exceeded dimension {n}: Krylov "
             f"pivots {list(pivots)} are not 0..k-1 for some k <= {n}")
     # m^k = sum c_i m^i  ->  x^k - sum c_i x^i
-    return _poly_trim([-reduced.entries[i][k] for i in range(k)]
-                      + [Fraction(1)])
+    column = _densified(reduced.transpose().sparse[k], k)
+    return _poly_trim([-x for x in column] + [Fraction(1)])
 
 
 def squarefree_part(p) -> list[Fraction]:
@@ -664,9 +666,7 @@ def squarefree_part(p) -> list[Fraction]:
     if rem:
         raise InternalConsistencyFailure(
             "gcd(p, p') does not divide p in the squarefree part")
-    if quot:
-        quot = _poly_scale(1 / quot[-1], quot)
-    return quot
+    return [a / quot[-1] for a in quot]
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,76 @@ def reference_rref(m: Matrix):
     return Matrix(work) if nrows else m, tuple(pivots), len(pivots)
 
 
+def dense_matrix(rows, cols: int) -> Matrix:
+    """Matrix(rows), which has no shape for an empty row list: 0 x cols."""
+    return Matrix(rows) if rows else Matrix.zero(0, cols)
+
+
+# Dense reference kernels for the sparse Matrix: the operations as ratlin
+# had them on tuple-of-tuples storage, reading only `entries`.
+
+def reference_kernel_and_image(m: Matrix):
+    reduced, pivots, _ = reference_rref(m)
+    kernel = []
+    for free in range(m.cols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * m.cols
+        v[free] = Fraction(1)
+        for prow, pcol in enumerate(pivots):
+            v[pcol] = -reduced.entries[prow][free]
+        kernel.append(tuple(v))
+    return kernel, [m.column(j) for j in pivots]
+
+
+def reference_mul(a: Matrix, b: Matrix) -> Matrix:
+    return dense_matrix([[sum((a.entries[i][k] * b.entries[k][j]
+                               for k in range(a.cols)), Fraction(0))
+                          for j in range(b.cols)] for i in range(a.rows)],
+                        b.cols)
+
+
+def reference_kron(a: Matrix, b: Matrix) -> Matrix:
+    return dense_matrix([[x * y for x in arow for y in brow]
+                         for arow in a.entries for brow in b.entries],
+                        a.cols * b.cols)
+
+
+def reference_transpose(m: Matrix) -> Matrix:
+    return dense_matrix([list(col) for col in zip(*m.entries)]
+                        if m.rows else [[]] * m.cols, m.rows)
+
+
+def reference_submatrix(m: Matrix, row_idx, col_idx) -> Matrix:
+    return dense_matrix([[m.entries[i][j] for j in col_idx] for i in row_idx],
+                        len(col_idx))
+
+
+def reference_hstack(a: Matrix, b: Matrix) -> Matrix:
+    return dense_matrix([r1 + r2 for r1, r2 in zip(a.entries, b.entries)],
+                        a.cols + b.cols)
+
+
+def reference_solve_all_in_span(basis, targets):
+    """Coefficients of the targets in an independent basis, from one
+    reference_rref of the columns [basis | targets]; NotInSpan as in
+    ratlin."""
+    if not basis:
+        if all(is_zero_vec(t) for t in targets):
+            return [[] for _ in targets]
+        raise NotInSpan("empty basis cannot express a nonzero target")
+    k = len(basis)
+    columns = list(basis) + list(targets)
+    reduced, pivots, r = reference_rref(Matrix(
+        [[col[i] for col in columns] for i in range(len(basis[0]))]))
+    if r > 0 and pivots[-1] >= k:
+        raise NotInSpan("target not in span of basis")
+    if r < k:
+        raise NotInSpan("basis is linearly dependent")
+    return [[reduced.entries[i][k + j] for i in range(k)]
+            for j in range(len(targets))]
+
+
 def reference_determinant(m: Matrix) -> Fraction:
     """Gaussian elimination over Fraction with row swaps (sign tracked)."""
     if not m.is_square():

@@ -290,13 +290,14 @@ def test_external_catalog_entry_errors_exit_two(tmp_path, monkeypatch, capsys):
         {"left": 0, "right": 1, "result": {"2": "1"}}]}
     entries = {
         "nocomplement": ({"algebra": algebra, "split": {"nil_ideal": [0]}},
-                         "/split: expected 'nil_ideal' and 'complement'"),
+                         "#/split: expected 'nil_ideal' and 'complement'"),
         "badindex": ({"algebra": algebra,
                       "split": {"nil_ideal": [0, 1, 7], "complement": []}},
-                     "/split/nil_ideal/2: expected a basis index in 0..2"),
+                     "#/split/nil_ideal/2: expected a basis index in 0..2"),
         "badgrading": ({"algebra": algebra, "grading": [1, 1, 0]},
-                       "/grading: expected 3 positive integer weights"),
+                       "#/grading: expected 3 positive integer weights"),
         "notanobject": ([algebra], ": expected a top-level object"),
+        "badalgebra": ({"algebra": {"dim": 0}}, "#/algebra"),
     }
     for name, (doc, _) in entries.items():
         _write(catalog_dir, f"{name}.json", doc)
@@ -307,7 +308,10 @@ def test_external_catalog_entry_errors_exit_two(tmp_path, monkeypatch, capsys):
                                                 [0, 0, 1]]}})
         assert main(["lefschetz", path]) == EXIT_INVALID_INPUT
         err = capsys.readouterr().err
-        assert err.startswith(f"invalid input: {message}"), err
+        # the entry file is named, so the pointer cannot be read as one
+        # into the task document
+        entry_file = catalog_dir / f"{name}.json"
+        assert err.startswith(f"invalid input: {entry_file}{message}"), err
 
 
 def test_shadow_decomposes_each_generator_once(tmp_path, monkeypatch, capsys):

@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from lietrace import liealg, ratlin
 from lietrace.catalog import (get, list_entries, random_graded_endomorphism,
                               sample_endomorphisms)
 from lietrace.lefschetz import (alternating_trace, linearization,
                                 twisted_lefschetz)
-from lietrace.liealg import endomorphism
-from lietrace.ratlin import Matrix, determinant, inverse
+from lietrace.liealg import LieAlgebra, endomorphism
+from lietrace.ratlin import Matrix, as_fraction, determinant, inverse
 from lietrace.repn import (Intertwiner, adjoint_module, identity_intertwiner,
                            trivial_module)
 
@@ -191,3 +192,36 @@ def test_validate_inputs_guard():
     from lietrace.liealg import NotAMorphism
     with pytest.raises(NotAMorphism):
         twisted_lefschetz(HEIS3, module, bad, xi)
+
+
+def test_filiform6_adjoint_report_stays_sparse(monkeypatch):
+    # A structural guard in place of a timing test: one filiform6 report
+    # with the adjoint module reads no dense view of a matrix of more than
+    # 1000 cells (its differentials and chain-map blocks reach 120 x 120),
+    # and coerces fewer than 1000 entries.  Both counts are deterministic.
+    n = 6
+    algebra = LieAlgebra(dim=n, brackets={(0, i): {i + 1: 1}
+                                          for i in range(1, n - 1)})
+    weights = (1,) + tuple(range(1, n))
+    f = endomorphism(algebra, Matrix.diagonal([2 ** w for w in weights]))
+    module = adjoint_module(algebra)
+    xi = Intertwiner(morphism=f, module=module, matrix=inverse(f.matrix))
+    dense_views, coerced = [], []
+    view = Matrix.entries.fget
+
+    def counting_view(m):
+        if m.rows * m.cols > 1000:
+            dense_views.append((m.rows, m.cols))
+        return view(m)
+
+    def counting_as_fraction(x):
+        coerced.append(x)
+        return as_fraction(x)
+
+    monkeypatch.setattr(Matrix, "entries", property(counting_view))
+    monkeypatch.setattr(ratlin, "as_fraction", counting_as_fraction)
+    monkeypatch.setattr(liealg, "as_fraction", counting_as_fraction)
+    report = twisted_lefschetz(algebra, module, f, xi)
+    assert report.dims == (6, 36, 90, 120, 90, 36, 6)
+    assert dense_views == []
+    assert len(coerced) < 1000

@@ -17,14 +17,20 @@ from lietrace.ratlin import (DegreeOutOfRange, InternalConsistencyFailure,
                              SingularMatrix,
                              complete_basis, determinant,
                              exterior_power, exterior_powers, format_rational,
-                             inverse, jordan_chevalley, kernel_basis, kron,
-                             minimal_polynomial, parse_rational, rank, rref,
+                             inverse, jordan_chevalley, kernel_and_image,
+                             kernel_basis, kron,
+                             minimal_polynomial, p_subsets, parse_rational,
+                             rank, rref,
                              solve_all_in_span, solve_in_span, squarefree_part)
 
-from helpers import (greedy_complete, is_nilpotent_matrix, is_squarefree,
-                     random_invertible, random_matrix, reference_determinant,
-                     reference_exterior_power, reference_minimal_polynomial,
-                     reference_rref)
+from helpers import (dense_matrix, greedy_complete, is_nilpotent_matrix,
+                     is_squarefree, random_invertible, random_matrix,
+                     reference_determinant, reference_exterior_power,
+                     reference_hstack, reference_kernel_and_image,
+                     reference_kron, reference_minimal_polynomial,
+                     reference_mul, reference_rref,
+                     reference_solve_all_in_span, reference_submatrix,
+                     reference_transpose)
 
 
 def test_parse_and_format_rational():
@@ -207,6 +213,24 @@ def test_exterior_power_frozen_examples():
         exterior_power(m, 4)
     with pytest.raises(DegreeOutOfRange):
         exterior_power(m, -1)
+    with pytest.raises(NonSquare):
+        exterior_power(Matrix([[1, 2]]), 1)
+
+
+def test_exterior_power_stops_at_its_degree(monkeypatch):
+    # Lambda^2 of a 12 x 12 matrix needs the subsets of sizes 1 and 2 only,
+    # not the 924 of size 6
+    sizes = []
+
+    def recording(n, p):
+        sizes.append(p)
+        return p_subsets(n, p)
+
+    monkeypatch.setattr(ratlin, "p_subsets", recording)
+    m = Matrix.diagonal(range(1, 13))
+    assert exterior_power(m, 2) == Matrix.diagonal(
+        [i * j for i in range(1, 13) for j in range(i + 1, 13)])
+    assert sizes == [1, 2]
 
 
 def test_exterior_power_multiplicative():
@@ -307,6 +331,107 @@ def test_kernels_on_edge_shapes():
     assert exterior_powers(empty) == [Matrix([[1]])]
     with pytest.raises(NonSquare):
         exterior_powers(no_columns)
+
+
+# The sparse storage against the dense reference kernels in helpers, on
+# matrices 0-30% nonzero, with empty rows and 0 x k and k x 0 shapes.
+_NONZERO = st.one_of(
+    st.builds(Fraction, st.integers(-9, 9).filter(bool),
+              st.sampled_from([1, 2, 3])),
+    st.builds(Fraction, st.integers(-10**6, 10**6).filter(bool),
+              st.integers(1, 10**6)))
+
+
+@st.composite
+def _sparse_matrices(draw, rows=None, cols=None):
+    rows = draw(st.integers(0, 7)) if rows is None else rows
+    cols = draw(st.integers(0, 7)) if cols is None else cols
+    cells = [(i, j) for i in range(rows) for j in range(cols)]
+    nonzero = draw(st.sets(st.sampled_from(cells),
+                           max_size=3 * len(cells) // 10)) if cells else set()
+    return dense_matrix([[draw(_NONZERO) if (i, j) in nonzero else 0
+                          for j in range(cols)] for i in range(rows)], cols)
+
+
+def _assert_well_formed(m: Matrix) -> None:
+    """Sparse rows: one per row, columns strictly increasing and in range,
+    every stored value a nonzero Fraction."""
+    assert len(m.sparse) == m.rows
+    for row in m.sparse:
+        cols = [j for j, _ in row]
+        assert cols == sorted(set(cols)), row
+        assert all(0 <= j < m.cols for j in cols), row
+        assert all(type(x) is Fraction and x for _, x in row), row
+
+
+def _assert_same(got: Matrix, want: Matrix) -> None:
+    """A sparse-built result against a Matrix(dense) one."""
+    assert got == want
+    assert hash(got) == hash(want)
+    assert repr(got) == repr(want)
+    _assert_well_formed(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_matrices())
+def test_sparse_elimination_equals_dense_reference(m):
+    _assert_well_formed(m)
+    reduced = rref(m)
+    assert reduced == reference_rref(m)
+    _assert_same(reduced[0], reference_rref(m)[0])
+    assert kernel_and_image(m) == reference_kernel_and_image(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sparse_products_equal_dense_reference(data):
+    r, k, c = (data.draw(st.integers(0, 6)) for _ in range(3))
+    a = data.draw(_sparse_matrices(r, k))
+    b = data.draw(_sparse_matrices(k, c))
+    right = data.draw(_sparse_matrices(r, c))
+    row_idx = data.draw(st.lists(st.integers(0, r - 1), max_size=5)) if r else []
+    col_idx = data.draw(st.lists(st.integers(0, k - 1), max_size=5)) if k else []
+    _assert_same(a * b, reference_mul(a, b))
+    _assert_same(kron(a, b), reference_kron(a, b))
+    _assert_same(a.transpose(), reference_transpose(a))
+    _assert_same(a.submatrix(row_idx, col_idx),
+                 reference_submatrix(a, row_idx, col_idx))
+    _assert_same(a.hstack(right), reference_hstack(a, right))
+    _assert_same(dense_matrix(a.entries, k), a)
+    if r:
+        _assert_same(Matrix.from_columns(a.columns(), rows=r), a)
+
+
+def _solve_outcome(solve, basis, targets):
+    try:
+        return solve(basis, targets)
+    except NotInSpan as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sparse_solve_equals_dense_reference(data):
+    dim = data.draw(st.integers(1, 6))
+    basis = data.draw(_sparse_matrices(dim, data.draw(st.integers(0, dim))))
+    coeffs = data.draw(_sparse_matrices(basis.cols, data.draw(st.integers(0, 3))))
+    targets = list(reference_mul(basis, coeffs).columns()) if basis.cols else []
+    if data.draw(st.booleans()):
+        targets.append(data.draw(_sparse_matrices(dim, 1)).column(0))
+    basis = basis.columns()
+    assert (_solve_outcome(solve_all_in_span, basis, targets)
+            == _solve_outcome(reference_solve_all_in_span, basis, targets))
+
+
+def test_zeros_are_not_stored():
+    for m in (Matrix([[0, 1, 0], [0, 0, 0]]), Matrix.from_columns([(0, "0")]),
+              Matrix([[1, 2]]) - Matrix([[1, 2]]), Matrix.diagonal([0, 3]),
+              Fraction(0) * Matrix.identity(2), rref(Matrix([[1, 1], [1, 1]]))[0]):
+        _assert_well_formed(m)
+    assert Matrix([[0, 1, 0], [0, 0, 0]]).sparse == (((1, Fraction(1)),), ())
+    assert (Matrix([[1, 2]]) - Matrix([[1, 2]])).is_zero()
+    with pytest.raises(TypeError):   # a float is rejected even when zero
+        Matrix.from_columns([(0.0, 1)])
 
 
 def _only_fractions(m: Matrix) -> bool:
