@@ -116,7 +116,8 @@ def _differential(algebra: LieAlgebra, module: Representation, p: int) -> Matrix
 
 @dataclass(frozen=True)
 class CohomologyData:
-    """Per-degree bases, all deterministic.
+    """Per-degree bases, all deterministic, each a Matrix whose rows are the
+    basis vectors in C^p.
 
     representative_basis extends coboundary_basis to a basis of the cocycle
     space: the cocycles that are pivot columns past the coboundaries in one
@@ -126,35 +127,32 @@ class CohomologyData:
     """
     degree: int
     betti: int
-    cocycle_basis: tuple
-    coboundary_basis: tuple
-    representative_basis: tuple
+    cocycle_basis: Matrix
+    coboundary_basis: Matrix
+    representative_basis: Matrix
 
 
 def cohomology(complex_: CochainComplex) -> list[CohomologyData]:
     """One rref per differential d_p gives both the degree-p cocycles (its
     kernel) and the degree-(p+1) coboundaries (its image)."""
-    top = complex_.dims[complex_.top_degree]
+    dims = complex_.dims
     pairs = [kernel_and_image(d) for d in complex_.differentials]
-    cocycles_by_degree = ([kernel for kernel, _ in pairs]
-                          + [list(Matrix.identity(top).entries)])
-    coboundaries_by_degree = [[]] + [image for _, image in pairs]
+    cocycles = [kernel for kernel, _ in pairs] + [Matrix.identity(dims[-1])]
+    coboundaries = [Matrix.zero(0, dims[0])] + [image for _, image in pairs]
     out = []
-    for p, (cocycles, coboundaries) in enumerate(
-            zip(cocycles_by_degree, coboundaries_by_degree)):
-        reps = complete_basis(coboundaries, cocycles)
-        betti = len(cocycles) - len(coboundaries)
-        if len(reps) != betti:
+    for p, (z, b) in enumerate(zip(cocycles, coboundaries)):
+        reps = complete_basis(b, z)
+        betti = z.rows - b.rows
+        if reps.rows != betti:
             raise InternalConsistencyFailure(
-                f"{len(reps)} representatives but betti {betti} at degree {p}")
-        out.append(CohomologyData(degree=p, betti=betti,
-                                  cocycle_basis=tuple(cocycles),
-                                  coboundary_basis=tuple(coboundaries),
-                                  representative_basis=tuple(reps)))
+                f"{reps.rows} representatives but betti {betti} at degree {p}")
+        out.append(CohomologyData(degree=p, betti=betti, cocycle_basis=z,
+                                  coboundary_basis=b,
+                                  representative_basis=reps))
     # Euler characteristic certificate: alternating sums over bases and over
     # cochain dimensions must agree.
     lhs = sum((-1) ** p * data.betti for p, data in enumerate(out))
-    rhs = sum((-1) ** p * d for p, d in enumerate(complex_.dims))
+    rhs = sum((-1) ** p * d for p, d in enumerate(dims))
     if lhs != rhs:
         raise InternalConsistencyFailure("Euler characteristic mismatch")
     return out
@@ -194,25 +192,22 @@ def induced_cohomology_map(cohom: list[CohomologyData],
                            chain_map: ChainMap) -> list[Matrix]:
     """Matrix of the induced map on each H^p in the representative basis.
 
-    Each image F_p h is a cocycle, hence expressible in the independent
-    system (representatives | coboundaries); the representative block of the
-    coefficients is the column.  All images of a degree are solved in one
-    rref.  NotInSpan here is an internal failure.
+    The rows of reps * F_p^T are the images F_p h of the representatives.
+    Each is a cocycle, hence expressible in the independent rows of
+    (representatives | coboundaries); the representative block of its
+    coefficients is a column of the map.  All images of a degree are solved
+    in one rref.  NotInSpan here is an internal failure.
     """
     out = []
     for p, data in enumerate(cohom):
-        reps = list(data.representative_basis)
-        if not reps:
-            out.append(Matrix([]))
-            continue
-        images = [chain_map.blocks[p].apply(h) for h in reps]
+        reps = data.representative_basis
+        images = reps * chain_map.blocks[p].transpose()
         try:
-            coeffs = solve_all_in_span(reps + list(data.coboundary_basis),
+            coeffs = solve_all_in_span(reps.vstack(data.coboundary_basis),
                                        images)
         except NotInSpan as exc:
             raise InternalConsistencyFailure(
                 f"induced cocycle leaves the cocycle space at degree {p}"
             ) from exc
-        out.append(Matrix.from_columns([c[: len(reps)] for c in coeffs],
-                                       rows=len(reps)))
+        out.append(coeffs.submatrix(range(reps.rows), range(reps.rows)))
     return out

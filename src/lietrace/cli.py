@@ -165,7 +165,7 @@ def _cmd_cohomology(args) -> int:
     if args.verbose:
         report["representatives"] = {
             str(p): [[format_rational(x) for x in v]
-                     for v in d.representative_basis]
+                     for v in d.representative_basis.entries]
             for p, d in enumerate(cohom)}
     if args.json:
         _print_json(report)
@@ -177,7 +177,7 @@ def _cmd_cohomology(args) -> int:
             print(f"H^{p} map: {_fmt_matrix(m)}")
     if args.verbose:
         for p, d in enumerate(cohom):
-            for v in d.representative_basis:
+            for v in d.representative_basis.entries:
                 print(f"H^{p} representative:",
                       " ".join(format_rational(x) for x in v))
     return EXIT_OK

@@ -243,10 +243,5 @@ def module_from_doc(doc, algebra, path="/module") -> Representation:
     return Representation(algebra=algebra, dim=dim, actions=tuple(actions))
 
 
-def module_to_doc(module: Representation) -> dict:
-    return {"dim": module.dim,
-            "actions": [matrix_to_doc(a) for a in module.actions]}
-
-
 def matrix_to_doc(m: Matrix) -> list:
     return [[format_rational(x) for x in row] for row in m.entries]

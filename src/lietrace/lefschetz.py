@@ -45,9 +45,8 @@ def linearization(a: Matrix) -> Fraction:
     return determinant(Matrix.identity(a.rows) - a)
 
 
-def alternating_trace(matrices) -> Fraction:
-    return sum(((-1) ** p * m.trace() for p, m in enumerate(matrices)),
-               Fraction(0))
+def alternating_sum(values) -> Fraction:
+    return sum(((-1) ** p * v for p, v in enumerate(values)), Fraction(0))
 
 
 def twisted_lefschetz(algebra: LieAlgebra, module: Representation,
@@ -71,8 +70,8 @@ def twisted_lefschetz(algebra: LieAlgebra, module: Representation,
 
     cohom_traces = tuple(m.trace() for m in maps)
     cochain_traces = tuple(b.trace() for b in chain_map.blocks)
-    lefschetz_number = alternating_trace(maps)
-    hopf = alternating_trace(chain_map.blocks)
+    lefschetz_number = alternating_sum(cohom_traces)
+    hopf = alternating_sum(cochain_traces)
     if lefschetz_number != hopf:
         first = next((p for p in range(len(cochain_traces))
                       if cochain_traces[p] != cohom_traces[p]), None)

@@ -10,8 +10,11 @@ denominators, reduced fraction-free, and turned back into Fraction only at
 the end.  The reduced row echelon form is unique, so this gives the same
 bases as elimination over Fraction in any row order, and every derived basis
 (kernels, images, cohomology representatives) is reproducible across runs
-and platforms.  The minimal polynomial is the first non-pivot column of one
-rref of the Krylov columns [vec I | vec m | ... | vec m^n].
+and platforms.  A basis is a Matrix whose rows are the basis vectors, from
+rref through kernel_and_image, complete_basis and solve_all_in_span; only
+the public kernel_basis and solve_in_span read or take dense vectors.  The
+minimal polynomial is the first non-pivot column of one rref of the Krylov
+columns [vec I | vec m | ... | vec m^n].
 """
 
 from __future__ import annotations
@@ -112,10 +115,10 @@ def is_zero_vec(v: Vector) -> bool:
 # ---------------------------------------------------------------------------
 
 def _nonzeros(v) -> list:
-    """The (index, value) pairs of a dense vector that are nonzero or not
-    Fraction; _ZERO, the zero written here, is skipped by identity."""
+    """The nonzero (index, value) pairs of a dense vector; _ZERO, the zero
+    written here, is skipped by identity."""
     return [p for p in compress(enumerate(v), map(is_not, v, repeat(_ZERO)))
-            if p[1] or type(p[1]) is not Fraction]
+            if p[1]]
 
 
 def packed_row(acc: dict) -> tuple:
@@ -176,17 +179,6 @@ class Matrix:
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
         return Matrix._of(((),) * rows, cols)
-
-    @staticmethod
-    def from_columns(columns, rows: int | None = None) -> "Matrix":
-        columns = list(columns)
-        rows = len(columns[0]) if rows is None else rows
-        if any(len(col) != rows for col in columns):
-            raise ValueError("ragged columns")
-        cols = [_nonzeros(col) for col in columns]
-        if any(type(x) is not Fraction for col in cols for _, x in col):
-            return Matrix([[col[i] for col in columns] for i in range(rows)])
-        return Matrix._of(tuple(map(tuple, cols)), rows).transpose()
 
     @staticmethod
     def diagonal(values) -> "Matrix":
@@ -304,8 +296,8 @@ class Matrix:
     def trace(self) -> Fraction:
         if not self.is_square():
             raise NonSquare("trace of non-square matrix")
-        return sum((dict(row).get(i, _ZERO)
-                    for i, row in enumerate(self.sparse)), _ZERO)
+        return sum((x for i, row in enumerate(self.sparse) for j, x in row
+                    if j == i), _ZERO)
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
         col_idx = tuple(col_idx)
@@ -325,6 +317,12 @@ class Matrix:
         return Matrix._of(tuple(r1 + tuple((j + shift, x) for j, x in r2)
                                 for r1, r2 in zip(self.sparse, other.sparse)),
                           self.cols + other.cols)
+
+    def vstack(self, other: "Matrix") -> "Matrix":
+        if self.cols != other.cols:
+            raise ValueError(f"shape mismatch {self.rows}x{self.cols} vstack "
+                             f"{other.rows}x{other.cols}")
+        return Matrix._of(self.sparse + other.sparse, self.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -396,46 +394,45 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
             len(pivots))
 
 
-def rank(m: Matrix) -> int:
-    return rref(m)[2]
+def kernel_and_image(m: Matrix) -> tuple[Matrix, Matrix]:
+    """Kernel basis and image basis of m, as the rows of two matrices, both
+    read off one rref of m.
 
-
-def kernel_and_image(m: Matrix) -> tuple[list[Vector], list[Vector]]:
-    """Kernel basis and image basis of m, both read off one rref of m.
-
-    Kernel convention: one vector per free column, visited left to right;
-    the free variable is set to 1 and the pivot variables are read off the
-    reduced rows, so kernel_and_image([[1,1]])[0] == [(-1, 1)].  The image
-    basis is the pivot columns of m itself, in order.
+    Kernel convention: one row per free column, visited left to right; the
+    free variable is set to 1 and the pivot variables are read off the
+    reduced rows, so the kernel of [[1, 1]] is [[-1, 1]].  The image basis is
+    the pivot columns of m itself, in order.
     """
     reduced, pivots, _ = rref(m)
     pivot_set, reduced_columns = set(pivots), reduced.transpose().sparse
-    kernel = [_densified([(j, _ONE)] + [(pivots[i], -x)
-                                        for i, x in reduced_columns[j]], m.cols)
-              for j in range(m.cols) if j not in pivot_set]
+    # a free column's entries sit in rows whose pivots lie left of it
+    kernel = tuple(tuple((pivots[i], -x) for i, x in reduced_columns[j])
+                   + ((j, _ONE),)
+                   for j in range(m.cols) if j not in pivot_set)
     columns = m.transpose().sparse
-    return kernel, [_densified(columns[j], m.rows) for j in pivots]
+    return (Matrix._of(kernel, m.cols),
+            Matrix._of(tuple(columns[j] for j in pivots), m.rows))
 
 
 def kernel_basis(m: Matrix) -> list[Vector]:
-    """Basis of the null space; see kernel_and_image for the convention."""
-    return kernel_and_image(m)[0]
+    """Dense null space basis; see kernel_and_image for the convention."""
+    return list(kernel_and_image(m)[0].entries)
 
 
-def complete_basis(fixed: list[Vector], candidates: list[Vector]) -> list[Vector]:
-    """The candidates, in order, that each grow the span of `fixed` and the
-    candidates before them.
+def complete_basis(fixed: Matrix, candidates: Matrix) -> Matrix:
+    """The rows of `candidates`, in order, that each grow the span of the
+    rows of `fixed` and the candidates before them.
 
     This is the greedy left-to-right rank extension, computed as the pivot
     columns past `fixed` of one rref of the columns [fixed | candidates]:
     a column is a pivot exactly when it is outside the span of the columns
     to its left.
     """
-    if not candidates:
-        return []
-    columns = list(fixed) + list(candidates)
-    _, pivots, _ = rref(Matrix.from_columns(columns))
-    return [columns[j] for j in pivots if j >= len(fixed)]
+    k = fixed.rows
+    _, pivots, _ = rref(fixed.vstack(candidates).transpose())
+    rows = candidates.sparse
+    return Matrix._of(tuple(rows[j - k] for j in pivots if j >= k),
+                      candidates.cols)
 
 
 def determinant(m: Matrix) -> Fraction:
@@ -480,37 +477,33 @@ def inverse(m: Matrix) -> Matrix:
 
 
 def solve_in_span(basis: list[Vector], target: Vector) -> list[Fraction]:
-    """Coefficients expressing target in an independent basis; NotInSpan
-    when the basis is dependent or the target falls outside its span."""
-    return solve_all_in_span(basis, [target])[0]
+    """Coefficients of a dense target in an independent dense basis;
+    NotInSpan when the basis is dependent or the target is outside its span."""
+    rows = Matrix(basis) if basis else Matrix.zero(0, len(target))
+    return list(solve_all_in_span(rows, Matrix([target])).column(0))
 
 
-def solve_all_in_span(basis: list[Vector],
-                      targets: list[Vector]) -> list[list[Fraction]]:
-    """Coefficients of every target in an independent basis, from one rref
-    of the columns [basis | targets].
+def solve_all_in_span(basis: Matrix, targets: Matrix) -> Matrix:
+    """Coefficients of every row of `targets` in the independent rows of
+    `basis`, from one rref of the columns [basis | targets]: column i of the
+    result holds the coefficients of target i.
 
     Raises NotInSpan when the basis is dependent or some target falls
     outside its span.  Used to read induced cohomology maps off
     representative bases, where failure means an internal inconsistency
     upstream.
     """
-    if not basis:
-        if all(is_zero_vec(t) for t in targets):
-            return [[] for _ in targets]
-        raise NotInSpan("empty basis cannot express a nonzero target")
-    dim, k = len(basis[0]), len(basis)
-    for t in targets:
-        if len(t) != dim:
-            raise ValueError(f"shape mismatch: basis vectors of length {dim}, "
-                             f"target of length {len(t)}")
-    reduced, pivots, r = rref(Matrix.from_columns(list(basis) + list(targets)))
+    if basis.cols != targets.cols:
+        raise ValueError(f"shape mismatch: basis vectors of length "
+                         f"{basis.cols}, target of length {targets.cols}")
+    k = basis.rows
+    reduced, pivots, r = rref(basis.vstack(targets).transpose())
     if r > 0 and pivots[-1] >= k:
         raise NotInSpan("target not in span of basis")
     if r < k:
         raise NotInSpan("basis is linearly dependent")
-    # pivots are exactly 0..k-1, so row i holds the coefficient of basis[i]
-    return [list(_densified(col, k)) for col in reduced.transpose().sparse[k:]]
+    # pivots are exactly 0..k-1, so row i holds the coefficients of basis[i]
+    return reduced.submatrix(range(k), range(k, k + targets.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +648,7 @@ def minimal_polynomial(m: Matrix) -> list[Fraction]:
             f"minimal polynomial degree exceeded dimension {n}: Krylov "
             f"pivots {list(pivots)} are not 0..k-1 for some k <= {n}")
     # m^k = sum c_i m^i  ->  x^k - sum c_i x^i
-    column = _densified(reduced.transpose().sparse[k], k)
+    column = reduced.submatrix(range(k), [k]).column(0)
     return _poly_trim([-x for x in column] + [Fraction(1)])
 
 

@@ -19,12 +19,19 @@ from .ratlin import (InternalConsistencyFailure, InvalidInput, Matrix,
                      determinant, inverse)
 
 
+MAX_FIXED_POINTS = 10 ** 4   # every point is kept: time and memory follow it
+
+
 class DegenerateMap(InvalidInput):
     """det(A - I) = 0: the fixed point set is not finite."""
 
 
 class NotInteger(InvalidInput):
     pass
+
+
+class TooManyFixedPoints(InvalidInput):
+    """|det(A - I)| is above MAX_FIXED_POINTS."""
 
 
 @dataclass(frozen=True)
@@ -65,6 +72,9 @@ def count_fixed_points(torus_map: TorusMap) -> FixedPointReport:
         raise InternalConsistencyFailure(
             f"determinant {det_b} of an integer matrix is not an integer")
     det_b = det_b.numerator
+    if abs(det_b) > MAX_FIXED_POINTS:
+        raise TooManyFixedPoints(
+            f"{abs(det_b)} fixed points, above the cap of {MAX_FIXED_POINTS}")
     if det_b == 0:
         raise DegenerateMap("det(A - I) = 0, fixed points are not isolated; "
                             "the Lefschetz number is still available through "

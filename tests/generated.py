@@ -47,7 +47,7 @@ def central_extension(rng: random.Random, algebra: LieAlgebra, grading):
     """g + Qz by a random weight-homogeneous class of H^2(g; Q)."""
     n = algebra.dim
     reps = cohomology(build_complex(algebra, trivial_module(algebra)))[2] \
-        .representative_basis
+        .representative_basis.entries
     pairs = p_subsets(n, 2)
 
     def weight(v):

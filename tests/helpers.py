@@ -10,7 +10,7 @@ from lietrace.catalog import get, list_entries, sample_endomorphisms
 from lietrace.liealg import (JacobiViolation, LieAlgebra, NotAMorphism,
                              SeriesReport)
 from lietrace.ratlin import (Matrix, NonSquare, NotInSpan, determinant,
-                             inverse, is_zero_vec, p_subsets, rank, rref,
+                             inverse, is_zero_vec, p_subsets, rref,
                              solve_in_span)
 from lietrace.repn import Representation, adjoint_module, trivial_module
 
@@ -37,11 +37,11 @@ def greedy_complete(fixed: list, candidates: list) -> list:
     that raise the rank of `fixed` plus the candidates kept so far, with one
     full rank computation per candidate."""
     span_rows = [list(v) for v in fixed]
-    current = rank(Matrix(span_rows)) if span_rows else 0
+    current = rref(Matrix(span_rows))[2] if span_rows else 0
     chosen = []
     for cand in candidates:
         trial = span_rows + [list(cand)]
-        r = rank(Matrix(trial))
+        r = rref(Matrix(trial))[2]
         if r > current:
             span_rows, current = trial, r
             chosen.append(cand)
@@ -131,24 +131,22 @@ def reference_hstack(a: Matrix, b: Matrix) -> Matrix:
                         a.cols + b.cols)
 
 
-def reference_solve_all_in_span(basis, targets):
-    """Coefficients of the targets in an independent basis, from one
-    reference_rref of the columns [basis | targets]; NotInSpan as in
-    ratlin."""
-    if not basis:
-        if all(is_zero_vec(t) for t in targets):
-            return [[] for _ in targets]
-        raise NotInSpan("empty basis cannot express a nonzero target")
-    k = len(basis)
-    columns = list(basis) + list(targets)
-    reduced, pivots, r = reference_rref(Matrix(
-        [[col[i] for col in columns] for i in range(len(basis[0]))]))
+def reference_solve_all_in_span(basis: Matrix, targets: Matrix) -> Matrix:
+    """Coefficients of the target rows in the independent basis rows, from
+    one reference_rref of the columns [basis | targets]; column j holds
+    those of target j.  NotInSpan as in ratlin."""
+    k = basis.rows
+    columns = basis.entries + targets.entries
+    reduced, pivots, r = reference_rref(dense_matrix(
+        [[col[i] for col in columns] for i in range(basis.cols)],
+        len(columns)))
     if r > 0 and pivots[-1] >= k:
         raise NotInSpan("target not in span of basis")
     if r < k:
         raise NotInSpan("basis is linearly dependent")
-    return [[reduced.entries[i][k + j] for i in range(k)]
-            for j in range(len(targets))]
+    return dense_matrix([[reduced.entries[i][k + j]
+                          for j in range(targets.rows)] for i in range(k)],
+                        targets.rows)
 
 
 def reference_determinant(m: Matrix) -> Fraction:
@@ -233,10 +231,8 @@ def reference_bracket(algebra: LieAlgebra, x, y) -> tuple:
 
 
 def reference_ad(algebra: LieAlgebra, x) -> Matrix:
-    return Matrix.from_columns([reference_bracket(algebra, x,
-                                                  _unit(algebra.dim, j))
-                                for j in range(algebra.dim)],
-                               rows=algebra.dim)
+    return Matrix([reference_bracket(algebra, x, _unit(algebra.dim, j))
+                   for j in range(algebra.dim)]).transpose()
 
 
 def reference_validate(algebra: LieAlgebra) -> None:

@@ -1,6 +1,7 @@
 """End-to-end command line behavior, exit codes, and output shapes."""
 
 import json
+import time
 
 import pytest
 
@@ -114,11 +115,13 @@ def test_cohomology_verbose_lists_representatives(tmp_path, capsys):
 def test_cohomology_module_override(tmp_path, capsys):
     # adjoint module of heisenberg3 supplied explicitly
     from lietrace.catalog import get
-    from lietrace.documents import module_to_doc
+    from lietrace.documents import matrix_to_doc
     from lietrace.repn import adjoint_module
 
-    module_path = _write(tmp_path, "module.json",
-                         module_to_doc(adjoint_module(get("heisenberg3").algebra)))
+    module = adjoint_module(get("heisenberg3").algebra)
+    module_path = _write(tmp_path, "module.json", {
+        "dim": module.dim,
+        "actions": [matrix_to_doc(a) for a in module.actions]})
     task = _write(tmp_path, "plain.json", {"algebra": "heisenberg3"})
     code = main(["cohomology", task, "--module", module_path, "--json"])
     out = capsys.readouterr().out
@@ -245,6 +248,18 @@ def test_torus_rejects_degenerate_and_malformed(capsys):
     assert "/matrix: not an integer: 'x'" in capsys.readouterr().err
     assert main(["torus", "--matrix", "1,2,3;4,5,6"]) == EXIT_INVALID_INPUT
     assert "/matrix: matrix must be square" in capsys.readouterr().err
+
+
+def test_torus_point_cap_exits_two_fast(capsys):
+    # det(A - I) = 10^18: refused from the determinant, before any point
+    start = time.perf_counter()
+    code = main(["torus", "--matrix",
+                 "1000001,0,0;0,1000001,0;0,0,1000001"])
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert f"{10 ** 18} fixed points, above the cap of 10000" in err
+    assert "Traceback" not in err
 
 
 def test_internal_failures_exit_three(monkeypatch, capsys):

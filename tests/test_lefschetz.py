@@ -8,7 +8,7 @@ import pytest
 from lietrace import liealg, ratlin
 from lietrace.catalog import (get, list_entries, random_graded_endomorphism,
                               sample_endomorphisms)
-from lietrace.lefschetz import (alternating_trace, linearization,
+from lietrace.lefschetz import (alternating_sum, linearization,
                                 twisted_lefschetz)
 from lietrace.liealg import LieAlgebra, endomorphism
 from lietrace.ratlin import Matrix, as_fraction, determinant, inverse
@@ -34,7 +34,8 @@ def test_linearization_helper():
     assert linearization(Matrix.diagonal([2, 3, 6])) == -10
     assert linearization(Matrix.identity(4)) == 0
     assert linearization(Matrix.zero(2, 2)) == 1
-    assert alternating_trace([Matrix([[1]]), Matrix.diagonal([2, 3])]) == -4
+    assert alternating_sum(m.trace() for m in [Matrix([[1]]),
+                                               Matrix.diagonal([2, 3])]) == -4
 
 
 def test_heisenberg_diagonal_report_frozen():
@@ -185,6 +186,24 @@ def test_graded_scalings_product_formula():
             assert report.lefschetz == expected
 
 
+def test_each_trace_is_computed_once(monkeypatch):
+    # the Lefschetz and Hopf numbers are alternating sums of the per-degree
+    # traces the report already holds, so an agreeing report takes one trace
+    # per chain-map block and one per cohomology map
+    traces = []
+    trace = Matrix.trace
+
+    def counting_trace(m):
+        traces.append((m.rows, m.cols))
+        return trace(m)
+
+    monkeypatch.setattr(Matrix, "trace", counting_trace)
+    report = _trivial_run(HEIS3, [[2, 0, 0], [0, 3, 0], [0, 0, 6]])
+    assert report.agree
+    assert len(traces) == len(report.cochain_traces) + len(
+        report.cohomology_maps) == 8
+
+
 def test_validate_inputs_guard():
     module = trivial_module(HEIS3)
     bad = endomorphism(HEIS3, Matrix.diagonal([2, 3, 5]))
@@ -198,7 +217,9 @@ def test_filiform6_adjoint_report_stays_sparse(monkeypatch):
     # A structural guard in place of a timing test: one filiform6 report
     # with the adjoint module reads no dense view of a matrix of more than
     # 1000 cells (its differentials and chain-map blocks reach 120 x 120),
-    # and coerces fewer than 1000 entries.  Both counts are deterministic.
+    # coerces fewer than 1000 entries, and converts fewer than 5000 cells of
+    # dense vectors to or from sparse rows: its cohomology bases stay sparse
+    # from rref to the induced maps.  All three counts are deterministic.
     n = 6
     algebra = LieAlgebra(dim=n, brackets={(0, i): {i + 1: 1}
                                           for i in range(1, n - 1)})
@@ -206,8 +227,9 @@ def test_filiform6_adjoint_report_stays_sparse(monkeypatch):
     f = endomorphism(algebra, Matrix.diagonal([2 ** w for w in weights]))
     module = adjoint_module(algebra)
     xi = Intertwiner(morphism=f, module=module, matrix=inverse(f.matrix))
-    dense_views, coerced = [], []
+    dense_views, coerced, converted = [], [], []
     view = Matrix.entries.fget
+    nonzeros, densified = ratlin._nonzeros, ratlin._densified
 
     def counting_view(m):
         if m.rows * m.cols > 1000:
@@ -218,10 +240,21 @@ def test_filiform6_adjoint_report_stays_sparse(monkeypatch):
         coerced.append(x)
         return as_fraction(x)
 
+    def counting_nonzeros(v):
+        converted.append(len(v))
+        return nonzeros(v)
+
+    def counting_densified(row, n):
+        converted.append(n)
+        return densified(row, n)
+
     monkeypatch.setattr(Matrix, "entries", property(counting_view))
     monkeypatch.setattr(ratlin, "as_fraction", counting_as_fraction)
     monkeypatch.setattr(liealg, "as_fraction", counting_as_fraction)
+    monkeypatch.setattr(ratlin, "_nonzeros", counting_nonzeros)
+    monkeypatch.setattr(ratlin, "_densified", counting_densified)
     report = twisted_lefschetz(algebra, module, f, xi)
     assert report.dims == (6, 36, 90, 120, 90, 36, 6)
     assert dense_views == []
     assert len(coerced) < 1000
+    assert sum(converted) < 5000

@@ -20,7 +20,7 @@ from lietrace.ratlin import (DegreeOutOfRange, InternalConsistencyFailure,
                              inverse, jordan_chevalley, kernel_and_image,
                              kernel_basis, kron,
                              minimal_polynomial, p_subsets, parse_rational,
-                             rank, rref,
+                             rref,
                              solve_all_in_span, solve_in_span, squarefree_part)
 
 from helpers import (dense_matrix, greedy_complete, is_nilpotent_matrix,
@@ -87,7 +87,7 @@ def test_kernel_vectors_annihilate_and_count():
         m = Matrix([[Fraction(rng.randint(-2, 2)) for _ in range(cols)]
                     for _ in range(rows)])
         basis = kernel_basis(m)
-        assert len(basis) == cols - rank(m)
+        assert len(basis) == cols - rref(m)[2]
         for v in basis:
             assert all(x == 0 for x in m.apply(v))
 
@@ -152,15 +152,16 @@ def _vectors(dim, max_count, min_count=0):
 @st.composite
 def _fixed_and_candidates(draw):
     dim = draw(st.integers(1, 4))
-    return draw(_vectors(dim, 4)), draw(_vectors(dim, 6))
+    return dim, draw(_vectors(dim, 4)), draw(_vectors(dim, 6))
 
 
 @settings(max_examples=80, deadline=None)
 @given(_fixed_and_candidates())
 def test_complete_basis_is_greedy_rank_extension(pair):
-    fixed, candidates = pair
-    assert complete_basis(fixed, candidates) == greedy_complete(fixed,
-                                                                candidates)
+    dim, fixed, candidates = pair
+    chosen = complete_basis(dense_matrix(fixed, dim),
+                            dense_matrix(candidates, dim))
+    assert list(chosen.entries) == greedy_complete(fixed, candidates)
 
 
 @st.composite
@@ -169,7 +170,7 @@ def _basis_and_coefficients(draw, codim=0):
     lists for targets in its span."""
     dim = draw(st.integers(1 + codim, 4))
     basis = draw(_vectors(dim, dim - codim, min_count=1))
-    assume(rank(Matrix(basis)) == len(basis))
+    assume(rref(Matrix(basis))[2] == len(basis))
     coeffs = draw(st.lists(st.lists(_ENTRY, min_size=len(basis),
                                     max_size=len(basis)), max_size=4))
     return basis, coeffs
@@ -185,7 +186,9 @@ def _combine(basis, coeffs):
 def test_batched_solve_equals_per_target_solve(case):
     basis, coeffs = case
     targets = [_combine(basis, c) for c in coeffs]
-    batched = solve_all_in_span(basis, targets)
+    batched = solve_all_in_span(Matrix(basis),
+                                dense_matrix(targets, len(basis[0])))
+    batched = [list(c) for c in batched.columns()]
     assert batched == [solve_in_span(basis, t) for t in targets]
     assert batched == coeffs  # an independent basis gives unique coefficients
 
@@ -195,12 +198,12 @@ def test_batched_solve_equals_per_target_solve(case):
 def test_out_of_span_target_raises(case, data):
     basis, coeffs = case
     outside = data.draw(st.tuples(*[_ENTRY] * len(basis[0])))
-    assume(rank(Matrix(basis + [outside])) > len(basis))
+    assume(rref(Matrix(basis + [outside]))[2] > len(basis))
     with pytest.raises(NotInSpan):
         solve_in_span(basis, outside)
     targets = [_combine(basis, c) for c in coeffs] + [outside]
     with pytest.raises(NotInSpan):
-        solve_all_in_span(basis, targets)
+        solve_all_in_span(Matrix(basis), Matrix(targets))
 
 
 def test_exterior_power_frozen_examples():
@@ -379,7 +382,12 @@ def test_sparse_elimination_equals_dense_reference(m):
     reduced = rref(m)
     assert reduced == reference_rref(m)
     _assert_same(reduced[0], reference_rref(m)[0])
-    assert kernel_and_image(m) == reference_kernel_and_image(m)
+    kernel, image = kernel_and_image(m)
+    _assert_well_formed(kernel)
+    _assert_well_formed(image)
+    assert (kernel.cols, image.cols) == (m.cols, m.rows)
+    assert (list(kernel.entries), list(image.entries)) == \
+        reference_kernel_and_image(m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -399,7 +407,7 @@ def test_sparse_products_equal_dense_reference(data):
     _assert_same(a.hstack(right), reference_hstack(a, right))
     _assert_same(dense_matrix(a.entries, k), a)
     if r:
-        _assert_same(Matrix.from_columns(a.columns(), rows=r), a)
+        _assert_same(dense_matrix(a.columns(), r).transpose(), a)
 
 
 def _solve_outcome(solve, basis, targets):
@@ -418,20 +426,20 @@ def test_sparse_solve_equals_dense_reference(data):
     targets = list(reference_mul(basis, coeffs).columns()) if basis.cols else []
     if data.draw(st.booleans()):
         targets.append(data.draw(_sparse_matrices(dim, 1)).column(0))
-    basis = basis.columns()
+    basis, targets = basis.transpose(), dense_matrix(targets, dim)
     assert (_solve_outcome(solve_all_in_span, basis, targets)
             == _solve_outcome(reference_solve_all_in_span, basis, targets))
 
 
 def test_zeros_are_not_stored():
-    for m in (Matrix([[0, 1, 0], [0, 0, 0]]), Matrix.from_columns([(0, "0")]),
+    for m in (Matrix([[0, 1, 0], [0, 0, 0]]), Matrix([(0, "0")]).transpose(),
               Matrix([[1, 2]]) - Matrix([[1, 2]]), Matrix.diagonal([0, 3]),
               Fraction(0) * Matrix.identity(2), rref(Matrix([[1, 1], [1, 1]]))[0]):
         _assert_well_formed(m)
     assert Matrix([[0, 1, 0], [0, 0, 0]]).sparse == (((1, Fraction(1)),), ())
     assert (Matrix([[1, 2]]) - Matrix([[1, 2]])).is_zero()
     with pytest.raises(TypeError):   # a float is rejected even when zero
-        Matrix.from_columns([(0.0, 1)])
+        Matrix([(0.0, 1)]).transpose()
 
 
 def _only_fractions(m: Matrix) -> bool:
@@ -447,8 +455,8 @@ def test_internal_results_hold_only_fractions():
     results = [rref(a)[0], rref(Matrix.zero(2, 2))[0], a * b,
                a * Matrix.zero(3, 2), 3 * a, a * Fraction(1, 2), a + a, a - a,
                -a, a.transpose(), a.submatrix([1], [0, 2]), a.hstack(a),
-               kron(sq, a), Matrix.from_columns(a.columns()),
-               Matrix.from_columns([(1, 2), (3, 4)]), Matrix.identity(3),
+               kron(sq, a), Matrix(a.columns()).transpose(),
+               Matrix([(1, 2), (3, 4)]).transpose(), Matrix.identity(3),
                Matrix.zero(2, 3), inverse(sq)]
     results += exterior_powers(sq) + exterior_powers(Matrix.zero(3, 3))
     for m in results:

@@ -4,7 +4,8 @@ No `assert` statements: `python -O` strips them, and every certificate in
 the library must fire under any interpreter flag.  No unused imports: a
 name imported and never read is dead code.  No orphaned private helpers: a
 module-level `_name` function or class that nothing else in the package
-refers to is dead code too.
+refers to is dead code too, and so is a public top-level name that is
+neither exported in `lietrace.__all__` nor read by another statement.
 """
 
 import ast
@@ -68,19 +69,40 @@ def _referenced_names(node: ast.AST) -> set:
     return names
 
 
-def test_no_unreferenced_private_definitions():
-    # each top-level statement of each module, with what it refers to; a
-    # private definition counts as used only through some other statement,
-    # so a helper that merely calls itself is still reported
+def _defined_names(stmt: ast.stmt) -> list:
+    """Names a top-level statement defines: a function, a class or an
+    assignment to plain names."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def _unreferenced(selected) -> list:
+    """The top-level definitions of the names `selected` picks that no other
+    top-level statement of the package refers to.  A definition counts as
+    used only through some other statement, so a helper that merely calls
+    itself is still reported."""
     statements = [(path, stmt) for path in PACKAGE
                   for stmt in _tree(path).body]
     refs = [_referenced_names(stmt) for _, stmt in statements]
-    orphans = []
-    for k, (path, stmt) in enumerate(statements):
-        if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                and stmt.name.startswith("_")
-                and not stmt.name.startswith("__")
-                and not any(stmt.name in r for j, r in enumerate(refs)
-                            if j != k)):
-            orphans.append(f"{path.name}:{stmt.lineno} {stmt.name}")
+    return [f"{path.name}:{stmt.lineno} {name}"
+            for k, (path, stmt) in enumerate(statements)
+            for name in _defined_names(stmt)
+            if selected(name) and not any(name in r for j, r in enumerate(refs)
+                                          if j != k)]
+
+
+def test_no_unreferenced_private_definitions():
+    orphans = _unreferenced(
+        lambda name: name.startswith("_") and not name.startswith("__"))
     assert not orphans, f"unreferenced private definitions: {orphans}"
+
+
+def test_no_unreferenced_public_definitions():
+    orphans = _unreferenced(
+        lambda name: not name.startswith("_") and name not in lietrace.__all__)
+    assert not orphans, f"unreferenced public definitions: {orphans}"

@@ -9,7 +9,8 @@ import pytest
 from lietrace import torus_oracle
 from lietrace.cecomplex import InternalConsistencyFailure
 from lietrace.ratlin import determinant, inverse
-from lietrace.torus_oracle import (DegenerateMap, NotInteger, TorusMap,
+from lietrace.torus_oracle import (MAX_FIXED_POINTS, DegenerateMap,
+                                   NotInteger, TooManyFixedPoints, TorusMap,
                                    count_fixed_points, cross_check_with_ce)
 
 from helpers import random_int_matrix, reference_fixed_points
@@ -144,6 +145,15 @@ def test_huge_shear_costs_its_points_not_its_entries():
     assert time.perf_counter() - start < 1
     assert report.count == 1 and report.lefschetz == -1
     assert report.points == ((Fraction(0), Fraction(0), Fraction(0)),)
+
+
+def test_fixed_point_count_is_capped():
+    # |det(A - I)| is 101^2 = 10201 for 102 I and 100^2 = 10^4 for 101 I
+    with pytest.raises(TooManyFixedPoints,
+                       match="10201 fixed points, above the cap of 10000"):
+        count_fixed_points(TorusMap(((102, 0), (0, 102))))
+    assert MAX_FIXED_POINTS == 10 ** 4
+    assert count_fixed_points(TorusMap(((101, 0), (0, 101)))).count == 10 ** 4
 
 
 def test_cross_check_with_cochain_pipeline():
