@@ -14,6 +14,8 @@ from .liealg import LieAlgebra, LieMorphism
 from .ratlin import InvalidInput, Matrix, format_rational, parse_rational
 from .repn import Intertwiner, Representation
 
+MAX_COCHAINS = 1024   # bounds sum_p dim C^p = 2^n m (dim n, module dim m)
+
 
 class InvalidDocument(InvalidInput):
     def __init__(self, path: str, message: str):
@@ -68,6 +70,13 @@ def _matrix(value, path, rows=None, cols=None) -> Matrix:
     return Matrix(entries)
 
 
+def _cap_cochains(n: int, m: int, path: str) -> None:
+    """Refuse 2^n m cochains above MAX_COCHAINS, never forming a large 2^n."""
+    if n >= MAX_COCHAINS.bit_length() or m << n > MAX_COCHAINS:
+        _fail(path, f"2^{n} x {m} cochain dimensions in all, above the cap "
+                    f"of {MAX_COCHAINS}")
+
+
 def _index(value, path, dim) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < dim:
         _fail(path, f"expected a basis index in 0..{dim - 1}, got {value!r}")
@@ -84,6 +93,7 @@ def algebra_from_doc(doc, path="/algebra") -> LieAlgebra:
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         _fail(f"{path}/dim", "expected a positive integer")
+    _cap_cochains(dim, 1, f"{path}/dim")
     labels = doc.get("basis")
     if labels is not None:
         if (not isinstance(labels, list) or len(labels) != dim
@@ -235,6 +245,7 @@ def module_from_doc(doc, algebra, path="/module") -> Representation:
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         _fail(f"{path}/dim", "expected a positive integer")
+    _cap_cochains(algebra.dim, dim, f"{path}/dim")
     raw_actions = doc.get("actions")
     if not isinstance(raw_actions, list) or len(raw_actions) != algebra.dim:
         _fail(f"{path}/actions", f"expected {algebra.dim} action matrices")

@@ -1,21 +1,22 @@
 """Finite-dimensional Lie algebras over Q, given by structure constants.
 
 A bracket table stores [e_i, e_j] for i < j only; antisymmetry holds by
-construction and Jacobi is checked explicitly.  Every bracket is read through
-ad(x), built in one pass over the structure constants: bracket(x, y) is
-ad(x) applied to y, Jacobi defects and the series apply ad of basis vectors.
-Subspaces (for the lower central and derived series) are handled as row
-spaces in reduced echelon form, so all reported dimensions and bases are
-deterministic.
+construction.  ad(x) is built in one pass over the structure constants,
+bracket(x, y) is ad(x) applied to y, and basis_ads gives the ad of every
+basis vector, the adjoint module's actions.  Every bracket check is a matrix
+identity: represented_bracket gives rho([e_i, e_j]) and [rho(e_i), rho(e_j)]
+for any action matrices, Jacobi is that identity for the basis ads, and a
+morphism f satisfies ad(f e_i) f = f ad(e_i).  The series work on sparse
+row spaces in reduced echelon form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .ratlin import (InvalidInput, Matrix, Vector, as_fraction,
-                     format_rational, is_zero_vec, packed_row, rref, zero_vec)
+                     format_rational, linear_combination, p_subsets,
+                     packed_row, rref)
 
 
 class JacobiViolation(InvalidInput):
@@ -73,36 +74,39 @@ class LieAlgebra:
         return (isinstance(other, LieAlgebra) and self.dim == other.dim
                 and self.brackets == other.brackets)
 
-    def basis_bracket(self, i: int, j: int) -> Vector:
-        """[e_i, e_j] as a coordinate vector, any i, j."""
-        if i == j:
-            return zero_vec(self.dim)
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        out = [Fraction(0)] * self.dim
-        for k, c in self.brackets.get((i, j), {}).items():
-            out[k] = sign * c
-        return tuple(out)
-
 
 def validate(algebra: LieAlgebra) -> None:
     """Check the Jacobi identity on all basis triples i < j < k.
 
-    The defect reported is [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j],
-    computed as -(ad e_k [e_i,e_j] + ad e_i [e_j,e_k] + ad e_j [e_k,e_i]).
+    Jacobi says that ad is a representation: represented_bracket on the
+    basis ads, pair by pair.  Where the two sides differ, column k > j of
+    the difference is the defect [[e_i,e_j],e_k] + [[e_j,e_k],e_i] +
+    [[e_k,e_i],e_j]; triples are visited in lexicographic order.
     """
     n = algebra.dim
-    ads = [ad(algebra, e) for e in Matrix.identity(n).entries]
-    for i in range(n):
-        for j in range(i + 1, n):
+    ads = basis_ads(algebra)
+    for i, j in p_subsets(n - 1, 2):
+        lhs, rhs = represented_bracket(algebra, ads, i, j)
+        if lhs != rhs:
+            defects = (lhs - rhs).transpose()
             for k in range(j + 1, n):
-                terms = zip(ads[k].apply(algebra.basis_bracket(i, j)),
-                            ads[i].apply(algebra.basis_bracket(j, k)),
-                            ads[j].apply(algebra.basis_bracket(k, i)))
-                defect = tuple(-(a + b + c) for a, b, c in terms)
-                if not is_zero_vec(defect):
-                    raise JacobiViolation(i, j, k, defect)
+                if defects.sparse[k]:
+                    raise JacobiViolation(i, j, k, defects.row(k))
+
+
+def represented_bracket(algebra: LieAlgebra, actions: tuple, i: int,
+                        j: int) -> tuple[Matrix, Matrix]:
+    """(rho([e_i, e_j]), [rho(e_i), rho(e_j)]) for the action matrices
+    rho(e_k) in `actions`; the first is the sum of c rho(e_k) over the
+    structure constants of (i, j)."""
+    return (linear_combination(algebra.brackets.get((i, j), {}).items(),
+                               actions),
+            actions[i] * actions[j] - actions[j] * actions[i])
+
+
+def basis_ads(algebra: LieAlgebra) -> tuple:
+    """ad(e_0), ..., ad(e_{n-1}), the adjoint module's action matrices."""
+    return tuple(ad(algebra, e) for e in Matrix.identity(algebra.dim).entries)
 
 
 def bracket(algebra: LieAlgebra, x: Vector, y: Vector) -> Vector:
@@ -136,22 +140,8 @@ def ad(algebra: LieAlgebra, x: Vector) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# subspaces and series
+# series
 # ---------------------------------------------------------------------------
-
-def _span_basis(vectors: list[Vector]) -> list[Vector]:
-    """Canonical basis (nonzero rref rows) of the span of the given vectors."""
-    if not vectors:
-        return []
-    reduced, _, r = rref(Matrix(vectors))
-    return [reduced.row(i) for i in range(r)]
-
-
-def _bracket_span(algebra: LieAlgebra, us: list[Vector], vs: list[Vector]) -> list[Vector]:
-    """Span of [u, v] over u in us, v in vs, with one ad per u."""
-    ads = [ad(algebra, u) for u in us]
-    return _span_basis([a.apply(v) for a in ads for v in vs])
-
 
 @dataclass(frozen=True)
 class SeriesReport:
@@ -167,18 +157,22 @@ def series(algebra: LieAlgebra, kind: str) -> SeriesReport:
     """
     if kind not in ("lower_central", "derived"):
         raise ValueError(f"unknown series kind {kind!r}")
-    full = list(Matrix.identity(algebra.dim).entries)
-    current = full
-    dims = [algebra.dim]
+    # the rows of `current` span the current term; the next is spanned by
+    # ad(u) v over v in it and u in g (lower central) or in it (derived),
+    # the rows of current * ad(u)^T
+    n = algebra.dim
+    basis = ads = basis_ads(algebra)
+    current, dims = Matrix.identity(n), [n]
     while True:
-        if kind == "lower_central":
-            nxt = _bracket_span(algebra, full, current)
-        else:
-            nxt = _bracket_span(algebra, current, current)
-        dims.append(len(nxt))
-        if len(nxt) == 0 or len(nxt) == len(current):
+        products = tuple(row for a in ads
+                         for row in (current * a.transpose()).sparse)
+        reduced, _, rank = rref(Matrix._of(products, n))
+        dims.append(rank)
+        if rank == 0 or rank == current.rows:
             break
-        current = nxt
+        current = Matrix._of(reduced.sparse[:rank], n)
+        if kind == "derived":
+            ads = [linear_combination(u, basis) for u in current.sparse]
     return SeriesReport(kind=kind, dims=tuple(dims),
                         terminates_at_zero=dims[-1] == 0)
 
@@ -216,18 +210,20 @@ def endomorphism(algebra: LieAlgebra, matrix) -> LieMorphism:
 def check_morphism(f: LieMorphism) -> None:
     """Verify f[e_i, e_j] = [f e_i, f e_j] on all basis pairs.
 
-    The defect reported is [f e_i, f e_j] - f([e_i, e_j]).
+    For each i, ad(f e_i) f (ad(f e_i) combined from the target's basis ads
+    over column i of f) is compared with f ad(e_i).  Where they differ,
+    column j > i of the difference is the defect [f e_i, f e_j] - f[e_i, e_j].
     """
-    src, tgt, m = f.source, f.target, f.matrix
-    images = m.columns()
+    src, m = f.source, f.matrix
+    src_ads, tgt_ads = basis_ads(src), basis_ads(f.target)
+    images = m.transpose().sparse
     for i in range(src.dim - 1):
-        ad_image = ad(tgt, images[i])
-        for j in range(i + 1, src.dim):
-            lhs = ad_image.apply(images[j])
-            rhs = m.apply(src.basis_bracket(i, j))
-            defect = tuple(a - b for a, b in zip(lhs, rhs))
-            if not is_zero_vec(defect):
-                raise NotAMorphism(i, j, defect)
+        lhs, rhs = linear_combination(images[i], tgt_ads) * m, m * src_ads[i]
+        if lhs != rhs:
+            defects = (lhs - rhs).transpose()
+            for j in range(i + 1, src.dim):
+                if defects.sparse[j]:
+                    raise NotAMorphism(i, j, defects.row(j))
 
 
 def is_morphism(f: LieMorphism) -> bool:

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .liealg import (LieAlgebra, LieMorphism, ad, endomorphism, is_morphism,
-                     is_nilpotent, is_solvable, validate)
+from .liealg import (LieAlgebra, LieMorphism, basis_ads, endomorphism,
+                     is_morphism, is_nilpotent, is_solvable, validate)
 from .ratlin import (InternalConsistencyFailure, InvalidInput, Matrix,
                      determinant, jordan_chevalley)
 
@@ -81,19 +81,16 @@ def validate_split(split: SplitPresentation) -> tuple:
     if not is_solvable(algebra):
         raise InvalidInput("algebra is not solvable")
     ideal = set(split.nil_ideal)
-    n = algebra.dim
 
-    for i in range(n):
+    for i in range(algebra.dim):
         for j in split.nil_ideal:
-            if i == j:
-                continue
-            image = algebra.basis_bracket(i, j)
-            if any(image[k] != 0 for k in range(n) if k not in ideal):
+            comps = algebra.brackets.get((min(i, j), max(i, j)), {})
+            if any(k not in ideal for k in comps):
                 raise NotAnIdeal(f"[e{i}, e{j}] leaves the span of the ideal")
 
     for a in split.complement:
         for b in split.complement:
-            if a < b and any(x != 0 for x in algebra.basis_bracket(a, b)):
+            if a < b and (a, b) in algebra.brackets:
                 raise ComplementNotAbelian(f"[e{a}, e{b}] != 0")
 
     # brackets of complement vectors vanish and brackets touching the ideal
@@ -102,15 +99,14 @@ def validate_split(split: SplitPresentation) -> tuple:
     if split.nil_ideal and not is_nilpotent(_restrict_to_ideal(split)):
         raise IdealNotNilpotent("marked ideal is not nilpotent")
 
-    units = Matrix.identity(n)
-    parts = tuple(jordan_chevalley(ad(algebra, units.row(c)))
-                  for c in split.complement)
+    ads = basis_ads(algebra)
+    parts = tuple(jordan_chevalley(ads[c]) for c in split.complement)
     semis = [p.semisimple for p in parts]
     for idx, s in zip(split.complement, semis):
-        for c in split.complement:
-            if any(s[r, c] != 0 for r in range(n)):
-                raise SemisimplePartsDoNotCommute(
-                    f"semisimple part of ad(e{idx}) does not kill the complement")
+        columns = s.transpose().sparse
+        if any(columns[c] for c in split.complement):
+            raise SemisimplePartsDoNotCommute(
+                f"semisimple part of ad(e{idx}) does not kill the complement")
     for x in range(len(semis)):
         for y in range(x + 1, len(semis)):
             if semis[x] * semis[y] != semis[y] * semis[x]:
@@ -149,20 +145,21 @@ def build_shadow(split: SplitPresentation) -> ShadowResult:
     algebra = split.algebra
     n = algebra.dim
     ideal = set(split.nil_ideal)
-    nil_parts = {c: p.nilpotent for c, p in zip(split.complement, parts)}
+    nil_columns = {c: p.nilpotent.transpose().sparse
+                   for c, p in zip(split.complement, parts)}
 
-    brackets = {}   # LieAlgebra drops the zero coefficients
+    brackets = {}   # LieAlgebra drops the empty entries
     for i in range(n):
         for j in range(i + 1, n):
             if i in ideal and j in ideal:
-                column = algebra.basis_bracket(i, j)
+                column = sorted(algebra.brackets.get((i, j), {}).items())
             elif i in ideal:          # j in complement: [n, a] = -nil(ad a)(n)
-                column = tuple(-x for x in nil_parts[j].column(i))
+                column = [(r, -x) for r, x in nil_columns[j][i]]
             elif j in ideal:          # i in complement: [a, n] = nil(ad a)(n)
-                column = nil_parts[i].column(j)
+                column = nil_columns[i][j]
             else:                     # complement x complement: zero
                 continue
-            brackets[(i, j)] = dict(enumerate(column))
+            brackets[(i, j)] = dict(column)
     shadow = LieAlgebra(dim=n, brackets=brackets, labels=algebra.labels)
     validate(shadow)
     if not is_nilpotent(shadow):
@@ -194,9 +191,9 @@ def induced_shadow_map(result: ShadowResult, t: LieMorphism) -> ShadowMapReport:
     if t.source != split.algebra:
         raise InvalidInput("endomorphism is not over the split algebra")
     ideal = set(split.nil_ideal)
+    columns = t.matrix.transpose().sparse
     for j in split.nil_ideal:
-        col = t.matrix.column(j)
-        if any(col[r] != 0 for r in range(t.matrix.rows) if r not in ideal):
+        if any(r not in ideal for r, _ in columns[j]):
             raise SplitNotPreserved(j)
 
     shadow_map = endomorphism(result.shadow, t.matrix)

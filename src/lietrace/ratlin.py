@@ -102,14 +102,6 @@ def as_fraction(value) -> Fraction:
 Vector = tuple  # tuple[Fraction, ...]
 
 
-def zero_vec(n: int) -> Vector:
-    return (Fraction(0),) * n
-
-
-def is_zero_vec(v: Vector) -> bool:
-    return all(a == 0 for a in v)
-
-
 # ---------------------------------------------------------------------------
 # Matrix
 # ---------------------------------------------------------------------------
@@ -323,6 +315,17 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} vstack "
                              f"{other.rows}x{other.cols}")
         return Matrix._of(self.sparse + other.sparse, self.cols)
+
+
+def linear_combination(terms, matrices) -> Matrix:
+    """The sum of c * matrices[k] over the (k, c) pairs of `terms`, with
+    one accumulator per row; `matrices` is non-empty and of one shape."""
+    rows = [{} for _ in range(matrices[0].rows)]
+    for k, c in terms:
+        for acc, row in zip(rows, matrices[k].sparse):
+            for j, x in row:
+                acc[j] = acc[j] + c * x if j in acc else c * x
+    return Matrix._of(tuple(map(packed_row, rows)), matrices[0].cols)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .liealg import LieAlgebra, LieMorphism, ad
-from .ratlin import InvalidInput, Matrix
+from .liealg import LieAlgebra, LieMorphism, basis_ads, represented_bracket
+from .ratlin import InvalidInput, Matrix, linear_combination, p_subsets
 
 
 class NotARepresentation(InvalidInput):
@@ -60,39 +60,28 @@ def trivial_module(algebra: LieAlgebra) -> Representation:
 
 def adjoint_module(algebra: LieAlgebra) -> Representation:
     """The algebra acting on itself by ad; a representation by Jacobi."""
-    units = Matrix.identity(algebra.dim).entries
     return Representation(algebra=algebra, dim=algebra.dim,
-                          actions=tuple(ad(algebra, u) for u in units))
+                          actions=basis_ads(algebra))
 
 
 def validate_rep(v: Representation) -> None:
-    """Check rho([e_i,e_j]) = commutator of actions, all pairs i < j."""
-    alg = v.algebra
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            lhs = Matrix.zero(v.dim, v.dim)
-            for k, c in alg.brackets.get((i, j), {}).items():
-                lhs = lhs + c * v.actions[k]
-            rhs = v.actions[i] * v.actions[j] - v.actions[j] * v.actions[i]
-            if lhs != rhs:
-                raise NotARepresentation(i, j)
+    """Check rho([e_i,e_j]) = [rho(e_i), rho(e_j)] on all pairs i < j,
+    both sides from liealg.represented_bracket, the identity that is also
+    Jacobi for the basis ads."""
+    for i, j in p_subsets(v.algebra.dim, 2):
+        lhs, rhs = represented_bracket(v.algebra, v.actions, i, j)
+        if lhs != rhs:
+            raise NotARepresentation(i, j)
 
 
 def pullback(f: LieMorphism, v: Representation) -> Representation:
-    """The module with action rho(f(x)): new action for e_i is
-    sum_j f[j][i] rho(e_j).  Composition-reversing in f."""
+    """The module with action rho(f(x)): new action for e_i is the sum of
+    f[j][i] rho(e_j) over the sparse column i of f.  Composition-reversing."""
     if v.algebra != f.target:
         raise DimensionMismatch("module is not over the morphism target")
-    m = f.matrix
-    actions = []
-    for i in range(f.source.dim):
-        acc = Matrix.zero(v.dim, v.dim)
-        for j in range(f.target.dim):
-            c = m[j, i]
-            if c != 0:
-                acc = acc + c * v.actions[j]
-        actions.append(acc)
-    return Representation(algebra=f.source, dim=v.dim, actions=tuple(actions))
+    return Representation(algebra=f.source, dim=v.dim, actions=tuple(
+        linear_combination(column, v.actions)
+        for column in f.matrix.transpose().sparse))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """End-to-end command line behavior, exit codes, and output shapes."""
 
 import json
+import random
 import time
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from lietrace.cecomplex import InternalConsistencyFailure
 from lietrace.cli import (EXIT_INTERNAL, EXIT_INVALID_INPUT, EXIT_OK,
                           EXIT_VERDICT_FALSE, main)
+from lietrace.documents import MAX_COCHAINS
 from lietrace.ratlin import jordan_chevalley
 
 
@@ -260,6 +262,49 @@ def test_torus_point_cap_exits_two_fast(capsys):
     err = capsys.readouterr().err
     assert f"{10 ** 18} fixed points, above the cap of 10000" in err
     assert "Traceback" not in err
+
+
+def _abelian_task(n, seed=0):
+    # abelian of dim n with a seeded dense integer map, entries in -2..2
+    rng = random.Random(seed)
+    return {"algebra": {"dim": n, "brackets": []},
+            "map": {"matrix": [[str(rng.randint(-2, 2)) for _ in range(n)]
+                               for _ in range(n)]}}
+
+
+def _zero_module(algebra_dim, m):
+    zero = [["0"] * m for _ in range(m)]
+    return {"dim": m, "actions": [zero] * algebra_dim}
+
+
+def test_cochain_cap_refuses_large_algebras_fast(tmp_path, capsys):
+    # 2^11 cochain dimensions: refused at the dim, before any elimination
+    start = time.perf_counter()
+    code = main(["lefschetz", _write(tmp_path, "big.json", _abelian_task(11))])
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert err == (f"invalid input: /algebra/dim: 2^11 x 1 cochain dimensions "
+                   f"in all, above the cap of {MAX_COCHAINS}\n")
+
+
+def test_cochain_cap_refuses_large_modules(tmp_path, capsys):
+    task = _write(tmp_path, "task.json", {"algebra": "heisenberg5"})
+    module = _write(tmp_path, "module.json", _zero_module(5, 64))
+    assert main(["cohomology", task, "--module", module]) == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert "/module/dim: 2^5 x 64 cochain dimensions in all" in err
+
+
+def test_cochain_cap_accepts_documents_at_the_cap(tmp_path, capsys):
+    assert MAX_COCHAINS == 1024
+    doc = _abelian_task(10)
+    assert main(["check", _write(tmp_path, "a10.json", doc)]) == EXIT_OK
+    doc = {"algebra": "heisenberg5", "module": _zero_module(5, 32),
+           "map": {"matrix": [[str(int(i == j)) for j in range(5)]
+                              for i in range(5)]}}
+    assert main(["check", _write(tmp_path, "h5.json", doc)]) == EXIT_OK
+    assert "module: ok (dim 32)" in capsys.readouterr().out
 
 
 def test_internal_failures_exit_three(monkeypatch, capsys):

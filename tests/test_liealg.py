@@ -7,18 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lietrace import ratlin
 from lietrace.catalog import get
 from lietrace.cecomplex import build_complex
 from lietrace.liealg import (JacobiViolation, LieAlgebra, NotAMorphism, ad,
                              bracket, check_morphism, endomorphism,
                              is_morphism, is_nilpotent, is_solvable, series,
                              validate)
-from lietrace.ratlin import Matrix, kernel_basis, p_subsets
-from lietrace.repn import trivial_module
+from lietrace.ratlin import Matrix, inverse, kernel_basis, p_subsets
+from lietrace.repn import (Intertwiner, adjoint_module, trivial_module,
+                           validate_intertwiner, validate_rep)
 
-from helpers import (ALL_NAMES, reference_ad, reference_bracket,
-                     reference_check_morphism, reference_series,
-                     reference_validate)
+from helpers import (ALL_NAMES, basis_bracket, reference_ad,
+                     reference_bracket, reference_check_morphism,
+                     reference_series, reference_validate)
 
 
 HEIS3 = get("heisenberg3").algebra
@@ -46,7 +48,7 @@ def _jacobi_holds_by_ad(algebra: LieAlgebra) -> bool:
     units = [tuple(Fraction(a == i) for a in range(n)) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = ad(algebra, algebra.basis_bracket(i, j))
+            lhs = ad(algebra, basis_bracket(algebra, i, j))
             adi, adj = ad(algebra, units[i]), ad(algebra, units[j])
             if lhs != adi * adj - adj * adi:
                 return False
@@ -241,7 +243,7 @@ def test_morphism_preserves_all_basis_brackets():
             m = f.matrix
             for i in range(entry.algebra.dim):
                 for j in range(i + 1, entry.algebra.dim):
-                    assert m.apply(entry.algebra.basis_bracket(i, j)) == \
+                    assert m.apply(basis_bracket(entry.algebra, i, j)) == \
                         bracket(entry.algebra, m.column(i), m.column(j))
 
 
@@ -260,3 +262,36 @@ def test_dimension_guards():
         LieAlgebra(dim=2, brackets={(1, 0): {0: 1}})  # need left < right
     with pytest.raises(ValueError):
         LieAlgebra(dim=2, brackets={(0, 1): {5: 1}})  # index range
+
+
+def test_filiform7_validators_stay_sparse(monkeypatch):
+    # A structural guard in place of a timing test: the four input checks
+    # on filiform7 with the adjoint module and f = diag(2^w) convert fewer
+    # than 300 cells of dense vectors to or from sparse rows.  Every bracket
+    # identity is a product of sparse action matrices; the count is
+    # deterministic.
+    n = 7
+    algebra = LieAlgebra(dim=n, brackets={(0, i): {i + 1: 1}
+                                          for i in range(1, n - 1)})
+    weights = (1,) + tuple(range(1, n))
+    f = endomorphism(algebra, Matrix.diagonal([2 ** w for w in weights]))
+    module = adjoint_module(algebra)
+    xi = Intertwiner(morphism=f, module=module, matrix=inverse(f.matrix))
+    converted = []
+    nonzeros, densified = ratlin._nonzeros, ratlin._densified
+
+    def counting_nonzeros(v):
+        converted.append(len(v))
+        return nonzeros(v)
+
+    def counting_densified(row, n):
+        converted.append(n)
+        return densified(row, n)
+
+    monkeypatch.setattr(ratlin, "_nonzeros", counting_nonzeros)
+    monkeypatch.setattr(ratlin, "_densified", counting_densified)
+    validate(algebra)
+    validate_rep(module)
+    check_morphism(f)
+    validate_intertwiner(xi)
+    assert sum(converted) < 300

@@ -15,11 +15,12 @@ from lietrace.nilshadow import (ComplementNotAbelian, IdealNotNilpotent,
                                 ShadowResult, SplitNotPreserved,
                                 SplitPresentation, build_shadow,
                                 induced_shadow_map, validate_split)
-from lietrace.ratlin import Matrix, determinant, jordan_chevalley
+from lietrace.ratlin import JordanParts, Matrix, determinant, jordan_chevalley
 from lietrace.repn import identity_intertwiner, trivial_module
 
 SOL3 = get("sol3")
 HEIS3 = get("heisenberg3").algebra
+FILIFORM4 = get("filiform4").algebra
 
 # heisenberg ideal plus one semisimple direction: ad(e3) = diag(1, 1, 2) on
 # the ideal (a derivation, since the weights add up across [e0,e1] = e2)
@@ -121,6 +122,35 @@ def test_validate_split_errors():
     with pytest.raises(ValueError):
         validate_split(SplitPresentation(algebra=sl2, nil_ideal=(0, 1, 2),
                                          complement=()))
+
+
+def _identity_semisimple(m):
+    # a wrong Jordan-Chevalley split: S = I kills no complement vector
+    identity = Matrix.identity(m.rows)
+    return JordanParts(semisimple=identity, nilpotent=m - identity)
+
+
+@pytest.mark.parametrize("algebra, ideal, complement, error, message", [
+    # [e2, e0] = e2 escapes the marked ideal (0, 1), reported with i > j
+    (SOL3.algebra, (0, 1), (2,), NotAnIdeal,
+     "[e2, e0] leaves the span of the ideal"),
+    (HEIS3, (2,), (0, 1), ComplementNotAbelian, "[e0, e1] != 0"),
+    # both checks fail ([e0, e2] = e3 in the complement); the ideal's wins
+    (FILIFORM4, (1,), (0, 2, 3), NotAnIdeal,
+     "[e0, e1] leaves the span of the ideal"),
+    (SOL3.algebra, (1, 2), (0,), SemisimplePartsDoNotCommute,
+     "semisimple part of ad(e0) does not kill the complement"),
+], ids=["not-an-ideal", "complement-not-abelian", "ideal-wins",
+        "semisimple-kills-complement"])
+def test_validate_split_messages(monkeypatch, algebra, ideal, complement,
+                                 error, message):
+    if error is SemisimplePartsDoNotCommute:
+        monkeypatch.setattr(nilshadow, "jordan_chevalley",
+                            _identity_semisimple)
+    with pytest.raises(error) as err:
+        validate_split(SplitPresentation(algebra=algebra, nil_ideal=ideal,
+                                         complement=complement))
+    assert str(err.value) == message
 
 
 def test_semisimple_commutation_error_is_exported():

@@ -6,6 +6,9 @@ name imported and never read is dead code.  No orphaned private helpers: a
 module-level `_name` function or class that nothing else in the package
 refers to is dead code too, and so is a public top-level name that is
 neither exported in `lietrace.__all__` nor read by another statement.
+The pipeline and check modules read matrices only through their sparse
+rows: no dense view (`.entries`, `.row`, `.column`, `.columns`) and no
+`m[i, j]` lookup.
 """
 
 import ast
@@ -106,3 +109,19 @@ def test_no_unreferenced_public_definitions():
     orphans = _unreferenced(
         lambda name: not name.startswith("_") and name not in lietrace.__all__)
     assert not orphans, f"unreferenced public definitions: {orphans}"
+
+
+SPARSE_ONLY = ["cecomplex.py", "lefschetz.py", "repn.py", "nilshadow.py"]
+DENSE_VIEWS = {"entries", "row", "column", "columns"}
+
+
+@pytest.mark.parametrize("name", SPARSE_ONLY)
+def test_no_dense_matrix_reads(name):
+    path = Path(lietrace.__file__).parent / name
+    reads = [f"line {node.lineno}: {ast.unparse(node)}"
+             for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Attribute) and node.attr in DENSE_VIEWS
+             or isinstance(node, ast.Subscript)
+             and isinstance(node.ctx, ast.Load)
+             and isinstance(node.slice, ast.Tuple)]
+    assert not reads, f"{name}: dense matrix reads {reads}"
