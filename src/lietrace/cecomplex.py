@@ -14,14 +14,13 @@ module the first sum drops out and d is determined by the brackets alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 from .liealg import LieAlgebra, LieMorphism
 from .ratlin import (InternalConsistencyFailure, InvalidInput, Matrix,
-                     NotInSpan, complete_basis, exterior_powers,
-                     kernel_and_image, kron, p_subsets, packed_row,
-                     solve_all_in_span)
+                     NotInSpan, exterior_powers, kernel_and_image, kron,
+                     p_subsets, packed_row, quotient_basis)
 from .repn import Intertwiner, Representation
 
 
@@ -83,12 +82,13 @@ def _differential(algebra: LieAlgebra, module: Representation, p: int) -> Matrix
         # first sum: remove one argument, act by it on the module
         for a, x in enumerate(big):          # a is 0-based; formula uses a+1
             rest = big[:a] + big[a + 1:]
-            sign = 1 if a % 2 == 0 else -1   # (-1)^((a+1)+1)
+            negative = a % 2 == 1            # (-1)^((a+1)+1) = -1
             col0 = src_rank[rest] * m
             for w, arow in enumerate(module.actions[x].sparse):
                 acc = rows[row0 + w]
                 for u, value in arow:
-                    acc[col0 + u] = acc.get(col0 + u, 0) + sign * value
+                    col, term = col0 + u, -value if negative else value
+                    acc[col] = acc[col] + term if col in acc else term
         # second sum: bracket two arguments back into the cochain
         for a in range(p + 1):
             for b in range(a + 1, p + 1):
@@ -96,17 +96,17 @@ def _differential(algebra: LieAlgebra, module: Representation, p: int) -> Matrix
                 if not comps:
                     continue
                 rest = tuple(x for idx, x in enumerate(big) if idx not in (a, b))
-                pair_sign = -1 if (a + b) % 2 == 1 else 1  # (-1)^((a+1)+(b+1))
                 for k, c in comps.items():
                     if k in rest:
                         continue  # repeated argument, alternating form gives 0
                     pos = sum(1 for r in rest if r < k)
                     merged = tuple(sorted(rest + (k,)))
-                    sign = pair_sign * (1 if pos % 2 == 0 else -1)
+                    # (-1)^((a+1)+(b+1)) for the pair, (-1)^pos to sort k in
+                    term = -c if (a + b + pos) % 2 == 1 else c
                     col0 = src_rank[merged] * m
                     for u in range(m):
-                        acc = rows[row0 + u]
-                        acc[col0 + u] = acc.get(col0 + u, 0) + sign * c
+                        acc, col = rows[row0 + u], col0 + u
+                        acc[col] = acc[col] + term if col in acc else term
     return Matrix._of(tuple(packed_row(acc) for acc in rows), len(sources) * m)
 
 
@@ -120,35 +120,36 @@ class CohomologyData:
     basis vectors in C^p.
 
     representative_basis extends coboundary_basis to a basis of the cocycle
-    space: the cocycles that are pivot columns past the coboundaries in one
-    rref of [coboundaries | cocycles], which is the set the greedy
-    left-to-right extension over the kernel basis picks.  Its classes form
-    the basis used for induced cohomology maps.
+    space: the cocycle basis rows the greedy left-to-right extension picks
+    (ratlin.quotient_basis).  Its classes form the basis used for induced
+    maps; class_coordinates (not in == or repr) takes a cocycle to them.
     """
     degree: int
     betti: int
     cocycle_basis: Matrix
     coboundary_basis: Matrix
     representative_basis: Matrix
+    class_coordinates: Matrix = field(compare=False, repr=False)
 
 
 def cohomology(complex_: CochainComplex) -> list[CohomologyData]:
     """One rref per differential d_p gives both the degree-p cocycles (its
-    kernel) and the degree-(p+1) coboundaries (its image)."""
+    kernel) and the degree-(p+1) coboundaries (its image); one small rref
+    per degree picks the representatives and certifies their count."""
     dims = complex_.dims
     pairs = [kernel_and_image(d) for d in complex_.differentials]
     cocycles = [kernel for kernel, _ in pairs] + [Matrix.identity(dims[-1])]
     coboundaries = [Matrix.zero(0, dims[0])] + [image for _, image in pairs]
     out = []
     for p, (z, b) in enumerate(zip(cocycles, coboundaries)):
-        reps = complete_basis(b, z)
+        reps, coordinates, rank = quotient_basis(z, b)
         betti = z.rows - b.rows
-        if reps.rows != betti:
+        if rank != b.rows:
             raise InternalConsistencyFailure(
                 f"{reps.rows} representatives but betti {betti} at degree {p}")
-        out.append(CohomologyData(degree=p, betti=betti, cocycle_basis=z,
-                                  coboundary_basis=b,
-                                  representative_basis=reps))
+        out.append(CohomologyData(
+            degree=p, betti=betti, cocycle_basis=z, coboundary_basis=b,
+            representative_basis=reps, class_coordinates=coordinates))
     # Euler characteristic certificate: alternating sums over bases and over
     # cochain dimensions must agree.
     lhs = sum((-1) ** p * data.betti for p, data in enumerate(out))
@@ -193,21 +194,17 @@ def induced_cohomology_map(cohom: list[CohomologyData],
     """Matrix of the induced map on each H^p in the representative basis.
 
     The rows of reps * F_p^T are the images F_p h of the representatives.
-    Each is a cocycle, hence expressible in the independent rows of
-    (representatives | coboundaries); the representative block of its
-    coefficients is a column of the map.  All images of a degree are solved
-    in one rref.  NotInSpan here is an internal failure.
+    Each is checked to be a cocycle, d_p * images^T = 0; its
+    class_coordinates are then a column of the map.  No rref runs here.
     """
+    differentials = chain_map.complex.differentials
     out = []
     for p, data in enumerate(cohom):
-        reps = data.representative_basis
-        images = reps * chain_map.blocks[p].transpose()
-        try:
-            coeffs = solve_all_in_span(reps.vstack(data.coboundary_basis),
-                                       images)
-        except NotInSpan as exc:
+        images = data.representative_basis * chain_map.blocks[p].transpose()
+        if p < len(differentials) and \
+                not (differentials[p] * images.transpose()).is_zero():
             raise InternalConsistencyFailure(
                 f"induced cocycle leaves the cocycle space at degree {p}"
-            ) from exc
-        out.append(coeffs.submatrix(range(reps.rows), range(reps.rows)))
+            ) from NotInSpan("an image of a representative is not a cocycle")
+        out.append((images * data.class_coordinates).transpose())
     return out

@@ -157,29 +157,25 @@ def _cmd_cohomology(args) -> int:
     cohom = cohomology(complex_)
     report = {"betti": [d.betti for d in cohom],
               "dims": list(complex_.dims)}
-    maps = None
     if task.morphism is not None:
         chain_map = induced_chain_map(complex_, task.morphism, task.intertwiner)
         maps = induced_cohomology_map(cohom, chain_map)
         report["maps"] = {str(p): matrix_to_doc(m) for p, m in enumerate(maps)}
     if args.verbose:
         report["representatives"] = {
-            str(p): [[format_rational(x) for x in v]
-                     for v in d.representative_basis.entries]
+            str(p): matrix_to_doc(d.representative_basis)
             for p, d in enumerate(cohom)}
     if args.json:
         _print_json(report)
         return EXIT_OK
     print("betti:", " ".join(str(b) for b in report["betti"]))
     print("dims: ", " ".join(str(d) for d in report["dims"]))
-    if maps is not None:
-        for p, m in enumerate(maps):
-            print(f"H^{p} map: {_fmt_matrix(m)}")
-    if args.verbose:
-        for p, d in enumerate(cohom):
-            for v in d.representative_basis.entries:
-                print(f"H^{p} representative:",
-                      " ".join(format_rational(x) for x in v))
+    for p, rows in report.get("maps", {}).items():
+        print(f"H^{p} map:",
+              "; ".join(" ".join(row) for row in rows) or "(zero-dimensional)")
+    for p, rows in report.get("representatives", {}).items():
+        for v in rows:
+            print(f"H^{p} representative:", " ".join(v))
     return EXIT_OK
 
 
@@ -205,11 +201,10 @@ def _cmd_lefschetz(args) -> int:
         _print_json(doc)
     else:
         print("betti:  ", " ".join(str(b) for b in report.betti))
-        print("traces: ", " ".join(format_rational(t)
-                                   for t in report.cohomology_traces))
-        print("lefschetz (cohomology):", format_rational(report.lefschetz))
-        print("hopf (cochain):        ", format_rational(report.hopf))
-        print("det(I - A):            ", format_rational(report.det_i_minus_a))
+        print("traces: ", " ".join(doc["traces"]))
+        print("lefschetz (cohomology):", doc["lefschetz"])
+        print("hopf (cochain):        ", doc["hopf"])
+        print("det(I - A):            ", doc["det_i_minus_a"])
         print("agree:", "yes" if report.agree else "no")
         if report.note:
             print("note:", report.note)
@@ -268,11 +263,11 @@ def _cmd_torus(args) -> int:
         _print_json(doc)
     else:
         print("fixed points:", report.count)
-        for pt in report.points:
-            print("  ", "(" + ", ".join(format_rational(x) for x in pt) + ")")
+        for pt in doc["points"]:
+            print("  ", "(" + ", ".join(pt) + ")")
         print("lefschetz:", report.lefschetz,
               f"(index {report.index_each} each)")
-        print("cochain cross-check:", format_rational(ce_lefschetz),
+        print("cochain cross-check:", doc["ce_lefschetz"],
               "agree" if agree else "DISAGREE")
     return EXIT_OK if agree else EXIT_VERDICT_FALSE
 
@@ -333,13 +328,6 @@ def _fmt_brackets(algebra) -> str:
             for k, c in sorted(comps.items()))
         parts.append(f"[{algebra.labels[i]},{algebra.labels[j]}] = {terms}")
     return "; ".join(parts) if parts else "abelian"
-
-
-def _fmt_matrix(m) -> str:
-    if m.rows == 0:
-        return "(zero-dimensional)"
-    return "; ".join(" ".join(format_rational(x) for x in row)
-                     for row in m.entries)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from .ratlin import InvalidInput, Matrix, format_rational, parse_rational
 from .repn import Intertwiner, Representation
 
 MAX_COCHAINS = 1024   # bounds sum_p dim C^p = 2^n m (dim n, module dim m)
+MAX_LITERAL_DIGITS = 1000   # digits in one rational literal, '-p/q' or p
 
 
 class InvalidDocument(InvalidInput):
@@ -43,14 +44,17 @@ def load_json(path: str, pointer: str = ""):
 def _rational(value, path) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         _fail(path, f"expected a rational string, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return parse_rational(value)
-        except ValueError as exc:
-            _fail(path, str(exc))
-    _fail(path, f"expected a rational string, got {type(value).__name__}")
+    if not isinstance(value, (int, str)):
+        _fail(path, f"expected a rational string, got {type(value).__name__}")
+    text = format_rational(value) if isinstance(value, int) else value
+    digits = sum(map(str.isdigit, text))
+    if digits > MAX_LITERAL_DIGITS:
+        _fail(path, f"{digits} digits in a rational literal, above the cap "
+                    f"of {MAX_LITERAL_DIGITS}")
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        _fail(path, str(exc))
 
 
 def _matrix(value, path, rows=None, cols=None) -> Matrix:

@@ -11,7 +11,7 @@ the end.  The reduced row echelon form is unique, so this gives the same
 bases as elimination over Fraction in any row order, and every derived basis
 (kernels, images, cohomology representatives) is reproducible across runs
 and platforms.  A basis is a Matrix whose rows are the basis vectors, from
-rref through kernel_and_image, complete_basis and solve_all_in_span; only
+rref through kernel_and_image, quotient_basis and solve_all_in_span; only
 the public kernel_basis and solve_in_span read or take dense vectors.  The
 minimal polynomial is the first non-pivot column of one rref of the Krylov
 columns [vec I | vec m | ... | vec m^n].
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, compress, repeat
 from math import gcd, lcm
@@ -79,8 +80,13 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical text form, lowest terms, '7' or '-3/2'."""
-    return str(Fraction(value))
+    """Canonical '7' or '-3/2', via Decimal past the int-to-str limit."""
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError:
+        num, den = (format(Decimal(x), "f") for x in value.as_integer_ratio())
+        return num if den == "1" else f"{num}/{den}"
 
 
 def as_fraction(value) -> Fraction:
@@ -288,8 +294,11 @@ class Matrix:
     def trace(self) -> Fraction:
         if not self.is_square():
             raise NonSquare("trace of non-square matrix")
-        return sum((x for i, row in enumerate(self.sparse) for j, x in row
-                    if j == i), _ZERO)
+        diagonal = [x for i, row in enumerate(self.sparse) for j, x in row
+                    if j == i]
+        den = lcm(*[x.denominator for x in diagonal])
+        return Fraction(sum(x.numerator * (den // x.denominator)
+                            for x in diagonal), den)
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
         col_idx = tuple(col_idx)
@@ -309,12 +318,6 @@ class Matrix:
         return Matrix._of(tuple(r1 + tuple((j + shift, x) for j, x in r2)
                                 for r1, r2 in zip(self.sparse, other.sparse)),
                           self.cols + other.cols)
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} vstack "
-                             f"{other.rows}x{other.cols}")
-        return Matrix._of(self.sparse + other.sparse, self.cols)
 
 
 def linear_combination(terms, matrices) -> Matrix:
@@ -422,20 +425,25 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     return list(kernel_and_image(m)[0].entries)
 
 
-def complete_basis(fixed: Matrix, candidates: Matrix) -> Matrix:
-    """The rows of `candidates`, in order, that each grow the span of the
-    rows of `fixed` and the candidates before them.
-
-    This is the greedy left-to-right rank extension, computed as the pivot
-    columns past `fixed` of one rref of the columns [fixed | candidates]:
-    a column is a pivot exactly when it is outside the span of the columns
-    to its left.
+def quotient_basis(kernel: Matrix, fixed: Matrix) -> tuple:
+    """(rows, coordinates, rank): the rows of `kernel` that greedily extend
+    the rows of `fixed` (in their span), the matrix with v * coordinates =
+    v mod span(fixed) on those rows, and rank(fixed).  A kernel row ends in
+    (j, 1) at its free column j, so v's free entries are its coordinates;
+    with them reversed, fixed's rref has a pivot where the greedy pass skips.
     """
-    k = fixed.rows
-    _, pivots, _ = rref(fixed.vstack(candidates).transpose())
-    rows = candidates.sparse
-    return Matrix._of(tuple(rows[j - k] for j in pivots if j >= k),
-                      candidates.cols)
+    free = [row[-1][0] for row in reversed(kernel.sparse)]
+    reduced, pivots, rank = rref(fixed.submatrix(range(fixed.rows), free))
+    kept = sorted(set(range(len(free))).difference(pivots), reverse=True)
+    place = {c: s for s, c in enumerate(kept)}
+    coordinates = [()] * kernel.cols
+    for c, s in place.items():
+        coordinates[free[c]] = ((s, _ONE),)
+    for c, row in zip(pivots, reduced.sparse):   # v_c times the reduced row
+        coordinates[free[c]] = tuple((place[j], -x) for j, x in reversed(row)
+                                     if j != c)
+    return (Matrix._of(tuple(kernel.sparse[-1 - c] for c in kept), kernel.cols),
+            Matrix._of(tuple(coordinates), len(kept)), rank)
 
 
 def determinant(m: Matrix) -> Fraction:
@@ -492,15 +500,14 @@ def solve_all_in_span(basis: Matrix, targets: Matrix) -> Matrix:
     result holds the coefficients of target i.
 
     Raises NotInSpan when the basis is dependent or some target falls
-    outside its span.  Used to read induced cohomology maps off
-    representative bases, where failure means an internal inconsistency
-    upstream.
+    outside its span.
     """
     if basis.cols != targets.cols:
         raise ValueError(f"shape mismatch: basis vectors of length "
                          f"{basis.cols}, target of length {targets.cols}")
     k = basis.rows
-    reduced, pivots, r = rref(basis.vstack(targets).transpose())
+    stacked = Matrix._of(basis.sparse + targets.sparse, basis.cols)
+    reduced, pivots, r = rref(stacked.transpose())
     if r > 0 and pivots[-1] >= k:
         raise NotInSpan("target not in span of basis")
     if r < k:

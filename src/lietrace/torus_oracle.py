@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ratlin import (InternalConsistencyFailure, InvalidInput, Matrix,
-                     determinant, inverse)
+                     determinant, format_rational, inverse)
 
 
 MAX_FIXED_POINTS = 10 ** 4   # every point is kept: time and memory follow it
@@ -74,7 +74,8 @@ def count_fixed_points(torus_map: TorusMap) -> FixedPointReport:
     det_b = det_b.numerator
     if abs(det_b) > MAX_FIXED_POINTS:
         raise TooManyFixedPoints(
-            f"{abs(det_b)} fixed points, above the cap of {MAX_FIXED_POINTS}")
+            f"{format_rational(abs(det_b))} fixed points, above the cap of "
+            f"{MAX_FIXED_POINTS}")
     if det_b == 0:
         raise DegenerateMap("det(A - I) = 0, fixed points are not isolated; "
                             "the Lefschetz number is still available through "

@@ -32,7 +32,7 @@ def random_int_matrix(rng: random.Random, n: int, bound=3):
 
 
 def greedy_complete(fixed: list, candidates: list) -> list:
-    """Reference for ratlin.complete_basis: keep the candidates, in order,
+    """Reference for ratlin.quotient_basis: keep the candidates, in order,
     that raise the rank of `fixed` plus the candidates kept so far, with one
     full rank computation per candidate."""
     span_rows = [list(v) for v in fixed]

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lietrace import cecomplex
+from lietrace import cecomplex, ratlin
 from lietrace.catalog import get, random_graded_endomorphism, sample_endomorphisms
 from lietrace.cecomplex import (ChainMap, ChainMapViolation,
                                 InternalConsistencyFailure,
@@ -13,7 +13,8 @@ from lietrace.cecomplex import (ChainMap, ChainMapViolation,
                                 build_complex, cohomology, induced_chain_map,
                                 induced_cohomology_map)
 from lietrace.liealg import LieAlgebra, endomorphism
-from lietrace.ratlin import Matrix, NotInSpan, inverse, solve_in_span
+from lietrace.ratlin import (Matrix, NotInSpan, inverse, quotient_basis,
+                             solve_in_span)
 from lietrace.repn import (Intertwiner, adjoint_module, identity_intertwiner,
                            trivial_module)
 
@@ -342,10 +343,42 @@ def test_cocycle_leaving_block_is_an_internal_failure():
 
 def test_representative_count_is_certified(monkeypatch):
     # the representatives = betti certificate is an explicit check, not an
-    # assert, so it holds under python -O too
-    def drop_last(fixed, candidates):
-        reps = greedy_complete(fixed.entries, candidates.entries)[:-1]
-        return Matrix(reps) if reps else Matrix.zero(0, candidates.cols)
-    monkeypatch.setattr(cecomplex, "complete_basis", drop_last)
-    with pytest.raises(InternalConsistencyFailure, match="degree 0"):
+    # assert, so it holds under python -O too: a quotient basis that loses
+    # a representative, with the coboundary rank that would explain it,
+    # fails at degree 0
+    def drop_last(kernel, fixed):
+        reps, coordinates, rank = quotient_basis(kernel, fixed)
+        return (reps.submatrix(range(reps.rows - 1), range(reps.cols)),
+                coordinates, rank + 1)
+    monkeypatch.setattr(cecomplex, "quotient_basis", drop_last)
+    with pytest.raises(InternalConsistencyFailure,
+                       match="0 representatives but betti 1 at degree 0"):
         cohomology(build_complex(HEIS3, trivial_module(HEIS3)))
+
+
+def test_filiform6_adjoint_cohomology_eliminates_once_per_differential(
+        monkeypatch):
+    # A structural guard in place of a timing test: cohomology and the
+    # induced maps of filiform6 with the adjoint module, f = diag(2^w) and
+    # xi = f^-1, run one rref per differential and one small rref of the
+    # coboundaries per degree, 2n + 1 = 13 in all, over at most 45 000 input
+    # cells.  Solving for representatives and induced maps on transposed
+    # stacks with dim C^p rows took 20 calls over 84 672 cells.
+    n = 6
+    algebra = LieAlgebra(dim=n, brackets={(0, i): {i + 1: 1}
+                                          for i in range(1, n - 1)})
+    module, maps = _graded_adjoint_maps(algebra, (1,) + tuple(range(1, n)),
+                                        (Fraction(2),))
+    cx = build_complex(algebra, module)
+    chain_map = induced_chain_map(cx, *maps[0])
+    calls = []
+    rref = ratlin.rref
+
+    def counting_rref(m):
+        calls.append(m.rows * m.cols)
+        return rref(m)
+
+    monkeypatch.setattr(ratlin, "rref", counting_rref)
+    induced_cohomology_map(cohomology(cx), chain_map)
+    assert len(calls) == 2 * n + 1
+    assert sum(calls) <= 45_000

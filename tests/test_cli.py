@@ -1,15 +1,23 @@
 """End-to-end command line behavior, exit codes, and output shapes."""
 
+import contextlib
+import io
 import json
 import random
+import re
+import tempfile
 import time
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lietrace.cecomplex import InternalConsistencyFailure
 from lietrace.cli import (EXIT_INTERNAL, EXIT_INVALID_INPUT, EXIT_OK,
                           EXIT_VERDICT_FALSE, main)
-from lietrace.documents import MAX_COCHAINS
+from lietrace.documents import MAX_COCHAINS, MAX_LITERAL_DIGITS
 from lietrace.ratlin import jordan_chevalley
 
 
@@ -305,6 +313,168 @@ def test_cochain_cap_accepts_documents_at_the_cap(tmp_path, capsys):
                               for i in range(5)]}}
     assert main(["check", _write(tmp_path, "h5.json", doc)]) == EXIT_OK
     assert "module: ok (dim 32)" in capsys.readouterr().out
+
+
+def _diag_task(algebra, diagonal):
+    n = len(diagonal)
+    return {"algebra": algebra,
+            "map": {"matrix": [[diagonal[i] if i == j else "0"
+                                for j in range(n)] for i in range(n)]}}
+
+
+def test_long_literals_exit_two_at_their_pointer(tmp_path, capsys):
+    # diag(t, 2, 2t) is a morphism of heisenberg3 whose report has twice
+    # t's digits, and diag(t, t, 0) fails as a morphism with a t^2 defect;
+    # past the interpreter's 4300-digit int-to-str limit either one used to
+    # exit 3 while printing
+    t = "7" * 2200
+    a = _write(tmp_path, "a.json",
+               _diag_task("heisenberg3", [t, "2", str(2 * int(t))]))
+    b = _write(tmp_path, "b.json", _diag_task("heisenberg3", ["7" * 3000] * 2
+                                              + ["0"]))
+    for argv in (["lefschetz", a], ["lefschetz", a, "--json"],
+                 ["lefschetz", b], ["check", b]):
+        assert main(argv) == EXIT_INVALID_INPUT
+        digits = 2200 if argv[1] == a else 3000
+        assert capsys.readouterr().err == (
+            f"invalid input: /map/matrix/0/0: {digits} digits in a rational "
+            f"literal, above the cap of {MAX_LITERAL_DIGITS}\n")
+
+
+def test_literal_digit_cap_counts_numerator_and_denominator(tmp_path, capsys):
+    assert MAX_LITERAL_DIGITS == 1000
+    at_cap = "-" + "3" * 500 + "/" + "7" * 500
+    over = [at_cap + "1", int("9" * 1001)]
+    assert main(["check", _write(tmp_path, "ok.json", _diag_task(
+        "abelian_2", [at_cap, "1"]))]) == EXIT_OK
+    for k, literal in enumerate(over):
+        doc = _diag_task("abelian_2", ["1", "1"])
+        doc["map"]["matrix"][1][0] = literal
+        path = _write(tmp_path, f"over{k}.json", doc)
+        assert main(["check", path]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err.startswith(
+            "invalid input: /map/matrix/1/0: 1001 digits in a rational literal")
+
+
+def test_reports_print_past_the_int_to_str_limit(tmp_path, capsys):
+    # literals under the cap, a report over 4300 digits: det(I - A) of
+    # t I on the abelian algebra of dim 5 is (1 - t)^5
+    t = 7 * 10 ** 999 + 1
+    path = _write(tmp_path, "big.json", _diag_task(
+        {"dim": 5, "brackets": []}, [str(t)] * 5))
+    assert main(["lefschetz", path, "--json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["det_i_minus_a"]) > 4300
+    assert report["lefschetz"] == report["det_i_minus_a"]
+    assert Decimal(report["det_i_minus_a"]) == (1 - t) ** 5
+    assert main(["lefschetz", path]) == EXIT_OK
+    assert f"det(I - A):             {report['lefschetz']}\n" in \
+        capsys.readouterr().out
+
+
+# Document fuzzer: valid task documents with one mutation each, run through
+# cli.main in process.  Every outcome must be an answer (0 or 1) or an input
+# error (2); exit 3 or an escaping exception is a library bug.
+
+_FUZZ_BASES = [
+    (["lefschetz"], _diag_task("heisenberg3", ["2", "3", "6"])),
+    (["lefschetz", "--json"], {
+        "algebra": {"dim": 3, "brackets": [
+            {"left": 0, "right": 1, "result": {"2": "1"}}]},
+        "module": {"dim": 1, "actions": [[["0"]], [["0"]], [["0"]]]},
+        "map": {"matrix": [["2", "0", "0"], ["0", "2", "0"],
+                           ["0", "0", "4"]]},
+        "intertwiner": {"matrix": [["1"]]}}),
+    (["cohomology", "--json", "--verbose"], {
+        "algebra": "sol3",
+        "map": {"matrix": [["-1", "0", "0"], ["0", "0", "2"],
+                           ["0", "1", "0"]]}}),
+    (["shadow", "--json"], {
+        "algebra": "sol3",
+        "map": {"matrix": [["-1", "0", "0"], ["0", "0", "2"],
+                           ["0", "1", "0"]]},
+        "split": {"nil_ideal": [1, 2], "complement": [0]}}),
+    (["check"], {
+        "algebra": {"dim": 2, "brackets": [
+            {"left": 0, "right": 1, "result": {"1": "1/2"}}]},
+        "map": {"matrix": [["1", "0"], ["0", "3"]]}}),
+]
+_LITERAL = re.compile(r"-?\d+(/\d+)?")
+_NEST = "@nest@"
+
+
+def _paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _replace(doc, path, value):
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is _paths:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+
+
+@st.composite
+def _mutated_documents(draw):
+    argv, doc = draw(st.sampled_from(_FUZZ_BASES))
+    doc = json.loads(json.dumps(doc))
+    paths = [p for p in _paths(doc) if p]
+    literals = [p for p in paths
+                if isinstance(_lookup(doc, p), str)
+                and _LITERAL.fullmatch(_lookup(doc, p))]
+    kind = draw(st.sampled_from(["literal", "drop", "type", "bool", "nest"]))
+    depth = 0
+    if kind == "literal":
+        digits = draw(st.sampled_from([2200, 1000, 1001, 3000, 5000]))
+        literal = draw(st.sampled_from(["", "-"])) + "7" * digits
+        chosen = [draw(st.sampled_from(literals))] if draw(st.booleans()) \
+            else literals
+        for path in chosen:
+            _replace(doc, path, literal)
+    else:
+        path = draw(st.sampled_from(paths))
+        if kind == "drop":
+            value = _paths
+        elif kind == "type":
+            value = draw(st.sampled_from([None, 1.5, -1, 0, "x", [], {}]))
+        elif kind == "bool":
+            value = draw(st.booleans())
+        else:
+            depth = draw(st.sampled_from([2, 100, 100_000]))
+            value = _NEST
+        _replace(doc, path, value)
+    text = json.dumps(doc).replace(f'"{_NEST}"', "[" * depth + "]" * depth)
+    return argv, text
+
+
+def _lookup(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_mutated_documents())
+def test_mutated_documents_exit_zero_one_or_two(case):
+    argv, text = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "task.json"
+        path.write_text(text)
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], str(path), *argv[1:]])
+        assert time.perf_counter() - start < 2
+    assert code in (EXIT_OK, EXIT_VERDICT_FALSE, EXIT_INVALID_INPUT), \
+        err.getvalue()[:300]
+    assert "Traceback" not in err.getvalue()
 
 
 def test_internal_failures_exit_three(monkeypatch, capsys):

@@ -7,20 +7,18 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lietrace
 from lietrace import ratlin
 from lietrace.ratlin import (DegreeOutOfRange, InternalConsistencyFailure,
                              JordanParts, Matrix, NonSquare, NotInSpan,
-                             SingularMatrix,
-                             complete_basis, determinant,
-                             exterior_power, exterior_powers, format_rational,
-                             inverse, jordan_chevalley, kernel_and_image,
-                             kernel_basis, kron,
-                             minimal_polynomial, p_subsets, parse_rational,
-                             rref,
+                             SingularMatrix, determinant, exterior_power,
+                             exterior_powers, format_rational, inverse,
+                             jordan_chevalley, kernel_and_image,
+                             kernel_basis, kron, minimal_polynomial,
+                             p_subsets, parse_rational, quotient_basis, rref,
                              solve_all_in_span, solve_in_span, squarefree_part)
 
 from helpers import (dense_matrix, greedy_complete, is_nilpotent_matrix,
@@ -150,18 +148,59 @@ def _vectors(dim, max_count, min_count=0):
 
 
 @st.composite
-def _fixed_and_candidates(draw):
-    dim = draw(st.integers(1, 4))
-    return dim, draw(_vectors(dim, 4)), draw(_vectors(dim, 6))
+def _kernel_and_fixed(draw):
+    """A kernel basis as kernel_and_image writes it, and rows in its span:
+    small integer combinations of its rows, so often dependent."""
+    dim = draw(st.integers(1, 5))
+    m = dense_matrix(draw(_vectors(dim, 3)), dim)
+    kernel = kernel_and_image(m)[0]
+    combos = draw(st.lists(st.lists(st.integers(-1, 1), min_size=kernel.rows,
+                                    max_size=kernel.rows), max_size=4))
+    fixed = [tuple(sum((c * x for c, x in zip(combo, column)), Fraction(0))
+                   for column in kernel.columns()) for combo in combos]
+    return kernel, dense_matrix(fixed, dim)
 
 
 @settings(max_examples=80, deadline=None)
-@given(_fixed_and_candidates())
-def test_complete_basis_is_greedy_rank_extension(pair):
-    dim, fixed, candidates = pair
-    chosen = complete_basis(dense_matrix(fixed, dim),
-                            dense_matrix(candidates, dim))
-    assert list(chosen.entries) == greedy_complete(fixed, candidates)
+@given(_kernel_and_fixed(), st.data())
+def test_quotient_basis_is_greedy_with_coordinates(pair, data):
+    kernel, fixed = pair
+    rows, coordinates, rank = quotient_basis(kernel, fixed)
+    assert list(rows.entries) == greedy_complete(fixed.entries,
+                                                 kernel.entries)
+    assert rank == rref(fixed)[2]
+    assert (coordinates.rows, coordinates.cols) == (kernel.cols, rows.rows)
+    # v = a . rows + b . fixed has coefficients a modulo span(fixed)
+    a = data.draw(st.lists(_ENTRY, min_size=rows.rows, max_size=rows.rows))
+    b = data.draw(st.lists(_ENTRY, min_size=fixed.rows, max_size=fixed.rows))
+    v = Matrix([a]) * rows + Matrix([b]) * fixed
+    assert (v * coordinates).entries == (tuple(a),)
+
+
+def test_quotient_basis_frozen_example():
+    # kernel of [[1, 1, 0]] is -e0 + e1, e2 (free columns 1 and 2); with
+    # e2 fixed only the first row is kept, and a vector's coefficient on it
+    # is its entry at column 1
+    kernel = kernel_and_image(Matrix([[1, 1, 0]]))[0]
+    rows, coordinates, rank = quotient_basis(kernel, Matrix([[0, 0, 2]]))
+    assert rows == Matrix([[-1, 1, 0]]) and rank == 1
+    assert coordinates == Matrix([[0], [1], [0]])
+
+
+_MIXED = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.lists(_MIXED, min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+@example([])
+@example([[Fraction(0), Fraction(1, 2)], [Fraction(3, 4), Fraction(0)]])
+def test_trace_is_the_fraction_sum(rows):
+    m = dense_matrix(rows, len(rows))
+    trace = m.trace()
+    assert type(trace) is Fraction
+    assert trace == sum((rows[i][i] for i in range(len(rows))), Fraction(0))
 
 
 @st.composite
