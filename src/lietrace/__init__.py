@@ -10,7 +10,7 @@ solvable algebras), torus_oracle (independent fixed point counts), catalog
 """
 
 from .ratlin import (Matrix, determinant, exterior_power, jordan_chevalley,
-                     kernel_basis, minimal_polynomial, rref, solve_in_span)
+                     minimal_polynomial, rref)
 from .liealg import (LieAlgebra, LieMorphism, ad, bracket, check_morphism,
                      endomorphism, is_nilpotent, is_solvable, series, validate)
 from .repn import (Intertwiner, Representation, adjoint_module,
@@ -26,7 +26,7 @@ from . import catalog
 
 __all__ = [
     "Matrix", "determinant", "exterior_power", "jordan_chevalley",
-    "kernel_basis", "minimal_polynomial", "rref", "solve_in_span",
+    "minimal_polynomial", "rref",
     "LieAlgebra", "LieMorphism", "ad", "bracket", "check_morphism",
     "endomorphism", "is_nilpotent", "is_solvable", "series", "validate",
     "Intertwiner", "Representation", "adjoint_module", "identity_intertwiner",

@@ -15,9 +15,9 @@ module the first sum drops out and d is determined by the brackets alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, lcm
 
-from .liealg import LieAlgebra, LieMorphism
+from .liealg import LieAlgebra, LieMorphism, integer_brackets
 from .ratlin import (InternalConsistencyFailure, InvalidInput, Matrix,
                      NotInSpan, exterior_powers, kernel_and_image, kron,
                      p_subsets, packed_row, quotient_basis)
@@ -70,29 +70,33 @@ def build_complex(algebra: LieAlgebra, module: Representation) -> CochainComplex
 
 
 def _differential(algebra: LieAlgebra, module: Representation, p: int) -> Matrix:
-    """Matrix of d_p: C^p -> C^(p+1) in the subset-major bases."""
+    """Matrix of d_p: C^p -> C^(p+1) in the subset-major bases, summed in
+    integers over the lcm of the structure-constant and action denominators."""
     n, m = algebra.dim, module.dim
     sources = p_subsets(n, p)
     targets = p_subsets(n, p + 1)
     src_rank = {s: a for a, s in enumerate(sources)}
     rows = [{} for _ in range(len(targets) * m)]
+    brackets, bracket_den = integer_brackets(algebra)
+    den = lcm(bracket_den, *[action.den for action in module.actions])
 
     for t_rank, big in enumerate(targets):
         row0 = t_rank * m
         # first sum: remove one argument, act by it on the module
         for a, x in enumerate(big):          # a is 0-based; formula uses a+1
             rest = big[:a] + big[a + 1:]
-            negative = a % 2 == 1            # (-1)^((a+1)+1) = -1
+            action = module.actions[x]       # (-1)^((a+1)+1) = -1, a odd
+            scale = (-1) ** a * (den // action.den)
             col0 = src_rank[rest] * m
-            for w, arow in enumerate(module.actions[x].sparse):
+            for w, arow in enumerate(action.sparse):
                 acc = rows[row0 + w]
                 for u, value in arow:
-                    col, term = col0 + u, -value if negative else value
+                    col, term = col0 + u, scale * value
                     acc[col] = acc[col] + term if col in acc else term
         # second sum: bracket two arguments back into the cochain
         for a in range(p + 1):
             for b in range(a + 1, p + 1):
-                comps = algebra.brackets.get((big[a], big[b]), {})
+                comps = brackets.get((big[a], big[b]), {})
                 if not comps:
                     continue
                 rest = tuple(x for idx, x in enumerate(big) if idx not in (a, b))
@@ -102,12 +106,14 @@ def _differential(algebra: LieAlgebra, module: Representation, p: int) -> Matrix
                     pos = sum(1 for r in rest if r < k)
                     merged = tuple(sorted(rest + (k,)))
                     # (-1)^((a+1)+(b+1)) for the pair, (-1)^pos to sort k in
-                    term = -c if (a + b + pos) % 2 == 1 else c
+                    term = (-c if (a + b + pos) % 2 == 1 else c) * (
+                        den // bracket_den)
                     col0 = src_rank[merged] * m
                     for u in range(m):
                         acc, col = rows[row0 + u], col0 + u
                         acc[col] = acc[col] + term if col in acc else term
-    return Matrix._of(tuple(packed_row(acc) for acc in rows), len(sources) * m)
+    return Matrix._of(tuple(packed_row(acc) for acc in rows), len(sources) * m,
+                      den)
 
 
 # ---------------------------------------------------------------------------

@@ -259,4 +259,5 @@ def module_from_doc(doc, algebra, path="/module") -> Representation:
 
 
 def matrix_to_doc(m: Matrix) -> list:
-    return [[format_rational(x) for x in row] for row in m.entries]
+    return [[format_rational(Fraction(row.get(j, 0), m.den))
+             for j in range(m.cols)] for row in map(dict, m.sparse)]

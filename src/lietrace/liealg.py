@@ -1,18 +1,19 @@
 """Finite-dimensional Lie algebras over Q, given by structure constants.
 
 A bracket table stores [e_i, e_j] for i < j only; antisymmetry holds by
-construction.  ad(x) is built in one pass over the structure constants,
-bracket(x, y) is ad(x) applied to y, and basis_ads gives the ad of every
-basis vector, the adjoint module's actions.  Every bracket check is a matrix
-identity: represented_bracket gives rho([e_i, e_j]) and [rho(e_i), rho(e_j)]
-for any action matrices, Jacobi is that identity for the basis ads, and a
-morphism f satisfies ad(f e_i) f = f ad(e_i).  The series work on sparse
-row spaces in reduced echelon form.
+construction.  basis_ads builds the ad of every basis vector, the adjoint
+module's actions, in one pass over the structure constants; ad(x) combines
+them over the coordinates of x, and bracket(x, y) is ad(x) applied to y.
+Every bracket check is a matrix identity: represented_bracket gives
+rho([e_i, e_j]) and [rho(e_i), rho(e_j)] for any action matrices, Jacobi is
+that identity for the basis ads, and a morphism f satisfies
+ad(f e_i) f = f ad(e_i).  The series are sparse reduced row spaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
 from .ratlin import (InvalidInput, Matrix, Vector, as_fraction,
                      format_rational, linear_combination, p_subsets,
@@ -104,9 +105,28 @@ def represented_bracket(algebra: LieAlgebra, actions: tuple, i: int,
             actions[i] * actions[j] - actions[j] * actions[i])
 
 
+def integer_brackets(algebra: LieAlgebra) -> tuple[dict, int]:
+    """(brackets, den): the structure constants as integers over the lcm
+    of their denominators, keyed as in algebra.brackets."""
+    den = lcm(*[c.denominator for comps in algebra.brackets.values()
+                for c in comps.values()])
+    return {key: {k: c.numerator * (den // c.denominator)
+                  for k, c in comps.items()}
+            for key, comps in algebra.brackets.items()}, den
+
+
 def basis_ads(algebra: LieAlgebra) -> tuple:
-    """ad(e_0), ..., ad(e_{n-1}), the adjoint module's action matrices."""
-    return tuple(ad(algebra, e) for e in Matrix.identity(algebra.dim).entries)
+    """ad(e_0), ..., ad(e_{n-1}), the adjoint module's action matrices, in
+    one pass over the structure constants: c_k e_k in [e_i, e_j] is c_k at
+    (k, j) in ad(e_i) and -c_k at (k, i) in ad(e_j)."""
+    n = algebra.dim
+    brackets, den = integer_brackets(algebra)
+    rows = [[{} for _ in range(n)] for _ in range(n)]
+    for (i, j), comps in brackets.items():
+        for k, c in comps.items():
+            rows[i][k][j], rows[j][k][i] = c, -c
+    return tuple(Matrix._of(tuple(map(packed_row, ad_rows)), n, den)
+                 for ad_rows in rows)
 
 
 def bracket(algebra: LieAlgebra, x: Vector, y: Vector) -> Vector:
@@ -119,24 +139,14 @@ def bracket(algebra: LieAlgebra, x: Vector, y: Vector) -> Vector:
 
 
 def ad(algebra: LieAlgebra, x: Vector) -> Matrix:
-    """Adjoint operator ad(x) = [x, -]; column j is [x, e_j].
-
-    One pass over the structure constants: c_k e_k in [e_i, e_j] puts
-    x_i c_k at (k, j) and -x_j c_k at (k, i).
-    """
+    """Adjoint operator ad(x) = [x, -]; column j is [x, e_j].  It is the
+    sum of x_a ad(e_a) over the nonzero coordinates x_a of x."""
     n = algebra.dim
     if len(x) != n:
         raise ValueError(f"ad of a vector of length {len(x)} in an algebra "
                          f"of dim {n}")
-    rows = [{} for _ in range(n)]
-    for (i, j), comps in algebra.brackets.items():
-        xi, xj = x[i], x[j]
-        for k, c in comps.items():
-            if xi:
-                rows[k][j] = rows[k].get(j, 0) + xi * c
-            if xj:
-                rows[k][i] = rows[k].get(i, 0) - xj * c
-    return Matrix._of(tuple(packed_row(row) for row in rows), n)
+    return linear_combination([(a, c) for a, c in enumerate(x) if c],
+                              basis_ads(algebra))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +169,8 @@ def series(algebra: LieAlgebra, kind: str) -> SeriesReport:
         raise ValueError(f"unknown series kind {kind!r}")
     # the rows of `current` span the current term; the next is spanned by
     # ad(u) v over v in it and u in g (lower central) or in it (derived),
-    # the rows of current * ad(u)^T
+    # the rows of current * ad(u)^T.  Only spans matter, so each product's
+    # integer rows stand for its rows and the reduced rows for the term.
     n = algebra.dim
     basis = ads = basis_ads(algebra)
     current, dims = Matrix.identity(n), [n]
@@ -218,7 +229,8 @@ def check_morphism(f: LieMorphism) -> None:
     src_ads, tgt_ads = basis_ads(src), basis_ads(f.target)
     images = m.transpose().sparse
     for i in range(src.dim - 1):
-        lhs, rhs = linear_combination(images[i], tgt_ads) * m, m * src_ads[i]
+        lhs = linear_combination(images[i], tgt_ads, m.den) * m
+        rhs = m * src_ads[i]
         if lhs != rhs:
             defects = (lhs - rhs).transpose()
             for j in range(i + 1, src.dim):

@@ -145,7 +145,8 @@ def build_shadow(split: SplitPresentation) -> ShadowResult:
     algebra = split.algebra
     n = algebra.dim
     ideal = set(split.nil_ideal)
-    nil_columns = {c: p.nilpotent.transpose().sparse
+    nil_columns = {c: [[(r, Fraction(x, p.nilpotent.den)) for r, x in column]
+                       for column in p.nilpotent.transpose().sparse]
                    for c, p in zip(split.complement, parts)}
 
     brackets = {}   # LieAlgebra drops the empty entries

@@ -1,20 +1,14 @@
-"""Exact rational linear algebra.
+"""Exact rational linear algebra, with no floats and no tolerances.
 
-Everything downstream (cochain complexes, Lefschetz numbers, fixed point
-counts) is built on the primitives here.  All values are Fraction; there are
-no floats and no tolerances anywhere.  A Matrix stores only its nonzeros,
-and products, sums, exterior powers and elimination walk only those: the
-cochain differentials are a few percent nonzero.  Elimination (rref,
-determinant) runs on integer rows: each row is scaled by the lcm of its
-denominators, reduced fraction-free, and turned back into Fraction only at
-the end.  The reduced row echelon form is unique, so this gives the same
-bases as elimination over Fraction in any row order, and every derived basis
-(kernels, images, cohomology representatives) is reproducible across runs
-and platforms.  A basis is a Matrix whose rows are the basis vectors, from
-rref through kernel_and_image, quotient_basis and solve_all_in_span; only
-the public kernel_basis and solve_in_span read or take dense vectors.  The
-minimal polynomial is the first non-pivot column of one rref of the Krylov
-columns [vec I | vec m | ... | vec m^n].
+A Matrix is the integer nonzeros of its rows over one positive denominator,
+in lowest terms.  Products, sums, kron, traces and exterior powers multiply
+only integers and walk only the nonzeros (the cochain differentials are a
+few percent nonzero); rref and determinant eliminate fraction-free on the
+integer rows.  The reduced row echelon form is unique, so every derived
+basis (kernels, images, cohomology representatives, each a Matrix whose
+rows are the basis vectors) is the one elimination over Fraction gives, on
+any platform.  Fraction appears only at the edges: dense input, `entries`
+(repr, JSON), trace, determinant and the polynomial helpers.
 """
 
 from __future__ import annotations
@@ -24,11 +18,10 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, compress, repeat
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import is_not
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class NonSquare(ValueError):
@@ -40,7 +33,7 @@ class DegreeOutOfRange(ValueError):
 
 
 class NotInSpan(ValueError):
-    """solve_in_span target not expressible in the given basis."""
+    """A vector is not in the span of a basis it should lie in."""
 
 
 class SingularMatrix(ValueError):
@@ -102,15 +95,11 @@ def as_fraction(value) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# vectors: plain tuples of Fraction
+# Matrix; dense vectors are plain tuples of Fraction
 # ---------------------------------------------------------------------------
 
 Vector = tuple  # tuple[Fraction, ...]
 
-
-# ---------------------------------------------------------------------------
-# Matrix
-# ---------------------------------------------------------------------------
 
 def _nonzeros(v) -> list:
     """The nonzero (index, value) pairs of a dense vector; _ZERO, the zero
@@ -119,27 +108,35 @@ def _nonzeros(v) -> list:
             if p[1]]
 
 
+def _over_lcm(rows) -> tuple:
+    """(rows, den): rows of nonzero (column, Fraction) pairs as integers
+    over the lcm of the denominators.  Each value is in lowest terms, so
+    gcd(den, numerators) = 1 already."""
+    den = lcm(*[x.denominator for row in rows for _, x in row])
+    return tuple(tuple((j, x.numerator * (den // x.denominator))
+                       for j, x in row) for row in rows), den
+
+
 def packed_row(acc: dict) -> tuple:
-    """A sparse row from a {column: Fraction} accumulator, zeros dropped."""
+    """A sparse row from a {column: int} accumulator, zeros dropped."""
     return tuple([item for item in sorted(acc.items()) if item[1]])
 
 
-def _densified(row: tuple, n: int) -> Vector:
+def _densified(row: tuple, n: int, den: int) -> Vector:
     out = [_ZERO] * n
     for j, x in row:
-        out[j] = x
+        out[j] = Fraction(x, den)
     return tuple(out)
 
 
 class Matrix:
-    """Immutable matrix over Fraction.  `sparse` holds each row as its
-    nonzero (column, Fraction) pairs sorted by column, and every operation
-    here walks only those; `entries`, a dense view built on first read and
-    cached, is for repr, indexing and readers outside this module.  The
-    constructor coerces dense rows with as_fraction; results computed here
-    go through the trusted Matrix._of."""
+    """Immutable matrix over Q: `sparse` holds each row as its nonzero
+    (column, int) numerators sorted by column, over one denominator `den` >
+    0 with gcd(den, numerators) = 1, so equal matrices store equal data.
+    The constructor coerces dense rows with as_fraction; `entries`, a dense
+    view of Fractions built on first read and cached, is for repr."""
 
-    __slots__ = ("rows", "cols", "sparse", "_dense")
+    __slots__ = ("rows", "cols", "sparse", "den", "_dense")
 
     def __init__(self, entries):
         rows = [tuple(as_fraction(x) for x in row) for row in entries]
@@ -147,24 +144,34 @@ class Matrix:
         if any(len(row) != self.cols for row in rows):
             raise ValueError("ragged rows")
         self.rows = len(rows)
-        self.sparse = tuple(tuple(_nonzeros(row)) for row in rows)
+        self.sparse, self.den = _over_lcm([_nonzeros(row) for row in rows])
         self._dense = None
 
     @classmethod
-    def _of(cls, sparse: tuple, cols: int) -> "Matrix":
-        """Trusted constructor: `sparse` rows as stored, taken as is."""
+    def _of(cls, sparse: tuple, cols: int, den: int = 1) -> "Matrix":
+        """The integer `sparse` rows over `den` > 0, put in lowest terms."""
+        g = gcd(den, *[x for row in sparse for _, x in row]) if den > 1 else 1
+        if g > 1:
+            den //= g
+            sparse = tuple(tuple((j, x // g) for j, x in row) for row in sparse)
+        return cls._canonical(sparse, cols, den)
+
+    @classmethod
+    def _canonical(cls, sparse: tuple, cols: int, den: int = 1) -> "Matrix":
+        """Trusted constructor: rows over `den` already in lowest terms."""
         self = object.__new__(cls)
         self.rows = len(sparse)
         self.cols = cols
         self.sparse = sparse
+        self.den = den
         self._dense = None
         return self
 
     @property
     def entries(self) -> tuple:
-        """Dense row-major view, built on first read and cached."""
+        """Dense row-major view of Fractions, built on first read and cached."""
         if self._dense is None:
-            self._dense = tuple(_densified(row, self.cols)
+            self._dense = tuple(_densified(row, self.cols, self.den)
                                 for row in self.sparse)
         return self._dense
 
@@ -172,27 +179,28 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix._of(tuple(((i, _ONE),) for i in range(n)), n)
+        return Matrix._canonical(tuple(((i, 1),) for i in range(n)), n)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix._of(((),) * rows, cols)
+        return Matrix._canonical(((),) * rows, cols)
 
     @staticmethod
     def diagonal(values) -> "Matrix":
         values = [as_fraction(v) for v in values]
-        return Matrix._of(tuple(((i, v),) if v else ()
-                                for i, v in enumerate(values)), len(values))
+        sparse, den = _over_lcm([((i, v),) if v else ()
+                                 for i, v in enumerate(values)])
+        return Matrix._canonical(sparse, len(values), den)
 
     # -- basic structure ----------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, Matrix)
                 and self.rows == other.rows and self.cols == other.cols
-                and self.sparse == other.sparse)
+                and self.den == other.den and self.sparse == other.sparse)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.sparse))
+        return hash((self.rows, self.cols, self.den, self.sparse))
 
     def __repr__(self):
         body = "; ".join(" ".join(format_rational(x) for x in row)
@@ -206,12 +214,6 @@ class Matrix:
     def row(self, i: int) -> Vector:
         return self.entries[i]
 
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
-
-    def columns(self):
-        return list(self.transpose().entries)
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -223,7 +225,7 @@ class Matrix:
         for i, row in enumerate(self.sparse):
             for j, x in row:
                 out[j].append((i, x))
-        return Matrix._of(tuple(map(tuple, out)), self.rows)
+        return Matrix._canonical(tuple(map(tuple, out)), self.rows, self.den)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -234,21 +236,24 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other, "+")
+        den = lcm(self.den, other.den)
+        s1, s2 = den // self.den, den // other.den
         out = []
         for r1, r2 in zip(self.sparse, other.sparse):
-            acc = dict(r1)
+            acc = {j: s1 * x for j, x in r1}
             for j, x in r2:
-                acc[j] = acc[j] + x if j in acc else x
+                acc[j] = acc[j] + s2 * x if j in acc else s2 * x
             out.append(packed_row(acc))
-        return Matrix._of(tuple(out), self.cols)
+        return Matrix._of(tuple(out), self.cols, den)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other, "-")
         return self + -other
 
     def __neg__(self) -> "Matrix":
-        return Matrix._of(tuple(tuple((j, -x) for j, x in row)
-                                for row in self.sparse), self.cols)
+        return Matrix._canonical(tuple(tuple((j, -x) for j, x in row)
+                                       for row in self.sparse), self.cols,
+                                 self.den)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -264,41 +269,35 @@ class Matrix:
                 for j, b in brows[k]:
                     acc[j] = acc[j] + a * b if j in acc else a * b
             out.append(packed_row(acc))
-        return Matrix._of(tuple(out), other.cols)
+        return Matrix._of(tuple(out), other.cols, self.den * other.den)
 
     def _scaled(self, c) -> "Matrix":
         c = as_fraction(c)
         if not c:
             return Matrix.zero(self.rows, self.cols)
-        return Matrix._of(tuple(tuple((j, c * x) for j, x in row)
-                                for row in self.sparse), self.cols)
+        a = c.numerator
+        return Matrix._of(tuple(tuple((j, a * x) for j, x in row)
+                                for row in self.sparse), self.cols,
+                          self.den * c.denominator)
 
     __rmul__ = _scaled
 
     def apply(self, v: Vector) -> Vector:
-        """Matrix times column vector, over the nonzeros of both."""
+        """Matrix times a dense column vector of Fractions, over the
+        nonzeros of both."""
         if len(v) != self.cols:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * "
                              f"{len(v)}x1")
-        nonzero = dict(_nonzeros(v))
-        out = []
-        for row in self.sparse:
-            acc = _ZERO
-            for j, a in row:
-                x = nonzero.get(j)
-                if x is not None:
-                    acc += a * x
-            out.append(acc)
-        return tuple(out)
+        (pairs,), den = _over_lcm([_nonzeros(v)])
+        nonzero, den = dict(pairs), den * self.den
+        return tuple(Fraction(sum([a * nonzero.get(j, 0) for j, a in row]), den)
+                     for row in self.sparse)
 
     def trace(self) -> Fraction:
         if not self.is_square():
             raise NonSquare("trace of non-square matrix")
-        diagonal = [x for i, row in enumerate(self.sparse) for j, x in row
-                    if j == i]
-        den = lcm(*[x.denominator for x in diagonal])
-        return Fraction(sum(x.numerator * (den // x.denominator)
-                            for x in diagonal), den)
+        return Fraction(sum([x for i, row in enumerate(self.sparse)
+                             for j, x in row if j == i]), self.den)
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
         col_idx = tuple(col_idx)
@@ -308,45 +307,47 @@ class Matrix:
         return Matrix._of(tuple(
             tuple(sorted((new, x) for j, x in self.sparse[i] if j in where
                          for new in where[j]))
-            for i in row_idx), len(col_idx))
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} hstack "
-                             f"{other.rows}x{other.cols}")
-        shift = self.cols
-        return Matrix._of(tuple(r1 + tuple((j + shift, x) for j, x in r2)
-                                for r1, r2 in zip(self.sparse, other.sparse)),
-                          self.cols + other.cols)
+            for i in row_idx), len(col_idx), self.den)
 
 
-def linear_combination(terms, matrices) -> Matrix:
-    """The sum of c * matrices[k] over the (k, c) pairs of `terms`, with
-    one accumulator per row; `matrices` is non-empty and of one shape."""
+def linear_combination(terms, matrices, den: int = 1) -> Matrix:
+    """The sum of (c / den) * matrices[k] over the (k, c) pairs of `terms`,
+    c an int or a Fraction, with one accumulator per row; `matrices` is
+    non-empty and of one shape."""
+    terms = [(k, c.numerator, c.denominator * den * matrices[k].den)
+             for k, c in terms]
+    total = lcm(*[q for _, _, q in terms])
     rows = [{} for _ in range(matrices[0].rows)]
-    for k, c in terms:
+    for k, c, q in terms:
+        c *= total // q
         for acc, row in zip(rows, matrices[k].sparse):
             for j, x in row:
                 acc[j] = acc[j] + c * x if j in acc else c * x
-    return Matrix._of(tuple(map(packed_row, rows)), matrices[0].cols)
+    return Matrix._of(tuple(map(packed_row, rows)), matrices[0].cols, total)
 
 
 # ---------------------------------------------------------------------------
 # elimination
 # ---------------------------------------------------------------------------
 
-def _integer_rows(m: Matrix) -> tuple[list[dict], int]:
-    """Each row of m as {column: integer}, times the lcm of its
-    denominators, and the product of those scales.  Scaling a row by a
-    nonzero constant keeps the row space and the zero pattern."""
-    out = []
-    scale = 1
-    for row in m.sparse:
-        ratios = [(j, *x.as_integer_ratio()) for j, x in row]
-        den = lcm(*[d for _, _, d in ratios])
-        out.append({j: num * (den // d) for j, num, d in ratios})
-        scale *= den
-    return out, scale
+def _in_lowest_terms(rows, dens) -> tuple[list, list]:
+    """Integer rows, row i over dens[i] != 0, each divided by the gcd of
+    its numerators and its denominator.  With one den for all rows, rows
+    with unrelated denominators get back their own, and small integers."""
+    if all(d == 1 for d in dens):
+        return rows, dens
+    out = [(row, gcd(d, *[x for _, x in row]), d) for row, d in zip(rows, dens)]
+    return ([tuple((j, x // g) for j, x in row) for row, g, _ in out],
+            [d // g for _, g, d in out])
+
+
+def _over_lcm_of_rows(rows, dens) -> tuple:
+    """(sparse, den): integer rows, row i over dens[i] != 0, in lowest terms
+    and then over the lcm of their denominators, so gcd(den, nums) = 1."""
+    rows, dens = _in_lowest_terms(rows, dens)
+    den = lcm(*dens)   # > 0: den // d keeps the sign of d
+    return tuple(tuple((j, x * (den // d)) for j, x in row)
+                 for row, d in zip(rows, dens)), den
 
 
 def _eliminate(row: dict, col: int, pivot_row: dict) -> dict:
@@ -373,17 +374,18 @@ def _eliminate(row: dict, col: int, pivot_row: dict) -> dict:
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """Reduced row echelon form: (reduced, pivot_columns, rank).
 
-    Fraction-free on the sparse integer-scaled rows, inserted one at a time
-    into a table of reduced pivot rows: a row is cleared at the pivot columns
-    it meets, and what is left leads with a new pivot, cleared from the rows
-    in the table.  The RREF is unique, so the insertion order does not change
-    the result.  Pivot rows are divided by their pivots at the end.
+    Fraction-free on the integer rows of m (its denominator does not change
+    the row space), inserted one at a time into a table of reduced pivot
+    rows: a row is cleared at the pivot columns it meets, and what is left
+    leads with a new pivot, cleared from the rows in the table.  The RREF is
+    unique, so the insertion order does not change the result.  At the end
+    each pivot row is put over its pivot.
     """
     if not m.rows:
         return m, (), 0
-    work, _ = _integer_rows(m)
     table = {}   # pivot column -> its row, zero at every other pivot column
-    for row in work:
+    for row in m.sparse:
+        row = dict(row)
         for col in [c for c in row if c in table]:
             row = _eliminate(row, col, table[col])
         if not row:
@@ -394,10 +396,10 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
                 table[col] = _eliminate(other, lead, row)
         table[lead] = row
     pivots = tuple(sorted(table))
-    out = tuple(tuple((j, Fraction(x, table[col][col]))
-                      for j, x in sorted(table[col].items())) for col in pivots)
-    return (Matrix._of(out + ((),) * (m.rows - len(pivots)), m.cols), pivots,
-            len(pivots))
+    out, den = _over_lcm_of_rows([sorted(table[c].items()) for c in pivots],
+                                 [table[c][c] for c in pivots])
+    return (Matrix._canonical(out + ((),) * (m.rows - len(pivots)), m.cols,
+                              den), pivots, len(pivots))
 
 
 def kernel_and_image(m: Matrix) -> tuple[Matrix, Matrix]:
@@ -411,25 +413,21 @@ def kernel_and_image(m: Matrix) -> tuple[Matrix, Matrix]:
     """
     reduced, pivots, _ = rref(m)
     pivot_set, reduced_columns = set(pivots), reduced.transpose().sparse
+    den = reduced.den
     # a free column's entries sit in rows whose pivots lie left of it
     kernel = tuple(tuple((pivots[i], -x) for i, x in reduced_columns[j])
-                   + ((j, _ONE),)
+                   + ((j, den),)
                    for j in range(m.cols) if j not in pivot_set)
     columns = m.transpose().sparse
-    return (Matrix._of(kernel, m.cols),
-            Matrix._of(tuple(columns[j] for j in pivots), m.rows))
-
-
-def kernel_basis(m: Matrix) -> list[Vector]:
-    """Dense null space basis; see kernel_and_image for the convention."""
-    return list(kernel_and_image(m)[0].entries)
+    return (Matrix._canonical(kernel, m.cols, den),
+            Matrix._of(tuple(columns[j] for j in pivots), m.rows, m.den))
 
 
 def quotient_basis(kernel: Matrix, fixed: Matrix) -> tuple:
     """(rows, coordinates, rank): the rows of `kernel` that greedily extend
     the rows of `fixed` (in their span), the matrix with v * coordinates =
     v mod span(fixed) on those rows, and rank(fixed).  A kernel row ends in
-    (j, 1) at its free column j, so v's free entries are its coordinates;
+    a 1 at its free column j, so v's free entries are its coordinates;
     with them reversed, fixed's rref has a pivot where the greedy pass skips.
     """
     free = [row[-1][0] for row in reversed(kernel.sparse)]
@@ -438,25 +436,25 @@ def quotient_basis(kernel: Matrix, fixed: Matrix) -> tuple:
     place = {c: s for s, c in enumerate(kept)}
     coordinates = [()] * kernel.cols
     for c, s in place.items():
-        coordinates[free[c]] = ((s, _ONE),)
+        coordinates[free[c]] = ((s, reduced.den),)
     for c, row in zip(pivots, reduced.sparse):   # v_c times the reduced row
         coordinates[free[c]] = tuple((place[j], -x) for j, x in reversed(row)
                                      if j != c)
-    return (Matrix._of(tuple(kernel.sparse[-1 - c] for c in kept), kernel.cols),
-            Matrix._of(tuple(coordinates), len(kept)), rank)
+    return (Matrix._of(tuple(kernel.sparse[-1 - c] for c in kept), kernel.cols,
+                       kernel.den),
+            Matrix._of(tuple(coordinates), len(kept), reduced.den), rank)
 
 
 def determinant(m: Matrix) -> Fraction:
-    """Fraction-free (Bareiss) elimination on the integer-scaled rows, with
-    a sign flip per row swap; the product of the row scales is divided out
-    once at the end."""
+    """Fraction-free (Bareiss) elimination on the integer rows M, each over
+    its own d_i, a sign flip per row swap; det M / prod(d_i) at the end."""
     if not m.is_square():
         raise NonSquare(f"determinant of {m.rows}x{m.cols} matrix")
     n = m.rows
     if n == 0:
         return Fraction(1)
-    work, scale = _integer_rows(m)
-    work = [[row.get(j, 0) for j in range(n)] for row in work]
+    rows, dens = _in_lowest_terms(m.sparse, [m.den] * n)
+    work = [[row.get(j, 0) for j in range(n)] for row in map(dict, rows)]
     sign, prev = 1, 1
     for k in range(n - 1):
         sel = next((r for r in range(k, n) if work[r][k]), None)
@@ -473,47 +471,19 @@ def determinant(m: Matrix) -> Fraction:
             work[i] = [0] * (k + 1) + [(a * row[j] - b * pivot_row[j]) // prev
                                        for j in range(k + 1, n)]
         prev = a
-    return Fraction(sign * work[n - 1][n - 1], scale)
+    return Fraction(sign * work[n - 1][n - 1], prod(dens))
 
 
 def inverse(m: Matrix) -> Matrix:
     """Inverse via Gauss-Jordan on [m | I]."""
     if not m.is_square():
         raise NonSquare("inverse of non-square matrix")
-    n = m.rows
-    reduced, pivots, r = rref(m.hstack(Matrix.identity(n)))
+    n, den = m.rows, m.den
+    stacked = tuple(row + ((n + i, den),) for i, row in enumerate(m.sparse))
+    reduced, pivots, r = rref(Matrix._canonical(stacked, 2 * n, den))
     if r < n or any(p >= n for p in pivots):
         raise SingularMatrix("matrix is singular")
     return reduced.submatrix(range(n), range(n, 2 * n))
-
-
-def solve_in_span(basis: list[Vector], target: Vector) -> list[Fraction]:
-    """Coefficients of a dense target in an independent dense basis;
-    NotInSpan when the basis is dependent or the target is outside its span."""
-    rows = Matrix(basis) if basis else Matrix.zero(0, len(target))
-    return list(solve_all_in_span(rows, Matrix([target])).column(0))
-
-
-def solve_all_in_span(basis: Matrix, targets: Matrix) -> Matrix:
-    """Coefficients of every row of `targets` in the independent rows of
-    `basis`, from one rref of the columns [basis | targets]: column i of the
-    result holds the coefficients of target i.
-
-    Raises NotInSpan when the basis is dependent or some target falls
-    outside its span.
-    """
-    if basis.cols != targets.cols:
-        raise ValueError(f"shape mismatch: basis vectors of length "
-                         f"{basis.cols}, target of length {targets.cols}")
-    k = basis.rows
-    stacked = Matrix._of(basis.sparse + targets.sparse, basis.cols)
-    reduced, pivots, r = rref(stacked.transpose())
-    if r > 0 and pivots[-1] >= k:
-        raise NotInSpan("target not in span of basis")
-    if r < k:
-        raise NotInSpan("basis is linearly dependent")
-    # pivots are exactly 0..k-1, so row i holds the coefficients of basis[i]
-    return reduced.submatrix(range(k), range(k, k + targets.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -533,18 +503,21 @@ def exterior_powers(m: Matrix) -> list[Matrix]:
 
 
 def _exterior_powers(m: Matrix):
-    """Lambda^0 m, Lambda^1 m, ... generated degree by degree.
+    """Lambda^0 m, Lambda^1 m, ... generated degree by degree, from the
+    integer rows M of m over their own denominators d: row S of Lambda^p m
+    is row S of Lambda^p M over the product of d_s for s in S.
 
     Each degree-p minor is the first-row Laplace expansion over degree-(p-1)
     minors: with s the first row of S, minor(S, T) is the sum over positions
-    k of (-1)^k m[s][T[k]] minor(S - s, T - T[k]).  It is accumulated over
-    the nonzeros of row s of m and of row S - s of Lambda^(p-1) m.
+    k of (-1)^k M[s][T[k]] minor(S - s, T - T[k]).  It is accumulated over
+    the nonzeros of row s of M and of row S - s of Lambda^(p-1) M.
     """
     if not m.is_square():
         raise NonSquare("exterior power of non-square matrix")
     n = m.rows
-    power = Matrix.identity(1)
-    yield power
+    mrows, d = _in_lowest_terms(m.sparse, [m.den] * n)
+    prev, prev_dens = Matrix.identity(1).sparse, [1]
+    yield Matrix.identity(1)
     index = {(): 0}
     for p in range(1, n + 1):
         subsets = p_subsets(n, p)
@@ -553,12 +526,11 @@ def _exterior_powers(m: Matrix):
         for col, cols in enumerate(subsets):
             for k, t in enumerate(cols):
                 grow[index[cols[:k] + cols[k + 1:]]][t] = (col, k % 2 == 1)
-        prev = power.sparse
-        rows = []
+        rows, dens = [], []
         for s in subsets:
-            mrow = m.sparse[s[0]]
+            mrow, face_row = mrows[s[0]], index[s[1:]]
             acc = {}
-            for face, b in prev[index[s[1:]]]:
+            for face, b in prev[face_row]:
                 faces = grow[face]
                 for t, a in mrow:
                     if t in faces:
@@ -566,8 +538,10 @@ def _exterior_powers(m: Matrix):
                         term = -a * b if negative else a * b
                         acc[col] = acc[col] + term if col in acc else term
             rows.append(packed_row(acc))
-        power = Matrix._of(tuple(rows), len(subsets))
-        yield power
+            dens.append(d[s[0]] * prev_dens[face_row])
+        prev, prev_dens = rows, dens
+        sparse, den = _over_lcm_of_rows(rows, dens)
+        yield Matrix._canonical(sparse, len(subsets), den)
         index = {s: i for i, s in enumerate(subsets)}
 
 
@@ -585,7 +559,8 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     width = b.cols
     return Matrix._of(tuple(
         tuple((ja * width + jb, x * y) for ja, x in arow for jb, y in brow)
-        for arow in a.sparse for brow in b.sparse), a.cols * b.cols)
+        for arow in a.sparse for brow in b.sparse), a.cols * b.cols,
+        a.den * b.den)
 
 
 # ---------------------------------------------------------------------------
@@ -639,27 +614,28 @@ def _poly_eval_matrix(p, m: Matrix) -> Matrix:
 
 def minimal_polynomial(m: Matrix) -> list[Fraction]:
     """Monic minimal polynomial, from one rref of the Krylov columns
-    [vec I | vec m | ... | vec m^n].  Column k is a pivot exactly when m^k is
-    outside the span of the lower powers, so the pivots are 0..k-1 and the
-    first non-pivot column k holds the coefficients of m^k in I .. m^(k-1)."""
+    [vec I | vec M | ... | vec M^n] of the integers M = D m over D = m.den.
+    Column k is a pivot exactly when M^k is outside the span of the lower
+    powers, so the pivots are 0..k-1 and the first non-pivot column k holds
+    the c_i with M^k = sum c_i M^i, that is m^k = sum c_i D^(i-k) m^i."""
     if not m.is_square():
         raise NonSquare("minimal polynomial of non-square matrix")
     n = m.rows
     krylov = [[] for _ in range(n * n)]   # row i*n + j holds entry (i, j)
-    power = Matrix.identity(n)
+    power, scaled = Matrix.identity(n), Matrix._of(m.sparse, n)
     for k in range(n + 1):
         for i, row in enumerate(power.sparse):
             for j, x in row:
                 krylov[i * n + j].append((k, x))
-        power = power * m
+        power = power * scaled
     reduced, pivots, k = rref(Matrix._of(tuple(map(tuple, krylov)), n + 1))
     if k > n or pivots != tuple(range(k)):
         raise InternalConsistencyFailure(
             f"minimal polynomial degree exceeded dimension {n}: Krylov "
             f"pivots {list(pivots)} are not 0..k-1 for some k <= {n}")
     # m^k = sum c_i m^i  ->  x^k - sum c_i x^i
-    column = reduced.submatrix(range(k), [k]).column(0)
-    return _poly_trim([-x for x in column] + [Fraction(1)])
+    return [Fraction(-dict(row).get(k, 0), reduced.den * m.den ** (k - i))
+            for i, row in enumerate(reduced.sparse[:k])] + [Fraction(1)]
 
 
 def squarefree_part(p) -> list[Fraction]:

@@ -80,7 +80,7 @@ def pullback(f: LieMorphism, v: Representation) -> Representation:
     if v.algebra != f.target:
         raise DimensionMismatch("module is not over the morphism target")
     return Representation(algebra=f.source, dim=v.dim, actions=tuple(
-        linear_combination(column, v.actions)
+        linear_combination(column, v.actions, f.matrix.den)
         for column in f.matrix.transpose().sparse))
 
 

@@ -83,22 +83,26 @@ def count_fixed_points(torus_map: TorusMap) -> FixedPointReport:
     lefschetz = (-1) ** n * det_b          # det(I - A) = (-1)^n det(A - I)
     count_det = abs(det_b)
 
-    # generators of B^-1 Z^n / Z^n; each must satisfy B g in Z^n
-    gens = [tuple(x % 1 for x in col) for col in inverse(b).columns()]
+    # generators of B^-1 Z^n / Z^n: the columns of B^-1 mod 1, as integers
+    # over its denominator den like every point; B g in Z^n for each
+    columns = inverse(b).transpose()
+    den = columns.den
+    gens = [tuple(column.get(i, 0) % den for i in range(n))
+            for column in map(dict, columns.sparse)]
     for g in gens:
-        if any(y.denominator != 1 for y in b.apply(g)):
+        if any(sum([a * g[j] for j, a in row]) % den for row in b.sparse):
             raise InternalConsistencyFailure(
                 f"(A - I) g is not integral for the generator g = "
-                f"({', '.join(map(str, g))})")
-    points = [(Fraction(0),) * n]
+                f"({', '.join(str(Fraction(x, den)) for x in g)})")
+    points = [(0,) * n]
     seen = set(points)
     for x in points:                       # the list grows while it is read
         for g in gens:
-            y = tuple((xi + gi) % 1 for xi, gi in zip(x, g))
+            y = tuple((xi + gi) % den for xi, gi in zip(x, g))
             if y not in seen:
                 seen.add(y)
                 points.append(y)
-    points.sort()
+    points = tuple(tuple(Fraction(x, den) for x in p) for p in sorted(points))
     if len(points) != count_det:
         raise InternalConsistencyFailure(
             f"enumeration found {len(points)} fixed points, "
@@ -109,7 +113,7 @@ def count_fixed_points(torus_map: TorusMap) -> FixedPointReport:
             f"fixed point index {index} times count {count_det} "
             f"is not det(I - A) = {lefschetz}")
     return FixedPointReport(count=count_det, lefschetz=lefschetz,
-                            index_each=index, points=tuple(points))
+                            index_each=index, points=points)
 
 
 def cross_check_with_ce(torus_map: TorusMap):

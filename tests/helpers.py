@@ -10,7 +10,7 @@ from lietrace.catalog import get, list_entries, sample_endomorphisms
 from lietrace.liealg import (JacobiViolation, LieAlgebra, NotAMorphism,
                              SeriesReport)
 from lietrace.ratlin import (Matrix, NonSquare, NotInSpan, determinant,
-                             inverse, p_subsets, rref, solve_in_span)
+                             inverse, kernel_and_image, p_subsets, rref)
 from lietrace.repn import Representation, adjoint_module, trivial_module
 
 
@@ -85,6 +85,42 @@ def dense_matrix(rows, cols: int) -> Matrix:
     return Matrix(rows) if rows else Matrix.zero(0, cols)
 
 
+# Dense solves over ratlin.rref, for the tests only: the library reads
+# kernels, cocycle checks and class coordinates off each rref and no
+# longer solves in a span.
+
+def kernel_basis(m: Matrix) -> list:
+    """Dense null space basis; see ratlin.kernel_and_image for the
+    convention."""
+    return list(kernel_and_image(m)[0].entries)
+
+
+def solve_all_in_span(basis: Matrix, targets: Matrix) -> Matrix:
+    """Coefficients of every row of `targets` in the independent rows of
+    `basis`, from one rref of the columns [basis | targets]: column i of the
+    result holds the coefficients of target i.  NotInSpan when the basis is
+    dependent or some target falls outside its span."""
+    if basis.cols != targets.cols:
+        raise ValueError(f"shape mismatch: basis vectors of length "
+                         f"{basis.cols}, target of length {targets.cols}")
+    k = basis.rows
+    stacked = dense_matrix(basis.entries + targets.entries, basis.cols)
+    reduced, pivots, r = rref(stacked.transpose())
+    if r > 0 and pivots[-1] >= k:
+        raise NotInSpan("target not in span of basis")
+    if r < k:
+        raise NotInSpan("basis is linearly dependent")
+    # pivots are exactly 0..k-1, so row i holds the coefficients of basis[i]
+    return reduced.submatrix(range(k), range(k, k + targets.rows))
+
+
+def solve_in_span(basis: list, target) -> list:
+    """Coefficients of a dense target in an independent dense basis;
+    NotInSpan when the basis is dependent or the target is outside its span."""
+    rows = Matrix(basis) if basis else Matrix.zero(0, len(target))
+    return list(solve_all_in_span(rows, Matrix([target])).transpose().row(0))
+
+
 # Dense reference kernels for the sparse Matrix: the operations as ratlin
 # had them on tuple-of-tuples storage, reading only `entries`.
 
@@ -99,7 +135,7 @@ def reference_kernel_and_image(m: Matrix):
         for prow, pcol in enumerate(pivots):
             v[pcol] = -reduced.entries[prow][free]
         kernel.append(tuple(v))
-    return kernel, [m.column(j) for j in pivots]
+    return kernel, [m.transpose().row(j) for j in pivots]
 
 
 def reference_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -123,11 +159,6 @@ def reference_transpose(m: Matrix) -> Matrix:
 def reference_submatrix(m: Matrix, row_idx, col_idx) -> Matrix:
     return dense_matrix([[m.entries[i][j] for j in col_idx] for i in row_idx],
                         len(col_idx))
-
-
-def reference_hstack(a: Matrix, b: Matrix) -> Matrix:
-    return dense_matrix([r1 + r2 for r1, r2 in zip(a.entries, b.entries)],
-                        a.cols + b.cols)
 
 
 def reference_solve_all_in_span(basis: Matrix, targets: Matrix) -> Matrix:
@@ -273,7 +304,8 @@ def reference_check_morphism(f) -> None:
     src, tgt, m = f.source, f.target, f.matrix
     for i in range(src.dim):
         for j in range(i + 1, src.dim):
-            lhs = reference_bracket(tgt, m.column(i), m.column(j))
+            lhs = reference_bracket(tgt, m.transpose().row(i),
+                                    m.transpose().row(j))
             rhs = m.apply(basis_bracket(src, i, j))
             defect = tuple(a - b for a, b in zip(lhs, rhs))
             if not is_zero_vec(defect):

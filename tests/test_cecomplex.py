@@ -13,13 +13,12 @@ from lietrace.cecomplex import (ChainMap, ChainMapViolation,
                                 build_complex, cohomology, induced_chain_map,
                                 induced_cohomology_map)
 from lietrace.liealg import LieAlgebra, endomorphism
-from lietrace.ratlin import (Matrix, NotInSpan, inverse, quotient_basis,
-                             solve_in_span)
+from lietrace.ratlin import Matrix, NotInSpan, inverse, quotient_basis
 from lietrace.repn import (Intertwiner, adjoint_module, identity_intertwiner,
                            trivial_module)
 
 from helpers import (ALL_NAMES, greedy_complete, heisenberg_defining_module,
-                     random_modules, zero_vec)
+                     random_modules, solve_in_span, zero_vec)
 
 HEIS3 = get("heisenberg3").algebra
 SOL3 = get("sol3").algebra

@@ -213,6 +213,40 @@ def test_validate_inputs_guard():
         twisted_lefschetz(HEIS3, module, bad, xi)
 
 
+def _filiform_adjoint(n: int):
+    """The filiform algebra of dim n, [e0, ei] = e(i+1), with the adjoint
+    module, f = diag(2^w) for the weights (1, 1, 2, ..., n-1) and xi = f^-1."""
+    algebra = LieAlgebra(dim=n, brackets={(0, i): {i + 1: 1}
+                                          for i in range(1, n - 1)})
+    weights = (1,) + tuple(range(1, n))
+    f = endomorphism(algebra, Matrix.diagonal([2 ** w for w in weights]))
+    module = adjoint_module(algebra)
+    return algebra, module, f, Intertwiner(morphism=f, module=module,
+                                           matrix=inverse(f.matrix))
+
+
+def test_filiform6_adjoint_report_multiplies_integers(monkeypatch):
+    # A structural guard in place of a timing test: every matrix of one
+    # filiform6 report with the adjoint module is integers over one
+    # denominator, so products, kron, exterior powers and elimination run
+    # no Fraction arithmetic.  What is left is the alternating sums of the
+    # 2 x 7 traces, 28 operator calls; multiplying Fraction entries, as
+    # before the integer form, made 2159.  The count is deterministic.
+    algebra, module, f, xi = _filiform_adjoint(6)
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__",
+                 "__rsub__"):
+        def counting(self, other, real=getattr(Fraction, name), name=name):
+            calls.append(name)
+            return real(self, other)
+        monkeypatch.setattr(Fraction, name, counting)
+    report = twisted_lefschetz(algebra, module, f, xi)
+    monkeypatch.undo()
+    assert report.dims == (6, 36, 90, 120, 90, 36, 6)
+    assert report.lefschetz == report.hopf
+    assert len(calls) <= 50
+
+
 def test_filiform6_adjoint_report_stays_sparse(monkeypatch):
     # A structural guard in place of a timing test: one filiform6 report
     # with the adjoint module reads no dense view of a matrix of more than
@@ -220,13 +254,7 @@ def test_filiform6_adjoint_report_stays_sparse(monkeypatch):
     # coerces fewer than 1000 entries, and converts fewer than 5000 cells of
     # dense vectors to or from sparse rows: its cohomology bases stay sparse
     # from rref to the induced maps.  All three counts are deterministic.
-    n = 6
-    algebra = LieAlgebra(dim=n, brackets={(0, i): {i + 1: 1}
-                                          for i in range(1, n - 1)})
-    weights = (1,) + tuple(range(1, n))
-    f = endomorphism(algebra, Matrix.diagonal([2 ** w for w in weights]))
-    module = adjoint_module(algebra)
-    xi = Intertwiner(morphism=f, module=module, matrix=inverse(f.matrix))
+    algebra, module, f, xi = _filiform_adjoint(6)
     dense_views, coerced, converted = [], [], []
     view = Matrix.entries.fget
     nonzeros, densified = ratlin._nonzeros, ratlin._densified
@@ -244,9 +272,9 @@ def test_filiform6_adjoint_report_stays_sparse(monkeypatch):
         converted.append(len(v))
         return nonzeros(v)
 
-    def counting_densified(row, n):
+    def counting_densified(row, n, den):
         converted.append(n)
-        return densified(row, n)
+        return densified(row, n, den)
 
     monkeypatch.setattr(Matrix, "entries", property(counting_view))
     monkeypatch.setattr(ratlin, "as_fraction", counting_as_fraction)

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -16,19 +17,18 @@ from lietrace.ratlin import (DegreeOutOfRange, InternalConsistencyFailure,
                              JordanParts, Matrix, NonSquare, NotInSpan,
                              SingularMatrix, determinant, exterior_power,
                              exterior_powers, format_rational, inverse,
-                             jordan_chevalley, kernel_and_image,
-                             kernel_basis, kron, minimal_polynomial,
-                             p_subsets, parse_rational, quotient_basis, rref,
-                             solve_all_in_span, solve_in_span, squarefree_part)
+                             jordan_chevalley, kernel_and_image, kron,
+                             linear_combination, minimal_polynomial, p_subsets, parse_rational,
+                             quotient_basis, rref, squarefree_part)
 
 from helpers import (dense_matrix, greedy_complete, is_nilpotent_matrix,
-                     is_squarefree, random_invertible, random_matrix,
-                     reference_determinant, reference_exterior_power,
-                     reference_hstack, reference_kernel_and_image,
+                     is_squarefree, kernel_basis, random_invertible,
+                     random_matrix, reference_determinant,
+                     reference_exterior_power, reference_kernel_and_image,
                      reference_kron, reference_minimal_polynomial,
                      reference_mul, reference_rref,
                      reference_solve_all_in_span, reference_submatrix,
-                     reference_transpose)
+                     reference_transpose, solve_all_in_span, solve_in_span)
 
 
 def test_parse_and_format_rational():
@@ -157,7 +157,7 @@ def _kernel_and_fixed(draw):
     combos = draw(st.lists(st.lists(st.integers(-1, 1), min_size=kernel.rows,
                                     max_size=kernel.rows), max_size=4))
     fixed = [tuple(sum((c * x for c, x in zip(combo, column)), Fraction(0))
-                   for column in kernel.columns()) for combo in combos]
+                   for column in kernel.transpose().entries) for combo in combos]
     return kernel, dense_matrix(fixed, dim)
 
 
@@ -227,7 +227,7 @@ def test_batched_solve_equals_per_target_solve(case):
     targets = [_combine(basis, c) for c in coeffs]
     batched = solve_all_in_span(Matrix(basis),
                                 dense_matrix(targets, len(basis[0])))
-    batched = [list(c) for c in batched.columns()]
+    batched = [list(c) for c in batched.transpose().entries]
     assert batched == [solve_in_span(basis, t) for t in targets]
     assert batched == coeffs  # an independent basis gives unique coefficients
 
@@ -338,6 +338,7 @@ def _kernel_matrices(draw, square=False, max_rows=5):
 @given(_kernel_matrices())
 def test_rref_equals_fraction_reference(m):
     assert rref(m) == reference_rref(m)
+    _assert_same(rref(m)[0], reference_rref(m)[0])
 
 
 @settings(max_examples=300, deadline=None)
@@ -352,7 +353,7 @@ def test_exterior_powers_equal_minor_reference(m):
     powers = exterior_powers(m)
     assert len(powers) == m.rows + 1
     for p, power in enumerate(powers):
-        assert power == reference_exterior_power(m, p)
+        _assert_same(power, reference_exterior_power(m, p))
         assert exterior_power(m, p) == power
 
 
@@ -397,13 +398,16 @@ def _sparse_matrices(draw, rows=None, cols=None):
 
 def _assert_well_formed(m: Matrix) -> None:
     """Sparse rows: one per row, columns strictly increasing and in range,
-    every stored value a nonzero Fraction."""
+    every stored value a nonzero int; one int denominator den > 0 with
+    gcd(den, numerators) = 1, so a zero matrix has den 1."""
     assert len(m.sparse) == m.rows
+    assert type(m.den) is int and m.den > 0
     for row in m.sparse:
         cols = [j for j, _ in row]
         assert cols == sorted(set(cols)), row
         assert all(0 <= j < m.cols for j in cols), row
-        assert all(type(x) is Fraction and x for _, x in row), row
+        assert all(type(x) is int and x for _, x in row), row
+    assert gcd(m.den, *[x for row in m.sparse for _, x in row]) == 1
 
 
 def _assert_same(got: Matrix, want: Matrix) -> None:
@@ -435,7 +439,6 @@ def test_sparse_products_equal_dense_reference(data):
     r, k, c = (data.draw(st.integers(0, 6)) for _ in range(3))
     a = data.draw(_sparse_matrices(r, k))
     b = data.draw(_sparse_matrices(k, c))
-    right = data.draw(_sparse_matrices(r, c))
     row_idx = data.draw(st.lists(st.integers(0, r - 1), max_size=5)) if r else []
     col_idx = data.draw(st.lists(st.integers(0, k - 1), max_size=5)) if k else []
     _assert_same(a * b, reference_mul(a, b))
@@ -443,10 +446,72 @@ def test_sparse_products_equal_dense_reference(data):
     _assert_same(a.transpose(), reference_transpose(a))
     _assert_same(a.submatrix(row_idx, col_idx),
                  reference_submatrix(a, row_idx, col_idx))
-    _assert_same(a.hstack(right), reference_hstack(a, right))
     _assert_same(dense_matrix(a.entries, k), a)
     if r:
-        _assert_same(dense_matrix(a.columns(), r).transpose(), a)
+        _assert_same(dense_matrix(a.transpose().entries, r).transpose(), a)
+
+
+def _dense_sum(terms, shape) -> Matrix:
+    """The sum of c * m over the (c, m) pairs, entry by entry in Fraction."""
+    rows, cols = shape
+    return dense_matrix([[sum((c * m.entries[i][j] for c, m in terms),
+                              Fraction(0)) for j in range(cols)]
+                         for i in range(rows)], cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sums_and_scalings_equal_dense_reference(data):
+    r, k = (data.draw(st.integers(0, 6)) for _ in range(2))
+    a, b = (data.draw(_sparse_matrices(r, k)) for _ in range(2))
+    x, y = data.draw(_WIDE_ENTRY), data.draw(_WIDE_ENTRY)
+    _assert_same(a + b, _dense_sum([(1, a), (1, b)], (r, k)))
+    _assert_same(a - b, _dense_sum([(1, a), (-1, b)], (r, k)))
+    _assert_same(-a, _dense_sum([(-1, a)], (r, k)))
+    _assert_same(x * a, _dense_sum([(x, a)], (r, k)))
+    _assert_same(a * y, _dense_sum([(y, a)], (r, k)))
+    if r or k:
+        _assert_same(linear_combination([(0, x), (1, y), (0, y)], [a, b]),
+                     _dense_sum([(x, a), (y, b), (y, a)], (r, k)))
+        d = data.draw(st.integers(1, 10 ** 6))
+        _assert_same(linear_combination([(1, d)], [a, b], d), b)
+
+
+# Canonical form: one value, one stored form.  The same matrix reached by
+# different routes stores the same numerators over the same denominator, so
+# it compares == and hashes equal; denominators run up to 10**6.
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_same_matrix_by_different_routes_is_stored_once(data):
+    r, k, l, c = (data.draw(st.integers(0, 5)) for _ in range(4))
+    a = data.draw(_sparse_matrices(r, k))
+    b = data.draw(_sparse_matrices(k, l))
+    c_ = data.draw(_sparse_matrices(l, c))
+    x = data.draw(_NONZERO)
+    _assert_same((a * b) * c_, a * (b * c_))
+    _assert_same((2 * a) * Fraction(1, 2), a)
+    _assert_same((a * x) * (1 / x), a)
+    _assert_same(a - a, Matrix.zero(r, k))
+    _assert_same(a + a, 2 * a)
+    _assert_same(a.transpose().transpose(), a)
+    _assert_same((a * b).transpose(), b.transpose() * a.transpose())
+    _assert_same(kron(a, Matrix([[x]])), x * a)
+    _assert_same(a.submatrix(range(r), range(k)), a)
+    _assert_same(rref(a * x)[0], rref(a)[0])
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 3), (2, 3)],
+                         ids=lambda shape: "%dx%d" % shape)
+def test_zero_matrices_are_stored_once(shape):
+    rows, cols = shape
+    zero = Matrix.zero(rows, cols)
+    half = Matrix([[Fraction(1, 2)] * cols] * rows) if rows else zero
+    for route in (half - half, Fraction(0) * half, half * Matrix.zero(cols, cols),
+                  kron(half, Matrix.zero(1, 1)),
+                  Matrix.zero(rows, 0) * Matrix.zero(0, cols),
+                  dense_matrix([[0] * cols] * rows, cols)):
+        _assert_same(route, zero)
+        assert route.den == 1
 
 
 def _solve_outcome(solve, basis, targets):
@@ -462,9 +527,10 @@ def test_sparse_solve_equals_dense_reference(data):
     dim = data.draw(st.integers(1, 6))
     basis = data.draw(_sparse_matrices(dim, data.draw(st.integers(0, dim))))
     coeffs = data.draw(_sparse_matrices(basis.cols, data.draw(st.integers(0, 3))))
-    targets = list(reference_mul(basis, coeffs).columns()) if basis.cols else []
+    targets = list(reference_mul(basis, coeffs).transpose().entries) \
+        if basis.cols else []
     if data.draw(st.booleans()):
-        targets.append(data.draw(_sparse_matrices(dim, 1)).column(0))
+        targets.append(data.draw(_sparse_matrices(dim, 1)).transpose().row(0))
     basis, targets = basis.transpose(), dense_matrix(targets, dim)
     assert (_solve_outcome(solve_all_in_span, basis, targets)
             == _solve_outcome(reference_solve_all_in_span, basis, targets))
@@ -475,7 +541,7 @@ def test_zeros_are_not_stored():
               Matrix([[1, 2]]) - Matrix([[1, 2]]), Matrix.diagonal([0, 3]),
               Fraction(0) * Matrix.identity(2), rref(Matrix([[1, 1], [1, 1]]))[0]):
         _assert_well_formed(m)
-    assert Matrix([[0, 1, 0], [0, 0, 0]]).sparse == (((1, Fraction(1)),), ())
+    assert Matrix([[0, 1, 0], [0, 0, 0]]).sparse == (((1, 1),), ())
     assert (Matrix([[1, 2]]) - Matrix([[1, 2]])).is_zero()
     with pytest.raises(TypeError):   # a float is rejected even when zero
         Matrix([(0.0, 1)]).transpose()
@@ -493,8 +559,8 @@ def test_internal_results_hold_only_fractions():
     sq = Matrix([[2, 1, 0], [1, 1, 0], [0, 0, -3]])
     results = [rref(a)[0], rref(Matrix.zero(2, 2))[0], a * b,
                a * Matrix.zero(3, 2), 3 * a, a * Fraction(1, 2), a + a, a - a,
-               -a, a.transpose(), a.submatrix([1], [0, 2]), a.hstack(a),
-               kron(sq, a), Matrix(a.columns()).transpose(),
+               -a, a.transpose(), a.submatrix([1], [0, 2]),
+               kron(sq, a), Matrix(a.transpose().entries).transpose(),
                Matrix([(1, 2), (3, 4)]).transpose(), Matrix.identity(3),
                Matrix.zero(2, 3), inverse(sq)]
     results += exterior_powers(sq) + exterior_powers(Matrix.zero(3, 3))
@@ -508,8 +574,6 @@ def test_shape_mismatch_names_both_shapes():
         a + b
     with pytest.raises(ValueError, match="1x2 - 2x1"):
         a - b
-    with pytest.raises(ValueError, match="1x2 hstack 2x1"):
-        a.hstack(b)
 
 
 # Run under `python -O`, which strips assert statements: the shape checks
