@@ -10,6 +10,8 @@ omega, evaluated on x_1 .. x_{p+1} (positions 1-based), is
 
 d o d = 0 is verified exactly when the complex is built; with the trivial
 module the first sum drops out and d is determined by the brackets alone.
+Like the chain-map and cocycle checks, it goes through ratlin.vanishes, row
+by row, stopping at the first nonzero row, without building the product.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import comb, lcm
 from .liealg import LieAlgebra, LieMorphism, integer_brackets
 from .ratlin import (InternalConsistencyFailure, InvalidInput, Matrix,
                      NotInSpan, exterior_powers, kernel_and_image, kron,
-                     p_subsets, packed_row, quotient_basis)
+                     p_subsets, packed_row, quotient_basis, vanishes)
 from .repn import Intertwiner, Representation
 
 
@@ -63,7 +65,7 @@ def build_complex(algebra: LieAlgebra, module: Representation) -> CochainComplex
     dims = tuple(comb(n, p) * m for p in range(n + 1))
     differentials = tuple(_differential(algebra, module, p) for p in range(n))
     for p in range(n - 1):
-        if not (differentials[p + 1] * differentials[p]).is_zero():
+        if not vanishes([(1, differentials[p + 1], differentials[p])]):
             raise InternalDSquareNonzero(p)
     return CochainComplex(algebra=algebra, module=module, dims=dims,
                           differentials=differentials)
@@ -190,7 +192,7 @@ def induced_chain_map(complex_: CochainComplex, f: LieMorphism,
     blocks = tuple(kron(power, xi.matrix) for power in exterior_powers(ft))
     for p in range(n):
         d = complex_.differentials[p]
-        if blocks[p + 1] * d != d * blocks[p]:
+        if not vanishes([(1, blocks[p + 1], d), (-1, d, blocks[p])]):
             raise ChainMapViolation(p)
     return ChainMap(complex=complex_, blocks=blocks)
 
@@ -208,7 +210,7 @@ def induced_cohomology_map(cohom: list[CohomologyData],
     for p, data in enumerate(cohom):
         images = data.representative_basis * chain_map.blocks[p].transpose()
         if p < len(differentials) and \
-                not (differentials[p] * images.transpose()).is_zero():
+                not vanishes([(1, differentials[p], images.transpose())]):
             raise InternalConsistencyFailure(
                 f"induced cocycle leaves the cocycle space at degree {p}"
             ) from NotInSpan("an image of a representative is not a cocycle")

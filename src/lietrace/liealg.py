@@ -4,10 +4,13 @@ A bracket table stores [e_i, e_j] for i < j only; antisymmetry holds by
 construction.  basis_ads builds the ad of every basis vector, the adjoint
 module's actions, in one pass over the structure constants; ad(x) combines
 them over the coordinates of x, and bracket(x, y) is ad(x) applied to y.
-Every bracket check is a matrix identity: represented_bracket gives
-rho([e_i, e_j]) and [rho(e_i), rho(e_j)] for any action matrices, Jacobi is
+Every bracket check is a matrix identity, a sum of c * a * b that one
+kernel, ratlin.vanishes, checks row by row, stopping at the first nonzero
+row, without building the products: bracket_terms gives
+rho([e_i, e_j]) - [rho(e_i), rho(e_j)] for any action matrices, Jacobi is
 that identity for the basis ads, and a morphism f satisfies
-ad(f e_i) f = f ad(e_i).  The series are sparse reduced row spaces.
+ad(f e_i) f = f ad(e_i).  Only a failed check builds its two sides, to
+report the defect.  The series are sparse reduced row spaces.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from math import lcm
 
 from .ratlin import (InvalidInput, Matrix, Vector, as_fraction,
                      format_rational, linear_combination, p_subsets,
-                     packed_row, rref)
+                     packed_row, rref, vanishes)
 
 
 class JacobiViolation(InvalidInput):
@@ -79,27 +82,39 @@ class LieAlgebra:
 def validate(algebra: LieAlgebra) -> None:
     """Check the Jacobi identity on all basis triples i < j < k.
 
-    Jacobi says that ad is a representation: represented_bracket on the
-    basis ads, pair by pair.  Where the two sides differ, column k > j of
-    the difference is the defect [[e_i,e_j],e_k] + [[e_j,e_k],e_i] +
-    [[e_k,e_i],e_j]; triples are visited in lexicographic order.
+    Jacobi says that ad is a representation: bracket_terms on the basis
+    ads, pair by pair.  Where they do not vanish, column k > j of
+    represented_bracket's difference is the defect [[e_i,e_j],e_k] +
+    [[e_j,e_k],e_i] + [[e_k,e_i],e_j]; triples are visited in lexicographic
+    order.
     """
     n = algebra.dim
     ads = basis_ads(algebra)
     for i, j in p_subsets(n - 1, 2):
-        lhs, rhs = represented_bracket(algebra, ads, i, j)
-        if lhs != rhs:
+        if not vanishes(bracket_terms(algebra, ads, i, j)):
+            lhs, rhs = represented_bracket(algebra, ads, i, j)
             defects = (lhs - rhs).transpose()
             for k in range(j + 1, n):
                 if defects.sparse[k]:
                     raise JacobiViolation(i, j, k, defects.row(k))
 
 
+def bracket_terms(algebra: LieAlgebra, actions: tuple, i: int,
+                  j: int) -> list:
+    """The ratlin.vanishes terms of rho([e_i, e_j]) - [rho(e_i), rho(e_j)]
+    for the action matrices rho(e_k) in `actions`: c rho(e_k) over the
+    structure constants of (i, j), then -rho(e_i) rho(e_j) and
+    rho(e_j) rho(e_i)."""
+    return ([(c, actions[k], None)
+             for k, c in algebra.brackets.get((i, j), {}).items()]
+            + [(-1, actions[i], actions[j]), (1, actions[j], actions[i])])
+
+
 def represented_bracket(algebra: LieAlgebra, actions: tuple, i: int,
                         j: int) -> tuple[Matrix, Matrix]:
-    """(rho([e_i, e_j]), [rho(e_i), rho(e_j)]) for the action matrices
-    rho(e_k) in `actions`; the first is the sum of c rho(e_k) over the
-    structure constants of (i, j)."""
+    """(rho([e_i, e_j]), [rho(e_i), rho(e_j)]) as matrices, built only to
+    report the defect of a failed bracket_terms check; the first is the sum
+    of c rho(e_k) over the structure constants of (i, j)."""
     return (linear_combination(algebra.brackets.get((i, j), {}).items(),
                                actions),
             actions[i] * actions[j] - actions[j] * actions[i])
@@ -221,17 +236,20 @@ def endomorphism(algebra: LieAlgebra, matrix) -> LieMorphism:
 def check_morphism(f: LieMorphism) -> None:
     """Verify f[e_i, e_j] = [f e_i, f e_j] on all basis pairs.
 
-    For each i, ad(f e_i) f (ad(f e_i) combined from the target's basis ads
-    over column i of f) is compared with f ad(e_i).  Where they differ,
-    column j > i of the difference is the defect [f e_i, f e_j] - f[e_i, e_j].
+    For each i, ad(f e_i) f - f ad(e_i) must vanish; times den, the
+    denominator of f, that is the terms c ad(e_k) f over the integers c of
+    column i of f, and -den f ad(e_i).  Where it does not, the two sides
+    are built and column j > i of their difference is the defect
+    [f e_i, f e_j] - f[e_i, e_j].
     """
     src, m = f.source, f.matrix
     src_ads, tgt_ads = basis_ads(src), basis_ads(f.target)
     images = m.transpose().sparse
     for i in range(src.dim - 1):
-        lhs = linear_combination(images[i], tgt_ads, m.den) * m
-        rhs = m * src_ads[i]
-        if lhs != rhs:
+        if not vanishes([(c, tgt_ads[k], m) for k, c in images[i]]
+                        + [(-m.den, m, src_ads[i])]):
+            lhs = linear_combination(images[i], tgt_ads, m.den) * m
+            rhs = m * src_ads[i]
             defects = (lhs - rhs).transpose()
             for j in range(i + 1, src.dim):
                 if defects.sparse[j]:

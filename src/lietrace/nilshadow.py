@@ -22,7 +22,7 @@ from fractions import Fraction
 from .liealg import (LieAlgebra, LieMorphism, basis_ads, endomorphism,
                      is_morphism, is_nilpotent, is_solvable, validate)
 from .ratlin import (InternalConsistencyFailure, InvalidInput, Matrix,
-                     determinant, jordan_chevalley)
+                     determinant, jordan_chevalley, vanishes)
 
 
 class NotAnIdeal(InvalidInput):
@@ -109,7 +109,8 @@ def validate_split(split: SplitPresentation) -> tuple:
                 f"semisimple part of ad(e{idx}) does not kill the complement")
     for x in range(len(semis)):
         for y in range(x + 1, len(semis)):
-            if semis[x] * semis[y] != semis[y] * semis[x]:
+            if not vanishes([(1, semis[x], semis[y]),
+                             (-1, semis[y], semis[x])]):
                 raise SemisimplePartsDoNotCommute(
                     f"semisimple parts of ad(e{split.complement[x]}) and "
                     f"ad(e{split.complement[y]}) do not commute")

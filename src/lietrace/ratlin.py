@@ -4,7 +4,10 @@ A Matrix is the integer nonzeros of its rows over one positive denominator,
 in lowest terms.  Products, sums, kron, traces and exterior powers multiply
 only integers and walk only the nonzeros (the cochain differentials are a
 few percent nonzero); rref and determinant eliminate fraction-free on the
-integer rows.  The reduced row echelon form is unique, so every derived
+integer rows.  Every identity the library certifies (d o d = 0, chain maps,
+cocycle images, brackets) is a sum of c * a * b that one kernel, vanishes,
+checks row by row, stopping at the first nonzero row, without building the
+products.  The reduced row echelon form is unique, so every derived
 basis (kernels, images, cohomology representatives, each a Matrix whose
 rows are the basis vectors) is the one elimination over Fraction gives, on
 any platform.  Fraction appears only at the edges: dense input, `entries`
@@ -324,6 +327,43 @@ def linear_combination(terms, matrices, den: int = 1) -> Matrix:
             for j, x in row:
                 acc[j] = acc[j] + c * x if j in acc else c * x
     return Matrix._of(tuple(map(packed_row, rows)), matrices[0].cols, total)
+
+
+def vanishes(terms) -> bool:
+    """Whether the sum of c * a * b over the (c, a, b) `terms` is zero, b
+    None for a lone a, c an int or a Fraction.  Each term becomes an integer
+    scale over the lcm of the c.den * a.den * b.den, and the sum is
+    accumulated one row at a time into one dict, returning at the first
+    nonzero row: nothing is sorted, put in lowest terms or stored."""
+    shape, scaled = None, []
+    for c, a, b in terms:
+        if b is None:   # a lone a is a * I
+            b = Matrix.identity(a.cols)
+        if a.cols != b.rows:
+            raise ValueError(f"shape mismatch {a.rows}x{a.cols} * "
+                             f"{b.rows}x{b.cols}")
+        if shape is None:
+            shape = a.rows, b.cols
+        elif shape != (a.rows, b.cols):
+            raise ValueError(f"shape mismatch {shape[0]}x{shape[1]} + "
+                             f"{a.rows}x{b.cols}")
+        if c:
+            scaled.append((c.numerator, c.denominator * a.den * b.den,
+                           a.sparse, b.sparse))
+    total = lcm(*[q for _, q, _, _ in scaled])
+    scaled = [(c * (total // q), arows, brows) for c, q, arows, brows in scaled]
+    acc = {}
+    for i in range(shape[0] if scaled else 0):
+        for s, arows, brows in scaled:
+            for k, x in arows[i]:
+                sx = s * x
+                for j, y in brows[k]:
+                    t = sx * y
+                    acc[j] = acc[j] + t if j in acc else t
+        if any(acc.values()):
+            return False
+        acc.clear()
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,17 @@
 A representation is a list of action matrices, one per basis vector of the
 algebra, subject to rho([e_i, e_j]) = rho(e_i) rho(e_j) - rho(e_j) rho(e_i).
 Intertwiners are the coefficient maps that make pulled-back cochain
-complexes comparable; equivariance is checked exactly.
+complexes comparable; equivariance is checked exactly.  Both checks are
+ratlin.vanishes identities, row by row, building no product and no pullback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .liealg import LieAlgebra, LieMorphism, basis_ads, represented_bracket
-from .ratlin import InvalidInput, Matrix, linear_combination, p_subsets
+from .liealg import LieAlgebra, LieMorphism, basis_ads, bracket_terms
+from .ratlin import (InvalidInput, Matrix, linear_combination, p_subsets,
+                     vanishes)
 
 
 class NotARepresentation(InvalidInput):
@@ -65,20 +67,17 @@ def adjoint_module(algebra: LieAlgebra) -> Representation:
 
 
 def validate_rep(v: Representation) -> None:
-    """Check rho([e_i,e_j]) = [rho(e_i), rho(e_j)] on all pairs i < j,
-    both sides from liealg.represented_bracket, the identity that is also
-    Jacobi for the basis ads."""
+    """Check rho([e_i,e_j]) = [rho(e_i), rho(e_j)] on all pairs i < j, the
+    liealg.bracket_terms identity that is also Jacobi for the basis ads."""
     for i, j in p_subsets(v.algebra.dim, 2):
-        lhs, rhs = represented_bracket(v.algebra, v.actions, i, j)
-        if lhs != rhs:
+        if not vanishes(bracket_terms(v.algebra, v.actions, i, j)):
             raise NotARepresentation(i, j)
 
 
 def pullback(f: LieMorphism, v: Representation) -> Representation:
     """The module with action rho(f(x)): new action for e_i is the sum of
     f[j][i] rho(e_j) over the sparse column i of f.  Composition-reversing."""
-    if v.algebra != f.target:
-        raise DimensionMismatch("module is not over the morphism target")
+    _check_over_target(f, v)
     return Representation(algebra=f.source, dim=v.dim, actions=tuple(
         linear_combination(column, v.actions, f.matrix.den)
         for column in f.matrix.transpose().sparse))
@@ -107,8 +106,18 @@ def identity_intertwiner(f: LieMorphism, v: Representation) -> Intertwiner:
     return Intertwiner(morphism=f, module=v, matrix=Matrix.identity(v.dim))
 
 
+def _check_over_target(f: LieMorphism, v: Representation) -> None:
+    if v.algebra != f.target:
+        raise DimensionMismatch("module is not over the morphism target")
+
+
 def validate_intertwiner(xi: Intertwiner) -> None:
-    pulled = pullback(xi.morphism, xi.module)
-    for i in range(xi.morphism.source.dim):
-        if xi.matrix * pulled.actions[i] != xi.module.actions[i] * xi.matrix:
+    """Check xi rho(f(e_i)) = rho(e_i) xi for every i; times den, the
+    denominator of f, that is the terms c xi rho(e_k) over the integers c
+    of column i of f, and -den rho(e_i) xi, so no pullback is built."""
+    f, v, m = xi.morphism, xi.module, xi.matrix
+    _check_over_target(f, v)
+    for i, column in enumerate(f.matrix.transpose().sparse):
+        if not vanishes([(c, m, v.actions[k]) for k, c in column]
+                        + [(-f.matrix.den, v.actions[i], m)]):
             raise NotEquivariant(i)

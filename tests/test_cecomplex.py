@@ -9,6 +9,7 @@ from lietrace import cecomplex, ratlin
 from lietrace.catalog import get, random_graded_endomorphism, sample_endomorphisms
 from lietrace.cecomplex import (ChainMap, ChainMapViolation,
                                 InternalConsistencyFailure,
+                                InternalDSquareNonzero,
                                 ModuleAlgebraMismatch, betti_numbers,
                                 build_complex, cohomology, induced_chain_map,
                                 induced_cohomology_map)
@@ -337,6 +338,46 @@ def test_cocycle_leaving_block_is_an_internal_failure():
     with pytest.raises(InternalConsistencyFailure, match="degree 1") as err:
         induced_cohomology_map(cohomology(cx), bad)
     assert not isinstance(err.value, NotInSpan)
+    assert isinstance(err.value.__cause__, NotInSpan)
+
+
+@pytest.mark.parametrize("entry, degree", [((3, 0), 1), ((0, 5), 0)])
+def test_d_squared_nonzero_is_an_internal_failure(monkeypatch, entry, degree):
+    # d o d = 0 is an explicit check.  For heisenberg3 with the adjoint
+    # module, one more unit at (3, 0) of d_1 meets row 0 of d_0, which is
+    # zero, but column 3 of d_2, which is not: d_2 d_1 != 0.  At (0, 5) it
+    # meets row 5 of d_0, which is not zero: d_1 d_0 != 0, found first.
+    differential = cecomplex._differential
+
+    def perturbed(algebra, module, p):
+        d = differential(algebra, module, p)
+        if p != 1:
+            return d
+        rows = [list(row) for row in d.entries]
+        rows[entry[0]][entry[1]] += 1
+        return Matrix(rows)
+    monkeypatch.setattr(cecomplex, "_differential", perturbed)
+    with pytest.raises(InternalDSquareNonzero) as err:
+        build_complex(HEIS3, adjoint_module(HEIS3))
+    assert err.value.degree == degree
+    assert str(err.value) == f"d squared nonzero at degree {degree}"
+
+
+def test_cocycle_leaving_block_at_degree_zero():
+    # H^0 of heisenberg3 with the adjoint module is the centre, spanned by
+    # e2; a degree zero block swapping e0 and e2 sends it to e0, which
+    # d_0 does not kill ([e1, e0] = -e2)
+    module = adjoint_module(HEIS3)
+    cx = build_complex(HEIS3, module)
+    ident = endomorphism(HEIS3, Matrix.identity(3))
+    blocks = list(induced_chain_map(
+        cx, ident, identity_intertwiner(ident, module)).blocks)
+    blocks[0] = Matrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    bad = ChainMap(complex=cx, blocks=tuple(blocks))
+    with pytest.raises(InternalConsistencyFailure) as err:
+        induced_cohomology_map(cohomology(cx), bad)
+    assert str(err.value) == \
+        "induced cocycle leaves the cocycle space at degree 0"
     assert isinstance(err.value.__cause__, NotInSpan)
 
 

@@ -153,6 +153,24 @@ def test_validate_split_messages(monkeypatch, algebra, ideal, complement,
     assert str(err.value) == message
 
 
+def test_semisimple_parts_that_do_not_commute(monkeypatch):
+    # an abelian algebra passes every check before the commutation one; a
+    # wrong Jordan-Chevalley split gives the complement e2, e3 the parts
+    # E_00 and E_01, which kill the complement but do not commute
+    units = iter([Matrix([[1, 0, 0, 0]] + [[0] * 4] * 3),
+                  Matrix([[0, 1, 0, 0]] + [[0] * 4] * 3)])
+
+    def wrong_split(m):
+        semisimple = next(units)
+        return JordanParts(semisimple=semisimple, nilpotent=m - semisimple)
+    monkeypatch.setattr(nilshadow, "jordan_chevalley", wrong_split)
+    with pytest.raises(SemisimplePartsDoNotCommute) as err:
+        validate_split(SplitPresentation(algebra=LieAlgebra(dim=4),
+                                         nil_ideal=(0, 1), complement=(2, 3)))
+    assert str(err.value) == ("semisimple parts of ad(e2) and ad(e3) do not "
+                              "commute")
+
+
 def test_semisimple_commutation_error_is_exported():
     # once the earlier checks pass, abelian complements have commuting
     # semisimple parts, so the error class exists purely as a guard

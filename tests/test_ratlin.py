@@ -19,7 +19,7 @@ from lietrace.ratlin import (DegreeOutOfRange, InternalConsistencyFailure,
                              exterior_powers, format_rational, inverse,
                              jordan_chevalley, kernel_and_image, kron,
                              linear_combination, minimal_polynomial, p_subsets, parse_rational,
-                             quotient_basis, rref, squarefree_part)
+                             quotient_basis, rref, squarefree_part, vanishes)
 
 from helpers import (dense_matrix, greedy_complete, is_nilpotent_matrix,
                      is_squarefree, kernel_basis, random_invertible,
@@ -475,6 +475,74 @@ def test_sums_and_scalings_equal_dense_reference(data):
                      _dense_sum([(x, a), (y, b), (y, a)], (r, k)))
         d = data.draw(st.integers(1, 10 ** 6))
         _assert_same(linear_combination([(1, d)], [a, b], d), b)
+
+
+# The identity kernel against the dense Fraction sum over reference_mul:
+# vanishes(terms) says whether the sum of c * a * b is zero, on sums that
+# cancel in any order, sums that leave zero in their last row only, lone
+# terms, no terms and 0 x k and k x 0 shapes; coefficients and entries have
+# denominators up to 10**6.
+_COEFFICIENT = st.one_of(st.integers(-3, 3), _WIDE_ENTRY)
+
+
+@st.composite
+def _product_terms(draw, rows, cols):
+    """Up to three (c, a, b) terms of shape rows x cols, b None for a lone a."""
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        c = draw(_COEFFICIENT)
+        if draw(st.booleans()):
+            terms.append((c, draw(_sparse_matrices(rows, cols)), None))
+        else:
+            inner = draw(st.integers(0, 5))
+            terms.append((c, draw(_sparse_matrices(rows, inner)),
+                          draw(_sparse_matrices(inner, cols))))
+    return terms
+
+
+def _dense_value(terms, shape) -> Matrix:
+    return _dense_sum([(c, a if b is None else reference_mul(a, b))
+                       for c, a, b in terms], shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_vanishes_equals_dense_reference(data):
+    r, k = (data.draw(st.integers(0, 5)) for _ in range(2))
+    terms = data.draw(_product_terms(r, k))
+    assert vanishes(terms) == _dense_value(terms, (r, k)).is_zero()
+    # A * B - (A * B), each term against its value, shuffled
+    zero = terms + [(-c, a if b is None else a * b, None) for c, a, b in terms]
+    zero = data.draw(st.permutations(zero))
+    assert _dense_value(zero, (r, k)).is_zero()
+    assert vanishes(zero)
+    if r and k:   # one nonzero entry in the last row only
+        j, x = data.draw(st.integers(0, k - 1)), data.draw(_NONZERO)
+        last = [x if col == j else 0 for col in range(k)]
+        off = zero + [(1, dense_matrix([[0] * k] * (r - 1) + [last], k), None)]
+        off = data.draw(st.permutations(off))
+        assert not _dense_value(off, (r, k)).is_zero()
+        assert not vanishes(off)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 3)],
+                         ids=lambda shape: "%dx%d" % shape)
+def test_vanishes_on_no_terms_and_empty_shapes(shape):
+    rows, cols = shape
+    assert vanishes([])
+    assert vanishes([(1, Matrix.zero(rows, cols), None)])
+    assert vanishes([(Fraction(7, 10**6), Matrix.zero(rows, 2),
+                      Matrix.zero(2, cols)), (0, Matrix.zero(rows, cols), None)])
+
+
+def test_vanishes_names_both_shapes_on_a_mismatch():
+    a = Matrix([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError, match=r"^shape mismatch 2x3 \* 2x3$"):
+        vanishes([(1, a, a)])
+    with pytest.raises(ValueError, match=r"^shape mismatch 2x3 \+ 3x3$"):
+        vanishes([(1, a, None), (0, Matrix.identity(3), None)])
+    with pytest.raises(ValueError, match=r"^shape mismatch 2x3 \+ 2x2$"):
+        vanishes([(1, a, None), (1, a, a.transpose())])
 
 
 # Canonical form: one value, one stored form.  The same matrix reached by
