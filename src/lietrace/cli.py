@@ -21,11 +21,10 @@ import json
 import sys
 
 from . import catalog as catalog_mod
-from .cecomplex import (build_complex, cohomology, induced_chain_map,
-                        induced_cohomology_map)
+from .cecomplex import induced_chain_map, induced_cohomology_map
 from .documents import (InvalidDocument, algebra_to_doc, load_json,
                         matrix_to_doc, module_from_doc, task_from_doc)
-from .lefschetz import twisted_lefschetz
+from .lefschetz import coefficient_system, twisted_lefschetz
 from .liealg import check_morphism, is_nilpotent, is_solvable, validate
 from .nilshadow import (SplitPresentation, build_shadow, induced_shadow_map,
                         validate_split)
@@ -153,8 +152,8 @@ def _cmd_cohomology(args) -> int:
         if task.intertwiner is not None:
             task.intertwiner = identity_intertwiner(task.morphism, task.module)
     _validate_task(task)
-    complex_ = build_complex(task.algebra, task.module)
-    cohom = cohomology(complex_)
+    system = coefficient_system(task.algebra, task.module)
+    complex_, cohom = system.complex, system.cohomology
     report = {"betti": [d.betti for d in cohom],
               "dims": list(complex_.dims)}
     if task.morphism is not None:

@@ -11,17 +11,24 @@ The first two must agree for every valid input (Hopf trace identity for an
 exact-category chain map); a mismatch raises.  The third is the linearized
 prediction and may legitimately differ, e.g. for twisted coefficients whose
 intertwiner has trace other than 1 — the report just records the facts.
+
+Only the induced maps depend on the map.  coefficient_system keeps the
+validated complex and its cohomology per coefficient system (g, V) in the
+liealg memo, so the Jacobi, module, d o d, quotient rank and Euler checks
+run once per value; the morphism, intertwiner, chain-map, cocycle-image and
+Hopf checks run on every report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
-from .cecomplex import (build_complex, cohomology, induced_chain_map,
-                        induced_cohomology_map)
-from .liealg import (LieAlgebra, LieMorphism, check_morphism, is_nilpotent,
-                     validate)
+from .cecomplex import (CochainComplex, ModuleAlgebraMismatch, build_complex,
+                        cohomology, induced_chain_map, induced_cohomology_map)
+from .liealg import (LieAlgebra, LieMorphism, algebra_key, check_morphism,
+                     is_nilpotent, memoized, validate)
 from .ratlin import InternalConsistencyFailure, Matrix, determinant
 from .repn import Intertwiner, Representation, validate_intertwiner, validate_rep
 
@@ -49,6 +56,41 @@ def alternating_sum(values) -> Fraction:
     return sum(((-1) ** p * v for p, v in enumerate(values)), Fraction(0))
 
 
+class CoefficientSystem:
+    """What a report on (g, V) needs that does not depend on the map: the
+    complex, checked d o d = 0, and its cohomology, checked by quotient rank
+    and Euler characteristic.  Nilpotency of g is decided on first use.
+    A plain class: every CLI process would build a dataclass at import."""
+
+    def __init__(self, complex_: CochainComplex, cohomology: tuple):
+        self.complex, self.cohomology = complex_, cohomology
+
+    @cached_property
+    def nilpotent(self) -> bool:
+        return is_nilpotent(self.complex.algebra)
+
+
+def coefficient_system(algebra: LieAlgebra,
+                       module: Representation) -> CoefficientSystem:
+    """The validated complex and cohomology of (algebra, module), built on
+    the first call for their value and then read from the liealg memo."""
+    if module.algebra != algebra:
+        raise ModuleAlgebraMismatch("module is not over the given algebra")
+    return memoized(("coefficients", algebra_key(algebra), module.dim,
+                     module.actions),
+                    lambda: _coefficient_system(algebra, module))
+
+
+def _coefficient_system(algebra: LieAlgebra,
+                        module: Representation) -> CoefficientSystem:
+    validate(algebra)
+    validate_rep(module)
+    # nilpotent reads the algebra later, and the caller may edit its
+    # brackets in place, so the memo keeps its own copy
+    complex_ = build_complex(replace(algebra), module)
+    return CoefficientSystem(complex_, tuple(cohomology(complex_)))
+
+
 def twisted_lefschetz(algebra: LieAlgebra, module: Representation,
                       morphism: LieMorphism, intertwiner: Intertwiner,
                       linearization_matrix: Matrix | None = None,
@@ -56,16 +98,17 @@ def twisted_lefschetz(algebra: LieAlgebra, module: Representation,
     """Full pipeline: validate, build the complex, induce maps on cohomology,
     and compare the alternating trace with det(I - A).
 
-    linearization_matrix defaults to the morphism matrix.
+    linearization_matrix defaults to the morphism matrix.  The algebra and
+    module are validated with their coefficient system, once per value;
+    validate_inputs=False skips only the morphism and intertwiner checks,
+    for a caller that has run them.
     """
+    system = coefficient_system(algebra, module)
     if validate_inputs:
-        validate(algebra)
-        validate_rep(module)
         check_morphism(morphism)
         validate_intertwiner(intertwiner)
-    complex_ = build_complex(algebra, module)
-    chain_map = induced_chain_map(complex_, morphism, intertwiner)
-    cohom = cohomology(complex_)
+    chain_map = induced_chain_map(system.complex, morphism, intertwiner)
+    cohom = system.cohomology
     maps = induced_cohomology_map(cohom, chain_map)
 
     cohom_traces = tuple(m.trace() for m in maps)
@@ -86,7 +129,7 @@ def twisted_lefschetz(algebra: LieAlgebra, module: Representation,
     agree = lefschetz_number == det_value
     note = ""
     if not agree:
-        if not is_nilpotent(algebra):
+        if not system.nilpotent:
             note = ("disagreement is expected: the algebra is not nilpotent, "
                     "so cohomology at the algebra level need not compute the "
                     "manifold side")
@@ -95,7 +138,7 @@ def twisted_lefschetz(algebra: LieAlgebra, module: Representation,
                     "intertwiner trace != 1 rescale the cohomological side")
     return LefschetzReport(
         betti=tuple(d.betti for d in cohom),
-        dims=complex_.dims,
+        dims=system.complex.dims,
         cohomology_maps=tuple(maps),
         cohomology_traces=cohom_traces,
         cochain_traces=cochain_traces,

@@ -11,10 +11,16 @@ rho([e_i, e_j]) - [rho(e_i), rho(e_j)] for any action matrices, Jacobi is
 that identity for the basis ads, and a morphism f satisfies
 ad(f e_i) f = f ad(e_i).  Only a failed check builds its two sides, to
 report the defect.  The series are sparse reduced row spaces.
+
+memoized keeps the work that depends only on a value (the validated
+complex and cohomology of a coefficient system, the shadow of a split) for
+the MEMO_SIZE most recently used values, keyed by algebra_key and never by
+object identity: brackets is a mutable dict.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from math import lcm
 
@@ -77,6 +83,31 @@ class LieAlgebra:
     def __eq__(self, other):
         return (isinstance(other, LieAlgebra) and self.dim == other.dim
                 and self.brackets == other.brackets)
+
+
+def algebra_key(algebra: LieAlgebra) -> tuple:
+    """The algebra as a hashable value: dim, labels and the structure
+    constants sorted by basis pair."""
+    return (algebra.dim, algebra.labels,
+            tuple(sorted((pair, tuple(sorted(comps.items())))
+                         for pair, comps in algebra.brackets.items())))
+
+
+MEMO_SIZE = 16
+_memo = OrderedDict()
+
+
+def memoized(key: tuple, build):
+    """build() for a value key, kept for the MEMO_SIZE most recently used
+    keys.  An exception from build is raised and never stored, so invalid
+    input raises on every call."""
+    try:
+        _memo.move_to_end(key)
+    except KeyError:
+        _memo[key] = build()
+        if len(_memo) > MEMO_SIZE:
+            _memo.popitem(last=False)
+    return _memo[key]
 
 
 def validate(algebra: LieAlgebra) -> None:
@@ -240,10 +271,12 @@ def check_morphism(f: LieMorphism) -> None:
     denominator of f, that is the terms c ad(e_k) f over the integers c of
     column i of f, and -den f ad(e_i).  Where it does not, the two sides
     are built and column j > i of their difference is the defect
-    [f e_i, f e_j] - f[e_i, e_j].
+    [f e_i, f e_j] - f[e_i, e_j].  An endomorphism builds its basis ads
+    once.
     """
     src, m = f.source, f.matrix
-    src_ads, tgt_ads = basis_ads(src), basis_ads(f.target)
+    src_ads = basis_ads(src)
+    tgt_ads = src_ads if f.target == src else basis_ads(f.target)
     images = m.transpose().sparse
     for i in range(src.dim - 1):
         if not vanishes([(c, tgt_ads[k], m) for k, c in images[i]]

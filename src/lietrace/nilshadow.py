@@ -12,15 +12,21 @@ action is exactly what makes the result nilpotent while keeping every
 determinant of the form det(I - T) unchanged for split-compatible maps T:
 the induced map on the shadow is T itself under the identity identification
 of underlying spaces, and that equality is verified, not assumed.
+
+build_shadow keeps the shadow and the semisimple parts of a split in the
+liealg memo, keyed by the algebra's value and the split, so the split
+checks, the Jordan-Chevalley decompositions and the shadow's Jacobi and
+nilpotency checks run once per split; induced_shadow_map checks every map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .liealg import (LieAlgebra, LieMorphism, basis_ads, endomorphism,
-                     is_morphism, is_nilpotent, is_solvable, validate)
+from .liealg import (LieAlgebra, LieMorphism, algebra_key, basis_ads,
+                     endomorphism, is_morphism, is_nilpotent, is_solvable,
+                     memoized, validate)
 from .ratlin import (InternalConsistencyFailure, InvalidInput, Matrix,
                      determinant, jordan_chevalley, vanishes)
 
@@ -140,8 +146,17 @@ def build_shadow(split: SplitPresentation) -> ShadowResult:
     The shadow bracket keeps ideal x ideal brackets, sets complement pairs to
     zero, and lets a complement generator act on the ideal through
     nil(ad a) = ad a - semisimple(ad a).  The result is validated (Jacobi)
-    and must be nilpotent.
+    and must be nilpotent.  Built on the first call for the split's value;
+    each call gets its own copy of the shadow algebra.
     """
+    shadow, semisimple_parts = memoized(
+        ("shadow", algebra_key(split.algebra), split.nil_ideal,
+         split.complement), lambda: _shadow(split))
+    return ShadowResult(split=split, shadow=replace(shadow),
+                        semisimple_parts=semisimple_parts)
+
+
+def _shadow(split: SplitPresentation) -> tuple:
     parts = validate_split(split)
     algebra = split.algebra
     n = algebra.dim
@@ -166,8 +181,7 @@ def build_shadow(split: SplitPresentation) -> ShadowResult:
     validate(shadow)
     if not is_nilpotent(shadow):
         raise IdealNotNilpotent("shadow bracket failed to be nilpotent")
-    return ShadowResult(split=split, shadow=shadow,
-                        semisimple_parts=tuple(p.semisimple for p in parts))
+    return shadow, tuple(p.semisimple for p in parts)
 
 
 @dataclass(frozen=True)

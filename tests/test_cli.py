@@ -492,7 +492,7 @@ def test_library_value_error_exits_three(tmp_path, monkeypatch, capsys):
     def shape_bug(*args):
         raise ValueError("shape mismatch 3x3 * 4x1")
 
-    monkeypatch.setattr("lietrace.cli.build_complex", shape_bug)
+    monkeypatch.setattr("lietrace.lefschetz.build_complex", shape_bug)
     code = main(["cohomology", _task_heis(tmp_path)])
     err = capsys.readouterr().err
     assert code == EXIT_INTERNAL

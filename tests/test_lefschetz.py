@@ -8,12 +8,13 @@ import pytest
 from lietrace import cecomplex, liealg, ratlin
 from lietrace.catalog import (get, list_entries, random_graded_endomorphism,
                               sample_endomorphisms)
-from lietrace.lefschetz import (alternating_sum, linearization,
-                                twisted_lefschetz)
-from lietrace.liealg import LieAlgebra, endomorphism
+from lietrace.cecomplex import ModuleAlgebraMismatch
+from lietrace.lefschetz import (alternating_sum, coefficient_system,
+                                linearization, twisted_lefschetz)
+from lietrace.liealg import JacobiViolation, LieAlgebra, endomorphism
 from lietrace.ratlin import Matrix, as_fraction, determinant, inverse
-from lietrace.repn import (Intertwiner, adjoint_module, identity_intertwiner,
-                           trivial_module)
+from lietrace.repn import (Intertwiner, Representation, adjoint_module,
+                           identity_intertwiner, trivial_module)
 
 from helpers import NILPOTENT_NAMES, random_invertible
 
@@ -213,13 +214,13 @@ def test_validate_inputs_guard():
         twisted_lefschetz(HEIS3, module, bad, xi)
 
 
-def _filiform_adjoint(n: int):
+def _filiform_adjoint(n: int, t: int = 2):
     """The filiform algebra of dim n, [e0, ei] = e(i+1), with the adjoint
-    module, f = diag(2^w) for the weights (1, 1, 2, ..., n-1) and xi = f^-1."""
+    module, f = diag(t^w) for the weights (1, 1, 2, ..., n-1) and xi = f^-1."""
     algebra = LieAlgebra(dim=n, brackets={(0, i): {i + 1: 1}
                                           for i in range(1, n - 1)})
     weights = (1,) + tuple(range(1, n))
-    f = endomorphism(algebra, Matrix.diagonal([2 ** w for w in weights]))
+    f = endomorphism(algebra, Matrix.diagonal([t ** w for w in weights]))
     module = adjoint_module(algebra)
     return algebra, module, f, Intertwiner(morphism=f, module=module,
                                            matrix=inverse(f.matrix))
@@ -308,3 +309,122 @@ def test_filiform6_adjoint_report_stays_sparse(monkeypatch):
     assert dense_views == []
     assert len(coerced) < 1000
     assert sum(converted) < 5000
+
+
+# ---------------------------------------------------------------------------
+# the coefficient-system memo
+# ---------------------------------------------------------------------------
+
+def _catalog_runs(name):
+    """Zero-argument report calls for every sample map of a catalog entry:
+    the trivial module, and the adjoint module with xi = f^-1 for the
+    invertible maps."""
+    algebra = get(name).algebra
+    trivial, adjoint = trivial_module(algebra), adjoint_module(algebra)
+    runs = []
+    for f in sample_endomorphisms(get(name)):
+        xi = identity_intertwiner(f, trivial)
+        runs.append(lambda f=f, xi=xi: twisted_lefschetz(algebra, trivial,
+                                                         f, xi))
+        if determinant(f.matrix) != 0:
+            xi = Intertwiner(morphism=f, module=adjoint,
+                             matrix=inverse(f.matrix))
+            runs.append(lambda f=f, xi=xi: twisted_lefschetz(algebra, adjoint,
+                                                             f, xi))
+    return runs
+
+
+@pytest.mark.parametrize("name", list_entries())
+def test_memo_hit_equals_cold_report(name):
+    runs = _catalog_runs(name)
+    cold = []
+    for run in runs:
+        liealg._memo.clear()
+        cold.append(run())
+    warm = [run() for run in runs] + [run() for run in runs]
+    assert warm == cold + cold
+    assert [repr(r) for r in warm] == [repr(r) for r in cold + cold]
+
+
+def test_memo_follows_brackets_edited_in_place():
+    # the memo keys by value: an algebra edited after a hit is a new key,
+    # and the entry of its old value keeps deciding nilpotency on its own
+    # copy of the brackets
+    algebra = LieAlgebra(dim=3, brackets=SOL3.brackets)
+    t = [[-1, 0, 0], [0, 0, 2], [0, 1, 0]]
+    assert _trivial_run(algebra, t) == _trivial_run(algebra, t)
+    algebra.brackets.clear()
+    edited = _trivial_run(algebra, [[2, 0, 0], [0, 3, 0], [0, 0, 6]])
+    liealg._memo.clear()
+    assert edited == _trivial_run(get("abelian_3").algebra,
+                                  [[2, 0, 0], [0, 3, 0], [0, 0, 6]])
+    assert edited.betti == (1, 3, 3, 1)
+
+    liealg._memo.clear()
+    algebra = LieAlgebra(dim=3, brackets=SOL3.brackets)
+    _trivial_run(algebra, t)
+    algebra.brackets.clear()
+    twisted = _trivial_run(SOL3, t, scale=Fraction(2))
+    assert twisted.betti == (1, 1, 1, 1)
+    assert "not nilpotent" in twisted.note
+
+
+def test_module_over_another_algebra_raises_after_a_hit():
+    a3 = get("abelian_3").algebra
+    f = endomorphism(HEIS3, Matrix.diagonal([2, 3, 6]))
+    _trivial_run(HEIS3, f.matrix)
+    _trivial_run(HEIS3, f.matrix)
+    # the trivial modules of heisenberg3 and abelian_3 have equal actions
+    other = trivial_module(a3)
+    with pytest.raises(ModuleAlgebraMismatch):
+        twisted_lefschetz(HEIS3, other, f, identity_intertwiner(f, other))
+    with pytest.raises(ModuleAlgebraMismatch):
+        coefficient_system(HEIS3, other)
+
+
+def test_non_jacobi_algebra_raises_on_every_call():
+    # [e0,e1] = e2, [e0,e2] = e0 fails Jacobi on (0,1,2); nothing of it is
+    # kept, so each call checks it again
+    bad = LieAlgebra(dim=3, brackets={(0, 1): {2: 1}, (0, 2): {0: 1}})
+    errors = []
+    for _ in range(2):
+        with pytest.raises(JacobiViolation) as err:
+            _trivial_run(bad, Matrix.identity(3))
+        errors.append(err.value)
+    assert errors[0] is not errors[1]
+    assert str(errors[0]) == str(errors[1])
+    assert len(liealg._memo) == 0
+
+
+def test_memo_keeps_the_most_recently_used_entries():
+    # the abelian algebra of dim 1 acts on Q by any scalar
+    a1 = get("abelian_1").algebra
+    systems = [Representation(algebra=a1, dim=1, actions=(Matrix([[c]]),))
+               for c in range(liealg.MEMO_SIZE + 5)]
+    built = [coefficient_system(a1, systems[0])]
+    for module in systems[1:]:
+        built.append(coefficient_system(a1, module))
+        assert coefficient_system(a1, systems[0]) is built[0]
+        assert len(liealg._memo) <= liealg.MEMO_SIZE
+    assert len(liealg._memo) == liealg.MEMO_SIZE
+    # systems[0] was used after each other one, so the oldest others went
+    assert coefficient_system(a1, systems[-1]) is built[-1]
+    assert coefficient_system(a1, systems[1]) is not built[1]
+
+
+def test_second_map_on_a_coefficient_system_eliminates_nothing(monkeypatch):
+    # A structural guard in place of a timing test: a second filiform6
+    # report with the adjoint module and another map builds no differential
+    # and runs none of the eliminations behind the cohomology.
+    calls = []
+    for name in ("_differential", "kernel_and_image", "quotient_basis"):
+        def counting(*args, real=getattr(cecomplex, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(cecomplex, name, counting)
+    first = twisted_lefschetz(*_filiform_adjoint(6, t=2))
+    assert len(calls) == 6 + 6 + 7
+    calls.clear()
+    second = twisted_lefschetz(*_filiform_adjoint(6, t=3))
+    assert calls == []
+    assert first.betti == second.betti and second.lefschetz == second.hopf

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from lietrace import nilshadow
-from lietrace.catalog import get
+from lietrace import liealg, nilshadow
+from lietrace.catalog import get, list_entries, sample_endomorphisms
 from lietrace.cecomplex import InternalConsistencyFailure
 from lietrace.lefschetz import twisted_lefschetz
 from lietrace.liealg import LieAlgebra, ad, endomorphism, is_nilpotent
@@ -282,3 +282,89 @@ def test_random_diagonal_actions():
                                     endomorphism(algebra, t))
         expected = determinant(Matrix.identity(k + 1) - t)
         assert report.det_input == expected == report.det_shadow
+
+
+# ---------------------------------------------------------------------------
+# the shadow memo
+# ---------------------------------------------------------------------------
+
+def _splits():
+    """Every catalog split, MIXED and the Jordan-block example."""
+    splits = [SplitPresentation(algebra=get(name).algebra,
+                                nil_ideal=get(name).split[0],
+                                complement=get(name).split[1])
+              for name in list_entries()]
+    jordan = LieAlgebra(dim=3, brackets={(0, 2): {0: -1},
+                                         (1, 2): {0: -1, 1: -1}})
+    return splits + [
+        SplitPresentation(algebra=MIXED, nil_ideal=(0, 1, 2), complement=(3,)),
+        SplitPresentation(algebra=jordan, nil_ideal=(0, 1), complement=(2,))]
+
+
+def test_shadow_hit_equals_cold_result():
+    cold = []
+    for split in _splits():
+        liealg._memo.clear()
+        cold.append(build_shadow(split))
+    warm = [build_shadow(split) for split in _splits()]
+    assert warm == cold
+    assert [repr(r) for r in warm] == [repr(r) for r in cold]
+    for name in list_entries():
+        entry = get(name)
+        split = SplitPresentation(algebra=entry.algebra,
+                                  nil_ideal=entry.split[0],
+                                  complement=entry.split[1])
+        for t in sample_endomorphisms(entry):
+            liealg._memo.clear()
+            first = induced_shadow_map(build_shadow(split), t)
+            second = induced_shadow_map(build_shadow(split), t)
+            assert first == second and repr(first) == repr(second)
+
+
+def test_shadow_labels_follow_the_algebra():
+    named = LieAlgebra(dim=3, brackets=SOL3.algebra.brackets,
+                       labels=("t", "x", "y"))
+    shadows = [build_shadow(SplitPresentation(algebra=algebra,
+                                              nil_ideal=(1, 2),
+                                              complement=(0,))).shadow
+               for algebra in (SOL3.algebra, named, SOL3.algebra)]
+    assert [s.labels for s in shadows] == [("e0", "e1", "e2"),
+                                           ("t", "x", "y"),
+                                           ("e0", "e1", "e2")]
+
+
+def test_shadow_edited_in_place_does_not_reach_the_next_call():
+    split = SplitPresentation(algebra=MIXED, nil_ideal=(0, 1, 2),
+                              complement=(3,))
+    build_shadow(split).shadow.brackets.clear()
+    assert build_shadow(split).shadow.brackets == {(0, 1): {2: Fraction(1)}}
+
+
+def test_invalid_split_raises_on_every_call():
+    split = SplitPresentation(algebra=SOL3.algebra, nil_ideal=(0, 1),
+                              complement=(2,))
+    errors = []
+    for _ in range(2):
+        with pytest.raises(NotAnIdeal) as err:
+            build_shadow(split)
+        errors.append(err.value)
+    assert errors[0] is not errors[1]
+    assert len(liealg._memo) == 0
+
+
+def test_second_shadow_of_a_split_decomposes_nothing(monkeypatch):
+    # A structural guard in place of a timing test: the Jordan-Chevalley
+    # split of ad(e0) runs for the first shadow of sol3 and not for a
+    # second one from an equal presentation.
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return jordan_chevalley(m)
+
+    monkeypatch.setattr(nilshadow, "jordan_chevalley", counting)
+    first = _sol3_shadow()
+    assert len(calls) == 1
+    calls.clear()
+    assert _sol3_shadow() == first
+    assert calls == []
