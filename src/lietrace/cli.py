@@ -184,7 +184,7 @@ def _cmd_lefschetz(args) -> int:
         raise InvalidDocument("/map", "lefschetz needs a map")
     _validate_task(task)
     report = twisted_lefschetz(task.algebra, task.module, task.morphism,
-                               task.intertwiner, validate_inputs=False)
+                               task.intertwiner)
     doc = {
         "betti": list(report.betti),
         "dims": list(report.dims),

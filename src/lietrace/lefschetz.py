@@ -12,23 +12,24 @@ exact-category chain map); a mismatch raises.  The third is the linearized
 prediction and may legitimately differ, e.g. for twisted coefficients whose
 intertwiner has trace other than 1 — the report just records the facts.
 
-Only the induced maps depend on the map.  coefficient_system keeps the
-validated complex and its cohomology per coefficient system (g, V) in the
-liealg memo, so the Jacobi, module, d o d, quotient rank and Euler checks
-run once per value; the morphism, intertwiner, chain-map, cocycle-image and
-Hopf checks run on every report.
+Only the induced maps depend on the map.  coefficient_system caches the
+validated complex and its cohomology per coefficient system (g, V), an
+immutable value, for the MEMO_SIZE most recently used ones, so the Jacobi,
+module, d o d, quotient rank and Euler checks run once per value; the
+morphism, intertwiner, chain-map, cocycle-image and Hopf checks run on
+every report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .cecomplex import (CochainComplex, ModuleAlgebraMismatch, build_complex,
                         cohomology, induced_chain_map, induced_cohomology_map)
-from .liealg import (LieAlgebra, LieMorphism, algebra_key, check_morphism,
-                     is_nilpotent, memoized, validate)
+from .liealg import (MEMO_SIZE, LieAlgebra, LieMorphism, check_morphism,
+                     is_nilpotent, validate)
 from .ratlin import InternalConsistencyFailure, Matrix, determinant
 from .repn import Intertwiner, Representation, validate_intertwiner, validate_rep
 
@@ -53,7 +54,10 @@ def linearization(a: Matrix) -> Fraction:
 
 
 def alternating_sum(values) -> Fraction:
-    return sum(((-1) ** p * v for p, v in enumerate(values)), Fraction(0))
+    total = Fraction(0)
+    for p, v in enumerate(values):
+        total = total - v if p % 2 else total + v
+    return total
 
 
 class CoefficientSystem:
@@ -70,43 +74,34 @@ class CoefficientSystem:
         return is_nilpotent(self.complex.algebra)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def coefficient_system(algebra: LieAlgebra,
                        module: Representation) -> CoefficientSystem:
     """The validated complex and cohomology of (algebra, module), built on
-    the first call for their value and then read from the liealg memo."""
+    the first call for their value.  An exception is never cached, so
+    invalid input raises on every call."""
     if module.algebra != algebra:
         raise ModuleAlgebraMismatch("module is not over the given algebra")
-    return memoized(("coefficients", algebra_key(algebra), module.dim,
-                     module.actions),
-                    lambda: _coefficient_system(algebra, module))
-
-
-def _coefficient_system(algebra: LieAlgebra,
-                        module: Representation) -> CoefficientSystem:
     validate(algebra)
     validate_rep(module)
-    # nilpotent reads the algebra later, and the caller may edit its
-    # brackets in place, so the memo keeps its own copy
-    complex_ = build_complex(replace(algebra), module)
+    complex_ = build_complex(algebra, module)
     return CoefficientSystem(complex_, tuple(cohomology(complex_)))
 
 
 def twisted_lefschetz(algebra: LieAlgebra, module: Representation,
                       morphism: LieMorphism, intertwiner: Intertwiner,
-                      linearization_matrix: Matrix | None = None,
-                      validate_inputs: bool = True) -> LefschetzReport:
+                      linearization_matrix: Matrix | None = None
+                      ) -> LefschetzReport:
     """Full pipeline: validate, build the complex, induce maps on cohomology,
     and compare the alternating trace with det(I - A).
 
     linearization_matrix defaults to the morphism matrix.  The algebra and
-    module are validated with their coefficient system, once per value;
-    validate_inputs=False skips only the morphism and intertwiner checks,
-    for a caller that has run them.
+    module are validated with their coefficient system, once per value; the
+    morphism and intertwiner on every call.
     """
     system = coefficient_system(algebra, module)
-    if validate_inputs:
-        check_morphism(morphism)
-        validate_intertwiner(intertwiner)
+    check_morphism(morphism)
+    validate_intertwiner(intertwiner)
     chain_map = induced_chain_map(system.complex, morphism, intertwiner)
     cohom = system.cohomology
     maps = induced_cohomology_map(cohom, chain_map)

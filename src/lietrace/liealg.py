@@ -1,9 +1,13 @@
 """Finite-dimensional Lie algebras over Q, given by structure constants.
 
 A bracket table stores [e_i, e_j] for i < j only; antisymmetry holds by
-construction.  basis_ads builds the ad of every basis vector, the adjoint
-module's actions, in one pass over the structure constants; ad(x) combines
-them over the coordinates of x, and bracket(x, y) is ad(x) applied to y.
+construction.  A LieAlgebra is an immutable, hashable value: its brackets
+are read-only mappings, equality and the hash cover dim, brackets and
+labels, and lefschetz and nilshadow cache by it with functools.lru_cache.
+basis_ads, the ad of every basis vector and the adjoint module's actions,
+is built once per algebra in one pass over the structure constants; ad(x)
+combines them over the coordinates of x, and bracket(x, y) is ad(x)
+applied to y.
 Every bracket check is a matrix identity, a sum of c * a * b that one
 kernel, ratlin.vanishes, checks row by row, stopping at the first nonzero
 row, without building the products: bracket_terms gives
@@ -11,18 +15,14 @@ rho([e_i, e_j]) - [rho(e_i), rho(e_j)] for any action matrices, Jacobi is
 that identity for the basis ads, and a morphism f satisfies
 ad(f e_i) f = f ad(e_i).  Only a failed check builds its two sides, to
 report the defect.  The series are sparse reduced row spaces.
-
-memoized keeps the work that depends only on a value (the validated
-complex and cohomology of a coefficient system, the shadow of a split) for
-the MEMO_SIZE most recently used values, keyed by algebra_key and never by
-object identity: brackets is a mutable dict.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import lcm
+from types import MappingProxyType
 
 from .ratlin import (InvalidInput, Matrix, Vector, as_fraction,
                      format_rational, linear_combination, p_subsets,
@@ -53,8 +53,9 @@ def _fmt_vec(v: Vector) -> str:
 class LieAlgebra:
     """Structure-constant presentation.
 
-    brackets maps (i, j) with i < j to a sparse dict {k: coefficient} giving
-    [e_i, e_j] = sum_k c_k e_k.  Zero brackets are simply absent.
+    brackets maps (i, j) with i < j to a sparse mapping {k: coefficient}
+    giving [e_i, e_j] = sum_k c_k e_k.  Zero brackets are simply absent.
+    Both levels are stored read-only.
     """
     dim: int
     brackets: dict = field(default_factory=dict)
@@ -73,41 +74,40 @@ class LieAlgebra:
                 if not 0 <= k < self.dim:
                     raise InvalidInput(f"bracket result index {k} out of range")
             if entry:
-                clean[(i, j)] = entry
-        object.__setattr__(self, "brackets", clean)
+                clean[(i, j)] = MappingProxyType(entry)
+        object.__setattr__(self, "brackets", MappingProxyType(clean))
         labels = self.labels or tuple(f"e{i}" for i in range(self.dim))
         if len(labels) != self.dim:
             raise InvalidInput("labels length must equal dim")
         object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "_hash", hash((self.dim, frozenset(
+            (pair, frozenset(comps.items())) for pair, comps in clean.items()))))
 
-    def __eq__(self, other):
-        return (isinstance(other, LieAlgebra) and self.dim == other.dim
-                and self.brackets == other.brackets)
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        """The constructor call, brackets written as plain dicts."""
+        brackets = {pair: dict(comps) for pair, comps in self.brackets.items()}
+        return (f"LieAlgebra(dim={self.dim!r}, brackets={brackets!r}, "
+                f"labels={self.labels!r})")
+
+    @cached_property
+    def basis_ads(self) -> tuple:
+        """ad(e_0), ..., ad(e_{n-1}), the adjoint module's action matrices,
+        in one pass over the structure constants: c_k e_k in [e_i, e_j] is
+        c_k at (k, j) in ad(e_i) and -c_k at (k, i) in ad(e_j)."""
+        n = self.dim
+        brackets, den = integer_brackets(self)
+        rows = [[{} for _ in range(n)] for _ in range(n)]
+        for (i, j), comps in brackets.items():
+            for k, c in comps.items():
+                rows[i][k][j], rows[j][k][i] = c, -c
+        return tuple(Matrix._of(tuple(map(packed_row, ad_rows)), n, den)
+                     for ad_rows in rows)
 
 
-def algebra_key(algebra: LieAlgebra) -> tuple:
-    """The algebra as a hashable value: dim, labels and the structure
-    constants sorted by basis pair."""
-    return (algebra.dim, algebra.labels,
-            tuple(sorted((pair, tuple(sorted(comps.items())))
-                         for pair, comps in algebra.brackets.items())))
-
-
-MEMO_SIZE = 16
-_memo = OrderedDict()
-
-
-def memoized(key: tuple, build):
-    """build() for a value key, kept for the MEMO_SIZE most recently used
-    keys.  An exception from build is raised and never stored, so invalid
-    input raises on every call."""
-    try:
-        _memo.move_to_end(key)
-    except KeyError:
-        _memo[key] = build()
-        if len(_memo) > MEMO_SIZE:
-            _memo.popitem(last=False)
-    return _memo[key]
+MEMO_SIZE = 16   # coefficient systems and shadows each cache this many
 
 
 def validate(algebra: LieAlgebra) -> None:
@@ -120,7 +120,7 @@ def validate(algebra: LieAlgebra) -> None:
     order.
     """
     n = algebra.dim
-    ads = basis_ads(algebra)
+    ads = algebra.basis_ads
     for i, j in p_subsets(n - 1, 2):
         if not vanishes(bracket_terms(algebra, ads, i, j)):
             lhs, rhs = represented_bracket(algebra, ads, i, j)
@@ -161,20 +161,6 @@ def integer_brackets(algebra: LieAlgebra) -> tuple[dict, int]:
             for key, comps in algebra.brackets.items()}, den
 
 
-def basis_ads(algebra: LieAlgebra) -> tuple:
-    """ad(e_0), ..., ad(e_{n-1}), the adjoint module's action matrices, in
-    one pass over the structure constants: c_k e_k in [e_i, e_j] is c_k at
-    (k, j) in ad(e_i) and -c_k at (k, i) in ad(e_j)."""
-    n = algebra.dim
-    brackets, den = integer_brackets(algebra)
-    rows = [[{} for _ in range(n)] for _ in range(n)]
-    for (i, j), comps in brackets.items():
-        for k, c in comps.items():
-            rows[i][k][j], rows[j][k][i] = c, -c
-    return tuple(Matrix._of(tuple(map(packed_row, ad_rows)), n, den)
-                 for ad_rows in rows)
-
-
 def bracket(algebra: LieAlgebra, x: Vector, y: Vector) -> Vector:
     """Bilinear extension of the structure constants: ad(x) applied to y."""
     n = algebra.dim
@@ -192,7 +178,7 @@ def ad(algebra: LieAlgebra, x: Vector) -> Matrix:
         raise ValueError(f"ad of a vector of length {len(x)} in an algebra "
                          f"of dim {n}")
     return linear_combination([(a, c) for a, c in enumerate(x) if c],
-                              basis_ads(algebra))
+                              algebra.basis_ads)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +204,7 @@ def series(algebra: LieAlgebra, kind: str) -> SeriesReport:
     # the rows of current * ad(u)^T.  Only spans matter, so each product's
     # integer rows stand for its rows and the reduced rows for the term.
     n = algebra.dim
-    basis = ads = basis_ads(algebra)
+    basis = ads = algebra.basis_ads
     current, dims = Matrix.identity(n), [n]
     while True:
         products = tuple(row for a in ads
@@ -271,12 +257,10 @@ def check_morphism(f: LieMorphism) -> None:
     denominator of f, that is the terms c ad(e_k) f over the integers c of
     column i of f, and -den f ad(e_i).  Where it does not, the two sides
     are built and column j > i of their difference is the defect
-    [f e_i, f e_j] - f[e_i, e_j].  An endomorphism builds its basis ads
-    once.
+    [f e_i, f e_j] - f[e_i, e_j].
     """
     src, m = f.source, f.matrix
-    src_ads = basis_ads(src)
-    tgt_ads = src_ads if f.target == src else basis_ads(f.target)
+    src_ads, tgt_ads = src.basis_ads, f.target.basis_ads
     images = m.transpose().sparse
     for i in range(src.dim - 1):
         if not vanishes([(c, tgt_ads[k], m) for k, c in images[i]]

@@ -13,20 +13,20 @@ determinant of the form det(I - T) unchanged for split-compatible maps T:
 the induced map on the shadow is T itself under the identity identification
 of underlying spaces, and that equality is verified, not assumed.
 
-build_shadow keeps the shadow and the semisimple parts of a split in the
-liealg memo, keyed by the algebra's value and the split, so the split
+build_shadow caches the shadow and the semisimple parts per split, an
+immutable value, for the MEMO_SIZE most recently used ones, so the split
 checks, the Jordan-Chevalley decompositions and the shadow's Jacobi and
 nilpotency checks run once per split; induced_shadow_map checks every map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .liealg import (LieAlgebra, LieMorphism, algebra_key, basis_ads,
-                     endomorphism, is_morphism, is_nilpotent, is_solvable,
-                     memoized, validate)
+from .liealg import (MEMO_SIZE, LieAlgebra, LieMorphism, endomorphism,
+                     is_morphism, is_nilpotent, is_solvable, validate)
 from .ratlin import (InternalConsistencyFailure, InvalidInput, Matrix,
                      determinant, jordan_chevalley, vanishes)
 
@@ -105,7 +105,7 @@ def validate_split(split: SplitPresentation) -> tuple:
     if split.nil_ideal and not is_nilpotent(_restrict_to_ideal(split)):
         raise IdealNotNilpotent("marked ideal is not nilpotent")
 
-    ads = basis_ads(algebra)
+    ads = algebra.basis_ads
     parts = tuple(jordan_chevalley(ads[c]) for c in split.complement)
     semis = [p.semisimple for p in parts]
     for idx, s in zip(split.complement, semis):
@@ -146,16 +146,14 @@ def build_shadow(split: SplitPresentation) -> ShadowResult:
     The shadow bracket keeps ideal x ideal brackets, sets complement pairs to
     zero, and lets a complement generator act on the ideal through
     nil(ad a) = ad a - semisimple(ad a).  The result is validated (Jacobi)
-    and must be nilpotent.  Built on the first call for the split's value;
-    each call gets its own copy of the shadow algebra.
+    and must be nilpotent.  Built on the first call for the split's value.
     """
-    shadow, semisimple_parts = memoized(
-        ("shadow", algebra_key(split.algebra), split.nil_ideal,
-         split.complement), lambda: _shadow(split))
-    return ShadowResult(split=split, shadow=replace(shadow),
+    shadow, semisimple_parts = _shadow(split)
+    return ShadowResult(split=split, shadow=shadow,
                         semisimple_parts=semisimple_parts)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def _shadow(split: SplitPresentation) -> tuple:
     parts = validate_split(split)
     algebra = split.algebra

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .liealg import LieAlgebra, LieMorphism, basis_ads, bracket_terms
+from .liealg import LieAlgebra, LieMorphism, bracket_terms
 from .ratlin import (InvalidInput, Matrix, linear_combination, p_subsets,
                      vanishes)
 
@@ -42,8 +42,12 @@ class Representation:
     def __post_init__(self):
         if self.dim < 1:
             raise DimensionMismatch("module dimension must be at least 1")
-        actions = tuple(a if isinstance(a, Matrix) else Matrix(a)
-                        for a in self.actions)
+        # tuple() of a tuple is that tuple, so adjoint_module shares its
+        # algebra's basis_ads
+        actions = tuple(self.actions)
+        if not all(isinstance(a, Matrix) for a in actions):
+            actions = tuple(a if isinstance(a, Matrix) else Matrix(a)
+                            for a in actions)
         if len(actions) != self.algebra.dim:
             raise DimensionMismatch("need one action matrix per algebra basis vector")
         for a in actions:
@@ -63,7 +67,7 @@ def trivial_module(algebra: LieAlgebra) -> Representation:
 def adjoint_module(algebra: LieAlgebra) -> Representation:
     """The algebra acting on itself by ad; a representation by Jacobi."""
     return Representation(algebra=algebra, dim=algebra.dim,
-                          actions=basis_ads(algebra))
+                          actions=algebra.basis_ads)
 
 
 def validate_rep(v: Representation) -> None:

@@ -1,6 +1,7 @@
 """Catalog entries, generated endomorphisms, and the external override dir."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -112,3 +113,16 @@ def test_entry_structure_frozen():
     assert fil.grading == (1, 2, 3, 4)
     heis5 = get("heisenberg5")
     assert heis5.grading == (1, 1, 1, 1, 2)
+
+
+def test_catalog_algebras_are_read_only():
+    brackets = get("heisenberg3").algebra.brackets
+    with pytest.raises(AttributeError):
+        brackets.clear()
+    with pytest.raises(TypeError):
+        brackets[(0, 2)] = {1: 1}
+    with pytest.raises(TypeError):
+        brackets[(0, 1)][2] = 5
+    with pytest.raises(AttributeError):
+        brackets[(0, 1)].clear()
+    assert get("heisenberg3").algebra.brackets == {(0, 1): {2: Fraction(1)}}

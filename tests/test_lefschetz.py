@@ -231,7 +231,7 @@ def test_filiform6_adjoint_report_multiplies_integers(monkeypatch):
     # filiform6 report with the adjoint module is integers over one
     # denominator, so products, kron, exterior powers and elimination run
     # no Fraction arithmetic.  What is left is the alternating sums of the
-    # 2 x 7 traces, 28 operator calls; multiplying Fraction entries, as
+    # 2 x 7 traces, 14 operator calls; multiplying Fraction entries, as
     # before the integer form, made 2159.  The count is deterministic.
     algebra, module, f, xi = _filiform_adjoint(6)
     calls = []
@@ -339,34 +339,11 @@ def test_memo_hit_equals_cold_report(name):
     runs = _catalog_runs(name)
     cold = []
     for run in runs:
-        liealg._memo.clear()
+        coefficient_system.cache_clear()
         cold.append(run())
     warm = [run() for run in runs] + [run() for run in runs]
     assert warm == cold + cold
     assert [repr(r) for r in warm] == [repr(r) for r in cold + cold]
-
-
-def test_memo_follows_brackets_edited_in_place():
-    # the memo keys by value: an algebra edited after a hit is a new key,
-    # and the entry of its old value keeps deciding nilpotency on its own
-    # copy of the brackets
-    algebra = LieAlgebra(dim=3, brackets=SOL3.brackets)
-    t = [[-1, 0, 0], [0, 0, 2], [0, 1, 0]]
-    assert _trivial_run(algebra, t) == _trivial_run(algebra, t)
-    algebra.brackets.clear()
-    edited = _trivial_run(algebra, [[2, 0, 0], [0, 3, 0], [0, 0, 6]])
-    liealg._memo.clear()
-    assert edited == _trivial_run(get("abelian_3").algebra,
-                                  [[2, 0, 0], [0, 3, 0], [0, 0, 6]])
-    assert edited.betti == (1, 3, 3, 1)
-
-    liealg._memo.clear()
-    algebra = LieAlgebra(dim=3, brackets=SOL3.brackets)
-    _trivial_run(algebra, t)
-    algebra.brackets.clear()
-    twisted = _trivial_run(SOL3, t, scale=Fraction(2))
-    assert twisted.betti == (1, 1, 1, 1)
-    assert "not nilpotent" in twisted.note
 
 
 def test_module_over_another_algebra_raises_after_a_hit():
@@ -382,6 +359,13 @@ def test_module_over_another_algebra_raises_after_a_hit():
         coefficient_system(HEIS3, other)
 
 
+def test_module_mismatch_is_checked_before_the_algebra():
+    # bad fails Jacobi, but a module over another algebra is named first
+    bad = LieAlgebra(dim=3, brackets={(0, 1): {2: 1}, (0, 2): {0: 1}})
+    with pytest.raises(ModuleAlgebraMismatch):
+        coefficient_system(bad, trivial_module(HEIS3))
+
+
 def test_non_jacobi_algebra_raises_on_every_call():
     # [e0,e1] = e2, [e0,e2] = e0 fails Jacobi on (0,1,2); nothing of it is
     # kept, so each call checks it again
@@ -393,7 +377,7 @@ def test_non_jacobi_algebra_raises_on_every_call():
         errors.append(err.value)
     assert errors[0] is not errors[1]
     assert str(errors[0]) == str(errors[1])
-    assert len(liealg._memo) == 0
+    assert coefficient_system.cache_info().currsize == 0
 
 
 def test_memo_keeps_the_most_recently_used_entries():
@@ -405,8 +389,8 @@ def test_memo_keeps_the_most_recently_used_entries():
     for module in systems[1:]:
         built.append(coefficient_system(a1, module))
         assert coefficient_system(a1, systems[0]) is built[0]
-        assert len(liealg._memo) <= liealg.MEMO_SIZE
-    assert len(liealg._memo) == liealg.MEMO_SIZE
+        assert coefficient_system.cache_info().currsize <= liealg.MEMO_SIZE
+    assert coefficient_system.cache_info().currsize == liealg.MEMO_SIZE
     # systems[0] was used after each other one, so the oldest others went
     assert coefficient_system(a1, systems[-1]) is built[-1]
     assert coefficient_system(a1, systems[1]) is not built[1]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lietrace import ratlin
+from lietrace import liealg, ratlin
 from lietrace.catalog import get
 from lietrace.cecomplex import build_complex
 from lietrace.liealg import (JacobiViolation, LieAlgebra, NotAMorphism, ad,
@@ -15,6 +15,7 @@ from lietrace.liealg import (JacobiViolation, LieAlgebra, NotAMorphism, ad,
                              is_morphism, is_nilpotent, is_solvable, series,
                              validate)
 from lietrace.ratlin import Matrix, inverse, p_subsets
+from lietrace.nilshadow import SplitPresentation
 from lietrace.repn import (Intertwiner, adjoint_module, trivial_module,
                            validate_intertwiner, validate_rep)
 
@@ -296,3 +297,42 @@ def test_filiform7_validators_stay_sparse(monkeypatch):
     check_morphism(f)
     validate_intertwiner(xi)
     assert sum(converted) < 300
+
+
+def test_algebras_from_equal_brackets_are_equal_values():
+    # dict order, coefficient type and zero coefficients do not change the
+    # value; labels do
+    tables = [{(0, 1): {2: 1, 3: 0}, (0, 2): {3: Fraction(1, 2)}},
+              {(0, 2): {3: "1/2"}, (0, 1): {2: Fraction(1)}},
+              {(0, 2): {3: Fraction(2, 4)}, (0, 1): {3: "0", 2: "1"},
+               (1, 2): {0: 0}}]
+    algebras = [LieAlgebra(dim=4, brackets=table) for table in tables]
+    assert all(a == algebras[0] for a in algebras)
+    assert len({hash(a) for a in algebras}) == 1
+    assert len(set(algebras)) == 1
+    named = LieAlgebra(dim=4, brackets=tables[0], labels=("x", "y", "z", "w"))
+    assert named != algebras[0]
+    modules = {adjoint_module(a): a for a in algebras}
+    assert list(modules) == [adjoint_module(algebras[0])]
+    splits = {SplitPresentation(algebra=a, nil_ideal=(1, 2, 3),
+                                complement=(0,)) for a in algebras}
+    assert len(splits) == 1
+
+
+def test_second_check_morphism_builds_no_ads(monkeypatch):
+    # A structural guard: the basis ads are built once per algebra, so a
+    # second morphism check packs none of their rows, and the adjoint
+    # module's actions are the same tuple.
+    algebra = get("heisenberg5").algebra
+    f = endomorphism(algebra, Matrix.diagonal([2, 2, 2, 2, 4]))
+    check_morphism(f)
+    rows = []
+
+    def counting(acc, real=liealg.packed_row):
+        rows.append(acc)
+        return real(acc)
+
+    monkeypatch.setattr(liealg, "packed_row", counting)
+    check_morphism(f)
+    assert rows == []
+    assert adjoint_module(algebra).actions is algebra.basis_ads

