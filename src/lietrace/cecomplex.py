@@ -130,14 +130,18 @@ class CohomologyData:
     representative_basis extends coboundary_basis to a basis of the cocycle
     space: the cocycle basis rows the greedy left-to-right extension picks
     (ratlin.quotient_basis).  Its classes form the basis used for induced
-    maps; class_coordinates (not in == or repr) takes a cocycle to them.
+    maps.  Two transposes, built once with the cohomology and not in == or
+    repr, serve induced_cohomology_map: transposed_representatives, the
+    representatives as columns, and transposed_coordinates, whose product
+    with a column cocycle is its coordinates on the classes.
     """
     degree: int
     betti: int
     cocycle_basis: Matrix
     coboundary_basis: Matrix
     representative_basis: Matrix
-    class_coordinates: Matrix = field(compare=False, repr=False)
+    transposed_representatives: Matrix = field(compare=False, repr=False)
+    transposed_coordinates: Matrix = field(compare=False, repr=False)
 
 
 def cohomology(complex_: CochainComplex) -> list[CohomologyData]:
@@ -157,7 +161,9 @@ def cohomology(complex_: CochainComplex) -> list[CohomologyData]:
                 f"{reps.rows} representatives but betti {betti} at degree {p}")
         out.append(CohomologyData(
             degree=p, betti=betti, cocycle_basis=z, coboundary_basis=b,
-            representative_basis=reps, class_coordinates=coordinates))
+            representative_basis=reps,
+            transposed_representatives=reps.transpose(),
+            transposed_coordinates=coordinates.transpose()))
     # Euler characteristic certificate: alternating sums over bases and over
     # cochain dimensions must agree.
     lhs = sum((-1) ** p * data.betti for p, data in enumerate(out))
@@ -201,18 +207,20 @@ def induced_cohomology_map(cohom: list[CohomologyData],
                            chain_map: ChainMap) -> list[Matrix]:
     """Matrix of the induced map on each H^p in the representative basis.
 
-    The rows of reps * F_p^T are the images F_p h of the representatives.
-    Each is checked to be a cocycle, d_p * images^T = 0; its
-    class_coordinates are then a column of the map.  No rref runs here.
+    The columns of X = F_p * reps^T are the images F_p h of the
+    representatives.  Each is checked to be a cocycle, d_p * X = 0, and
+    H_p = coords^T * X takes them to the classes, column by column, with
+    the transposes built once with the cohomology: no rref and no
+    cochain-sized transpose runs here.
     """
     differentials = chain_map.complex.differentials
     out = []
     for p, data in enumerate(cohom):
-        images = data.representative_basis * chain_map.blocks[p].transpose()
+        images = chain_map.blocks[p] * data.transposed_representatives
         if p < len(differentials) and \
-                not vanishes([(1, differentials[p], images.transpose())]):
+                not vanishes([(1, differentials[p], images)]):
             raise InternalConsistencyFailure(
                 f"induced cocycle leaves the cocycle space at degree {p}"
             ) from NotInSpan("an image of a representative is not a cocycle")
-        out.append((images * data.class_coordinates).transpose())
+        out.append(data.transposed_coordinates * images)
     return out

@@ -12,12 +12,16 @@ exact-category chain map); a mismatch raises.  The third is the linearized
 prediction and may legitimately differ, e.g. for twisted coefficients whose
 intertwiner has trace other than 1 — the report just records the facts.
 
-Only the induced maps depend on the map.  coefficient_system caches the
-validated complex and its cohomology per coefficient system (g, V), an
-immutable value, for the MEMO_SIZE most recently used ones, so the Jacobi,
-module, d o d, quotient rank and Euler checks run once per value; the
-morphism, intertwiner, chain-map, cocycle-image and Hopf checks run on
-every report.
+Only the induced maps depend on the map, and a report builds nothing else.
+Once per coefficient system (g, V), an immutable value, coefficient_system
+caches, for the MEMO_SIZE most recently used ones: the validated complex,
+its cohomology and the transposed representatives and class coordinates
+that the induced maps multiply by, so the Jacobi, module, d o d, quotient
+rank and Euler checks run once per value.  Once per dimension n: the
+subset tables of the exterior powers (ratlin) and the torus oracle's
+abelian algebra with its trivial module and basis ads.  On every report:
+the morphism, intertwiner, chain-map, cocycle-image and Hopf checks, and
+products of the map with what is cached, transposing only the n x n map.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from functools import cached_property
 from math import lcm
 from types import MappingProxyType
 
+from . import ratlin
 from .ratlin import (InvalidInput, Matrix, Vector, as_fraction,
                      format_rational, linear_combination, p_subsets,
                      packed_row, rref, vanishes)
@@ -107,7 +108,7 @@ class LieAlgebra:
                      for ad_rows in rows)
 
 
-MEMO_SIZE = 16   # coefficient systems and shadows each cache this many
+MEMO_SIZE = ratlin.MEMO_SIZE   # coefficient systems and shadows cache this many
 
 
 def validate(algebra: LieAlgebra) -> None:

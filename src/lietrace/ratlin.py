@@ -20,11 +20,13 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, compress, repeat
 from math import gcd, lcm, prod
 from operator import is_not
 
 _ZERO = Fraction(0)
+MEMO_SIZE = 16   # every functools.lru_cache of the package holds this many
 
 
 class NonSquare(ValueError):
@@ -384,6 +386,7 @@ def _in_lowest_terms(rows, dens) -> tuple[list, list]:
 def _over_lcm_of_rows(rows, dens) -> tuple:
     """(sparse, den): integer rows, row i over dens[i] != 0, in lowest terms
     and then over the lcm of their denominators, so gcd(den, nums) = 1."""
+    # a d may be negative (rref passes its pivots): lcm 1 still flips signs
     rows, dens = _in_lowest_terms(rows, dens)
     den = lcm(*dens)   # > 0: den // d keeps the sign of d
     return tuple(tuple((j, x * (den // d)) for j, x in row)
@@ -550,7 +553,8 @@ def _exterior_powers(m: Matrix):
     Each degree-p minor is the first-row Laplace expansion over degree-(p-1)
     minors: with s the first row of S, minor(S, T) is the sum over positions
     k of (-1)^k M[s][T[k]] minor(S - s, T - T[k]).  It is accumulated over
-    the nonzeros of row s of M and of row S - s of Lambda^(p-1) M.
+    the nonzeros of row s of M and of row S - s of Lambda^(p-1) M, through
+    the subset tables of _laplace_table.
     """
     if not m.is_square():
         raise NonSquare("exterior power of non-square matrix")
@@ -558,17 +562,11 @@ def _exterior_powers(m: Matrix):
     mrows, d = _in_lowest_terms(m.sparse, [m.den] * n)
     prev, prev_dens = Matrix.identity(1).sparse, [1]
     yield Matrix.identity(1)
-    index = {(): 0}
     for p in range(1, n + 1):
-        subsets = p_subsets(n, p)
-        # per (p-1)-subset F: column t -> (index of F + t, sign of t's place)
-        grow = [{} for _ in index]
-        for col, cols in enumerate(subsets):
-            for k, t in enumerate(cols):
-                grow[index[cols[:k] + cols[k + 1:]]][t] = (col, k % 2 == 1)
+        heads, grow, _ = _laplace_table(n, p)
         rows, dens = [], []
-        for s in subsets:
-            mrow, face_row = mrows[s[0]], index[s[1:]]
+        for s, face_row in heads:
+            mrow = mrows[s]
             acc = {}
             for face, b in prev[face_row]:
                 faces = grow[face]
@@ -578,11 +576,37 @@ def _exterior_powers(m: Matrix):
                         term = -a * b if negative else a * b
                         acc[col] = acc[col] + term if col in acc else term
             rows.append(packed_row(acc))
-            dens.append(d[s[0]] * prev_dens[face_row])
+            dens.append(d[s] * prev_dens[face_row])
         prev, prev_dens = rows, dens
         sparse, den = _over_lcm_of_rows(rows, dens)
-        yield Matrix._canonical(sparse, len(subsets), den)
-        index = {s: i for i, s in enumerate(subsets)}
+        yield Matrix._canonical(sparse, len(heads), den)
+
+
+def _laplace_table(n: int, p: int) -> tuple:
+    """(heads, grow, subsets), the subset tables of degree p >= 1 in
+    dimension n, which depend on (n, p) only: subsets lists the p-subsets
+    in order; heads holds, for each p-subset S, its first element s and the
+    index of S - s among the (p-1)-subsets; grow maps, for each
+    (p-1)-subset F, a column t outside F to the index of F + t and whether
+    t sits at an odd place in it.  Built on first use from degree p - 1's
+    subsets and kept, for the MEMO_SIZE most recent n."""
+    tables = _laplace_tables(n)
+    if p not in tables:
+        index = {s: i for i, s in enumerate(_laplace_table(n, p - 1)[2])}
+        subsets = p_subsets(n, p)
+        grow = [{} for _ in index]
+        for col, cols in enumerate(subsets):
+            for k, t in enumerate(cols):
+                grow[index[cols[:k] + cols[k + 1:]]][t] = (col, k % 2 == 1)
+        tables[p] = [(s[0], index[s[1:]]) for s in subsets], grow, subsets
+    return tables[p]
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _laplace_tables(n: int) -> dict:
+    """Degree -> _laplace_table(n, degree), filled in on demand; degree 0
+    holds the empty subset only."""
+    return {0: ((), (), [()])}
 
 
 def exterior_power(m: Matrix, p: int) -> Matrix:

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .ratlin import (InternalConsistencyFailure, InvalidInput, Matrix,
-                     determinant, format_rational, inverse)
+from .ratlin import (MEMO_SIZE, InternalConsistencyFailure, InvalidInput,
+                     Matrix, determinant, format_rational, inverse)
 
 
 MAX_FIXED_POINTS = 10 ** 4   # every point is kept: time and memory follow it
@@ -116,17 +117,28 @@ def count_fixed_points(torus_map: TorusMap) -> FixedPointReport:
                             index_each=index, points=points)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _torus_system(n: int) -> tuple:
+    """(algebra, module): the abelian algebra of dimension n and its trivial
+    module, one pair per n, so its basis ads and its coefficient system are
+    built once."""
+    from .liealg import LieAlgebra
+    from .repn import trivial_module
+
+    algebra = LieAlgebra(dim=n)
+    return algebra, trivial_module(algebra)
+
+
 def cross_check_with_ce(torus_map: TorusMap):
     """Same number through the cochain pipeline: the torus is the nilmanifold
     of the abelian algebra, where the complex is the bare exterior algebra.
     Returns (fixed point report, cochain-side Lefschetz number, verdict)."""
     from .lefschetz import twisted_lefschetz
-    from .liealg import LieAlgebra, endomorphism
-    from .repn import Intertwiner, trivial_module
+    from .liealg import endomorphism
+    from .repn import Intertwiner
 
     report = count_fixed_points(torus_map)
-    algebra = LieAlgebra(dim=torus_map.dim)
-    module = trivial_module(algebra)
+    algebra, module = _torus_system(torus_map.dim)
     f = endomorphism(algebra, [[Fraction(x) for x in row]
                                for row in torus_map.matrix])
     xi = Intertwiner(morphism=f, module=module, matrix=[[1]])

@@ -14,10 +14,13 @@ from lietrace.cecomplex import (ChainMap, ChainMapViolation,
                                 build_complex, cohomology, induced_chain_map,
                                 induced_cohomology_map)
 from lietrace.liealg import LieAlgebra, endomorphism
-from lietrace.ratlin import Matrix, NotInSpan, inverse, quotient_basis
+from lietrace.lefschetz import coefficient_system
+from lietrace.ratlin import (Matrix, NotInSpan, inverse, kernel_and_image,
+                             quotient_basis)
 from lietrace.repn import (Intertwiner, adjoint_module, identity_intertwiner,
-                           trivial_module)
+                           trivial_module, validate_intertwiner)
 
+from generated import generated_cases
 from helpers import (ALL_NAMES, greedy_complete, heisenberg_defining_module,
                      random_modules, solve_in_span, zero_vec)
 
@@ -322,6 +325,69 @@ def test_filiform_model_matches_reference(n):
     trivial = trivial_module(algebra)
     _assert_matches_reference(algebra, trivial, [
         (f, identity_intertwiner(f, trivial)) for f, _ in maps])
+
+
+def _transposed_formula(data, block) -> Matrix:
+    """(R F_p^T C)^T from the public fields of one degree: the images of the
+    representatives R as rows, taken to the classes by C, the coordinates
+    on them, which R C = I and B C = 0 pin down on the cocycles."""
+    coordinates = data.transposed_coordinates.transpose()
+    reps = data.representative_basis
+    assert reps * coordinates == Matrix.identity(data.betti)
+    assert (data.coboundary_basis * coordinates).is_zero()
+    return (reps * block.transpose() * coordinates).transpose()
+
+
+def _intertwiner(rng, f, module) -> Intertwiner:
+    """A random combination of a basis of the m x m matrices xi with
+    xi rho(f e_i) = rho(e_i) xi, the kernel of those equations on the m^2
+    entries of xi."""
+    m, rho = module.dim, module.actions
+    equations = []
+    for i in range(f.source.dim):
+        image = Matrix.zero(m, m)
+        for k in range(f.target.dim):
+            image = image + f.matrix[k, i] * rho[k]
+        for a in range(m):
+            for c in range(m):
+                row = [Fraction(0)] * (m * m)
+                for b in range(m):
+                    row[a * m + b] += image[b, c]
+                    row[b * m + c] -= rho[i][a, b]
+                equations.append(row)
+    kernel, _ = kernel_and_image(Matrix(equations))
+    xi = [Fraction(0)] * (m * m)
+    for v in kernel.entries:
+        c = rng.randint(-2, 2)
+        xi = [x + c * y for x, y in zip(xi, v)]
+    xi = Intertwiner(morphism=f, module=module, matrix=Matrix(
+        [xi[a * m:(a + 1) * m] for a in range(m)]))
+    validate_intertwiner(xi)
+    return xi
+
+
+def test_induced_maps_keep_their_orientation():
+    # induced_cohomology_map computes coords^T (F_p reps^T) with the
+    # transposes built once per coefficient system; it must equal
+    # (reps F_p^T coords)^T, the map with the images as rows, on every
+    # generated case and on random modules with random intertwiners, so
+    # a map transposed on its way out cannot pass as the induced map
+    rng = random.Random(137)
+    cases = [(a, m, f, xi) for _, a, m, f, xi, _ in generated_cases()]
+    for module in random_modules(seed=139, count=6):
+        entry = next(get(name) for name in ALL_NAMES
+                     if get(name).algebra == module.algebra)
+        cases += [(module.algebra, module, f, _intertwiner(rng, f, module))
+                  for f in sample_endomorphisms(entry)]
+    asymmetric = 0
+    for algebra, module, f, xi in cases:
+        system = coefficient_system(algebra, module)
+        chain_map = induced_chain_map(system.complex, f, xi)
+        maps = induced_cohomology_map(system.cohomology, chain_map)
+        assert maps == [_transposed_formula(data, block) for data, block
+                        in zip(system.cohomology, chain_map.blocks)]
+        asymmetric += any(h != h.transpose() for h in maps)
+    assert asymmetric >= 20
 
 
 def test_cocycle_leaving_block_is_an_internal_failure():

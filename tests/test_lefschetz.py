@@ -248,6 +248,27 @@ def test_filiform6_adjoint_report_multiplies_integers(monkeypatch):
     assert len(calls) <= 50
 
 
+def test_warm_filiform6_adjoint_report_transposes_only_the_map(monkeypatch):
+    # A structural guard in place of a timing test: the transposes that the
+    # induced maps on cohomology need are built with the cohomology, once
+    # per coefficient system, so a second filiform6 report with the adjoint
+    # module transposes only the 6 x 6 map f, in check_morphism,
+    # validate_intertwiner and induced_chain_map.  A transpose of an image
+    # matrix reps * F_p^T or of a chain-map block would show here.
+    case = _filiform_adjoint(6)
+    twisted_lefschetz(*case)
+    shapes = []
+
+    def recording(m, real=ratlin.Matrix.transpose):
+        shapes.append((m.rows, m.cols))
+        return real(m)
+
+    monkeypatch.setattr(ratlin.Matrix, "transpose", recording)
+    report = twisted_lefschetz(*case)
+    assert shapes == [(6, 6)] * 3
+    assert report.lefschetz == report.hopf
+
+
 def test_filiform6_adjoint_report_packs_only_kept_rows(monkeypatch):
     # A structural guard in place of a timing test: every identity of one
     # filiform6 report with the adjoint module (Jacobi, the module, the

@@ -275,6 +275,28 @@ def test_exterior_power_stops_at_its_degree(monkeypatch):
     assert sizes == [1, 2]
 
 
+def test_exterior_powers_reuse_their_subset_tables(monkeypatch):
+    # the Laplace tables depend on the dimension only, and are kept per
+    # degree: after Lambda^2 of one 7 x 7 matrix, all the powers of another
+    # build the subsets of sizes 3 to 7, and a third builds none
+    rng = random.Random(43)
+    first, second, third = (random_matrix(rng, 7) for _ in range(3))
+    exterior_power(first, 2)
+    sizes = []
+
+    def recording(n, p):
+        sizes.append(p)
+        return p_subsets(n, p)
+
+    monkeypatch.setattr(ratlin, "p_subsets", recording)
+    exterior_powers(second)
+    assert sizes == [3, 4, 5, 6, 7]
+    sizes.clear()
+    powers = exterior_powers(third)
+    assert sizes == []
+    assert powers == [reference_exterior_power(third, p) for p in range(8)]
+
+
 def test_exterior_power_multiplicative():
     # Cauchy-Binet: Lambda^p(AB) = Lambda^p(A) Lambda^p(B)
     rng = random.Random(41)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from lietrace import torus_oracle
+from lietrace import liealg, torus_oracle
 from lietrace.cecomplex import InternalConsistencyFailure
 from lietrace.ratlin import determinant, inverse
 from lietrace.torus_oracle import (MAX_FIXED_POINTS, DegenerateMap,
@@ -182,3 +182,21 @@ def test_certificates_raise_when_the_determinant_lies(monkeypatch):
                         lambda m: Fraction(1, 2) * inverse(m))
     with pytest.raises(InternalConsistencyFailure, match="not integral"):
         count_fixed_points(shear)
+
+
+def test_second_cross_check_builds_no_ads(monkeypatch):
+    # A structural guard: the abelian algebra and its trivial module are
+    # built once per dimension, so a second cross-check of that dimension
+    # packs none of the basis ads' rows for its morphism check
+    cross_check_with_ce(TorusMap(((2, 1), (1, 1))))
+    rows = []
+
+    def counting(acc, real=liealg.packed_row):
+        rows.append(acc)
+        return real(acc)
+
+    monkeypatch.setattr(liealg, "packed_row", counting)
+    report, cochain_value, verdict = cross_check_with_ce(
+        TorusMap(((3, 1), (1, 1))))
+    assert rows == []
+    assert verdict and cochain_value == report.lefschetz == -1
