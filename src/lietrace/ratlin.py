@@ -123,7 +123,11 @@ def _over_lcm(rows) -> tuple:
 
 
 def packed_row(acc: dict) -> tuple:
-    """A sparse row from a {column: int} accumulator, zeros dropped."""
+    """A sparse row from a {column: int} accumulator, zeros dropped; a
+    lone entry is returned without a sort."""
+    if len(acc) == 1:
+        (item,) = acc.items()
+        return (item,) if item[1] else ()
     return tuple([item for item in sorted(acc.items()) if item[1]])
 
 
@@ -273,7 +277,7 @@ class Matrix:
             for k, a in row:
                 for j, b in brows[k]:
                     acc[j] = acc[j] + a * b if j in acc else a * b
-            out.append(packed_row(acc))
+            out.append(packed_row(acc) if acc else ())
         return Matrix._of(tuple(out), other.cols, self.den * other.den)
 
     def _scaled(self, c) -> "Matrix":
@@ -313,6 +317,9 @@ class Matrix:
             tuple(sorted((new, x) for j, x in self.sparse[i] if j in where
                          for new in where[j]))
             for i in row_idx), len(col_idx), self.den)
+
+
+_IDENTITY_1 = Matrix.identity(1)
 
 
 def linear_combination(terms, matrices, den: int = 1) -> Matrix:
@@ -362,9 +369,10 @@ def vanishes(terms) -> bool:
                 for j, y in brows[k]:
                     t = sx * y
                     acc[j] = acc[j] + t if j in acc else t
-        if any(acc.values()):
-            return False
-        acc.clear()
+        if acc:
+            if any(acc.values()):
+                return False
+            acc.clear()
     return True
 
 
@@ -385,8 +393,13 @@ def _in_lowest_terms(rows, dens) -> tuple[list, list]:
 
 def _over_lcm_of_rows(rows, dens) -> tuple:
     """(sparse, den): integer rows, row i over dens[i] != 0, in lowest terms
-    and then over the lcm of their denominators, so gcd(den, nums) = 1."""
-    # a d may be negative (rref passes its pivots): lcm 1 still flips signs
+    and then over the lcm of their denominators, so gcd(den, nums) = 1.
+    When every d is 1 (the exterior powers of an integer matrix) the rows
+    are returned as they are, over 1."""
+    # a d may be negative (rref passes its pivots), and lcm 1 still flips
+    # signs: the fast path tests each d == 1, never lcm == 1
+    if all(d == 1 for d in dens):
+        return tuple(map(tuple, rows)), 1
     rows, dens = _in_lowest_terms(rows, dens)
     den = lcm(*dens)   # > 0: den // d keeps the sign of d
     return tuple(tuple((j, x * (den // d)) for j, x in row)
@@ -560,8 +573,8 @@ def _exterior_powers(m: Matrix):
         raise NonSquare("exterior power of non-square matrix")
     n = m.rows
     mrows, d = _in_lowest_terms(m.sparse, [m.den] * n)
-    prev, prev_dens = Matrix.identity(1).sparse, [1]
-    yield Matrix.identity(1)
+    prev, prev_dens = _IDENTITY_1.sparse, [1]
+    yield _IDENTITY_1
     for p in range(1, n + 1):
         heads, grow, _ = _laplace_table(n, p)
         rows, dens = [], []
@@ -619,12 +632,21 @@ def exterior_power(m: Matrix, p: int) -> Matrix:
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product; block (i,j) is a[i][j] * b."""
+    """Kronecker product; block (i,j) is a[i][j] * b.  The gcd of every
+    product x * y of numerators is content(a) * content(b), so the cells
+    are built once, already in lowest terms, over a.den * b.den divided by
+    g = gcd(a.den * b.den, content(a) * content(b)); a zero factor has
+    content 0 and gives the zero matrix over 1.  kron(a, [[1]]) is a itself."""
+    if b == _IDENTITY_1:
+        return a
+    den = a.den * b.den
+    g = gcd(den, gcd(*[x for row in a.sparse for _, x in row])
+            * gcd(*[y for row in b.sparse for _, y in row]))
     width = b.cols
-    return Matrix._of(tuple(
-        tuple((ja * width + jb, x * y) for ja, x in arow for jb, y in brow)
-        for arow in a.sparse for brow in b.sparse), a.cols * b.cols,
-        a.den * b.den)
+    return Matrix._canonical(tuple(
+        tuple((ja * width + jb, x * y // g) for ja, x in arow
+              for jb, y in brow)
+        for arow in a.sparse for brow in b.sparse), a.cols * b.cols, den // g)
 
 
 # ---------------------------------------------------------------------------

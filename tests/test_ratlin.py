@@ -473,6 +473,51 @@ def test_sparse_products_equal_dense_reference(data):
         _assert_same(dense_matrix(a.transpose().entries, r).transpose(), a)
 
 
+_KRON_CASES = {
+    # g = gcd(a.den * b.den, content(a) * content(b)) > 1 from one side
+    "a.den-with-content(b)": (Matrix([["1/3"]]), Matrix([[3, 6]])),
+    "b.den-with-content(a)": (Matrix([[2, 4], [0, 6]]),
+                              Matrix([["1/2", "3/2"]])),
+    "both-sides": (Matrix([["2/3"]]), Matrix([["3/4", "3/2"]])),
+    "negative": (Matrix([["-2/3", 0], ["4/3", -2]]),
+                 Matrix([["-3/4"], ["9/4"]])),
+    "zero-left": (Matrix.zero(2, 3), Matrix([["1/2", -3]])),
+    "zero-right": (Matrix([["1/2"], [4]]), Matrix.zero(2, 2)),
+    "0x0": (Matrix.zero(0, 0), Matrix([["1/2", 3]])),
+    "0xn": (Matrix([["2/5", 1]]), Matrix.zero(0, 3)),
+    "identity": (Matrix([["3/2", 0], [-1, "5/7"]]), Matrix.identity(1)),
+}
+
+
+@pytest.mark.parametrize("case", _KRON_CASES.values(), ids=_KRON_CASES.keys())
+def test_kron_cells_are_built_in_lowest_terms(case):
+    a, b = case
+    _assert_same(kron(a, b), reference_kron(a, b))
+    _assert_same(kron(b, a), reference_kron(b, a))
+
+
+def test_kron_with_the_one_by_one_identity_is_the_matrix_itself():
+    a, one = Matrix([["-3/4", 0, 2], [0, 0, 0]]), Matrix.identity(1)
+    assert kron(a, one) is a
+    _assert_same(kron(a, one), reference_kron(a, one))
+    _assert_same(kron(one, a), a)
+
+
+@pytest.mark.parametrize("dens", [[1, 1], [-1, 1], [-1, -1], [2, -3]],
+                         ids=str)
+def test_over_lcm_of_rows_keeps_the_sign_of_each_row(dens):
+    # rref passes its pivots as the dens, and a pivot may be -1: the rows
+    # come back over one den > 0 with each row's value unchanged
+    rows = [[(0, 2), (2, -3)], [(1, 6)]]
+    sparse, den = ratlin._over_lcm_of_rows(rows, dens)
+    assert type(den) is int and den > 0
+    assert gcd(den, *[x for row in sparse for _, x in row]) == 1
+    assert all(type(row) is tuple for row in sparse)
+    for got, row, d in zip(sparse, rows, dens, strict=True):
+        assert [(j, Fraction(x, den)) for j, x in got] == \
+            [(j, Fraction(x, d)) for j, x in row]
+
+
 def _dense_sum(terms, shape) -> Matrix:
     """The sum of c * m over the (c, m) pairs, entry by entry in Fraction."""
     rows, cols = shape
