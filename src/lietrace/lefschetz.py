@@ -34,7 +34,7 @@ from .cecomplex import (CochainComplex, ModuleAlgebraMismatch, build_complex,
                         cohomology, induced_chain_map, induced_cohomology_map)
 from .liealg import (MEMO_SIZE, LieAlgebra, LieMorphism, check_morphism,
                      is_nilpotent, validate)
-from .ratlin import InternalConsistencyFailure, Matrix, determinant
+from .ratlin import InternalConsistencyFailure, Matrix, det_i_minus
 from .repn import Intertwiner, Representation, validate_intertwiner, validate_rep
 
 
@@ -54,7 +54,7 @@ class LefschetzReport:
 
 def linearization(a: Matrix) -> Fraction:
     """det(I - A), the fixed-point count of the linearized map."""
-    return determinant(Matrix.identity(a.rows) - a)
+    return det_i_minus(a)
 
 
 def alternating_sum(values) -> Fraction:

@@ -27,8 +27,8 @@ from functools import lru_cache
 
 from .liealg import (MEMO_SIZE, LieAlgebra, LieMorphism, endomorphism,
                      is_morphism, is_nilpotent, is_solvable, validate)
-from .ratlin import (InternalConsistencyFailure, InvalidInput, Matrix,
-                     determinant, jordan_chevalley, vanishes)
+from .ratlin import (InternalConsistencyFailure, InvalidInput, det_i_minus,
+                     jordan_chevalley, vanishes)
 
 
 class NotAnIdeal(InvalidInput):
@@ -211,8 +211,8 @@ def induced_shadow_map(result: ShadowResult, t: LieMorphism) -> ShadowMapReport:
             raise SplitNotPreserved(j)
 
     shadow_map = endomorphism(result.shadow, t.matrix)
-    det_input = determinant(Matrix.identity(t.matrix.rows) - t.matrix)
-    det_shadow = determinant(Matrix.identity(t.matrix.rows) - shadow_map.matrix)
+    det_input = det_i_minus(t.matrix)
+    det_shadow = det_i_minus(shadow_map.matrix)
     if det_input != det_shadow:
         raise InternalConsistencyFailure(
             f"shadow transport changed det(I - T) from {det_input} "

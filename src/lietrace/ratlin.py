@@ -3,8 +3,9 @@
 A Matrix is the integer nonzeros of its rows over one positive denominator,
 in lowest terms.  Products, sums, kron, traces and exterior powers multiply
 only integers and walk only the nonzeros (the cochain differentials are a
-few percent nonzero); rref and determinant eliminate fraction-free on the
-integer rows.  Every identity the library certifies (d o d = 0, chain maps,
+few percent nonzero); rref eliminates fraction-free on the integer rows,
+and determinant, det(I - m) and inverse share one fraction-free (Bareiss)
+kernel on them.  Every identity the library certifies (d o d = 0, chain maps,
 cocycle images, brackets) is a sum of c * a * b that one kernel, vanishes,
 checks row by row, stopping at the first nonzero row, without building the
 products.  The reduced row echelon form is unique, so every derived
@@ -138,6 +139,13 @@ def _densified(row: tuple, n: int, den: int) -> Vector:
     return tuple(out)
 
 
+def _is_identity(m) -> bool:
+    """Whether the Matrix m is square, over 1, with row i = ((i, 1),);
+    stops at the first row that is not."""
+    return (m.den == 1 and m.rows == m.cols
+            and all(row == ((i, 1),) for i, row in enumerate(m.sparse)))
+
+
 class Matrix:
     """Immutable matrix over Q: `sparse` holds each row as its nonzero
     (column, int) numerators sorted by column, over one denominator `den` >
@@ -265,11 +273,17 @@ class Matrix:
                                  self.den)
 
     def __mul__(self, other):
+        """Matrix product, or a scaling by a number.  A product with a
+        square identity over 1 is the other factor itself."""
         if not isinstance(other, Matrix):
             return self._scaled(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * "
                              f"{other.rows}x{other.cols}")
+        if _is_identity(other):
+            return self
+        if _is_identity(self):
+            return other
         brows = other.sparse
         out = []
         for row in self.sparse:
@@ -501,45 +515,99 @@ def quotient_basis(kernel: Matrix, fixed: Matrix) -> tuple:
             Matrix._of(tuple(coordinates), len(kept), reduced.den), rank)
 
 
-def determinant(m: Matrix) -> Fraction:
-    """Fraction-free (Bareiss) elimination on the integer rows M, each over
-    its own d_i, a sign flip per row swap; det M / prod(d_i) at the end."""
-    if not m.is_square():
-        raise NonSquare(f"determinant of {m.rows}x{m.cols} matrix")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-    rows, dens = _in_lowest_terms(m.sparse, [m.den] * n)
-    work = [[row.get(j, 0) for j in range(n)] for row in map(dict, rows)]
+def _bareiss(work: list, n: int, jordan: bool = False) -> tuple[int, int]:
+    """(sign, pivot): fraction-free (Bareiss) elimination, in place, on the
+    dense integer rows `work` of n rows, whose first n columns are the
+    square block.  Column k takes the first row at or below k with a
+    nonzero entry there as pivot, a sign flip per row swap; each row below
+    it (with `jordan`, each row above it too) becomes
+    (a row - b pivot_row) / prev, for a the pivot, b the row's entry in
+    column k and prev the pivot before.  The last pivot is det of the
+    row-swapped block, so sign * pivot is the determinant; pivot is 0 when
+    the block is singular.  With `jordan`, [M | I] ends as
+    [pivot * I | pivot * M^-1].  Step k changes only the columns right of
+    k: entries left of it are never read again, and are left stale."""
     sign, prev = 1, 1
-    for k in range(n - 1):
-        sel = next((r for r in range(k, n) if work[r][k]), None)
-        if sel is None:
-            return Fraction(0)
-        if sel != k:
+    width = len(work[0]) if work else 0
+    for k in range(n):
+        if not work[k][k]:
+            sel = next((r for r in range(k + 1, n) if work[r][k]), None)
+            if sel is None:
+                return sign, 0
             work[k], work[sel] = work[sel], work[k]
             sign = -sign
         pivot_row = work[k]
         a = pivot_row[k]
-        for i in range(k + 1, n):
-            row, b = work[i], work[i][k]
-            # exact by Sylvester's identity: prev divides every 2x2 term
-            work[i] = [0] * (k + 1) + [(a * row[j] - b * pivot_row[j]) // prev
-                                       for j in range(k + 1, n)]
+        for i in (range(n) if jordan else range(k + 1, n)):
+            if i != k:
+                row, b = work[i], work[i][k]
+                # exact by Sylvester's identity: prev divides every 2x2 term
+                row[k + 1:] = [(a * row[j] - b * pivot_row[j]) // prev
+                               for j in range(k + 1, width)]
         prev = a
-    return Fraction(sign * work[n - 1][n - 1], prod(dens))
+    return sign, prev
+
+
+def _dense_rows(rows, width: int) -> list:
+    """Sparse integer rows as dense lists of length `width`."""
+    out = []
+    for row in rows:
+        line = [0] * width
+        for j, x in row:
+            line[j] = x
+        out.append(line)
+    return out
+
+
+def determinant(m: Matrix) -> Fraction:
+    """_bareiss on the integer rows M of m, each over its own d_i;
+    det M / prod(d_i) at the end."""
+    if not m.is_square():
+        raise NonSquare(f"determinant of {m.rows}x{m.cols} matrix")
+    n = m.rows
+    rows, dens = _in_lowest_terms(m.sparse, [m.den] * n)
+    sign, pivot = _bareiss(_dense_rows(rows, n), n)
+    return Fraction(sign * pivot, prod(dens))
+
+
+def det_i_minus(m: Matrix) -> Fraction:
+    """det(I - m), read straight from the integer rows M of m, each over its
+    own d_i: row i of I - m is d_i e_i - M_i over d_i, so it is _bareiss on
+    those rows over prod(d_i)."""
+    if not m.is_square():
+        raise NonSquare(f"det(I - m) of {m.rows}x{m.cols} matrix")
+    n = m.rows
+    rows, dens = _in_lowest_terms(m.sparse, [m.den] * n)
+    work = []
+    for i, (row, d) in enumerate(zip(rows, dens)):
+        line = [0] * n
+        for j, x in row:
+            line[j] = -x
+        line[i] += d
+        work.append(line)
+    sign, pivot = _bareiss(work, n)
+    return Fraction(sign * pivot, prod(dens))
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Inverse via Gauss-Jordan on [m | I]."""
+    """m^-1 by fraction-free Gauss-Jordan (_bareiss) on [M | I], M the
+    integer rows of m, row i over its own d_i: it ends at
+    [pivot * I | pivot * M^-1], and m^-1 = M^-1 D for D = diag(d_i), so
+    column j of the right block is scaled by d_j, over pivot."""
     if not m.is_square():
         raise NonSquare("inverse of non-square matrix")
-    n, den = m.rows, m.den
-    stacked = tuple(row + ((n + i, den),) for i, row in enumerate(m.sparse))
-    reduced, pivots, r = rref(Matrix._canonical(stacked, 2 * n, den))
-    if r < n or any(p >= n for p in pivots):
+    n = m.rows
+    rows, dens = _in_lowest_terms(m.sparse, [m.den] * n)
+    work = _dense_rows([row + ((n + i, 1),) for i, row in enumerate(rows)],
+                       2 * n)
+    _, pivot = _bareiss(work, n, jordan=True)
+    if not pivot:
         raise SingularMatrix("matrix is singular")
-    return reduced.submatrix(range(n), range(n, 2 * n))
+    if pivot < 0:
+        dens, pivot = [-d for d in dens], -pivot
+    return Matrix._of(tuple(tuple((j, x * d) for j, (x, d)
+                                  in enumerate(zip(line[n:], dens)) if x)
+                            for line in work), n, pivot)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,15 @@
 Independent cross-check for the determinant formula: a map with integer
 matrix A has x fixed iff B x is integral, B = A - I, so when det B != 0 the
 fixed points form the finite group B^(-1) Z^n / Z^n.  It is generated by the
-columns of B^(-1) reduced mod 1, and is found as the closure of {0} under
-adding them, in Theta(n |det B|) vector additions.  The points are counted
-two ways — |det B| and the closure — and a mismatch raises
-InternalConsistencyFailure.  Everything is exact, so membership in [0,1)^n
-is too.
+columns of B^(-1) reduced mod 1, that is the rows of (B^T)^(-1), which
+ratlin.inverse finds by fraction-free Gauss-Jordan, and is found as the
+closure of {0} under adding them, in Theta(n |det B|) vector additions.
+B, B^T and the map handed to the cochain pipeline are built from the
+validated integer rows, without Fraction.  Every call checks that det B is
+an integer, that B g is integral for each generator g, that the closure
+has |det B| points and that the common index times the count is
+det(I - A); a mismatch raises InternalConsistencyFailure.  Everything is
+exact, so membership in [0,1)^n is too.
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ class TorusMap:
                     raise NotInteger(f"entry {x!r} is not an integer")
             if len(row) != len(rows):
                 raise InvalidInput("matrix must be square")
+        if not rows:
+            raise InvalidInput("matrix must have at least one row")
         object.__setattr__(self, "matrix", rows)
 
     @property
@@ -63,11 +69,16 @@ class FixedPointReport:
     points: tuple                 # fixed points as tuples of Fraction in [0,1)
 
 
+def _integer_matrix(rows) -> Matrix:
+    """The square integer `rows` as a Matrix over 1, with no Fraction."""
+    return Matrix._of(tuple(tuple((j, x) for j, x in enumerate(row) if x)
+                            for row in rows), len(rows))
+
+
 def count_fixed_points(torus_map: TorusMap) -> FixedPointReport:
     n = torus_map.dim
-    a = torus_map.matrix
-    b = Matrix([[a[i][j] - (1 if i == j else 0) for j in range(n)]
-                for i in range(n)])
+    b = _integer_matrix([[x - (i == j) for j, x in enumerate(row)]
+                         for i, row in enumerate(torus_map.matrix)])
     det_b = determinant(b)
     if det_b.denominator != 1:
         raise InternalConsistencyFailure(
@@ -84,9 +95,10 @@ def count_fixed_points(torus_map: TorusMap) -> FixedPointReport:
     lefschetz = (-1) ** n * det_b          # det(I - A) = (-1)^n det(A - I)
     count_det = abs(det_b)
 
-    # generators of B^-1 Z^n / Z^n: the columns of B^-1 mod 1, as integers
-    # over its denominator den like every point; B g in Z^n for each
-    columns = inverse(b).transpose()
+    # generators of B^-1 Z^n / Z^n: the columns of B^-1, the rows of
+    # (B^T)^-1, mod 1, as integers over its denominator den like every
+    # point; B g in Z^n for each
+    columns = inverse(b.transpose())
     den = columns.den
     gens = [tuple(column.get(i, 0) % den for i in range(n))
             for column in map(dict, columns.sparse)]
@@ -135,13 +147,12 @@ def cross_check_with_ce(torus_map: TorusMap):
     Returns (fixed point report, cochain-side Lefschetz number, verdict)."""
     from .lefschetz import twisted_lefschetz
     from .liealg import endomorphism
-    from .repn import Intertwiner
+    from .repn import identity_intertwiner
 
     report = count_fixed_points(torus_map)
     algebra, module = _torus_system(torus_map.dim)
-    f = endomorphism(algebra, [[Fraction(x) for x in row]
-                               for row in torus_map.matrix])
-    xi = Intertwiner(morphism=f, module=module, matrix=[[1]])
-    lef = twisted_lefschetz(algebra, module, f, xi)
+    f = endomorphism(algebra, _integer_matrix(torus_map.matrix))
+    lef = twisted_lefschetz(algebra, module, f,
+                            identity_intertwiner(f, module))
     agree = lef.lefschetz == Fraction(report.lefschetz)
     return report, lef.lefschetz, agree

@@ -9,8 +9,9 @@ from lietrace import ratlin
 from lietrace.catalog import get, list_entries, sample_endomorphisms
 from lietrace.liealg import (JacobiViolation, LieAlgebra, NotAMorphism,
                              SeriesReport)
-from lietrace.ratlin import (Matrix, NonSquare, NotInSpan, determinant,
-                             inverse, kernel_and_image, p_subsets, rref)
+from lietrace.ratlin import (Matrix, NonSquare, NotInSpan, SingularMatrix,
+                             determinant, inverse, kernel_and_image,
+                             p_subsets, rref)
 from lietrace.repn import Representation, adjoint_module, trivial_module
 
 
@@ -208,6 +209,43 @@ def reference_determinant(m: Matrix) -> Fraction:
     return det
 
 
+def fraction_gauss_jordan(rows) -> tuple:
+    """(det, inverse) of a square list of rows by Gauss-Jordan over
+    Fraction on [rows | I], row swaps flipping the sign of det; inverse is
+    a list of Fraction rows, or None when det = 0.  Plain lists only, so it
+    shares no code with ratlin."""
+    n = len(rows)
+    work = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
+            for i, row in enumerate(rows)]
+    det = Fraction(1)
+    for col in range(n):
+        sel = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if sel is None:
+            return Fraction(0), None
+        if sel != col:
+            work[col], work[sel] = work[sel], work[col]
+            det = -det
+        pivot = work[col][col]
+        det *= pivot
+        work[col] = [x / pivot for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+    return det, [row[n:] for row in work]
+
+
+def reference_inverse(m: Matrix) -> Matrix:
+    """m^-1 from fraction_gauss_jordan on m's dense entries; NonSquare and
+    SingularMatrix as in ratlin."""
+    if not m.is_square():
+        raise NonSquare("inverse of non-square matrix")
+    det, inv = fraction_gauss_jordan(m.entries)
+    if inv is None:
+        raise SingularMatrix("matrix is singular")
+    return dense_matrix(inv, m.cols)
+
+
 def reference_exterior_power(m: Matrix, p: int) -> Matrix:
     """Lambda^p m with one full determinant per minor."""
     subsets = p_subsets(m.rows, p)
@@ -219,12 +257,12 @@ def reference_fixed_points(rows) -> tuple:
     """Fixed points of the torus map with integer matrix `rows`, as
     count_fixed_points found them before it closed the group B^-1 Z^n / Z^n:
     scan every k in the bounding box of B x for x in [0,1)^n, B = A - I, and
-    keep the x = adj(B) k / det(B) that land in [0,1)^n.  Sorted tuple."""
+    keep the x = adj(B) k / det(B) that land in [0,1)^n.  det(B) and adj(B)
+    come from fraction_gauss_jordan, not from ratlin.  Sorted tuple."""
     n = len(rows)
     b = [[rows[i][j] - (i == j) for j in range(n)] for i in range(n)]
-    det_b = determinant(Matrix(b))
-    adj = [[(det_b * x).numerator for x in row]
-           for row in inverse(Matrix(b)).entries]
+    det_b, inv = fraction_gauss_jordan(b)
+    adj = [[(det_b * x).numerator for x in row] for row in inv]
     ranges = [range(sum(min(v, 0) for v in row), sum(max(v, 0) for v in row) + 1)
               for row in b]
     points = []

@@ -1,14 +1,25 @@
-"""Scaling table for one twisted_lefschetz report: opt-in, stdlib only.
+"""Scaling table for one twisted_lefschetz report and for the torus
+oracle: opt-in, stdlib only.
 
     python tests/scaling.py                 # the library in ./src
     python tests/scaling.py --src OTHER/src # another checkout, to compare
 
-Each row is the median wall time of 3 reports (validation included) on:
+Each report row is the median wall time of 3 reports (validation included)
+on, with the number of cochains as its size:
 
 - abelian n = 8, 9, 10, trivial module, a seeded dense map with entries
   in {-3..3}/{1, 2}: every exterior power of the map is dense;
 - filiform n = 7, 8, 9, [e0, ei] = e(i+1), adjoint module, f = diag(2^w)
   for the weights (1, 1, 2, ..., n-1) and xi = f^-1.
+
+Each torus row is the median wall time of 3 passes of count_fixed_points,
+or of cross_check_with_ce, with the number of fixed points as its size:
+
+- "torus n=2..4": 30 seeded maps, for each n = 2, 3, 4 the first 10 maps
+  drawn from random.Random(n) with entries in {-3..3} and
+  0 < |det(A - I)| <= 40;
+- "torus 9999 pts": A = [[100, 1], [0, 102]], |det(A - I)| = 99 * 101,
+  just under torus_oracle.MAX_FIXED_POINTS.
 
 pytest does not collect this file (its name does not start with test_).
 """
@@ -50,6 +61,33 @@ CASES = [(f"abelian{n} dense", abelian_dense, n) for n in (8, 9, 10)] + \
     [(f"filiform{n}/adj", filiform_adjoint, n) for n in (7, 8, 9)]
 
 
+def int_det(rows) -> int:
+    """Integer determinant by first-row Laplace expansion (n <= 4 here)."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * int_det([row[:j] + row[j + 1:]
+                                        for row in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+def seeded_torus_maps() -> list:
+    maps = []
+    for n in (2, 3, 4):
+        rng, found = random.Random(n), 0
+        while found < 10:
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            b = [[x - (i == j) for j, x in enumerate(row)]
+                 for i, row in enumerate(rows)]
+            if 0 < abs(int_det(b)) <= 40:
+                maps.append(rows)
+                found += 1
+    return maps
+
+
+TORUS_CASES = [("torus n=2..4", seeded_torus_maps()),
+               ("torus 9999 pts", [[[100, 1], [0, 102]]])]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve()
@@ -61,18 +99,39 @@ def main() -> None:
     import lietrace.liealg
     import lietrace.ratlin
     import lietrace.repn
+    import lietrace.torus_oracle
     lib = lietrace
-    print(f"{'case':<18} {'cochains':>8} {'median s':>9}  runs")
+    print(f"{'case':<22} {'size':>8} {'median s':>9}  runs")
     for label, build, n in CASES:
         algebra, module, f, xi = build(lib, n)
-        times = []
-        for _ in range(RUNS):
-            start = time.perf_counter()
-            report = lib.lefschetz.twisted_lefschetz(algebra, module, f, xi)
-            times.append(time.perf_counter() - start)
-        runs = " ".join(f"{t:.3f}" for t in times)
-        print(f"{label:<18} {sum(report.dims):>8} "
-              f"{statistics.median(times):>9.3f}  {runs}", flush=True)
+        times, report = timed(lambda: lib.lefschetz.twisted_lefschetz(
+            algebra, module, f, xi))
+        show(label, sum(report.dims), times)
+    oracle = lib.torus_oracle
+    for label, maps in TORUS_CASES:
+        torus_maps = [oracle.TorusMap(tuple(map(tuple, rows)))
+                      for rows in maps]
+        points = sum(oracle.count_fixed_points(m).count for m in torus_maps)
+        for name, call in (("count", oracle.count_fixed_points),
+                           ("cross", oracle.cross_check_with_ce)):
+            show(f"{label} {name}", points,
+                 timed(lambda: [call(m) for m in torus_maps])[0])
+
+
+def timed(call) -> tuple:
+    """(times, result): the wall times of RUNS calls, and the last result."""
+    times = []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        result = call()
+        times.append(time.perf_counter() - start)
+    return times, result
+
+
+def show(label: str, size: int, times: list) -> None:
+    runs = " ".join(f"{t:.4f}" for t in times)
+    print(f"{label:<22} {size:>8} {statistics.median(times):>9.4f}  {runs}",
+          flush=True)
 
 
 if __name__ == "__main__":

@@ -196,7 +196,7 @@ def test_transport_frozen_determinants():
 def test_transport_certificate_raises(monkeypatch):
     # the second determinant (the shadow side) is made to disagree
     values = iter([Fraction(2), Fraction(3)])
-    monkeypatch.setattr(nilshadow, "determinant", lambda m: next(values))
+    monkeypatch.setattr(nilshadow, "det_i_minus", lambda m: next(values))
     t = endomorphism(SOL3.algebra, Matrix([[-1, 0, 0], [0, 0, 2], [0, 1, 0]]))
     with pytest.raises(InternalConsistencyFailure, match="from 2 to 3"):
         induced_shadow_map(_sol3_shadow(), t)

@@ -15,8 +15,9 @@ import lietrace
 from lietrace import ratlin
 from lietrace.ratlin import (DegreeOutOfRange, InternalConsistencyFailure,
                              JordanParts, Matrix, NonSquare, NotInSpan,
-                             SingularMatrix, determinant, exterior_power,
-                             exterior_powers, format_rational, inverse,
+                             SingularMatrix, det_i_minus, determinant,
+                             exterior_power, exterior_powers,
+                             format_rational, inverse,
                              jordan_chevalley, kernel_and_image, kron,
                              linear_combination, minimal_polynomial, p_subsets, parse_rational,
                              quotient_basis, rref, squarefree_part, vanishes)
@@ -24,9 +25,10 @@ from lietrace.ratlin import (DegreeOutOfRange, InternalConsistencyFailure,
 from helpers import (dense_matrix, greedy_complete, is_nilpotent_matrix,
                      is_squarefree, kernel_basis, random_invertible,
                      random_matrix, reference_determinant,
-                     reference_exterior_power, reference_kernel_and_image,
-                     reference_kron, reference_minimal_polynomial,
-                     reference_mul, reference_rref,
+                     reference_exterior_power, reference_inverse,
+                     reference_kernel_and_image, reference_kron,
+                     reference_minimal_polynomial, reference_mul,
+                     reference_rref,
                      reference_solve_all_in_span, reference_submatrix,
                      reference_transpose, solve_all_in_span, solve_in_span)
 
@@ -377,6 +379,108 @@ def test_exterior_powers_equal_minor_reference(m):
     for p, power in enumerate(powers):
         _assert_same(power, reference_exterior_power(m, p))
         assert exterior_power(m, p) == power
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_matrices(square=True, max_rows=6))
+def test_inverse_and_det_i_minus_equal_fraction_reference(m):
+    if reference_determinant(m) == 0:
+        with pytest.raises(SingularMatrix):
+            inverse(m)
+    else:
+        _assert_same(inverse(m), reference_inverse(m))
+    identity = Matrix.identity(m.rows)
+    assert det_i_minus(m) == reference_determinant(identity - m)
+
+
+def _inverse_cases() -> list:
+    """Invertible matrices for n = 0..6: hand-made ones that force row swaps
+    (a zero leading entry), end on negative pivots, or have rows over
+    unrelated denominators; then seeded ones, each row over its own
+    denominator, half their entries zero and some with a zero lead."""
+    cases = [Matrix([]), Matrix([["-3/7"]]), Matrix([[0, 1], [2, 3]]),
+             Matrix([[-2, 1], [1, -3]]), Matrix([[0, -1], [-1, 0]]),
+             Matrix([[0, 0, 5], [0, -2, 1], [-3, 1, 1]]),
+             Matrix([["1/2", "1/3", 0], [0, "1/5", "1/7"],
+                     ["1/11", 0, "1/13"]]),
+             Matrix([[0, 0, 0, -1], [0, 0, "-2/3", 0], [0, "5/7", 0, 0],
+                     ["-1/4", 0, 0, 0]])]
+    rng = random.Random(43)
+    for n in range(7):
+        found = 0
+        while found < 3:
+            rows = []
+            for _ in range(n):
+                d = rng.choice([1, 2, 3, 5, 7, 11])
+                rows.append([Fraction(rng.randint(-4, 4), d)
+                             if rng.random() < 0.5 else 0 for _ in range(n)])
+            if n > 1 and found == 0:
+                rows[0][0] = 0
+            m = dense_matrix(rows, n)
+            if reference_determinant(m) != 0:
+                cases.append(m)
+                found += 1
+    return cases
+
+
+@pytest.mark.parametrize("m", _inverse_cases(),
+                         ids=lambda m: f"{m.rows}x{m.cols}")
+def test_inverse_stores_what_the_fraction_reference_stores(m):
+    got, want = inverse(m), reference_inverse(m)
+    assert got.sparse == want.sparse
+    assert got.den == want.den
+    _assert_same(got, want)
+    assert m * got == Matrix.identity(m.rows) == got * m
+
+
+def test_inverse_rejects_singular_and_non_square_matrices():
+    for m in (Matrix([[0]]), Matrix([[1, 2], [2, 4]]), Matrix.zero(2, 2),
+              Matrix([[1, 0, 2], [3, 0, 4], [5, 0, 6]]),
+              Matrix([["1/2", "1/3"], ["3/2", 1]])):
+        with pytest.raises(SingularMatrix):
+            inverse(m)
+        with pytest.raises(SingularMatrix):
+            reference_inverse(m)
+    for m in (Matrix([[1, 2, 3]]), Matrix([[1], [2]]), Matrix([[], []])):
+        with pytest.raises(NonSquare):
+            inverse(m)
+        with pytest.raises(NonSquare):
+            det_i_minus(m)
+
+
+def test_det_i_minus_frozen_examples():
+    # det(I - m) over den > 1, by hand: (1 - 1/2)(1 + 2/3) - (1/3)(1/4)
+    m = Matrix([["1/2", "-1/3"], ["-1/4", "-2/3"]])
+    assert det_i_minus(m) == Fraction(1, 2) * Fraction(5, 3) - Fraction(1, 12)
+    for m in (Matrix([]), Matrix([["5/3"]]), Matrix.identity(3),
+              Matrix([[0, "1/2", 0], ["2/9", 1, "-7/5"], [0, 0, "3/4"]])):
+        assert det_i_minus(m) == reference_determinant(
+            Matrix.identity(m.rows) - m)
+    assert det_i_minus(Matrix([])) == 1
+    assert det_i_minus(Matrix.identity(3)) == 0
+
+
+def test_product_with_a_square_identity_is_the_other_factor():
+    a = Matrix([["1/2", 0, -3], [0, 0, 0]])
+    assert a * Matrix.identity(3) is a
+    assert Matrix.identity(2) * a is a
+    empty = Matrix.zero(0, 3)
+    assert empty * Matrix.identity(3) is empty
+    # scaled identities, one stored as identity rows over den 2, and a
+    # non-square matrix whose rows look like identity rows are multiplied,
+    # not returned
+    p = Matrix([[1, 0, 0], [0, 1, 0]])
+    b = Matrix([[1, 2], [3, 4], [5, 6]])
+    _assert_same(p * b, reference_mul(p, b))
+    assert (p * b).trace() == 5
+    c = Matrix([[1, 2], [3, 4]])
+    _assert_same(c * p, reference_mul(c, p))
+    assert (c * p).cols == 3
+    for scaled in (2 * Matrix.identity(2), Matrix.identity(2) * "1/2"):
+        _assert_same(scaled * c, reference_mul(scaled, c))
+        _assert_same(c * scaled, reference_mul(c, scaled))
+    with pytest.raises(ValueError, match="shape mismatch 2x3 \\* 2x2"):
+        a * Matrix.identity(2)
 
 
 def test_kernels_on_edge_shapes():

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from lietrace import liealg, torus_oracle
+from lietrace import liealg, ratlin, torus_oracle
 from lietrace.cecomplex import InternalConsistencyFailure
-from lietrace.ratlin import determinant, inverse
+from lietrace.ratlin import InvalidInput, determinant, inverse
 from lietrace.torus_oracle import (MAX_FIXED_POINTS, DegenerateMap,
                                    NotInteger, TooManyFixedPoints, TorusMap,
                                    count_fixed_points, cross_check_with_ce)
@@ -69,6 +69,13 @@ def test_integer_entries_enforced():
         TorusMap(((True,),))
     with pytest.raises(ValueError):
         TorusMap(((1, 2),))
+
+
+def test_empty_matrix_rejected():
+    # the torus of dimension 0 has no cochain side to cross-check against
+    for rows in ((), []):
+        with pytest.raises(InvalidInput, match="at least one row"):
+            TorusMap(matrix=rows)
 
 
 def test_lefschetz_equals_sum_of_indices():
@@ -200,3 +207,25 @@ def test_second_cross_check_builds_no_ads(monkeypatch):
         TorusMap(((3, 1), (1, 1))))
     assert rows == []
     assert verdict and cochain_value == report.lefschetz == -1
+
+
+def test_second_oracle_calls_run_no_rref(monkeypatch):
+    # A structural guard: the generators come from a fraction-free
+    # Gauss-Jordan on the integer rows of B^T, not from an rref of [B | I],
+    # and the cochain side of a dimension seen before is cached
+    shear = TorusMap(((2, 1, 0), (0, 2, 1), (1, 0, 3)))
+    cross_check_with_ce(shear)
+    calls = []
+
+    def counting(m, real=ratlin.rref):
+        calls.append((m.rows, m.cols))
+        return real(m)
+
+    for module in (ratlin, liealg):
+        monkeypatch.setattr(module, "rref", counting)
+    first = count_fixed_points(shear)
+    report, cochain_value, verdict = cross_check_with_ce(
+        TorusMap(((3, 1, 0), (0, 2, 1), (1, 0, 2))))
+    assert calls == []
+    assert first.count == 3 and first.lefschetz == -3
+    assert verdict and cochain_value == report.lefschetz
