@@ -20,7 +20,7 @@ from .cecomplex import (CochainComplex, betti_numbers, build_complex,
                         cohomology, induced_chain_map, induced_cohomology_map)
 from .lefschetz import LefschetzReport, linearization, twisted_lefschetz
 from .nilshadow import (SplitPresentation, build_shadow, induced_shadow_map,
-                        validate_split)
+                        shadow_report, validate_split)
 from .torus_oracle import TorusMap, count_fixed_points, cross_check_with_ce
 from . import catalog
 
@@ -34,7 +34,8 @@ __all__ = [
     "CochainComplex", "betti_numbers", "build_complex", "cohomology",
     "induced_chain_map", "induced_cohomology_map",
     "LefschetzReport", "linearization", "twisted_lefschetz",
-    "SplitPresentation", "build_shadow", "induced_shadow_map", "validate_split",
+    "SplitPresentation", "build_shadow", "induced_shadow_map", "shadow_report",
+    "validate_split",
     "TorusMap", "count_fixed_points", "cross_check_with_ce",
     "catalog",
 ]

@@ -26,11 +26,10 @@ from .documents import (InvalidDocument, algebra_to_doc, load_json,
                         matrix_to_doc, module_from_doc, task_from_doc)
 from .lefschetz import coefficient_system, twisted_lefschetz
 from .liealg import check_morphism, is_nilpotent, is_solvable, validate
-from .nilshadow import (SplitPresentation, build_shadow, induced_shadow_map,
+from .nilshadow import (SplitPresentation, build_shadow, shadow_report,
                         validate_split)
 from .ratlin import InvalidInput, format_rational
-from .repn import (identity_intertwiner, trivial_module, validate_intertwiner,
-                   validate_rep)
+from .repn import identity_intertwiner, validate_intertwiner, validate_rep
 from .torus_oracle import TorusMap, cross_check_with_ce
 
 EXIT_OK = 0
@@ -216,25 +215,20 @@ def _cmd_shadow(args) -> int:
         raise InvalidDocument("/split", "shadow needs a split presentation "
                               "(or a catalog algebra that carries one)")
     _validate_all_but_split(task)
-    result = build_shadow(_split_presentation(task))   # validates the split
-    doc = {"shadow": algebra_to_doc(result.shadow),
-           "shadow_nilpotent": True}
-    verdict = True
-    if task.morphism is not None:
-        map_report = induced_shadow_map(result, task.morphism)
-        doc["is_shadow_morphism"] = map_report.is_shadow_morphism
-        doc["det_i_minus_t"] = format_rational(map_report.det_input)
-        if map_report.is_shadow_morphism:
-            shadow_module = trivial_module(result.shadow)
-            lef = twisted_lefschetz(
-                result.shadow, shadow_module, map_report.shadow_map,
-                identity_intertwiner(map_report.shadow_map, shadow_module))
+    split = _split_presentation(task)
+    doc, verdict = {}, True
+    if task.morphism is None:
+        result = build_shadow(split)   # validates the split
+    else:
+        result, map_report, lef = shadow_report(split, task.morphism)
+        # no cohomological side, and no agreement, for a non-morphism
+        verdict = lef is not None and lef.lefschetz == map_report.det_input
+        doc = {"is_shadow_morphism": map_report.is_shadow_morphism,
+               "det_i_minus_t": format_rational(map_report.det_input),
+               "agree": verdict}
+        if lef is not None:
             doc["shadow_lefschetz"] = format_rational(lef.lefschetz)
-            verdict = lef.lefschetz == map_report.det_input
-        else:
-            # cannot run the cohomological side on a non-morphism
-            verdict = False
-        doc["agree"] = verdict
+    doc.update(shadow=algebra_to_doc(result.shadow), shadow_nilpotent=True)
     if args.json:
         _print_json(doc)
     else:

@@ -16,8 +16,8 @@ Only the induced maps depend on the map, and a report builds nothing else.
 Once per coefficient system (g, V), an immutable value, coefficient_system
 caches, for the MEMO_SIZE most recently used ones: the validated complex,
 its cohomology and the transposed representatives and class coordinates
-that the induced maps multiply by, so the Jacobi, module, d o d, quotient
-rank and Euler checks run once per value.  Once per dimension n: the
+that the induced maps multiply by, so the Jacobi, module, d o d and
+quotient rank checks run once per value.  Once per dimension n: the
 subset tables of the exterior powers (ratlin) and the torus oracle's
 abelian algebra with its trivial module and basis ads.  On every report:
 the morphism, intertwiner, chain-map, cocycle-image and Hopf checks, and
@@ -66,8 +66,8 @@ def alternating_sum(values) -> Fraction:
 
 class CoefficientSystem:
     """What a report on (g, V) needs that does not depend on the map: the
-    complex, checked d o d = 0, and its cohomology, checked by quotient rank
-    and Euler characteristic.  Nilpotency of g is decided on first use.
+    complex, checked d o d = 0, and its cohomology, checked by quotient
+    rank.  Nilpotency of g is decided on first use.
     A plain class: every CLI process would build a dataclass at import."""
 
     def __init__(self, complex_: CochainComplex, cohomology: tuple):
@@ -115,13 +115,10 @@ def twisted_lefschetz(algebra: LieAlgebra, module: Representation,
     lefschetz_number = alternating_sum(cohom_traces)
     hopf = alternating_sum(cochain_traces)
     if lefschetz_number != hopf:
-        first = next((p for p in range(len(cochain_traces))
-                      if cochain_traces[p] != cohom_traces[p]), None)
         raise InternalConsistencyFailure(
             "Hopf trace identity failed: cochain-level alternating trace "
-            f"{hopf} != cohomology-level {lefschetz_number}; traces first "
-            f"differ at degree {first} (cochain {cochain_traces}, "
-            f"cohomology {cohom_traces})")
+            f"{hopf} != cohomology-level {lefschetz_number} (cochain traces "
+            f"{cochain_traces}, cohomology traces {cohom_traces})")
 
     a = linearization_matrix if linearization_matrix is not None else morphism.matrix
     det_value = linearization(a)

@@ -8,10 +8,10 @@ ratlin.inverse finds by fraction-free Gauss-Jordan, and is found as the
 closure of {0} under adding them, in Theta(n |det B|) vector additions.
 B, B^T and the map handed to the cochain pipeline are built from the
 validated integer rows, without Fraction.  Every call checks that det B is
-an integer, that B g is integral for each generator g, that the closure
-has |det B| points and that the common index times the count is
-det(I - A); a mismatch raises InternalConsistencyFailure.  Everything is
-exact, so membership in [0,1)^n is too.
+an integer, that B g is integral for each generator g and that the
+closure has |det B| points; a mismatch raises InternalConsistencyFailure.
+Each point has index sign det(I - A).  Everything is exact, so membership
+in [0,1)^n is too.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class TorusMap:
 class FixedPointReport:
     count: int                    # |det(A - I)|, confirmed by enumeration
     lefschetz: int                # det(I - A)
-    index_each: int               # common fixed point index, sign det(I - A)
+    index_each: int               # index of every point: sign of det(I - A)
     points: tuple                 # fixed points as tuples of Fraction in [0,1)
 
 
@@ -120,13 +120,9 @@ def count_fixed_points(torus_map: TorusMap) -> FixedPointReport:
         raise InternalConsistencyFailure(
             f"enumeration found {len(points)} fixed points, "
             f"determinant says {count_det}")
-    index = 1 if lefschetz > 0 else -1
-    if lefschetz != index * count_det:
-        raise InternalConsistencyFailure(
-            f"fixed point index {index} times count {count_det} "
-            f"is not det(I - A) = {lefschetz}")
     return FixedPointReport(count=count_det, lefschetz=lefschetz,
-                            index_each=index, points=points)
+                            index_each=1 if lefschetz > 0 else -1,
+                            points=points)
 
 
 @lru_cache(maxsize=MEMO_SIZE)

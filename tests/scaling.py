@@ -4,16 +4,22 @@ oracle: opt-in, stdlib only.
     python tests/scaling.py                 # the library in ./src
     python tests/scaling.py --src OTHER/src # another checkout, to compare
 
-Each report row is the median wall time of 3 reports (validation included)
-on, with the number of cochains as its size:
+Each row times one cold call and then RUNS = 3 warm ones, and prints the
+cold time, the median of the warm times and the warm times themselves.
+The cold call builds what the library caches per value (coefficient
+systems, exterior power tables, the torus oracle's algebra) unless an
+earlier row did: count_fixed_points caches nothing, and "torus 9999 pts"
+is in dimension 2, which "torus n=2..4" has already seen.  Each report row
+times one report (validation included) on, with the number of cochains as
+its size:
 
 - abelian n = 8, 9, 10, trivial module, a seeded dense map with entries
   in {-3..3}/{1, 2}: every exterior power of the map is dense;
 - filiform n = 7, 8, 9, [e0, ei] = e(i+1), adjoint module, f = diag(2^w)
   for the weights (1, 1, 2, ..., n-1) and xi = f^-1.
 
-Each torus row is the median wall time of 3 passes of count_fixed_points,
-or of cross_check_with_ce, with the number of fixed points as its size:
+Each torus row times one pass of count_fixed_points, or of
+cross_check_with_ce, with the number of fixed points as its size:
 
 - "torus n=2..4": 30 seeded maps, for each n = 2, 3, 4 the first 10 maps
   drawn from random.Random(n) with entries in {-3..3} and
@@ -101,7 +107,7 @@ def main() -> None:
     import lietrace.repn
     import lietrace.torus_oracle
     lib = lietrace
-    print(f"{'case':<22} {'size':>8} {'median s':>9}  runs")
+    print(f"{'case':<22} {'size':>8} {'cold s':>9} {'warm s':>9}  warm runs")
     for label, build, n in CASES:
         algebra, module, f, xi = build(lib, n)
         times, report = timed(lambda: lib.lefschetz.twisted_lefschetz(
@@ -119,9 +125,10 @@ def main() -> None:
 
 
 def timed(call) -> tuple:
-    """(times, result): the wall times of RUNS calls, and the last result."""
+    """(times, result): the wall times of one cold call and RUNS warm ones
+    after it, and the last result."""
     times = []
-    for _ in range(RUNS):
+    for _ in range(1 + RUNS):
         start = time.perf_counter()
         result = call()
         times.append(time.perf_counter() - start)
@@ -129,9 +136,10 @@ def timed(call) -> tuple:
 
 
 def show(label: str, size: int, times: list) -> None:
-    runs = " ".join(f"{t:.4f}" for t in times)
-    print(f"{label:<22} {size:>8} {statistics.median(times):>9.4f}  {runs}",
-          flush=True)
+    cold, warm = times[0], times[1:]
+    runs = " ".join(f"{t:.4f}" for t in warm)
+    print(f"{label:<22} {size:>8} {cold:>9.4f} {statistics.median(warm):>9.4f}"
+          f"  {runs}", flush=True)
 
 
 if __name__ == "__main__":

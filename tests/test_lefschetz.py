@@ -12,7 +12,8 @@ from lietrace.cecomplex import ModuleAlgebraMismatch
 from lietrace.lefschetz import (alternating_sum, coefficient_system,
                                 linearization, twisted_lefschetz)
 from lietrace.liealg import JacobiViolation, LieAlgebra, endomorphism
-from lietrace.ratlin import Matrix, as_fraction, determinant, inverse
+from lietrace.ratlin import (InternalConsistencyFailure, Matrix, as_fraction,
+                             determinant, inverse)
 from lietrace.repn import (Intertwiner, Representation, adjoint_module,
                            identity_intertwiner, trivial_module)
 
@@ -124,6 +125,26 @@ def test_hopf_identity_check_frozen():
     # Euler characteristic both ways, times tr(id on the module) = 3... but
     # det(I - I) = 0 kills the third value too
     assert _hopf_values(HEIS3, adjoint_module(HEIS3), ident) == (0, 0, 0)
+
+
+def test_hopf_fires_through_negated_class_coordinates(monkeypatch):
+    # a fault upstream of the traces: class coordinates that come back
+    # negated pass the rank and cocycle-image checks but negate every
+    # induced map on cohomology, so for f = diag(2, 3, 6) the cohomology
+    # side reads 10 while the cochain side stays at -10.  The cache is
+    # emptied on both sides, so no system built under the patch survives.
+    def negated(kernel, fixed):
+        reps, coordinates, rank = ratlin.quotient_basis(kernel, fixed)
+        return reps, -coordinates, rank
+    monkeypatch.setattr(cecomplex, "quotient_basis", negated)
+    coefficient_system.cache_clear()
+    try:
+        with pytest.raises(InternalConsistencyFailure,
+                           match="cochain-level alternating trace -10 != "
+                                 "cohomology-level 10"):
+            _trivial_run(HEIS3, [[2, 0, 0], [0, 3, 0], [0, 0, 6]])
+    finally:
+        coefficient_system.cache_clear()
 
 
 def test_conjugation_invariance():

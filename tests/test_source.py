@@ -8,10 +8,14 @@ refers to is dead code too, and so is a public top-level name that is
 neither exported in `lietrace.__all__` nor read by another statement.
 The pipeline, check and torus modules read matrices only through their
 sparse rows: no dense view (`.entries`, `.row`, `.column`, `.columns`) and
-no `m[i, j]` lookup.
+no `m[i, j]` lookup.  The README's certificate table has one row for each
+`raise` of a certificate exception, naming the function that raises it and
+a test under tests/ that exists.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -126,3 +130,61 @@ def test_no_dense_matrix_reads(name):
              and isinstance(node.ctx, ast.Load)
              and isinstance(node.slice, ast.Tuple)]
     assert not reads, f"{name}: dense matrix reads {reads}"
+
+
+CERTIFICATES = {"InternalConsistencyFailure", "InternalDSquareNonzero",
+                "ChainMapViolation"}
+TESTS = Path(__file__).resolve().parent
+# a row: | certificate | `module.function` | `tests/file.py::test_name` |
+TABLE_ROW = re.compile(r"^\| .+ \| `(\w+(?:\.\w+)+)` \| "
+                       r"`tests/(\w+\.py)::(\w+)` \|$", re.M)
+
+
+def _certificate_rows() -> list:
+    """(raised by, test file, test name) for each row of the README's
+    certificate table."""
+    readme = (TESTS.parent / "README.md").read_text()
+    section = readme.split("\n## Certificates\n", 1)[-1].split("\n## ", 1)[0]
+    return TABLE_ROW.findall(section)
+
+
+def _certificate_raises() -> Counter:
+    """module.function -> number of certificate raises in it, each raise
+    counted in its innermost enclosing function or class."""
+    found = Counter()
+
+    def visit(node, qualname):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{qualname}.{child.name}")
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) \
+                    else child.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) \
+                        in CERTIFICATES:
+                    found[qualname] += 1
+            visit(child, qualname)
+
+    for path in MODULES:
+        visit(_tree(path), path.stem)
+    return found
+
+
+def test_certificate_table_lists_every_raise():
+    listed = Counter(function for function, _, _ in _certificate_rows())
+    raised = _certificate_raises()
+    assert raised, "no certificate raise found in the library"
+    assert not raised - listed, \
+        f"raises without a README certificate row: {dict(raised - listed)}"
+    assert not listed - raised, \
+        f"README certificate rows without a raise: {dict(listed - raised)}"
+
+
+def test_certificate_table_names_existing_tests():
+    rows = _certificate_rows()
+    missing = [f"tests/{path}::{name}" for _, path, name in rows
+               if not (TESTS / path).is_file() or name not in {
+                   node.name for node in _tree(TESTS / path).body
+                   if isinstance(node, ast.FunctionDef)}]
+    assert rows and not missing, f"certificate tests not found: {missing}"
