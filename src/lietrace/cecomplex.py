@@ -1,7 +1,8 @@
 """Chevalley-Eilenberg cochain complex with module coefficients.
 
 Degree p cochains are spanned by pairs (S, u): S a p-subset of basis indices
-(lexicographic order), u a module basis index; the basis index is
+(lexicographic order, indexed and signed by ratlin.subset_tables as for the
+exterior powers), u a module basis index; the basis index is
 subset_rank * module_dim + u (subset-major).  The differential of a cochain
 omega, evaluated on x_1 .. x_{p+1} (positions 1-based), is
 
@@ -22,7 +23,7 @@ from math import comb, lcm
 from .liealg import LieAlgebra, LieMorphism, integer_brackets
 from .ratlin import (InternalConsistencyFailure, InvalidInput, Matrix,
                      NotInSpan, exterior_powers, kernel_and_image, kron,
-                     p_subsets, packed_row, quotient_basis, vanishes)
+                     packed_row, quotient_basis, subset_tables, vanishes)
 from .repn import Intertwiner, Representation
 
 
@@ -73,48 +74,41 @@ def build_complex(algebra: LieAlgebra, module: Representation) -> CochainComplex
 
 def _differential(algebra: LieAlgebra, module: Representation, p: int) -> Matrix:
     """Matrix of d_p: C^p -> C^(p+1) in the subset-major bases, summed in
-    integers over the lcm of the structure-constant and action denominators."""
+    integers over the lcm of the structure-constant and action denominators.
+    Both sums walk the grow tables of ratlin.subset_tables, places counted
+    from 0.  Each T = S + x puts (-1)^a rho(e_x) at block (T, S), a the
+    place of x in T.  Each T = R + i + j, i < j, puts (-1)^(a+b+c) l I at
+    block (T, R + k) for each l e_k in [e_i, e_j] with k not in R: a and b
+    are the places of i and j in T, c that of k in R + k."""
     n, m = algebra.dim, module.dim
-    sources = p_subsets(n, p)
-    targets = p_subsets(n, p + 1)
-    src_rank = {s: a for a, s in enumerate(sources)}
+    _, grow, targets = subset_tables(n, p + 1)
     rows = [{} for _ in range(len(targets) * m)]
     brackets, bracket_den = integer_brackets(algebra)
     den = lcm(bracket_den, *[action.den for action in module.actions])
 
-    for t_rank, big in enumerate(targets):
-        row0 = t_rank * m
-        # first sum: remove one argument, act by it on the module
-        for a, x in enumerate(big):          # a is 0-based; formula uses a+1
-            rest = big[:a] + big[a + 1:]
-            action = module.actions[x]       # (-1)^((a+1)+1) = -1, a odd
-            scale = (-1) ** a * (den // action.den)
-            col0 = src_rank[rest] * m
+    # first sum: remove one argument, act by it on the module
+    for r, faces in enumerate(grow):
+        for x, (t, odd) in faces.items():
+            action = module.actions[x]
+            scale = (-1 if odd else 1) * (den // action.den)
             for w, arow in enumerate(action.sparse):
-                acc = rows[row0 + w]
+                acc = rows[t * m + w]
                 for u, value in arow:
-                    col, term = col0 + u, scale * value
+                    col, term = r * m + u, scale * value
                     acc[col] = acc[col] + term if col in acc else term
-        # second sum: bracket two arguments back into the cochain
-        for a in range(p + 1):
-            for b in range(a + 1, p + 1):
-                comps = brackets.get((big[a], big[b]), {})
-                if not comps:
-                    continue
-                rest = tuple(x for idx, x in enumerate(big) if idx not in (a, b))
-                for k, c in comps.items():
-                    if k in rest:
-                        continue  # repeated argument, alternating form gives 0
-                    pos = sum(1 for r in rest if r < k)
-                    merged = tuple(sorted(rest + (k,)))
-                    # (-1)^((a+1)+(b+1)) for the pair, (-1)^pos to sort k in
-                    term = (-c if (a + b + pos) % 2 == 1 else c) * (
-                        den // bracket_den)
-                    col0 = src_rank[merged] * m
-                    for u in range(m):
-                        acc, col = rows[row0 + u], col0 + u
-                        acc[col] = acc[col] + term if col in acc else term
-    return Matrix._of(tuple(packed_row(acc) for acc in rows), len(sources) * m,
+    # second sum: bracket keys have i < j, so i sits at the same place in
+    # R + i as in T; k in R would repeat an argument, which gives 0
+    for faces in subset_tables(n, p)[1]:      # none in degree 0
+        for i, (ri, oi) in faces.items():
+            for j, (t, oj) in grow[ri].items():
+                for k, c in brackets.get((i, j), {}).items():
+                    if k in faces:
+                        col, ok = faces[k]
+                        term = (-c if oi ^ oj ^ ok else c) * (den // bracket_den)
+                        for u in range(m):
+                            acc, cell = rows[t * m + u], col * m + u
+                            acc[cell] = acc[cell] + term if cell in acc else term
+    return Matrix._of(tuple(packed_row(acc) for acc in rows), len(grow) * m,
                       den)
 
 

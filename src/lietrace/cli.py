@@ -3,7 +3,7 @@
 Subcommands mirror the library layers:
 
   check       validate a task document and nothing else
-  cohomology  Betti numbers (and induced maps when the document has a map)
+  cohomology  Betti numbers (and Hopf-checked induced maps given a map)
   lefschetz   the full three-way report on one task document
   shadow      nilshadow of a split presentation, with the det comparison
   torus       fixed points of an integer torus map, with the cochain cross-check
@@ -21,7 +21,6 @@ import json
 import sys
 
 from . import catalog as catalog_mod
-from .cecomplex import induced_chain_map, induced_cohomology_map
 from .documents import (InvalidDocument, algebra_to_doc, load_json,
                         matrix_to_doc, module_from_doc, task_from_doc)
 from .lefschetz import coefficient_system, twisted_lefschetz
@@ -109,14 +108,6 @@ def _split_presentation(task) -> SplitPresentation:
                              complement=task.split[1])
 
 
-def _validate_task(task) -> list[str]:
-    lines = _validate_all_but_split(task)
-    if task.split is not None:
-        validate_split(_split_presentation(task))
-        lines.append("split: ok (nilpotent ideal, abelian complement)")
-    return lines
-
-
 def _validate_all_but_split(task) -> list[str]:
     lines = []
     validate(task.algebra)
@@ -132,13 +123,22 @@ def _validate_all_but_split(task) -> list[str]:
     return lines
 
 
+def _check_split(task) -> list[str]:
+    """Check the document's split, if any.  No library call reads it, and
+    cohomology and lefschetz check it last, after their call's checks."""
+    if task.split is None:
+        return []
+    validate_split(_split_presentation(task))
+    return ["split: ok (nilpotent ideal, abelian complement)"]
+
+
 def _print_json(doc) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
 def _cmd_check(args) -> int:
     task = _load_task(args.file)
-    for line in _validate_task(task):
+    for line in _validate_all_but_split(task) + _check_split(task):
         print(line)
     return EXIT_OK
 
@@ -150,15 +150,15 @@ def _cmd_cohomology(args) -> int:
                                       task.algebra, "/module")
         if task.intertwiner is not None:
             task.intertwiner = identity_intertwiner(task.morphism, task.module)
-    _validate_task(task)
     system = coefficient_system(task.algebra, task.module)
-    complex_, cohom = system.complex, system.cohomology
+    cohom = system.cohomology
     report = {"betti": [d.betti for d in cohom],
-              "dims": list(complex_.dims)}
+              "dims": list(system.complex.dims)}
     if task.morphism is not None:
-        chain_map = induced_chain_map(complex_, task.morphism, task.intertwiner)
-        maps = induced_cohomology_map(cohom, chain_map)
+        maps = twisted_lefschetz(task.algebra, task.module, task.morphism,
+                                 task.intertwiner).cohomology_maps
         report["maps"] = {str(p): matrix_to_doc(m) for p, m in enumerate(maps)}
+    _check_split(task)
     if args.verbose:
         report["representatives"] = {
             str(p): matrix_to_doc(d.representative_basis)
@@ -181,9 +181,9 @@ def _cmd_lefschetz(args) -> int:
     task = _load_task(args.file)
     if task.morphism is None:
         raise InvalidDocument("/map", "lefschetz needs a map")
-    _validate_task(task)
     report = twisted_lefschetz(task.algebra, task.module, task.morphism,
                                task.intertwiner)
+    _check_split(task)
     doc = {
         "betti": list(report.betti),
         "dims": list(report.dims),

@@ -18,9 +18,9 @@ caches, for the MEMO_SIZE most recently used ones: the validated complex,
 its cohomology and the transposed representatives and class coordinates
 that the induced maps multiply by, so the Jacobi, module, d o d and
 quotient rank checks run once per value.  Once per dimension n: the
-subset tables of the exterior powers (ratlin) and the torus oracle's
-abelian algebra with its trivial module and basis ads.  On every report:
-the morphism, intertwiner, chain-map, cocycle-image and Hopf checks, and
+p-subset tables (ratlin.subset_tables) and the torus oracle's abelian
+algebra with its trivial module and basis ads.  On every report: the
+morphism, intertwiner, chain-map, cocycle-image and Hopf checks, and
 products of the map with what is cached, transposing only the n x n map.
 """
 
@@ -32,9 +32,10 @@ from functools import cached_property, lru_cache
 
 from .cecomplex import (CochainComplex, ModuleAlgebraMismatch, build_complex,
                         cohomology, induced_chain_map, induced_cohomology_map)
-from .liealg import (MEMO_SIZE, LieAlgebra, LieMorphism, check_morphism,
-                     is_nilpotent, validate)
-from .ratlin import InternalConsistencyFailure, Matrix, det_i_minus
+from .liealg import (LieAlgebra, LieMorphism, check_morphism, is_nilpotent,
+                     validate)
+from .ratlin import (MEMO_SIZE, InternalConsistencyFailure, Matrix,
+                     det_i_minus, format_rational, format_vector)
 from .repn import Intertwiner, Representation, validate_intertwiner, validate_rep
 
 
@@ -101,9 +102,13 @@ def twisted_lefschetz(algebra: LieAlgebra, module: Representation,
 
     linearization_matrix defaults to the morphism matrix.  The algebra and
     module are validated with their coefficient system, once per value; the
-    morphism and intertwiner on every call.
+    morphism and intertwiner, which must be over them, on every call.
     """
     system = coefficient_system(algebra, module)
+    if (morphism.source, morphism.target) != (algebra, algebra):
+        raise ModuleAlgebraMismatch("morphism is not over the given algebra")
+    if (intertwiner.morphism, intertwiner.module) != (morphism, module):
+        raise ModuleAlgebraMismatch("intertwiner is over another map or module")
     check_morphism(morphism)
     validate_intertwiner(intertwiner)
     chain_map = induced_chain_map(system.complex, morphism, intertwiner)
@@ -117,8 +122,10 @@ def twisted_lefschetz(algebra: LieAlgebra, module: Representation,
     if lefschetz_number != hopf:
         raise InternalConsistencyFailure(
             "Hopf trace identity failed: cochain-level alternating trace "
-            f"{hopf} != cohomology-level {lefschetz_number} (cochain traces "
-            f"{cochain_traces}, cohomology traces {cohom_traces})")
+            f"{format_rational(hopf)} != cohomology-level "
+            f"{format_rational(lefschetz_number)} (cochain traces "
+            f"{format_vector(cochain_traces)}, cohomology traces "
+            f"{format_vector(cohom_traces)})")
 
     a = linearization_matrix if linearization_matrix is not None else morphism.matrix
     det_value = linearization(a)

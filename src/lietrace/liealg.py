@@ -24,9 +24,8 @@ from functools import cached_property
 from math import lcm
 from types import MappingProxyType
 
-from . import ratlin
 from .ratlin import (InvalidInput, Matrix, Vector, as_fraction,
-                     format_rational, linear_combination, p_subsets,
+                     format_vector, linear_combination, p_subsets,
                      packed_row, rref, vanishes)
 
 
@@ -35,7 +34,7 @@ class JacobiViolation(InvalidInput):
         self.triple = (i, j, k)
         self.defect = defect
         super().__init__(f"Jacobi identity fails on basis triple ({i},{j},{k}), "
-                         f"defect {_fmt_vec(defect)}")
+                         f"defect {format_vector(defect)}")
 
 
 class NotAMorphism(InvalidInput):
@@ -43,11 +42,7 @@ class NotAMorphism(InvalidInput):
         self.pair = (i, j)
         self.defect = defect
         super().__init__(f"bracket not preserved on basis pair ({i},{j}), "
-                         f"defect {_fmt_vec(defect)}")
-
-
-def _fmt_vec(v: Vector) -> str:
-    return "(" + ", ".join(format_rational(x) for x in v) + ")"
+                         f"defect {format_vector(defect)}")
 
 
 @dataclass(frozen=True)
@@ -106,9 +101,6 @@ class LieAlgebra:
                 rows[i][k][j], rows[j][k][i] = c, -c
         return tuple(Matrix._of(tuple(map(packed_row, ad_rows)), n, den)
                      for ad_rows in rows)
-
-
-MEMO_SIZE = ratlin.MEMO_SIZE   # coefficient systems and shadows cache this many
 
 
 def validate(algebra: LieAlgebra) -> None:

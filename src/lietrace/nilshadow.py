@@ -26,9 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .liealg import (MEMO_SIZE, LieAlgebra, LieMorphism, endomorphism,
-                     is_morphism, is_nilpotent, is_solvable, validate)
-from .ratlin import InvalidInput, det_i_minus, jordan_chevalley, vanishes
+from .liealg import (LieAlgebra, LieMorphism, endomorphism, is_morphism,
+                     is_nilpotent, is_solvable, validate)
+from .ratlin import (MEMO_SIZE, InvalidInput, det_i_minus, jordan_chevalley,
+                     vanishes)
 
 
 class NotAnIdeal(InvalidInput):

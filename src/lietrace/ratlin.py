@@ -88,6 +88,11 @@ def format_rational(value: Fraction) -> str:
         return num if den == "1" else f"{num}/{den}"
 
 
+def format_vector(values) -> str:
+    """'(1, -3/2, 0)': each entry by format_rational."""
+    return "(" + ", ".join(map(format_rational, values)) + ")"
+
+
 def as_fraction(value) -> Fraction:
     """Coerce int / Fraction / rational string to Fraction.  Floats are
     rejected on purpose: exactness is the whole point."""
@@ -621,8 +626,8 @@ def p_subsets(n: int, p: int) -> list[tuple[int, ...]]:
 
 def exterior_powers(m: Matrix) -> list[Matrix]:
     """Lambda^0 m .. Lambda^n m.  Rows and columns of Lambda^p are indexed
-    by lexicographically ordered p-subsets; entry (S, T) is the minor of m
-    with rows S and columns T."""
+    by the lexicographic p-subsets of subset_tables; entry (S, T) is the
+    minor of m with rows S and columns T."""
     return list(_exterior_powers(m))
 
 
@@ -635,7 +640,7 @@ def _exterior_powers(m: Matrix):
     minors: with s the first row of S, minor(S, T) is the sum over positions
     k of (-1)^k M[s][T[k]] minor(S - s, T - T[k]).  It is accumulated over
     the nonzeros of row s of M and of row S - s of Lambda^(p-1) M, through
-    the subset tables of _laplace_table.
+    subset_tables, which the cochain differentials read too.
     """
     if not m.is_square():
         raise NonSquare("exterior power of non-square matrix")
@@ -644,7 +649,7 @@ def _exterior_powers(m: Matrix):
     prev, prev_dens = _IDENTITY_1.sparse, [1]
     yield _IDENTITY_1
     for p in range(1, n + 1):
-        heads, grow, _ = _laplace_table(n, p)
+        heads, grow, _ = subset_tables(n, p)
         rows, dens = [], []
         for s, face_row in heads:
             mrow = mrows[s]
@@ -663,17 +668,18 @@ def _exterior_powers(m: Matrix):
         yield Matrix._canonical(sparse, len(heads), den)
 
 
-def _laplace_table(n: int, p: int) -> tuple:
-    """(heads, grow, subsets), the subset tables of degree p >= 1 in
-    dimension n, which depend on (n, p) only: subsets lists the p-subsets
-    in order; heads holds, for each p-subset S, its first element s and the
-    index of S - s among the (p-1)-subsets; grow maps, for each
-    (p-1)-subset F, a column t outside F to the index of F + t and whether
-    t sits at an odd place in it.  Built on first use from degree p - 1's
-    subsets and kept, for the MEMO_SIZE most recent n."""
-    tables = _laplace_tables(n)
+def subset_tables(n: int, p: int) -> tuple:
+    """(heads, grow, subsets) of degree p in dimension n: the one place
+    where p-subsets are indexed and an insertion into one is signed, for
+    the exterior powers and the cochain differentials.  subsets are the
+    lexicographic p-subsets; heads[S] = (first element s, index of S - s);
+    grow[F][t] = (index of F + t, whether t sits at an odd place in it) for
+    each (p-1)-subset F and t not in F.  Degree 0 holds the empty subset;
+    degree p is built on first use from degree p - 1's subsets and kept,
+    for the MEMO_SIZE most recent n."""
+    tables = _subset_tables(n)
     if p not in tables:
-        index = {s: i for i, s in enumerate(_laplace_table(n, p - 1)[2])}
+        index = {s: i for i, s in enumerate(subset_tables(n, p - 1)[2])}
         subsets = p_subsets(n, p)
         grow = [{} for _ in index]
         for col, cols in enumerate(subsets):
@@ -684,9 +690,8 @@ def _laplace_table(n: int, p: int) -> tuple:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _laplace_tables(n: int) -> dict:
-    """Degree -> _laplace_table(n, degree), filled in on demand; degree 0
-    holds the empty subset only."""
+def _subset_tables(n: int) -> dict:
+    """Degree -> subset_tables(n, degree), filled in on demand."""
     return {0: ((), (), [()])}
 
 

@@ -1,4 +1,4 @@
-"""Every test starts with empty coefficient-system, shadow and Laplace-table
+"""Every test starts with empty coefficient-system, shadow and subset-table
 caches, so a test that counts or patches the work behind a cached value (the
 differentials, the Jordan-Chevalley split, the subsets of an exterior power)
 sees that work run."""
@@ -12,8 +12,8 @@ from lietrace import lefschetz, nilshadow, ratlin
 def cold_caches():
     lefschetz.coefficient_system.cache_clear()
     nilshadow._shadow.cache_clear()
-    ratlin._laplace_tables.cache_clear()
+    ratlin._subset_tables.cache_clear()
     yield
     lefschetz.coefficient_system.cache_clear()
     nilshadow._shadow.cache_clear()
-    ratlin._laplace_tables.cache_clear()
+    ratlin._subset_tables.cache_clear()

@@ -319,6 +319,54 @@ def reference_bracket(algebra: LieAlgebra, x, y) -> tuple:
     return tuple(out)
 
 
+def _basis_cochain_value(subset: tuple, args: tuple) -> int:
+    """e_S*(e_a1, ..., e_ap): the sign of the permutation that sorts args
+    into the subset S, or 0 when args is not a rearrangement of S."""
+    if tuple(sorted(args)) != subset:
+        return 0
+    inversions = sum(a > b for a, b in itertools.combinations(args, 2))
+    return -1 if inversions % 2 else 1
+
+
+def reference_differential(algebra: LieAlgebra, module: Representation,
+                           p: int) -> Matrix:
+    """d_p: C^p -> C^(p+1) read straight off the formula in the cecomplex
+    docstring, in dense Fraction lists.  Row (T, w), column (S, u) is
+    coordinate w of (d omega)(e_T1, ..., e_T(p+1)) for omega = e_S* (x) e_u:
+
+        sum_i (-1)^(i+1) rho(e_Ti) omega(..., e_Ti omitted, ...)
+      + sum_{i<j} (-1)^(i+j) omega([e_Ti, e_Tj], ..., e_Ti, e_Tj omitted, ...)
+
+    with positions 1-based; omega is evaluated on basis vectors by sorting
+    its arguments, and brackets come from basis_bracket."""
+    n, m = algebra.dim, module.dim
+    sources = list(itertools.combinations(range(n), p))
+    targets = list(itertools.combinations(range(n), p + 1))
+    actions = [a.entries for a in module.actions]
+    rows = [[Fraction(0)] * (len(sources) * m) for _ in range(len(targets) * m)]
+    for t_index, big in enumerate(targets):
+        for s_index, subset in enumerate(sources):
+            value = [[Fraction(0)] * m for _ in range(m)]   # value[w][u]
+            for i in range(p + 1):                # 0-based: sign (-1)^i
+                coeff = (-1) ** i * _basis_cochain_value(
+                    subset, big[:i] + big[i + 1:])
+                for w in range(m if coeff else 0):
+                    for u in range(m):
+                        value[w][u] += coeff * actions[big[i]][w][u]
+            for i, j in itertools.combinations(range(p + 1), 2):
+                rest = tuple(x for a, x in enumerate(big) if a not in (i, j))
+                coeff = sum((c * _basis_cochain_value(subset, (k,) + rest)
+                             for k, c in enumerate(
+                                 basis_bracket(algebra, big[i], big[j]))
+                             if c),
+                            Fraction(0))
+                for u in range(m):
+                    value[u][u] += (-1) ** (i + j) * coeff
+            for w in range(m):
+                rows[t_index * m + w][s_index * m:(s_index + 1) * m] = value[w]
+    return Matrix(rows)
+
+
 def reference_ad(algebra: LieAlgebra, x) -> Matrix:
     return Matrix([reference_bracket(algebra, x, _unit(algebra.dim, j))
                    for j in range(algebra.dim)]).transpose()

@@ -22,7 +22,8 @@ from lietrace.repn import (Intertwiner, adjoint_module, identity_intertwiner,
 
 from generated import generated_cases
 from helpers import (ALL_NAMES, greedy_complete, heisenberg_defining_module,
-                     random_modules, solve_in_span, zero_vec)
+                     random_modules, reference_differential, solve_in_span,
+                     zero_vec)
 
 HEIS3 = get("heisenberg3").algebra
 SOL3 = get("sol3").algebra
@@ -77,6 +78,23 @@ def test_d_squared_zero_all_catalog_modules():
 def test_d_squared_zero_random_modules():
     for module in random_modules(seed=101, count=8):
         build_complex(module.algebra, module)
+
+
+def test_differentials_match_the_formula():
+    # every d_p against reference_differential, which evaluates the
+    # docstring formula on basis cochains with no subset tables: the
+    # catalog with trivial and adjoint coefficients, random dense modules
+    # and every seventh generated case
+    cases = [(get(name).algebra, make(get(name).algebra))
+             for name in ALL_NAMES for make in (trivial_module, adjoint_module)]
+    cases += [(module.algebra, module)
+              for module in random_modules(seed=211, count=6)]
+    cases += [(a, m) for _, a, m, *_ in generated_cases()[::7]]
+    for algebra, module in cases:
+        expected = tuple(reference_differential(algebra, module, p)
+                         for p in range(algebra.dim))
+        assert build_complex(algebra, module).differentials == expected, \
+            (algebra, module.dim)
 
 
 def test_module_algebra_mismatch():

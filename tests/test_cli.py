@@ -614,3 +614,76 @@ def test_json_output_is_deterministic(tmp_path, capsys):
     main(["lefschetz", path, "--json"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_lefschetz_runs_each_input_check_once(tmp_path, monkeypatch, capsys):
+    # the library call validates the algebra, module, map and intertwiner;
+    # the command adds no second pass.  Counted at every site where cli and
+    # lefschetz look the validators up; conftest empties the coefficient
+    # cache, so the algebra and module checks run too.
+    from lietrace import cli, lefschetz
+
+    calls = {}
+    for name in ("validate", "validate_rep", "check_morphism",
+                 "validate_intertwiner"):
+        def counting(arg, _name=name, _original=getattr(lefschetz, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(arg)
+        for module in (cli, lefschetz):
+            monkeypatch.setattr(module, name, counting)
+    doc = {"algebra": {"dim": 3, "brackets": [
+               {"left": 0, "right": 1, "result": {"2": "1"}}]},
+           "map": {"matrix": [["2", "0", "0"], ["0", "3", "0"],
+                              ["0", "0", "6"]]}}
+    assert main(["lefschetz", _write(tmp_path, "heis.json", doc)]) == EXIT_OK
+    assert calls == {"validate": 1, "validate_rep": 1, "check_morphism": 1,
+                     "validate_intertwiner": 1}
+
+
+_DIAG = [["2", "0", "0"], ["0", "3", "0"], ["0", "0", "6"]]
+_NON_MORPHISM = [["2", "0", "0"], ["0", "3", "0"], ["0", "0", "5"]]
+_IDENTITY = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+_NOT_AN_IDEAL = {"nil_ideal": [0], "complement": [1, 2]}
+_NOT_PRESERVED = ("invalid input: bracket not preserved on basis pair (0,1), "
+                  "defect (0, 0, 1)\n")
+# one fault each, and one document with two, and the stderr each gave when
+# the commands still validated their input before the library call
+_FAULTS = [
+    ({"algebra": {"dim": 3, "brackets": [
+        {"left": 0, "right": 1, "result": {"2": "1"}},
+        {"left": 0, "right": 2, "result": {"0": "1"}}]},
+      "map": {"matrix": _IDENTITY}},
+     "invalid input: Jacobi identity fails on basis triple (0,1,2), "
+     "defect (0, 0, -1)\n"),
+    ({"algebra": "heisenberg3", "map": {"matrix": _DIAG},
+      "module": {"dim": 2, "actions": [[["0", "1"], ["0", "0"]],
+                                       [["0", "0"], ["1", "0"]],
+                                       [["0", "0"], ["0", "0"]]]}},
+     "invalid input: compatibility fails on basis pair (0,1): "
+     "rho([e_i,e_j]) != [rho(e_i), rho(e_j)]\n"),
+    ({"algebra": "heisenberg3", "map": {"matrix": _NON_MORPHISM}},
+     _NOT_PRESERVED),
+    # the adjoint module with xi = 1, not equivariant for f = diag(2, 3, 6)
+    ({"algebra": "heisenberg3", "map": {"matrix": _DIAG},
+      "module": {"dim": 3, "actions": [
+          [["0", "0", "0"], ["0", "0", "0"], ["0", "1", "0"]],
+          [["0", "0", "0"], ["0", "0", "0"], ["-1", "0", "0"]],
+          [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]]},
+      "intertwiner": {"matrix": _IDENTITY}},
+     "invalid input: intertwiner not equivariant at basis vector 0\n"),
+    ({"algebra": "heisenberg3", "map": {"matrix": _DIAG},
+      "split": _NOT_AN_IDEAL},
+     "invalid input: [e1, e0] leaves the span of the ideal\n"),
+    ({"algebra": "heisenberg3", "map": {"matrix": _NON_MORPHISM},
+      "split": _NOT_AN_IDEAL},
+     _NOT_PRESERVED),
+]
+
+
+@pytest.mark.parametrize("command", ["lefschetz", "cohomology"])
+@pytest.mark.parametrize("doc,message", _FAULTS)
+def test_first_fault_named_on_stderr(tmp_path, capsys, command, doc, message):
+    code = main([command, _write(tmp_path, "fault.json", doc)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID_INPUT
+    assert (captured.out, captured.err) == ("", message)

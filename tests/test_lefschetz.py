@@ -141,10 +141,11 @@ def test_hopf_fires_through_negated_class_coordinates(monkeypatch):
     try:
         with pytest.raises(InternalConsistencyFailure,
                            match="cochain-level alternating trace -10 != "
-                                 "cohomology-level 10"):
+                                 "cohomology-level 10") as err:
             _trivial_run(HEIS3, [[2, 0, 0], [0, 3, 0], [0, 0, 6]])
     finally:
         coefficient_system.cache_clear()
+    assert "Fraction(" not in str(err.value)
 
 
 def test_conjugation_invariance():
@@ -409,6 +410,35 @@ def test_module_over_another_algebra_raises_after_a_hit():
         coefficient_system(HEIS3, other)
 
 
+def test_morphism_over_another_algebra_is_invalid_input():
+    # diag(1, 1, 5) is a morphism of abelian_3 but not of heisenberg3
+    a3 = get("abelian_3").algebra
+    module = trivial_module(HEIS3)
+    f = endomorphism(a3, Matrix.diagonal([1, 1, 5]))
+    with pytest.raises(ModuleAlgebraMismatch, match="not over the given algebra"):
+        twisted_lefschetz(HEIS3, module, f, identity_intertwiner(f, module))
+    # a map from heisenberg3 into abelian_3 is not an endomorphism either
+    g = liealg.LieMorphism(source=HEIS3, target=a3,
+                           matrix=Matrix.diagonal([1, 1, 5]))
+    with pytest.raises(ModuleAlgebraMismatch, match="not over the given algebra"):
+        twisted_lefschetz(HEIS3, module, g, identity_intertwiner(g, module))
+
+
+def test_intertwiner_over_another_map_or_module_is_invalid_input():
+    f = endomorphism(HEIS3, Matrix.diagonal([2, 3, 6]))
+    other_map = endomorphism(HEIS3, Matrix.identity(3))
+    module = trivial_module(HEIS3)
+    with pytest.raises(ModuleAlgebraMismatch, match="another map or module"):
+        twisted_lefschetz(HEIS3, module, f,
+                          identity_intertwiner(other_map, module))
+    # a module of the same dimension with another action
+    other_module = Representation(algebra=HEIS3, dim=1, actions=(
+        Matrix([[1]]), Matrix([[0]]), Matrix([[0]])))
+    with pytest.raises(ModuleAlgebraMismatch, match="another map or module"):
+        twisted_lefschetz(HEIS3, module, f,
+                          identity_intertwiner(f, other_module))
+
+
 def test_module_mismatch_is_checked_before_the_algebra():
     # bad fails Jacobi, but a module over another algebra is named first
     bad = LieAlgebra(dim=3, brackets={(0, 1): {2: 1}, (0, 2): {0: 1}})
@@ -434,13 +464,13 @@ def test_memo_keeps_the_most_recently_used_entries():
     # the abelian algebra of dim 1 acts on Q by any scalar
     a1 = get("abelian_1").algebra
     systems = [Representation(algebra=a1, dim=1, actions=(Matrix([[c]]),))
-               for c in range(liealg.MEMO_SIZE + 5)]
+               for c in range(ratlin.MEMO_SIZE + 5)]
     built = [coefficient_system(a1, systems[0])]
     for module in systems[1:]:
         built.append(coefficient_system(a1, module))
         assert coefficient_system(a1, systems[0]) is built[0]
-        assert coefficient_system.cache_info().currsize <= liealg.MEMO_SIZE
-    assert coefficient_system.cache_info().currsize == liealg.MEMO_SIZE
+        assert coefficient_system.cache_info().currsize <= ratlin.MEMO_SIZE
+    assert coefficient_system.cache_info().currsize == ratlin.MEMO_SIZE
     # systems[0] was used after each other one, so the oldest others went
     assert coefficient_system(a1, systems[-1]) is built[-1]
     assert coefficient_system(a1, systems[1]) is not built[1]
