@@ -16,8 +16,8 @@ of underlying spaces, so det(I - T) is one number on both sides.
 build_shadow caches the shadow and the semisimple parts per split, an
 immutable value, for the MEMO_SIZE most recently used ones, so the split
 checks, the Jordan-Chevalley decompositions and the shadow's Jacobi and
-nilpotency checks run once per split; induced_shadow_map checks every map.
-shadow_report is the whole solvmanifold report in one call.
+nilpotency certificates run once per split.  shadow_report is the whole
+solvmanifold report: one twisted_lefschetz checks S and gives det(I - T).
 """
 
 from __future__ import annotations
@@ -26,10 +26,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .liealg import (LieAlgebra, LieMorphism, endomorphism, is_morphism,
-                     is_nilpotent, is_solvable, validate)
-from .ratlin import (MEMO_SIZE, InvalidInput, det_i_minus, jordan_chevalley,
-                     vanishes)
+from .lefschetz import twisted_lefschetz
+from .liealg import (JacobiViolation, LieAlgebra, LieMorphism, NotAMorphism,
+                     endomorphism, is_morphism, is_nilpotent, is_solvable,
+                     validate)
+from .ratlin import (MEMO_SIZE, InternalConsistencyFailure, InvalidInput,
+                     det_i_minus, jordan_chevalley, p_subsets, vanishes)
+from .repn import identity_intertwiner, trivial_module
 
 
 class NotAnIdeal(InvalidInput):
@@ -41,10 +44,6 @@ class IdealNotNilpotent(InvalidInput):
 
 
 class ComplementNotAbelian(InvalidInput):
-    pass
-
-
-class SemisimplePartsDoNotCommute(InvalidInput):
     pass
 
 
@@ -77,8 +76,9 @@ class SplitPresentation:
 
 def validate_split(split: SplitPresentation) -> tuple:
     """All structural preconditions, in a fixed order so failures are stable:
-    solvability, ideal property, abelian complement, nilpotency of the ideal,
-    commuting semisimple parts that kill the complement.
+    solvability, ideal property, abelian complement, nilpotency of the ideal.
+    Then certificates: the semisimple parts, polynomials in the commuting
+    ad(e_c) with no constant term, commute and kill the abelian complement.
 
     Returns the Jordan-Chevalley parts (JordanParts) of ad(e_c) for each
     complement generator c, in complement order.
@@ -112,15 +112,13 @@ def validate_split(split: SplitPresentation) -> tuple:
     for idx, s in zip(split.complement, semis):
         columns = s.transpose().sparse
         if any(columns[c] for c in split.complement):
-            raise SemisimplePartsDoNotCommute(
+            raise InternalConsistencyFailure(
                 f"semisimple part of ad(e{idx}) does not kill the complement")
-    for x in range(len(semis)):
-        for y in range(x + 1, len(semis)):
-            if not vanishes([(1, semis[x], semis[y]),
-                             (-1, semis[y], semis[x])]):
-                raise SemisimplePartsDoNotCommute(
-                    f"semisimple parts of ad(e{split.complement[x]}) and "
-                    f"ad(e{split.complement[y]}) do not commute")
+    for x, y in p_subsets(len(semis), 2):
+        if not vanishes([(1, semis[x], semis[y]), (-1, semis[y], semis[x])]):
+            raise InternalConsistencyFailure(
+                f"semisimple parts of ad(e{split.complement[x]}) and "
+                f"ad(e{split.complement[y]}) do not commute")
     return parts
 
 
@@ -146,8 +144,8 @@ def build_shadow(split: SplitPresentation) -> ShadowResult:
 
     The shadow bracket keeps ideal x ideal brackets, sets complement pairs to
     zero, and lets a complement generator act on the ideal through
-    nil(ad a) = ad a - semisimple(ad a).  The result is validated (Jacobi)
-    and must be nilpotent.  Built on the first call for the split's value.
+    nil(ad a) = ad a - semisimple(ad a).  Its Jacobi identity and nilpotency
+    hold by theorem, so they are certified.  Built on first use of the split.
     """
     shadow, semisimple_parts = _shadow(split)
     return ShadowResult(split=split, shadow=shadow,
@@ -177,9 +175,12 @@ def _shadow(split: SplitPresentation) -> tuple:
                 continue
             brackets[(i, j)] = dict(column)
     shadow = LieAlgebra(dim=n, brackets=brackets, labels=algebra.labels)
-    validate(shadow)
+    try:
+        validate(shadow)
+    except JacobiViolation as err:
+        raise InternalConsistencyFailure(f"shadow bracket: {err}") from err
     if not is_nilpotent(shadow):
-        raise IdealNotNilpotent("shadow bracket failed to be nilpotent")
+        raise InternalConsistencyFailure("shadow bracket failed to be nilpotent")
     return shadow, tuple(p.semisimple for p in parts)
 
 
@@ -195,15 +196,8 @@ class ShadowMapReport:
         return self.det_input
 
 
-def induced_shadow_map(result: ShadowResult, t: LieMorphism) -> ShadowMapReport:
-    """Carry an endomorphism T of the split algebra over to the shadow.
-
-    T must map the ideal into itself; the induced map S is T under the
-    identity identification of underlying spaces, so det(I - S) = det(I - T)
-    by construction.  Whether S also respects the shadow bracket is
-    reported, not assumed: the Lefschetz pipeline on the shadow only makes
-    sense when it does.
-    """
+def _shadow_endomorphism(result: ShadowResult, t: LieMorphism) -> LieMorphism:
+    """T, an endomorphism of the split algebra, as S on the shadow."""
     split = result.split
     if t.source is not t.target and t.source != t.target:
         raise InvalidInput("shadow transport needs an endomorphism")
@@ -214,8 +208,19 @@ def induced_shadow_map(result: ShadowResult, t: LieMorphism) -> ShadowMapReport:
     for j in split.nil_ideal:
         if any(r not in ideal for r, _ in columns[j]):
             raise SplitNotPreserved(j)
+    return endomorphism(result.shadow, t.matrix)
 
-    shadow_map = endomorphism(result.shadow, t.matrix)
+
+def induced_shadow_map(result: ShadowResult, t: LieMorphism) -> ShadowMapReport:
+    """Carry an endomorphism T of the split algebra over to the shadow.
+
+    T must map the ideal into itself; the induced map S is T under the
+    identity identification of underlying spaces, so det(I - S) = det(I - T)
+    by construction.  Whether S also respects the shadow bracket is
+    reported, not assumed: the Lefschetz pipeline on the shadow only makes
+    sense when it does.
+    """
+    shadow_map = _shadow_endomorphism(result, t)
     return ShadowMapReport(shadow_map=shadow_map,
                            is_shadow_morphism=is_morphism(shadow_map),
                            det_input=det_i_minus(t.matrix))
@@ -225,14 +230,13 @@ def shadow_report(split: SplitPresentation, t: LieMorphism) -> tuple:
     """(shadow, map report, Lefschetz report): the shadow of the split, T
     carried over to it, and the twisted Lefschetz report of S on the shadow
     with the trivial module and the identity intertwiner, or None when S is
-    not a shadow morphism."""
-    from .lefschetz import twisted_lefschetz
-    from .repn import identity_intertwiner, trivial_module
-
+    not a shadow morphism.  The map report, induced_shadow_map's, is read off
+    the Lefschetz report's morphism check and det(I - A), as A is S."""
     result = build_shadow(split)
-    map_report = induced_shadow_map(result, t)
-    if not map_report.is_shadow_morphism:
-        return result, map_report, None
-    s, module = map_report.shadow_map, trivial_module(result.shadow)
-    return result, map_report, twisted_lefschetz(
-        result.shadow, module, s, identity_intertwiner(s, module))
+    s, module = _shadow_endomorphism(result, t), trivial_module(result.shadow)
+    try:
+        lef = twisted_lefschetz(result.shadow, module, s,
+                                identity_intertwiner(s, module))
+    except NotAMorphism:
+        return result, ShadowMapReport(s, False, det_i_minus(t.matrix)), None
+    return result, ShadowMapReport(s, True, lef.det_i_minus_a), lef

@@ -189,7 +189,8 @@ def test_shadow_solvable_with_map(tmp_path, capsys):
     doc = {"algebra": "sol3",
            "map": {"matrix": [["-1", "0", "0"], ["0", "0", "2"],
                               ["0", "1", "0"]]}}
-    code = main(["shadow", _write(tmp_path, "sol.json", doc), "--json"])
+    path = _write(tmp_path, "sol.json", doc)
+    code = main(["shadow", path, "--json"])
     out = capsys.readouterr().out
     assert code == EXIT_OK
     report = json.loads(out)
@@ -198,6 +199,13 @@ def test_shadow_solvable_with_map(tmp_path, capsys):
     assert report["det_i_minus_t"] == "-2"
     assert report["shadow_lefschetz"] == "-2"
     assert report["agree"] is True
+    assert main(["shadow", path]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "shadow brackets: abelian\n"
+        "induced map is shadow morphism: yes\n"
+        "det(I - T): -2\n"
+        "shadow lefschetz: -2\n"
+        "agree: yes\n")
 
 
 def test_boolean_algebra_dim_is_rejected(tmp_path, capsys):
@@ -231,8 +239,10 @@ def test_shadow_rejects_split_breaking_map(tmp_path, capsys):
            "split": {"nil_ideal": [0], "complement": [1]},
            "map": {"matrix": [["0", "1"], ["1", "0"]]}}
     code = main(["shadow", _write(tmp_path, "broken.json", doc)])
+    captured = capsys.readouterr()
     assert code == EXIT_INVALID_INPUT
-    assert "outside the ideal" in capsys.readouterr().err
+    assert (captured.out, captured.err) == (
+        "", "invalid input: map sends ideal basis vector 0 outside the ideal\n")
 
 
 def test_torus_text_and_json(capsys):
@@ -647,11 +657,14 @@ _NOT_AN_IDEAL = {"nil_ideal": [0], "complement": [1, 2]}
 _NOT_PRESERVED = ("invalid input: bracket not preserved on basis pair (0,1), "
                   "defect (0, 0, 1)\n")
 # one fault each, and one document with two, and the stderr each gave when
-# the commands still validated their input before the library call
+# the commands still validated their input before the library call, and
+# before the shadow report checked its map once.  Each document has a split,
+# its own or its catalog entry's, since shadow needs one.
 _FAULTS = [
     ({"algebra": {"dim": 3, "brackets": [
         {"left": 0, "right": 1, "result": {"2": "1"}},
         {"left": 0, "right": 2, "result": {"0": "1"}}]},
+      "split": {"nil_ideal": [1, 2], "complement": [0]},
       "map": {"matrix": _IDENTITY}},
      "invalid input: Jacobi identity fails on basis triple (0,1,2), "
      "defect (0, 0, -1)\n"),
@@ -680,10 +693,11 @@ _FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("command", ["lefschetz", "cohomology"])
+@pytest.mark.parametrize("command", ["lefschetz", "cohomology", "shadow"])
 @pytest.mark.parametrize("doc,message", _FAULTS)
 def test_first_fault_named_on_stderr(tmp_path, capsys, command, doc, message):
     code = main([command, _write(tmp_path, "fault.json", doc)])
     captured = capsys.readouterr()
     assert code == EXIT_INVALID_INPUT
     assert (captured.out, captured.err) == ("", message)
+

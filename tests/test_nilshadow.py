@@ -1,20 +1,23 @@
 """Nilshadow construction and determinant transport."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from lietrace import nilshadow
+from lietrace import lefschetz, liealg, nilshadow
 from lietrace.catalog import get, list_entries, sample_endomorphisms
+from lietrace.cli import EXIT_INTERNAL, main
+from lietrace.documents import algebra_to_doc
 from lietrace.liealg import LieAlgebra, ad, endomorphism, is_nilpotent
 from lietrace.nilshadow import (ComplementNotAbelian, IdealNotNilpotent,
-                                NotAnIdeal, SemisimplePartsDoNotCommute,
-                                ShadowResult, SplitNotPreserved,
+                                NotAnIdeal, ShadowResult, SplitNotPreserved,
                                 SplitPresentation, build_shadow,
                                 induced_shadow_map, shadow_report,
                                 validate_split)
-from lietrace.ratlin import JordanParts, Matrix, determinant, jordan_chevalley
+from lietrace.ratlin import (InternalConsistencyFailure, JordanParts, Matrix,
+                             determinant, jordan_chevalley)
 
 SOL3 = get("sol3")
 HEIS3 = get("heisenberg3").algebra
@@ -24,6 +27,9 @@ FILIFORM4 = get("filiform4").algebra
 # the ideal (a derivation, since the weights add up across [e0,e1] = e2)
 MIXED = LieAlgebra(dim=4, brackets={(0, 1): {2: 1}, (0, 3): {0: -1},
                                     (1, 3): {1: -1}, (2, 3): {2: -2}})
+# [e2,e0] = e0, [e2,e1] = e0 + e1: ad(e2) on the ideal (0, 1) is the Jordan
+# block [[1,1],[0,1]]
+JORDAN = LieAlgebra(dim=3, brackets={(0, 2): {0: -1}, (1, 2): {0: -1, 1: -1}})
 
 
 SOL3_SPLIT = SplitPresentation(algebra=SOL3.algebra, nil_ideal=(1, 2),
@@ -52,11 +58,8 @@ def test_sol3_shadow_is_abelian_frozen():
 
 
 def test_jordan_block_action_keeps_nilpotent_part():
-    # [e2,e0] = e0, [e2,e1] = e0 + e1: ad(e2) on the ideal is the Jordan
-    # block [[1,1],[0,1]], so the shadow keeps exactly [e2,e1]' = e0
-    algebra = LieAlgebra(dim=3, brackets={(0, 2): {0: -1},
-                                          (1, 2): {0: -1, 1: -1}})
-    result = build_shadow(SplitPresentation(algebra=algebra,
+    # the shadow keeps exactly [e2,e1]' = e0
+    result = build_shadow(SplitPresentation(algebra=JORDAN,
                                             nil_ideal=(0, 1), complement=(2,)))
     assert result.shadow.brackets == {(1, 2): {0: Fraction(-1)}}
     assert result.semisimple_parts == (Matrix.diagonal([1, 1, 0]),)
@@ -148,13 +151,13 @@ def _identity_semisimple(m):
     # both checks fail ([e0, e2] = e3 in the complement); the ideal's wins
     (FILIFORM4, (1,), (0, 2, 3), NotAnIdeal,
      "[e0, e1] leaves the span of the ideal"),
-    (SOL3.algebra, (1, 2), (0,), SemisimplePartsDoNotCommute,
+    (SOL3.algebra, (1, 2), (0,), InternalConsistencyFailure,
      "semisimple part of ad(e0) does not kill the complement"),
 ], ids=["not-an-ideal", "complement-not-abelian", "ideal-wins",
         "semisimple-kills-complement"])
 def test_validate_split_messages(monkeypatch, algebra, ideal, complement,
                                  error, message):
-    if error is SemisimplePartsDoNotCommute:
+    if error is InternalConsistencyFailure:
         monkeypatch.setattr(nilshadow, "jordan_chevalley",
                             _identity_semisimple)
     with pytest.raises(error) as err:
@@ -163,28 +166,69 @@ def test_validate_split_messages(monkeypatch, algebra, ideal, complement,
     assert str(err.value) == message
 
 
-def test_semisimple_parts_that_do_not_commute(monkeypatch):
-    # an abelian algebra passes every check before the commutation one; a
-    # wrong Jordan-Chevalley split gives the complement e2, e3 the parts
-    # E_00 and E_01, which kill the complement but do not commute
+def _noncommuting_semisimple():
+    """A wrong Jordan-Chevalley split that gives the complement e2, e3 of an
+    abelian dim-4 algebra the parts E_00 and E_01, which kill the complement
+    but do not commute."""
     units = iter([Matrix([[1, 0, 0, 0]] + [[0] * 4] * 3),
                   Matrix([[0, 1, 0, 0]] + [[0] * 4] * 3)])
 
     def wrong_split(m):
         semisimple = next(units)
         return JordanParts(semisimple=semisimple, nilpotent=m - semisimple)
-    monkeypatch.setattr(nilshadow, "jordan_chevalley", wrong_split)
-    with pytest.raises(SemisimplePartsDoNotCommute) as err:
+    return wrong_split
+
+
+def test_semisimple_parts_that_do_not_commute(monkeypatch):
+    # an abelian algebra passes every check before the commutation one
+    monkeypatch.setattr(nilshadow, "jordan_chevalley",
+                        _noncommuting_semisimple())
+    with pytest.raises(InternalConsistencyFailure) as err:
         validate_split(SplitPresentation(algebra=LieAlgebra(dim=4),
                                          nil_ideal=(0, 1), complement=(2, 3)))
     assert str(err.value) == ("semisimple parts of ad(e2) and ad(e3) do not "
                               "commute")
 
 
-def test_semisimple_commutation_error_is_exported():
-    # once the earlier checks pass, abelian complements have commuting
-    # semisimple parts, so the error class exists purely as a guard
-    assert issubclass(SemisimplePartsDoNotCommute, ValueError)
+def _all_nilpotent(m):
+    # a wrong split that keeps the whole of ad(a) as its nilpotent part
+    return JordanParts(semisimple=Matrix.zero(m.rows, m.cols), nilpotent=m)
+
+
+def _nilpotent_e02(m):
+    # a wrong split whose nilpotent part sends e2 to e0; on MIXED the shadow
+    # then has [e2, e3]' = -e0, and [[e0, e1], e3]' = -e0 breaks Jacobi
+    nilpotent = Matrix([[0, 0, 1, 0]] + [[0] * 4] * 3)
+    return JordanParts(semisimple=m - nilpotent, nilpotent=nilpotent)
+
+
+def _split_doc(algebra, ideal, complement):
+    return {"algebra": algebra_to_doc(algebra),
+            "split": {"nil_ideal": list(ideal), "complement": list(complement)}}
+
+
+@pytest.mark.parametrize("doc, wrong_split, message", [
+    ({"algebra": "sol3"}, lambda: _identity_semisimple,
+     "semisimple part of ad(e0) does not kill the complement"),
+    (_split_doc(LieAlgebra(dim=4), (0, 1), (2, 3)), _noncommuting_semisimple,
+     "semisimple parts of ad(e2) and ad(e3) do not commute"),
+    ({"algebra": "sol3"}, lambda: _all_nilpotent,
+     "shadow bracket failed to be nilpotent"),
+    (_split_doc(MIXED, (0, 1, 2), (3,)), lambda: _nilpotent_e02,
+     "shadow bracket: Jacobi identity fails on basis triple (0,1,3), "
+     "defect (-1, 0, 0, 0)"),
+], ids=["kills-complement", "commute", "shadow-nilpotent", "shadow-jacobi"])
+def test_shadow_certificates_exit_three(tmp_path, monkeypatch, capsys, doc,
+                                        wrong_split, message):
+    # each holds by theorem once the split checks pass, so only a library
+    # fault, here a wrong Jordan-Chevalley split, can fire it
+    monkeypatch.setattr(nilshadow, "jordan_chevalley", wrong_split())
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(doc))
+    assert main(["shadow", str(path)]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"internal consistency failure: {message}\n")
 
 
 def test_transport_frozen_determinants():
@@ -274,11 +318,9 @@ def _splits():
                                 nil_ideal=get(name).split[0],
                                 complement=get(name).split[1])
               for name in list_entries()]
-    jordan = LieAlgebra(dim=3, brackets={(0, 2): {0: -1},
-                                         (1, 2): {0: -1, 1: -1}})
     return splits + [
         SplitPresentation(algebra=MIXED, nil_ideal=(0, 1, 2), complement=(3,)),
-        SplitPresentation(algebra=jordan, nil_ideal=(0, 1), complement=(2,))]
+        SplitPresentation(algebra=JORDAN, nil_ideal=(0, 1), complement=(2,))]
 
 
 def test_shadow_hit_equals_cold_result():
@@ -341,3 +383,46 @@ def test_second_shadow_of_a_split_decomposes_nothing(monkeypatch):
     calls.clear()
     assert _sol3_shadow() == first
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# one solvmanifold report
+# ---------------------------------------------------------------------------
+
+def test_shadow_report_checks_the_map_once_and_takes_one_determinant(
+        monkeypatch):
+    # counted at every site where nilshadow, liealg and lefschetz look the
+    # two up: is_morphism reads liealg's check_morphism
+    calls = {"check_morphism": 0, "det_i_minus": 0}
+    for name in calls:
+        for module in (nilshadow, liealg, lefschetz):
+            if hasattr(module, name):
+                def counting(*args, _name=name,
+                             _original=getattr(module, name)):
+                    calls[_name] += 1
+                    return _original(*args)
+                monkeypatch.setattr(module, name, counting)
+    t = endomorphism(SOL3.algebra, Matrix([[-1, 0, 0], [0, 0, 2], [0, 1, 0]]))
+    _, report, run = shadow_report(SOL3_SPLIT, t)
+    assert report.det_input == run.lefschetz == -2
+    assert calls == {"check_morphism": 1, "det_i_minus": 1}
+
+
+def test_shadow_report_map_report_equals_induced_shadow_map():
+    # every catalog split with its sample maps, MIXED, and the Jordan-block
+    # maps, diag(2, 2, 3) of which is not a shadow morphism
+    splits = _splits()
+    cases = [(split, t) for name, split in zip(list_entries(), splits)
+             for t in sample_endomorphisms(get(name))]
+    cases.append((splits[-2], endomorphism(MIXED,
+                                           Matrix.diagonal([2, 3, 6, -1]))))
+    cases += [(splits[-1], endomorphism(JORDAN, Matrix.diagonal(d)))
+              for d in ([6, 2, 3], [2, 2, 3])]
+    kinds = set()
+    for split, t in cases:
+        _, report, run = shadow_report(split, t)
+        expected = induced_shadow_map(build_shadow(split), t)
+        assert report == expected and repr(report) == repr(expected)
+        assert (run is None) is not report.is_shadow_morphism
+        kinds.add(report.is_shadow_morphism)
+    assert kinds == {True, False}
