@@ -22,27 +22,13 @@ from math import comb, lcm
 
 from .liealg import LieAlgebra, LieMorphism, integer_brackets
 from .ratlin import (InternalConsistencyFailure, InvalidInput, Matrix,
-                     NotInSpan, exterior_powers, kernel_and_image, kron,
-                     packed_row, quotient_basis, subset_tables, vanishes)
+                     exterior_powers, kernel_and_image, kron, packed_row,
+                     quotient_basis, subset_tables, vanishes)
 from .repn import Intertwiner, Representation
 
 
 class ModuleAlgebraMismatch(InvalidInput):
     pass
-
-
-class InternalDSquareNonzero(ArithmeticError):
-    """d o d != 0: unreachable for a valid algebra/module pair; reaching it
-    means either an implementation bug or unvalidated input."""
-    def __init__(self, degree: int):
-        self.degree = degree
-        super().__init__(f"d squared nonzero at degree {degree}")
-
-
-class ChainMapViolation(ValueError):
-    def __init__(self, degree: int):
-        self.degree = degree
-        super().__init__(f"induced map does not commute with d at degree {degree}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +53,7 @@ def build_complex(algebra: LieAlgebra, module: Representation) -> CochainComplex
     differentials = tuple(_differential(algebra, module, p) for p in range(n))
     for p in range(n - 1):
         if not vanishes([(1, differentials[p + 1], differentials[p])]):
-            raise InternalDSquareNonzero(p)
+            raise InternalConsistencyFailure(f"d squared nonzero at degree {p}")
     return CochainComplex(algebra=algebra, module=module, dims=dims,
                           differentials=differentials)
 
@@ -187,7 +173,8 @@ def induced_chain_map(complex_: CochainComplex, f: LieMorphism,
     for p in range(n):
         d = complex_.differentials[p]
         if not vanishes([(1, blocks[p + 1], d), (-1, d, blocks[p])]):
-            raise ChainMapViolation(p)
+            raise InternalConsistencyFailure(
+                f"induced map does not commute with d at degree {p}")
     return ChainMap(complex=complex_, blocks=blocks)
 
 
@@ -208,7 +195,6 @@ def induced_cohomology_map(cohom: list[CohomologyData],
         if p < len(differentials) and \
                 not vanishes([(1, differentials[p], images)]):
             raise InternalConsistencyFailure(
-                f"induced cocycle leaves the cocycle space at degree {p}"
-            ) from NotInSpan("an image of a representative is not a cocycle")
+                f"induced cocycle leaves the cocycle space at degree {p}")
         out.append(data.transposed_coordinates * images)
     return out

@@ -37,7 +37,7 @@ EXIT_INVALID_INPUT = 2
 EXIT_INTERNAL = 3
 
 # every other exception, a ValueError that is not InvalidInput (a shape
-# mismatch, NotInSpan, ChainMapViolation) included, is a library bug
+# mismatch, say) included, is a library bug
 _INPUT_ERRORS = (InvalidInput, OSError)
 
 

@@ -130,11 +130,8 @@ def algebra_from_doc(doc, path="/algebra") -> LieAlgebra:
                 _fail(f"{here}/result/{key}", f"expected a basis index in 0..{dim - 1}")
             comps[k] = _rational(val, f"{here}/result/{key}")
         brackets[(i, j)] = comps
-    try:
-        return LieAlgebra(dim=dim, brackets=brackets,
-                          labels=tuple(labels) if labels else ())
-    except ValueError as exc:
-        _fail(path, str(exc))
+    return LieAlgebra(dim=dim, brackets=brackets,
+                      labels=tuple(labels) if labels else ())
 
 
 def algebra_to_doc(algebra: LieAlgebra) -> dict:

@@ -38,10 +38,6 @@ class DegreeOutOfRange(ValueError):
     """Exterior power degree p outside 0 <= p <= n."""
 
 
-class NotInSpan(ValueError):
-    """A vector is not in the span of a basis it should lie in."""
-
-
 class SingularMatrix(ValueError):
     """Inverse of a singular matrix was requested."""
 
@@ -53,9 +49,9 @@ class InvalidInput(ValueError):
 
 
 class InternalConsistencyFailure(ArithmeticError):
-    """An identity that must hold (Hopf trace, span membership of induced
-    cocycles, convergence of an exact iteration) failed; indicates a bug, not
-    bad input."""
+    """The one certificate exception: an identity that must hold (d o d = 0,
+    chain maps, cocycle images, Hopf trace, convergence of an exact
+    iteration) failed; indicates a bug, not bad input."""
 
 
 # ---------------------------------------------------------------------------

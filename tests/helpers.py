@@ -9,10 +9,14 @@ from lietrace import ratlin
 from lietrace.catalog import get, list_entries, sample_endomorphisms
 from lietrace.liealg import (JacobiViolation, LieAlgebra, NotAMorphism,
                              SeriesReport)
-from lietrace.ratlin import (Matrix, NonSquare, NotInSpan, SingularMatrix,
-                             determinant, inverse, kernel_and_image,
-                             p_subsets, rref)
+from lietrace.ratlin import (Matrix, NonSquare, SingularMatrix, determinant,
+                             inverse, kernel_and_image, p_subsets, rref)
 from lietrace.repn import Representation, adjoint_module, trivial_module
+
+
+class NotInSpan(ValueError):
+    """A target is not in the span of a basis, or the basis is dependent;
+    raised by the reference solvers below, which the library does not use."""
 
 
 def random_matrix(rng: random.Random, n: int, num=3, den=2) -> Matrix:
@@ -165,7 +169,7 @@ def reference_submatrix(m: Matrix, row_idx, col_idx) -> Matrix:
 def reference_solve_all_in_span(basis: Matrix, targets: Matrix) -> Matrix:
     """Coefficients of the target rows in the independent basis rows, from
     one reference_rref of the columns [basis | targets]; column j holds
-    those of target j.  NotInSpan as in ratlin."""
+    those of target j.  NotInSpan as in solve_all_in_span."""
     k = basis.rows
     columns = basis.entries + targets.entries
     reduced, pivots, r = reference_rref(dense_matrix(

@@ -653,6 +653,10 @@ def test_lefschetz_runs_each_input_check_once(tmp_path, monkeypatch, capsys):
 _DIAG = [["2", "0", "0"], ["0", "3", "0"], ["0", "0", "6"]]
 _NON_MORPHISM = [["2", "0", "0"], ["0", "3", "0"], ["0", "0", "5"]]
 _IDENTITY = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+_HEIS_ADJOINT = {"dim": 3, "actions": [
+    [["0", "0", "0"], ["0", "0", "0"], ["0", "1", "0"]],
+    [["0", "0", "0"], ["0", "0", "0"], ["-1", "0", "0"]],
+    [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]]}
 _NOT_AN_IDEAL = {"nil_ideal": [0], "complement": [1, 2]}
 _NOT_PRESERVED = ("invalid input: bracket not preserved on basis pair (0,1), "
                   "defect (0, 0, 1)\n")
@@ -678,11 +682,7 @@ _FAULTS = [
      _NOT_PRESERVED),
     # the adjoint module with xi = 1, not equivariant for f = diag(2, 3, 6)
     ({"algebra": "heisenberg3", "map": {"matrix": _DIAG},
-      "module": {"dim": 3, "actions": [
-          [["0", "0", "0"], ["0", "0", "0"], ["0", "1", "0"]],
-          [["0", "0", "0"], ["0", "0", "0"], ["-1", "0", "0"]],
-          [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]]},
-      "intertwiner": {"matrix": _IDENTITY}},
+      "module": _HEIS_ADJOINT, "intertwiner": {"matrix": _IDENTITY}},
      "invalid input: intertwiner not equivariant at basis vector 0\n"),
     ({"algebra": "heisenberg3", "map": {"matrix": _DIAG},
       "split": _NOT_AN_IDEAL},
@@ -701,3 +701,43 @@ def test_first_fault_named_on_stderr(tmp_path, capsys, command, doc, message):
     assert code == EXIT_INVALID_INPUT
     assert (captured.out, captured.err) == ("", message)
 
+
+def _perturb_d1(monkeypatch):
+    """One more unit at (3, 0) of d_1: d_2 d_1 != 0 on heisenberg3 with the
+    adjoint module, as in test_d_squared_nonzero_is_an_internal_failure."""
+    from lietrace import cecomplex
+    from lietrace.ratlin import Matrix
+    differential = cecomplex._differential
+
+    def perturbed(algebra, module, p):
+        d = differential(algebra, module, p)
+        if p != 1:
+            return d
+        rows = [list(row) for row in d.entries]
+        rows[3][0] += 1
+        return Matrix(rows)
+    monkeypatch.setattr(cecomplex, "_differential", perturbed)
+
+
+def _skip_intertwiner_check(monkeypatch):
+    monkeypatch.setattr("lietrace.lefschetz.validate_intertwiner",
+                        lambda xi: None)
+
+
+@pytest.mark.parametrize("patch, xi, message", [
+    # f itself in place of its inverse, past the equivariance check
+    (_skip_intertwiner_check, _DIAG,
+     "induced map does not commute with d at degree 0"),
+    (_perturb_d1, [["1/2", "0", "0"], ["0", "1/3", "0"], ["0", "0", "1/6"]],
+     "d squared nonzero at degree 1"),
+])
+def test_complex_certificates_exit_three(tmp_path, monkeypatch, capsys,
+                                         patch, xi, message):
+    patch(monkeypatch)
+    doc = {"algebra": "heisenberg3", "map": {"matrix": _DIAG},
+           "module": _HEIS_ADJOINT, "intertwiner": {"matrix": xi}}
+    code = main(["lefschetz", _write(tmp_path, "task.json", doc)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert (captured.out, captured.err) == \
+        ("", f"internal consistency failure: {message}\n")

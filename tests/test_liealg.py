@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from lietrace import liealg, ratlin
 from lietrace.catalog import get
 from lietrace.cecomplex import build_complex
-from lietrace.liealg import (JacobiViolation, LieAlgebra, NotAMorphism, ad,
-                             bracket, check_morphism, endomorphism,
-                             is_morphism, is_nilpotent, is_solvable, series,
-                             validate)
-from lietrace.ratlin import Matrix, inverse, p_subsets
+from lietrace.liealg import (JacobiViolation, LieAlgebra, LieMorphism,
+                             NotAMorphism, ad, bracket, check_morphism,
+                             endomorphism, is_morphism, is_nilpotent,
+                             is_solvable, series, validate)
+from lietrace.ratlin import InvalidInput, Matrix, inverse, p_subsets
 from lietrace.nilshadow import SplitPresentation
 from lietrace.repn import (Intertwiner, adjoint_module, trivial_module,
                            validate_intertwiner, validate_rep)
@@ -264,6 +264,18 @@ def test_dimension_guards():
         LieAlgebra(dim=2, brackets={(1, 0): {0: 1}})  # need left < right
     with pytest.raises(ValueError):
         LieAlgebra(dim=2, brackets={(0, 1): {5: 1}})  # index range
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LieAlgebra(dim=2, labels=("x",)), "labels length must equal dim"),
+    (lambda: LieMorphism(source=get("abelian_2").algebra, target=HEIS3,
+                         matrix=Matrix.identity(2)),
+     "matrix shape 2x2 does not map dim 2 into dim 3"),
+], ids=["labels", "morphism shape"])
+def test_constructor_guard_messages(build, message):
+    with pytest.raises(InvalidInput) as err:
+        build()
+    assert (err.type, str(err.value)) == (InvalidInput, message)
 
 
 def test_filiform7_validators_stay_sparse(monkeypatch):

@@ -10,14 +10,16 @@ from lietrace import lefschetz, liealg, nilshadow
 from lietrace.catalog import get, list_entries, sample_endomorphisms
 from lietrace.cli import EXIT_INTERNAL, main
 from lietrace.documents import algebra_to_doc
-from lietrace.liealg import LieAlgebra, ad, endomorphism, is_nilpotent
+from lietrace.liealg import (LieAlgebra, LieMorphism, ad, endomorphism,
+                             is_nilpotent)
 from lietrace.nilshadow import (ComplementNotAbelian, IdealNotNilpotent,
                                 NotAnIdeal, ShadowResult, SplitNotPreserved,
                                 SplitPresentation, build_shadow,
                                 induced_shadow_map, shadow_report,
                                 validate_split)
-from lietrace.ratlin import (InternalConsistencyFailure, JordanParts, Matrix,
-                             determinant, jordan_chevalley)
+from lietrace.ratlin import (InternalConsistencyFailure, InvalidInput,
+                             JordanParts, Matrix, determinant,
+                             jordan_chevalley)
 
 SOL3 = get("sol3")
 HEIS3 = get("heisenberg3").algebra
@@ -265,6 +267,18 @@ def test_transport_rejects_split_breaking_maps():
     with pytest.raises(SplitNotPreserved) as err:
         induced_shadow_map(result, bad)
     assert err.value.index == 1
+
+
+@pytest.mark.parametrize("t, message", [
+    (LieMorphism(source=SOL3.algebra, target=HEIS3, matrix=Matrix.identity(3)),
+     "shadow transport needs an endomorphism"),
+    (endomorphism(HEIS3, Matrix.identity(3)),
+     "endomorphism is not over the split algebra"),
+], ids=["not an endomorphism", "other algebra"])
+def test_transport_guards(t, message):
+    with pytest.raises(InvalidInput) as err:
+        induced_shadow_map(_sol3_shadow(), t)
+    assert (err.type, str(err.value)) == (InvalidInput, message)
 
 
 def test_transport_end_to_end_on_mixed_example():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import lietrace
 from lietrace import ratlin
 from lietrace.ratlin import (DegreeOutOfRange, InternalConsistencyFailure,
-                             JordanParts, Matrix, NonSquare, NotInSpan,
+                             JordanParts, Matrix, NonSquare,
                              SingularMatrix, det_i_minus, determinant,
                              exterior_power, exterior_powers,
                              format_rational, inverse,
@@ -22,8 +22,8 @@ from lietrace.ratlin import (DegreeOutOfRange, InternalConsistencyFailure,
                              linear_combination, minimal_polynomial, p_subsets, parse_rational,
                              quotient_basis, rref, squarefree_part, vanishes)
 
-from helpers import (dense_matrix, greedy_complete, is_nilpotent_matrix,
-                     is_squarefree, kernel_basis, random_invertible,
+from helpers import (NotInSpan, dense_matrix, greedy_complete,
+                     is_nilpotent_matrix, is_squarefree, kernel_basis, random_invertible,
                      random_matrix, reference_determinant,
                      reference_exterior_power, reference_inverse,
                      reference_kernel_and_image, reference_kron,

@@ -8,7 +8,8 @@ import pytest
 from lietrace.catalog import get, random_graded_endomorphism
 from lietrace.liealg import endomorphism
 from lietrace.ratlin import Matrix, inverse
-from lietrace.repn import (Intertwiner, NotARepresentation, NotEquivariant,
+from lietrace.repn import (DimensionMismatch, Intertwiner,
+                           NotARepresentation, NotEquivariant,
                            Representation, adjoint_module,
                            identity_intertwiner, pullback, trivial_module,
                            validate_intertwiner, validate_rep)
@@ -18,6 +19,8 @@ from helpers import (ALL_NAMES, conjugated_module, direct_sum,
                      random_modules)
 
 HEIS3 = get("heisenberg3").algebra
+IDENTITY3 = endomorphism(HEIS3, Matrix.identity(3))
+ZERO1 = Matrix.zero(1, 1)
 
 
 def test_trivial_and_adjoint_modules_validate():
@@ -136,3 +139,23 @@ def test_conjugated_and_summed_modules():
     validate_rep(base)
     conj = conjugated_module(base, random_invertible(rng, base.dim))
     validate_rep(conj)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Representation(algebra=HEIS3, dim=0, actions=()),
+     "module dimension must be at least 1"),
+    (lambda: Representation(algebra=HEIS3, dim=1, actions=(ZERO1,)),
+     "need one action matrix per algebra basis vector"),
+    (lambda: Representation(algebra=HEIS3, dim=2, actions=(ZERO1,) * 3),
+     "action matrix is 1x1, expected 2x2"),
+    (lambda: Intertwiner(morphism=IDENTITY3, module=trivial_module(HEIS3),
+                         matrix=Matrix.identity(2)),
+     "intertwiner must be square of the module dimension"),
+    (lambda: pullback(IDENTITY3, trivial_module(get("sol3").algebra)),
+     "module is not over the morphism target"),
+], ids=["dim", "action count", "action shape", "intertwiner shape",
+        "pullback target"])
+def test_dimension_guards(build, message):
+    with pytest.raises(DimensionMismatch) as err:
+        build()
+    assert (err.type, str(err.value)) == (DimensionMismatch, message)
