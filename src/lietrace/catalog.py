@@ -22,10 +22,6 @@ class UnknownEntry(InvalidInput, KeyError):
     pass
 
 
-class NoGrading(InvalidInput):
-    pass
-
-
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
@@ -149,7 +145,7 @@ def random_graded_endomorphism(entry: CatalogEntry, seed: int) -> LieMorphism:
     grow fast, so t is kept small.
     """
     if entry.grading is None:
-        raise NoGrading(f"entry {entry.name} has no grading")
+        raise InvalidInput(f"entry {entry.name} has no grading")
     rng = random.Random(seed)
     t = Fraction(0)
     while t == 0:

@@ -27,10 +27,6 @@ from .ratlin import (InternalConsistencyFailure, InvalidInput, Matrix,
 from .repn import Intertwiner, Representation
 
 
-class ModuleAlgebraMismatch(InvalidInput):
-    pass
-
-
 @dataclass(frozen=True)
 class CochainComplex:
     algebra: LieAlgebra
@@ -46,7 +42,7 @@ class CochainComplex:
 def build_complex(algebra: LieAlgebra, module: Representation) -> CochainComplex:
     """Assemble all differentials and verify d o d = 0 exactly."""
     if module.algebra != algebra:
-        raise ModuleAlgebraMismatch("module is not over the given algebra")
+        raise InvalidInput("module is not over the given algebra")
     n = algebra.dim
     m = module.dim
     dims = tuple(comb(n, p) * m for p in range(n + 1))
@@ -167,7 +163,7 @@ def induced_chain_map(complex_: CochainComplex, f: LieMorphism,
     """Build all degree blocks and verify the chain-map property exactly."""
     n = complex_.top_degree
     if f.source.dim != n or f.target.dim != n:
-        raise ModuleAlgebraMismatch("morphism dimension does not match the complex")
+        raise InvalidInput("morphism dimension does not match the complex")
     ft = f.matrix.transpose()
     blocks = tuple(kron(power, xi.matrix) for power in exterior_powers(ft))
     for p in range(n):

@@ -104,6 +104,7 @@ def algebra_from_doc(doc, path="/algebra") -> LieAlgebra:
                 or not all(isinstance(x, str) for x in labels)):
             _fail(f"{path}/basis", f"expected {dim} label strings")
     brackets = {}
+    indices = {str(k): k for k in range(dim)}   # the one spelling of each
     raw = doc.get("brackets", [])
     if not isinstance(raw, list):
         _fail(f"{path}/brackets", "expected a list")
@@ -122,13 +123,9 @@ def algebra_from_doc(doc, path="/algebra") -> LieAlgebra:
             _fail(f"{here}/result", "expected an object of index -> rational")
         comps = {}
         for key, val in result.items():
-            try:
-                k = int(key)
-            except (TypeError, ValueError):
-                k = -1
-            if not 0 <= k < dim:
+            if key not in indices:
                 _fail(f"{here}/result/{key}", f"expected a basis index in 0..{dim - 1}")
-            comps[k] = _rational(val, f"{here}/result/{key}")
+            comps[indices[key]] = _rational(val, f"{here}/result/{key}")
         brackets[(i, j)] = comps
     return LieAlgebra(dim=dim, brackets=brackets,
                       labels=tuple(labels) if labels else ())

@@ -16,11 +16,12 @@ Only the induced maps depend on the map, and a report builds nothing else.
 Once per coefficient system (g, V), an immutable value, coefficient_system
 caches, for the MEMO_SIZE most recently used ones: the validated complex,
 its cohomology and the transposed representatives and class coordinates
-that the induced maps multiply by, so the Jacobi, module, d o d and
-quotient rank checks run once per value.  Once per dimension n: the
-p-subset tables (ratlin.subset_tables) and the torus oracle's abelian
-algebra with its trivial module and basis ads.  On every report: the
-morphism, intertwiner, chain-map, cocycle-image and Hopf checks, and
+that the induced maps multiply by, so the Jacobi, module, d o d, quotient
+rank and (trivial module, nilpotent algebra) Poincare duality checks run
+once per value.  Once per dimension n: the p-subset tables
+(ratlin.subset_tables) and the torus oracle's abelian algebra with its
+trivial module and basis ads.  On every report: the morphism,
+intertwiner, chain-map, cocycle-image and Hopf checks, and
 products of the map with what is cached, transposing only the n x n map.
 """
 
@@ -30,12 +31,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .cecomplex import (CochainComplex, ModuleAlgebraMismatch, build_complex,
-                        cohomology, induced_chain_map, induced_cohomology_map)
+from .cecomplex import (CochainComplex, build_complex, cohomology,
+                        induced_chain_map, induced_cohomology_map)
 from .liealg import (LieAlgebra, LieMorphism, check_morphism, is_nilpotent,
                      validate)
-from .ratlin import (MEMO_SIZE, InternalConsistencyFailure, Matrix,
-                     det_i_minus, format_rational, format_vector)
+from .ratlin import (MEMO_SIZE, InternalConsistencyFailure, InvalidInput,
+                     Matrix, det_i_minus, format_rational, format_vector)
 from .repn import Intertwiner, Representation, validate_intertwiner, validate_rep
 
 
@@ -83,14 +84,24 @@ class CoefficientSystem:
 def coefficient_system(algebra: LieAlgebra,
                        module: Representation) -> CoefficientSystem:
     """The validated complex and cohomology of (algebra, module), built on
-    the first call for their value.  An exception is never cached, so
-    invalid input raises on every call."""
+    the first call for their value.  A nilpotent algebra is unimodular, so
+    with the trivial module its Betti numbers are checked symmetric
+    (Poincare duality).  An exception is never cached, so invalid input
+    raises on every call."""
     if module.algebra != algebra:
-        raise ModuleAlgebraMismatch("module is not over the given algebra")
+        raise InvalidInput("module is not over the given algebra")
     validate(algebra)
     validate_rep(module)
     complex_ = build_complex(algebra, module)
-    return CoefficientSystem(complex_, tuple(cohomology(complex_)))
+    system = CoefficientSystem(complex_, tuple(cohomology(complex_)))
+    if (module.dim == 1 and all(a.is_zero() for a in module.actions)
+            and system.nilpotent):
+        betti = [d.betti for d in system.cohomology]
+        if betti != betti[::-1]:
+            raise InternalConsistencyFailure(
+                f"Betti numbers {betti} of a nilpotent algebra with the "
+                "trivial module are not symmetric (Poincare duality)")
+    return system
 
 
 def twisted_lefschetz(algebra: LieAlgebra, module: Representation,
@@ -106,9 +117,9 @@ def twisted_lefschetz(algebra: LieAlgebra, module: Representation,
     """
     system = coefficient_system(algebra, module)
     if (morphism.source, morphism.target) != (algebra, algebra):
-        raise ModuleAlgebraMismatch("morphism is not over the given algebra")
+        raise InvalidInput("morphism is not over the given algebra")
     if (intertwiner.morphism, intertwiner.module) != (morphism, module):
-        raise ModuleAlgebraMismatch("intertwiner is over another map or module")
+        raise InvalidInput("intertwiner is over another map or module")
     check_morphism(morphism)
     validate_intertwiner(intertwiner)
     chain_map = induced_chain_map(system.complex, morphism, intertwiner)

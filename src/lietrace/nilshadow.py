@@ -35,24 +35,6 @@ from .ratlin import (MEMO_SIZE, InternalConsistencyFailure, InvalidInput,
 from .repn import identity_intertwiner, trivial_module
 
 
-class NotAnIdeal(InvalidInput):
-    pass
-
-
-class IdealNotNilpotent(InvalidInput):
-    pass
-
-
-class ComplementNotAbelian(InvalidInput):
-    pass
-
-
-class SplitNotPreserved(InvalidInput):
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"map sends ideal basis vector {index} outside the ideal")
-
-
 @dataclass(frozen=True)
 class SplitPresentation:
     """Solvable algebra with marked nilpotent ideal and abelian complement.
@@ -93,18 +75,18 @@ def validate_split(split: SplitPresentation) -> tuple:
         for j in split.nil_ideal:
             comps = algebra.brackets.get((min(i, j), max(i, j)), {})
             if any(k not in ideal for k in comps):
-                raise NotAnIdeal(f"[e{i}, e{j}] leaves the span of the ideal")
+                raise InvalidInput(f"[e{i}, e{j}] leaves the span of the ideal")
 
     for a in split.complement:
         for b in split.complement:
             if a < b and (a, b) in algebra.brackets:
-                raise ComplementNotAbelian(f"[e{a}, e{b}] != 0")
+                raise InvalidInput(f"[e{a}, e{b}] != 0")
 
     # brackets of complement vectors vanish and brackets touching the ideal
     # land in it, so [g, g] is inside the ideal once the two checks above
     # pass; restricting to the ideal therefore yields a genuine subalgebra.
     if split.nil_ideal and not is_nilpotent(_restrict_to_ideal(split)):
-        raise IdealNotNilpotent("marked ideal is not nilpotent")
+        raise InvalidInput("marked ideal is not nilpotent")
 
     ads = algebra.basis_ads
     parts = tuple(jordan_chevalley(ads[c]) for c in split.complement)
@@ -207,7 +189,8 @@ def _shadow_endomorphism(result: ShadowResult, t: LieMorphism) -> LieMorphism:
     columns = t.matrix.transpose().sparse
     for j in split.nil_ideal:
         if any(r not in ideal for r, _ in columns[j]):
-            raise SplitNotPreserved(j)
+            raise InvalidInput(
+                f"map sends ideal basis vector {j} outside the ideal")
     return endomorphism(result.shadow, t.matrix)
 
 

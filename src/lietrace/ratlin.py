@@ -30,14 +30,6 @@ _ZERO = Fraction(0)
 MEMO_SIZE = 16   # every functools.lru_cache of the package holds this many
 
 
-class NonSquare(ValueError):
-    """Operation requires a square matrix."""
-
-
-class DegreeOutOfRange(ValueError):
-    """Exterior power degree p outside 0 <= p <= n."""
-
-
 class SingularMatrix(ValueError):
     """Inverse of a singular matrix was requested."""
 
@@ -319,7 +311,7 @@ class Matrix:
 
     def trace(self) -> Fraction:
         if not self.is_square():
-            raise NonSquare("trace of non-square matrix")
+            raise ValueError("trace of non-square matrix")
         return Fraction(sum([x for i, row in enumerate(self.sparse)
                              for j, x in row if j == i]), self.den)
 
@@ -564,7 +556,7 @@ def determinant(m: Matrix) -> Fraction:
     """_bareiss on the integer rows M of m, each over its own d_i;
     det M / prod(d_i) at the end."""
     if not m.is_square():
-        raise NonSquare(f"determinant of {m.rows}x{m.cols} matrix")
+        raise ValueError(f"determinant of {m.rows}x{m.cols} matrix")
     n = m.rows
     rows, dens = _in_lowest_terms(m.sparse, [m.den] * n)
     sign, pivot = _bareiss(_dense_rows(rows, n), n)
@@ -576,7 +568,7 @@ def det_i_minus(m: Matrix) -> Fraction:
     own d_i: row i of I - m is d_i e_i - M_i over d_i, so it is _bareiss on
     those rows over prod(d_i)."""
     if not m.is_square():
-        raise NonSquare(f"det(I - m) of {m.rows}x{m.cols} matrix")
+        raise ValueError(f"det(I - m) of {m.rows}x{m.cols} matrix")
     n = m.rows
     rows, dens = _in_lowest_terms(m.sparse, [m.den] * n)
     work = []
@@ -596,7 +588,7 @@ def inverse(m: Matrix) -> Matrix:
     [pivot * I | pivot * M^-1], and m^-1 = M^-1 D for D = diag(d_i), so
     column j of the right block is scaled by d_j, over pivot."""
     if not m.is_square():
-        raise NonSquare("inverse of non-square matrix")
+        raise ValueError("inverse of non-square matrix")
     n = m.rows
     rows, dens = _in_lowest_terms(m.sparse, [m.den] * n)
     work = _dense_rows([row + ((n + i, 1),) for i, row in enumerate(rows)],
@@ -639,7 +631,7 @@ def _exterior_powers(m: Matrix):
     subset_tables, which the cochain differentials read too.
     """
     if not m.is_square():
-        raise NonSquare("exterior power of non-square matrix")
+        raise ValueError("exterior power of non-square matrix")
     n = m.rows
     mrows, d = _in_lowest_terms(m.sparse, [m.den] * n)
     prev, prev_dens = _IDENTITY_1.sparse, [1]
@@ -697,7 +689,7 @@ def exterior_power(m: Matrix, p: int) -> Matrix:
     for q, power in enumerate(_exterior_powers(m)):
         if q == p:
             return power
-    raise DegreeOutOfRange(f"degree {p} not in 0..{m.rows}")
+    raise ValueError(f"degree {p} not in 0..{m.rows}")
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -774,7 +766,7 @@ def minimal_polynomial(m: Matrix) -> list[Fraction]:
     powers, so the pivots are 0..k-1 and the first non-pivot column k holds
     the c_i with M^k = sum c_i M^i, that is m^k = sum c_i D^(i-k) m^i."""
     if not m.is_square():
-        raise NonSquare("minimal polynomial of non-square matrix")
+        raise ValueError("minimal polynomial of non-square matrix")
     n = m.rows
     krylov = [[] for _ in range(n * n)]   # row i*n + j holds entry (i, j)
     power, scaled = Matrix.identity(n), Matrix._of(m.sparse, n)
@@ -819,7 +811,7 @@ def jordan_chevalley(m: Matrix) -> JordanParts:
     each step, so log2 of the degree of the minimal polynomial steps suffice.
     """
     if not m.is_square():
-        raise NonSquare("jordan_chevalley of non-square matrix")
+        raise ValueError("jordan_chevalley of non-square matrix")
     mu = minimal_polynomial(m)
     rad = squarefree_part(mu)
     rad_prime = _poly_derivative(rad)

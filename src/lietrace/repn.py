@@ -16,23 +16,6 @@ from .ratlin import (InvalidInput, Matrix, linear_combination, p_subsets,
                      vanishes)
 
 
-class NotARepresentation(InvalidInput):
-    def __init__(self, i: int, j: int):
-        self.pair = (i, j)
-        super().__init__(f"compatibility fails on basis pair ({i},{j}): "
-                         f"rho([e_i,e_j]) != [rho(e_i), rho(e_j)]")
-
-
-class NotEquivariant(InvalidInput):
-    def __init__(self, basis_index: int):
-        self.basis_index = basis_index
-        super().__init__(f"intertwiner not equivariant at basis vector {basis_index}")
-
-
-class DimensionMismatch(InvalidInput):
-    pass
-
-
 @dataclass(frozen=True)
 class Representation:
     algebra: LieAlgebra
@@ -41,7 +24,7 @@ class Representation:
 
     def __post_init__(self):
         if self.dim < 1:
-            raise DimensionMismatch("module dimension must be at least 1")
+            raise InvalidInput("module dimension must be at least 1")
         # tuple() of a tuple is that tuple, so adjoint_module shares its
         # algebra's basis_ads
         actions = tuple(self.actions)
@@ -49,11 +32,11 @@ class Representation:
             actions = tuple(a if isinstance(a, Matrix) else Matrix(a)
                             for a in actions)
         if len(actions) != self.algebra.dim:
-            raise DimensionMismatch("need one action matrix per algebra basis vector")
+            raise InvalidInput("need one action matrix per algebra basis vector")
         for a in actions:
             if a.rows != self.dim or a.cols != self.dim:
-                raise DimensionMismatch(f"action matrix is {a.rows}x{a.cols}, "
-                                        f"expected {self.dim}x{self.dim}")
+                raise InvalidInput(f"action matrix is {a.rows}x{a.cols}, "
+                                   f"expected {self.dim}x{self.dim}")
         object.__setattr__(self, "actions", actions)
 
 
@@ -75,7 +58,8 @@ def validate_rep(v: Representation) -> None:
     liealg.bracket_terms identity that is also Jacobi for the basis ads."""
     for i, j in p_subsets(v.algebra.dim, 2):
         if not vanishes(bracket_terms(v.algebra, v.actions, i, j)):
-            raise NotARepresentation(i, j)
+            raise InvalidInput(f"compatibility fails on basis pair ({i},{j}): "
+                               f"rho([e_i,e_j]) != [rho(e_i), rho(e_j)]")
 
 
 def pullback(f: LieMorphism, v: Representation) -> Representation:
@@ -103,7 +87,7 @@ class Intertwiner:
         m = self.matrix if isinstance(self.matrix, Matrix) else Matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
         if m.rows != self.module.dim or m.cols != self.module.dim:
-            raise DimensionMismatch("intertwiner must be square of the module dimension")
+            raise InvalidInput("intertwiner must be square of the module dimension")
 
 
 def identity_intertwiner(f: LieMorphism, v: Representation) -> Intertwiner:
@@ -112,7 +96,7 @@ def identity_intertwiner(f: LieMorphism, v: Representation) -> Intertwiner:
 
 def _check_over_target(f: LieMorphism, v: Representation) -> None:
     if v.algebra != f.target:
-        raise DimensionMismatch("module is not over the morphism target")
+        raise InvalidInput("module is not over the morphism target")
 
 
 def validate_intertwiner(xi: Intertwiner) -> None:
@@ -124,4 +108,5 @@ def validate_intertwiner(xi: Intertwiner) -> None:
     for i, column in enumerate(f.matrix.transpose().sparse):
         if not vanishes([(c, m, v.actions[k]) for k, c in column]
                         + [(-f.matrix.den, v.actions[i], m)]):
-            raise NotEquivariant(i)
+            raise InvalidInput(
+                f"intertwiner not equivariant at basis vector {i}")

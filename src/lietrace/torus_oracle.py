@@ -27,18 +27,6 @@ from .ratlin import (MEMO_SIZE, InternalConsistencyFailure, InvalidInput,
 MAX_FIXED_POINTS = 10 ** 4   # every point is kept: time and memory follow it
 
 
-class DegenerateMap(InvalidInput):
-    """det(A - I) = 0: the fixed point set is not finite."""
-
-
-class NotInteger(InvalidInput):
-    pass
-
-
-class TooManyFixedPoints(InvalidInput):
-    """|det(A - I)| is above MAX_FIXED_POINTS."""
-
-
 @dataclass(frozen=True)
 class TorusMap:
     """Integer matrix acting on the standard torus."""
@@ -49,7 +37,7 @@ class TorusMap:
         for row in rows:
             for x in row:
                 if not isinstance(x, int) or isinstance(x, bool):
-                    raise NotInteger(f"entry {x!r} is not an integer")
+                    raise InvalidInput(f"entry {x!r} is not an integer")
             if len(row) != len(rows):
                 raise InvalidInput("matrix must be square")
         if not rows:
@@ -85,13 +73,13 @@ def count_fixed_points(torus_map: TorusMap) -> FixedPointReport:
             f"determinant {det_b} of an integer matrix is not an integer")
     det_b = det_b.numerator
     if abs(det_b) > MAX_FIXED_POINTS:
-        raise TooManyFixedPoints(
+        raise InvalidInput(
             f"{format_rational(abs(det_b))} fixed points, above the cap of "
             f"{MAX_FIXED_POINTS}")
     if det_b == 0:
-        raise DegenerateMap("det(A - I) = 0, fixed points are not isolated; "
-                            "the Lefschetz number is still available through "
-                            "the cochain pipeline (lefschetz command)")
+        raise InvalidInput("det(A - I) = 0, fixed points are not isolated; "
+                           "the Lefschetz number is still available through "
+                           "the cochain pipeline (lefschetz command)")
     lefschetz = (-1) ** n * det_b          # det(I - A) = (-1)^n det(A - I)
     count_det = abs(det_b)
 

@@ -4,14 +4,20 @@ modules, and the catalog shortcuts used across files."""
 from fractions import Fraction
 import itertools
 import random
+import re
 
 from lietrace import ratlin
 from lietrace.catalog import get, list_entries, sample_endomorphisms
 from lietrace.liealg import (JacobiViolation, LieAlgebra, NotAMorphism,
                              SeriesReport)
-from lietrace.ratlin import (Matrix, NonSquare, SingularMatrix, determinant,
-                             inverse, kernel_and_image, p_subsets, rref)
+from lietrace.ratlin import (Matrix, SingularMatrix, determinant, inverse,
+                             kernel_and_image, p_subsets, rref)
 from lietrace.repn import Representation, adjoint_module, trivial_module
+
+
+def whole(message: str) -> str:
+    """A pytest.raises `match` pattern that accepts exactly `message`."""
+    return f"^{re.escape(message)}$"
 
 
 class NotInSpan(ValueError):
@@ -187,7 +193,7 @@ def reference_solve_all_in_span(basis: Matrix, targets: Matrix) -> Matrix:
 def reference_determinant(m: Matrix) -> Fraction:
     """Gaussian elimination over Fraction with row swaps (sign tracked)."""
     if not m.is_square():
-        raise NonSquare(f"determinant of {m.rows}x{m.cols} matrix")
+        raise ValueError(f"determinant of {m.rows}x{m.cols} matrix")
     n = m.rows
     if n == 0:
         return Fraction(1)
@@ -240,10 +246,10 @@ def fraction_gauss_jordan(rows) -> tuple:
 
 
 def reference_inverse(m: Matrix) -> Matrix:
-    """m^-1 from fraction_gauss_jordan on m's dense entries; NonSquare and
+    """m^-1 from fraction_gauss_jordan on m's dense entries; ValueError and
     SingularMatrix as in ratlin."""
     if not m.is_square():
-        raise NonSquare("inverse of non-square matrix")
+        raise ValueError("inverse of non-square matrix")
     det, inv = fraction_gauss_jordan(m.entries)
     if inv is None:
         raise SingularMatrix("matrix is singular")
@@ -255,6 +261,12 @@ def reference_exterior_power(m: Matrix, p: int) -> Matrix:
     subsets = p_subsets(m.rows, p)
     return Matrix([[reference_determinant(m.submatrix(s, t)) for t in subsets]
                    for s in subsets])
+
+
+def det_a_minus_i(rows) -> Fraction:
+    """det(A - I) of the integer rows A, from fraction_gauss_jordan."""
+    return fraction_gauss_jordan([[x - (i == j) for j, x in enumerate(row)]
+                                  for i, row in enumerate(rows)])[0]
 
 
 def reference_fixed_points(rows) -> tuple:
@@ -447,7 +459,7 @@ def is_squarefree(p) -> bool:
 
 def is_nilpotent_matrix(m: Matrix) -> bool:
     if not m.is_square():
-        raise NonSquare("nilpotency test of non-square matrix")
+        raise ValueError("nilpotency test of non-square matrix")
     power = m
     for _ in range(m.rows):
         if power.is_zero():

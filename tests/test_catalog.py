@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from lietrace.catalog import (CATALOG_DIR_ENV, NoGrading, UnknownEntry,
-                              export, get, list_entries,
-                              random_graded_endomorphism, sample_endomorphisms,
-                              selftest)
+from lietrace.catalog import (CATALOG_DIR_ENV, UnknownEntry, export, get,
+                              list_entries, random_graded_endomorphism,
+                              sample_endomorphisms, selftest)
 from lietrace.liealg import check_morphism, is_morphism, is_nilpotent
+from lietrace.ratlin import InvalidInput
 
-from helpers import ALL_NAMES, NILPOTENT_NAMES
+from helpers import ALL_NAMES, NILPOTENT_NAMES, whole
 
 
 def test_list_entries_frozen():
@@ -58,7 +58,7 @@ def test_generation_is_seed_deterministic():
 def test_no_grading_refusal():
     entry = get("sol3")
     assert entry.grading is None
-    with pytest.raises(NoGrading):
+    with pytest.raises(InvalidInput, match=whole("entry sol3 has no grading")):
         random_graded_endomorphism(entry, 0)
 
 

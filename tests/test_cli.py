@@ -277,9 +277,8 @@ def test_torus_point_cap_exits_two_fast(capsys):
                  "1000001,0,0;0,1000001,0;0,0,1000001"])
     assert time.perf_counter() - start < 1
     assert code == EXIT_INVALID_INPUT
-    err = capsys.readouterr().err
-    assert f"{10 ** 18} fixed points, above the cap of 10000" in err
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == \
+        f"invalid input: {10 ** 18} fixed points, above the cap of 10000\n"
 
 
 def _abelian_task(n, seed=0):
@@ -574,12 +573,62 @@ def test_invalid_split_exits_two_from_shadow(tmp_path, capsys):
            "split": {"nil_ideal": [0], "complement": []}}
     code = main(["shadow", _write(tmp_path, "partial.json", doc)])
     assert code == EXIT_INVALID_INPUT
-    assert "must partition the basis indices" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("invalid input: nil_ideal and "
+                                       "complement must partition the basis "
+                                       "indices\n")
     doc = {"algebra": "heisenberg3",
            "split": {"nil_ideal": [0], "complement": [1, 2]}}
     code = main(["shadow", _write(tmp_path, "notideal.json", doc)])
     assert code == EXIT_INVALID_INPUT
-    assert "leaves the span of the ideal" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        "invalid input: [e1, e0] leaves the span of the ideal\n"
+
+
+# input faults that only their message tells apart, pinned byte for byte
+@pytest.mark.parametrize("argv, doc, message", [
+    (["torus", "--matrix", "1,0;0,1"], None,
+     "det(A - I) = 0, fixed points are not isolated; the Lefschetz number "
+     "is still available through the cochain pipeline (lefschetz command)"),
+    (["torus", "--matrix", "102,0;0,102"], None,
+     "10201 fixed points, above the cap of 10000"),
+    (["shadow"], {"algebra": "heisenberg3",
+                  "split": {"nil_ideal": [2], "complement": [0, 1]}},
+     "[e0, e1] != 0"),
+    (["shadow"], {"algebra": "sol3",
+                  "split": {"nil_ideal": [0, 1, 2], "complement": []}},
+     "marked ideal is not nilpotent"),
+    (["shadow"], {"algebra": "heisenberg3",
+                  "split": {"nil_ideal": [0], "complement": [1, 2]}},
+     "[e1, e0] leaves the span of the ideal"),
+    (["shadow"], {"algebra": {"dim": 2, "brackets": []},
+                  "split": {"nil_ideal": [0], "complement": []}},
+     "nil_ideal and complement must partition the basis indices"),
+], ids=["degenerate-torus", "torus-cap", "complement-not-abelian",
+        "ideal-not-nilpotent", "not-an-ideal", "not-a-partition"])
+def test_input_fault_stderr_pins(tmp_path, capsys, argv, doc, message):
+    if doc is not None:
+        argv = argv + [_write(tmp_path, "fault.json", doc)]
+    code = main(argv)
+    assert (*capsys.readouterr(), code) == \
+        ("", f"invalid input: {message}\n", EXIT_INVALID_INPUT)
+
+
+@pytest.mark.parametrize("result, key", [
+    ({"2": "1", "+2": "5"}, "+2"),
+    ({" 2 ": "1", "0_2": "7"}, " 2 "),
+    ({"02": "1"}, "02"),
+    ({"-0": "1"}, "-0"),
+    ({"3": "1"}, "3"),
+], ids=["plus", "spaces", "leading-zero", "minus-zero", "out-of-range"])
+def test_bracket_result_keys_have_one_spelling(tmp_path, capsys, result, key):
+    # "+2", " 2 " and "0_2" all read as 2 under int(); a second spelling of
+    # an index must not silently replace the first
+    doc = {"algebra": {"dim": 3, "brackets": [
+        {"left": 0, "right": 1, "result": result}]}}
+    code = main(["check", _write(tmp_path, "keys.json", doc)])
+    assert (*capsys.readouterr(), code) == (
+        "", f"invalid input: /algebra/brackets/0/result/{key}: expected a "
+            "basis index in 0..2\n", EXIT_INVALID_INPUT)
 
 
 def test_zero_polynomial_divisor_exits_three(tmp_path, monkeypatch, capsys):

@@ -8,16 +8,16 @@ import pytest
 from lietrace import cecomplex, liealg, ratlin
 from lietrace.catalog import (get, list_entries, random_graded_endomorphism,
                               sample_endomorphisms)
-from lietrace.cecomplex import ModuleAlgebraMismatch
+from lietrace.cli import EXIT_INTERNAL, main
 from lietrace.lefschetz import (alternating_sum, coefficient_system,
                                 linearization, twisted_lefschetz)
 from lietrace.liealg import JacobiViolation, LieAlgebra, endomorphism
-from lietrace.ratlin import (InternalConsistencyFailure, Matrix, as_fraction,
-                             determinant, inverse)
+from lietrace.ratlin import (InternalConsistencyFailure, InvalidInput, Matrix,
+                             as_fraction, determinant, inverse)
 from lietrace.repn import (Intertwiner, Representation, adjoint_module,
                            identity_intertwiner, trivial_module)
 
-from helpers import NILPOTENT_NAMES, random_invertible
+from helpers import NILPOTENT_NAMES, random_invertible, whole
 
 HEIS3 = get("heisenberg3").algebra
 SOL3 = get("sol3").algebra
@@ -146,6 +146,25 @@ def test_hopf_fires_through_negated_class_coordinates(monkeypatch):
     finally:
         coefficient_system.cache_clear()
     assert "Fraction(" not in str(err.value)
+
+
+def test_poincare_duality_fires_on_a_dropped_cocycle(monkeypatch, tmp_path,
+                                                    capsys):
+    # a kernel that loses its first row loses the one degree-0 class of
+    # abelian_2: betti 0 1 1 passes the representative count, but a
+    # nilpotent algebra with the trivial module has symmetric Betti numbers
+    def drop_first(m):
+        kernel, image = ratlin.kernel_and_image(m)
+        return kernel.submatrix(range(1, kernel.rows), range(kernel.cols)), image
+    monkeypatch.setattr(cecomplex, "kernel_and_image", drop_first)
+    path = tmp_path / "abelian_2.json"
+    path.write_text('{"algebra": "abelian_2"}')
+    code = main(["cohomology", str(path)])
+    assert (code, *capsys.readouterr()) == (
+        EXIT_INTERNAL, "",
+        "internal consistency failure: Betti numbers [0, 1, 1] of a nilpotent "
+        "algebra with the trivial module are not symmetric (Poincare "
+        "duality)\n")
 
 
 def test_conjugation_invariance():
@@ -397,6 +416,11 @@ def test_memo_hit_equals_cold_report(name):
     assert [repr(r) for r in warm] == [repr(r) for r in cold + cold]
 
 
+MODULE_ELSEWHERE = whole("module is not over the given algebra")
+MORPHISM_ELSEWHERE = whole("morphism is not over the given algebra")
+INTERTWINER_ELSEWHERE = whole("intertwiner is over another map or module")
+
+
 def test_module_over_another_algebra_raises_after_a_hit():
     a3 = get("abelian_3").algebra
     f = endomorphism(HEIS3, Matrix.diagonal([2, 3, 6]))
@@ -404,9 +428,9 @@ def test_module_over_another_algebra_raises_after_a_hit():
     _trivial_run(HEIS3, f.matrix)
     # the trivial modules of heisenberg3 and abelian_3 have equal actions
     other = trivial_module(a3)
-    with pytest.raises(ModuleAlgebraMismatch):
+    with pytest.raises(InvalidInput, match=MODULE_ELSEWHERE):
         twisted_lefschetz(HEIS3, other, f, identity_intertwiner(f, other))
-    with pytest.raises(ModuleAlgebraMismatch):
+    with pytest.raises(InvalidInput, match=MODULE_ELSEWHERE):
         coefficient_system(HEIS3, other)
 
 
@@ -415,12 +439,12 @@ def test_morphism_over_another_algebra_is_invalid_input():
     a3 = get("abelian_3").algebra
     module = trivial_module(HEIS3)
     f = endomorphism(a3, Matrix.diagonal([1, 1, 5]))
-    with pytest.raises(ModuleAlgebraMismatch, match="not over the given algebra"):
+    with pytest.raises(InvalidInput, match=MORPHISM_ELSEWHERE):
         twisted_lefschetz(HEIS3, module, f, identity_intertwiner(f, module))
     # a map from heisenberg3 into abelian_3 is not an endomorphism either
     g = liealg.LieMorphism(source=HEIS3, target=a3,
                            matrix=Matrix.diagonal([1, 1, 5]))
-    with pytest.raises(ModuleAlgebraMismatch, match="not over the given algebra"):
+    with pytest.raises(InvalidInput, match=MORPHISM_ELSEWHERE):
         twisted_lefschetz(HEIS3, module, g, identity_intertwiner(g, module))
 
 
@@ -428,13 +452,13 @@ def test_intertwiner_over_another_map_or_module_is_invalid_input():
     f = endomorphism(HEIS3, Matrix.diagonal([2, 3, 6]))
     other_map = endomorphism(HEIS3, Matrix.identity(3))
     module = trivial_module(HEIS3)
-    with pytest.raises(ModuleAlgebraMismatch, match="another map or module"):
+    with pytest.raises(InvalidInput, match=INTERTWINER_ELSEWHERE):
         twisted_lefschetz(HEIS3, module, f,
                           identity_intertwiner(other_map, module))
     # a module of the same dimension with another action
     other_module = Representation(algebra=HEIS3, dim=1, actions=(
         Matrix([[1]]), Matrix([[0]]), Matrix([[0]])))
-    with pytest.raises(ModuleAlgebraMismatch, match="another map or module"):
+    with pytest.raises(InvalidInput, match=INTERTWINER_ELSEWHERE):
         twisted_lefschetz(HEIS3, module, f,
                           identity_intertwiner(f, other_module))
 
@@ -442,7 +466,7 @@ def test_intertwiner_over_another_map_or_module_is_invalid_input():
 def test_module_mismatch_is_checked_before_the_algebra():
     # bad fails Jacobi, but a module over another algebra is named first
     bad = LieAlgebra(dim=3, brackets={(0, 1): {2: 1}, (0, 2): {0: 1}})
-    with pytest.raises(ModuleAlgebraMismatch):
+    with pytest.raises(InvalidInput, match=MODULE_ELSEWHERE):
         coefficient_system(bad, trivial_module(HEIS3))
 
 

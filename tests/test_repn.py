@@ -7,16 +7,14 @@ import pytest
 
 from lietrace.catalog import get, random_graded_endomorphism
 from lietrace.liealg import endomorphism
-from lietrace.ratlin import Matrix, inverse
-from lietrace.repn import (DimensionMismatch, Intertwiner,
-                           NotARepresentation, NotEquivariant,
-                           Representation, adjoint_module,
+from lietrace.ratlin import InvalidInput, Matrix, inverse
+from lietrace.repn import (Intertwiner, Representation, adjoint_module,
                            identity_intertwiner, pullback, trivial_module,
                            validate_intertwiner, validate_rep)
 
 from helpers import (ALL_NAMES, conjugated_module, direct_sum,
                      heisenberg_defining_module, random_invertible,
-                     random_modules)
+                     random_modules, whole)
 
 HEIS3 = get("heisenberg3").algebra
 IDENTITY3 = endomorphism(HEIS3, Matrix.identity(3))
@@ -40,9 +38,10 @@ def test_not_a_representation_frozen():
     b = Matrix([[0, 0], [1, 0]])
     rep = Representation(algebra=HEIS3, dim=2,
                          actions=(a, b, Matrix.zero(2, 2)))
-    with pytest.raises(NotARepresentation) as err:
+    with pytest.raises(InvalidInput, match=whole(
+            "compatibility fails on basis pair (0,1): "
+            "rho([e_i,e_j]) != [rho(e_i), rho(e_j)]")):
         validate_rep(rep)
-    assert err.value.pair == (0, 1)
 
 
 def test_random_conjugated_modules_validate():
@@ -102,10 +101,10 @@ def test_intertwiner_adjoint_frozen():
     f = endomorphism(HEIS3, Matrix.diagonal([2, 3, 6]))
     validate_intertwiner(Intertwiner(morphism=f, module=module,
                                      matrix=inverse(f.matrix)))
-    with pytest.raises(NotEquivariant) as err:
+    with pytest.raises(InvalidInput, match=whole(
+            "intertwiner not equivariant at basis vector 0")):
         validate_intertwiner(Intertwiner(morphism=f, module=module,
                                          matrix=f.matrix))
-    assert err.value.basis_index == 0
     # the exact identity behind the check, verified independently:
     # xi ad(f e0) = 2 xi ad(e0) vs ad(e0) xi with xi = f gives 12 != 3 at (2,1)
     lhs = f.matrix * (2 * module.actions[0])
@@ -129,7 +128,8 @@ def test_identity_intertwiner_only_for_compatible_maps():
     ident = endomorphism(HEIS3, Matrix.identity(3))
     validate_intertwiner(identity_intertwiner(ident, module))
     f = endomorphism(HEIS3, Matrix.diagonal([2, 3, 6]))
-    with pytest.raises(NotEquivariant):
+    with pytest.raises(InvalidInput, match=whole(
+            "intertwiner not equivariant at basis vector 0")):
         validate_intertwiner(identity_intertwiner(f, module))
 
 
@@ -156,6 +156,6 @@ def test_conjugated_and_summed_modules():
 ], ids=["dim", "action count", "action shape", "intertwiner shape",
         "pullback target"])
 def test_dimension_guards(build, message):
-    with pytest.raises(DimensionMismatch) as err:
+    with pytest.raises(InvalidInput) as err:
         build()
-    assert (err.type, str(err.value)) == (DimensionMismatch, message)
+    assert (err.type, str(err.value)) == (InvalidInput, message)

@@ -11,7 +11,9 @@ sparse rows: no dense view (`.entries`, `.row`, `.column`, `.columns`) and
 no `m[i, j]` lookup.  The README's certificate table has one row for each
 `raise` of InternalConsistencyFailure, naming the function that raises it
 and a test under tests/ that exists; no other library class derives from
-ArithmeticError, so no second certificate type escapes that count.
+ArithmeticError, so no second certificate type escapes that count.  Every
+other exception class of the library is one some `except` clause in it
+names: a fault that only tests tell apart is told apart by its message.
 """
 
 import ast
@@ -203,3 +205,23 @@ def test_certificate_table_names_existing_tests():
                    node.name for node in _tree(TESTS / path).body
                    if isinstance(node, ast.FunctionDef)}]
     assert rows and not missing, f"certificate tests not found: {missing}"
+
+
+ROOTS = {"InvalidInput", "InternalConsistencyFailure"}
+
+
+def test_every_exception_class_is_caught_in_the_library():
+    defined, caught = [], set()
+    for path in MODULES:
+        module = importlib.import_module(f"lietrace.{path.stem}")
+        defined += [(path.name, name) for name, value in vars(module).items()
+                    if isinstance(value, type)
+                    and value.__module__ == module.__name__
+                    and issubclass(value, BaseException)]
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= _referenced_names(node.type)
+    uncaught = [f"{file}: {name}" for file, name in defined
+                if name not in caught | ROOTS]
+    assert defined and not uncaught, \
+        f"exception classes no library except clause names: {uncaught}"
