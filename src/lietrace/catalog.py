@@ -11,19 +11,17 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .liealg import LieAlgebra, LieMorphism, endomorphism
-from .ratlin import InvalidInput, Matrix
+from .ratlin import InvalidInput, Matrix, Record
 
 
 class UnknownEntry(InvalidInput, KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     name: str
     algebra: LieAlgebra
     grading: tuple | None         # positive weights, one per basis vector
@@ -109,9 +107,10 @@ def _load_entry(name: str, path: str) -> CatalogEntry:
     read task documents.  Errors read "<entry file>#<JSON pointer>"."""
     from .documents import (InvalidDocument, algebra_from_doc,
                             grading_from_doc, load_json, split_from_doc)
-    doc = load_json(path, path)
+    root = f"{path}#"
+    doc = load_json(path, root)
     if not isinstance(doc, dict):
-        raise InvalidDocument(path, "expected a top-level object")
+        raise InvalidDocument(root, "expected a top-level object")
     try:
         algebra = algebra_from_doc(doc.get("algebra", doc), "/algebra")
         grading = split = None
@@ -120,7 +119,7 @@ def _load_entry(name: str, path: str) -> CatalogEntry:
         if "split" in doc:
             split = split_from_doc(doc["split"], algebra.dim)
     except InvalidDocument as exc:
-        raise InvalidDocument(f"{path}#{exc.path}", exc.message) from exc
+        raise InvalidDocument(root + exc.path, exc.message) from exc
     return CatalogEntry(name=name, algebra=algebra, grading=grading,
                         split=split, notes=doc.get("notes", ""))
 

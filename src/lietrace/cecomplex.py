@@ -17,18 +17,16 @@ by row, stopping at the first nonzero row, without building the product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb, lcm
 
 from .liealg import LieAlgebra, LieMorphism, integer_brackets
 from .ratlin import (InternalConsistencyFailure, InvalidInput, Matrix,
-                     exterior_powers, kernel_and_image, kron, packed_row,
-                     quotient_basis, subset_tables, vanishes)
+                     Record, exterior_powers, kernel_and_image, kron,
+                     packed_row, quotient_basis, subset_tables, vanishes)
 from .repn import Intertwiner, Representation
 
 
-@dataclass(frozen=True)
-class CochainComplex:
+class CochainComplex(Record):
     algebra: LieAlgebra
     module: Representation
     dims: tuple            # dims[p] = C(n,p) * module dim, p = 0..n
@@ -98,8 +96,7 @@ def _differential(algebra: LieAlgebra, module: Representation, p: int) -> Matrix
 # cohomology
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CohomologyData:
+class CohomologyData(Record):
     """Per-degree bases, all deterministic, each a Matrix whose rows are the
     basis vectors in C^p.
 
@@ -116,8 +113,9 @@ class CohomologyData:
     cocycle_basis: Matrix
     coboundary_basis: Matrix
     representative_basis: Matrix
-    transposed_representatives: Matrix = field(compare=False, repr=False)
-    transposed_coordinates: Matrix = field(compare=False, repr=False)
+    transposed_representatives: Matrix
+    transposed_coordinates: Matrix
+    _hidden = ("transposed_representatives", "transposed_coordinates")
 
 
 def cohomology(complex_: CochainComplex) -> list[CohomologyData]:
@@ -151,8 +149,7 @@ def betti_numbers(complex_: CochainComplex) -> tuple:
 # induced maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChainMap:
+class ChainMap(Record):
     """Degreewise maps F_p = Lambda^p(f transpose) (x) xi, commuting with d."""
     complex: CochainComplex
     blocks: tuple  # blocks[p]: C^p -> C^p

@@ -293,10 +293,13 @@ def _cmd_catalog(args) -> int:
         return EXIT_OK
     if not args.name:
         raise InvalidDocument("/name", f"catalog {args.action} needs a name")
+    try:
+        entry = catalog_mod.get(args.name)
+    except catalog_mod.UnknownEntry:
+        raise InvalidDocument("/name", f"unknown catalog entry {args.name!r}")
     if args.action == "export":
         _print_json(catalog_mod.export(args.name))
         return EXIT_OK
-    entry = catalog_mod.get(args.name)
     kind = ("nilpotent" if is_nilpotent(entry.algebra) else
             "solvable" if is_solvable(entry.algebra) else "neither")
     print(f"{entry.name}: dim {entry.algebra.dim}, {kind}")

@@ -33,10 +33,21 @@ def load_json(path: str, pointer: str = ""):
     """The JSON document in the file at path.  Every decoder failure is an
     InvalidDocument at pointer: malformed text, bytes that are not UTF-8 and
     an integer past the interpreter's digit limit (each a ValueError), and
-    nesting past the recursion limit (RecursionError)."""
+    nesting past the recursion limit (RecursionError).  So is a key repeated
+    in one object, which the decoder would resolve to its last value."""
+    def unique_keys(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                _fail(pointer, f"repeated key {key!r}")
+            seen.add(key)
+        return dict(pairs)
+
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
+        except InvalidDocument:
+            raise
         except (ValueError, RecursionError) as exc:
             raise InvalidDocument(pointer, f"not valid JSON: {exc}")
 

@@ -27,7 +27,6 @@ products of the map with what is cached, transposing only the n x n map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -36,12 +35,12 @@ from .cecomplex import (CochainComplex, build_complex, cohomology,
 from .liealg import (LieAlgebra, LieMorphism, check_morphism, is_nilpotent,
                      validate)
 from .ratlin import (MEMO_SIZE, InternalConsistencyFailure, InvalidInput,
-                     Matrix, det_i_minus, format_rational, format_vector)
+                     Matrix, Record, det_i_minus, format_rational,
+                     format_vector)
 from .repn import Intertwiner, Representation, validate_intertwiner, validate_rep
 
 
-@dataclass(frozen=True)
-class LefschetzReport:
+class LefschetzReport(Record):
     betti: tuple
     dims: tuple
     cohomology_maps: tuple        # induced map on each H^p, representative basis
@@ -69,8 +68,7 @@ def alternating_sum(values) -> Fraction:
 class CoefficientSystem:
     """What a report on (g, V) needs that does not depend on the map: the
     complex, checked d o d = 0, and its cohomology, checked by quotient
-    rank.  Nilpotency of g is decided on first use.
-    A plain class: every CLI process would build a dataclass at import."""
+    rank.  Nilpotency of g is decided on first use."""
 
     def __init__(self, complex_: CochainComplex, cohomology: tuple):
         self.complex, self.cohomology = complex_, cohomology

@@ -19,12 +19,11 @@ report the defect.  The series are sparse reduced row spaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
 from types import MappingProxyType
 
-from .ratlin import (InvalidInput, Matrix, Vector, as_fraction,
+from .ratlin import (InvalidInput, Matrix, Record, Vector, as_fraction,
                      format_vector, linear_combination, p_subsets,
                      packed_row, rref, vanishes)
 
@@ -45,8 +44,7 @@ class NotAMorphism(InvalidInput):
                          f"defect {format_vector(defect)}")
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
+class LieAlgebra(Record):
     """Structure-constant presentation.
 
     brackets maps (i, j) with i < j to a sparse mapping {k: coefficient}
@@ -54,7 +52,7 @@ class LieAlgebra:
     Both levels are stored read-only.
     """
     dim: int
-    brackets: dict = field(default_factory=dict)
+    brackets: dict = MappingProxyType({})
     labels: tuple = ()
 
     def __post_init__(self):
@@ -178,8 +176,7 @@ def ad(algebra: LieAlgebra, x: Vector) -> Matrix:
 # series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(Record):
     kind: str           # "lower_central" or "derived"
     dims: tuple         # starts at dim; repeats its final value once unless 0
     terminates_at_zero: bool
@@ -225,8 +222,7 @@ def is_solvable(algebra: LieAlgebra) -> bool:
 # morphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LieMorphism:
+class LieMorphism(Record):
     """Linear map source -> target; column j of matrix is the image of e_j."""
     source: LieAlgebra
     target: LieAlgebra

@@ -22,7 +22,6 @@ solvmanifold report: one twisted_lefschetz checks S and gives det(I - T).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,12 +30,12 @@ from .liealg import (JacobiViolation, LieAlgebra, LieMorphism, NotAMorphism,
                      endomorphism, is_morphism, is_nilpotent, is_solvable,
                      validate)
 from .ratlin import (MEMO_SIZE, InternalConsistencyFailure, InvalidInput,
-                     det_i_minus, jordan_chevalley, p_subsets, vanishes)
+                     Record, det_i_minus, jordan_chevalley, p_subsets,
+                     vanishes)
 from .repn import identity_intertwiner, trivial_module
 
 
-@dataclass(frozen=True)
-class SplitPresentation:
+class SplitPresentation(Record):
     """Solvable algebra with marked nilpotent ideal and abelian complement.
 
     nil_ideal and complement are disjoint sorted index tuples covering all
@@ -114,8 +113,7 @@ def _restrict_to_ideal(split: SplitPresentation) -> LieAlgebra:
     return LieAlgebra(dim=len(split.nil_ideal), brackets=sub)
 
 
-@dataclass(frozen=True)
-class ShadowResult:
+class ShadowResult(Record):
     split: SplitPresentation
     shadow: LieAlgebra
     semisimple_parts: tuple   # one matrix per complement generator
@@ -166,8 +164,7 @@ def _shadow(split: SplitPresentation) -> tuple:
     return shadow, tuple(p.semisimple for p in parts)
 
 
-@dataclass(frozen=True)
-class ShadowMapReport:
+class ShadowMapReport(Record):
     shadow_map: LieMorphism       # endomorphism of the shadow algebra
     is_shadow_morphism: bool
     det_input: Fraction           # det(I - T) = det(I - S), as S is T

@@ -18,7 +18,6 @@ any platform.  Fraction appears only at the edges: dense input, `entries`
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -44,6 +43,56 @@ class InternalConsistencyFailure(ArithmeticError):
     """The one certificate exception: an identity that must hold (d o d = 0,
     chain maps, cocycle images, Hopf trace, convergence of an exact
     iteration) failed; indicates a bug, not bad input."""
+
+
+class Record:
+    """Base of the library's immutable values.  It stands in for dataclasses,
+    whose import loads inspect, ast, dis and tokenize into every command
+    line process.  The fields are the names a subclass annotates, in order;
+    a class attribute is a default.  As a dataclass does, each subclass gets
+    a generated __init__, which sets the fields by position or name in the
+    instance __dict__ (so cached_property works) and then calls the class's
+    __post_init__, which may fix one up with object.__setattr__; and a
+    generated == and hash over the fields not in _hidden, unless the class
+    defines its own.  Assignment and deletion raise AttributeError."""
+
+    _hidden = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._shown = tuple(n for n in cls._fields if n not in cls._hidden)
+        params = ", ".join(f"{n}=_cls.{n}" if hasattr(cls, n) else n
+                           for n in cls._fields)
+        mine, theirs = (", ".join(f"{who}.{n}" for n in cls._shown) + ","
+                        for who in ("self", "other"))
+        namespace = {"_cls": cls, "_set": object.__setattr__}
+        exec(f"def __init__(self, {params}):\n"
+             + "".join(f"    _set(self, {n!r}, {n})\n" for n in cls._fields)
+             + ("    self.__post_init__()\n"
+                if hasattr(cls, "__post_init__") else "")
+             + "def __eq__(self, other):\n"
+               "    if self is other:\n"
+               "        return True\n"
+               "    if other.__class__ is not self.__class__:\n"
+               "        return NotImplemented\n"
+               f"    return ({mine}) == ({theirs})\n"
+               "def __hash__(self):\n"
+               f"    return hash(({mine}))\n", namespace)
+        for name in ("__init__", "__eq__", "__hash__"):
+            if name not in cls.__dict__:
+                namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
+                setattr(cls, name, namespace[name])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: immutable value")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: immutable value")
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._shown)
+        return f"{type(self).__qualname__}({shown})"
 
 
 # ---------------------------------------------------------------------------
@@ -795,8 +844,7 @@ def squarefree_part(p) -> list[Fraction]:
     return [a / quot[-1] for a in quot]
 
 
-@dataclass(frozen=True)
-class JordanParts:
+class JordanParts(Record):
     """Additive Jordan-Chevalley decomposition m = semisimple + nilpotent."""
     semisimple: Matrix
     nilpotent: Matrix

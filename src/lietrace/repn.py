@@ -9,15 +9,12 @@ ratlin.vanishes identities, row by row, building no product and no pullback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .liealg import LieAlgebra, LieMorphism, bracket_terms
-from .ratlin import (InvalidInput, Matrix, linear_combination, p_subsets,
-                     vanishes)
+from .ratlin import (InvalidInput, Matrix, Record, linear_combination,
+                     p_subsets, vanishes)
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(Record):
     algebra: LieAlgebra
     dim: int
     actions: tuple  # one dim x dim Matrix per algebra basis vector
@@ -71,8 +68,7 @@ def pullback(f: LieMorphism, v: Representation) -> Representation:
         for column in f.matrix.transpose().sparse))
 
 
-@dataclass(frozen=True)
-class Intertwiner:
+class Intertwiner(Record):
     """Module map from the pullback of v along f back into v.
 
     Equivariance: matrix * rho(f(e_i)) == rho(e_i) * matrix for every i.

@@ -16,19 +16,17 @@ in [0,1)^n is too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .ratlin import (MEMO_SIZE, InternalConsistencyFailure, InvalidInput,
-                     Matrix, determinant, format_rational, inverse)
+                     Matrix, Record, determinant, format_rational, inverse)
 
 
 MAX_FIXED_POINTS = 10 ** 4   # every point is kept: time and memory follow it
 
 
-@dataclass(frozen=True)
-class TorusMap:
+class TorusMap(Record):
     """Integer matrix acting on the standard torus."""
     matrix: tuple  # tuple of tuples of int
 
@@ -49,8 +47,7 @@ class TorusMap:
         return len(self.matrix)
 
 
-@dataclass(frozen=True)
-class FixedPointReport:
+class FixedPointReport(Record):
     count: int                    # |det(A - I)|, confirmed by enumeration
     lefschetz: int                # det(I - A)
     index_each: int               # index of every point: sign of det(I - A)

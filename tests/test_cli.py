@@ -3,8 +3,11 @@
 import contextlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from decimal import Decimal
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lietrace
 from lietrace.cecomplex import InternalConsistencyFailure
 from lietrace.cli import (EXIT_INTERNAL, EXIT_INVALID_INPUT, EXIT_OK,
                           EXIT_VERDICT_FALSE, main)
@@ -102,6 +106,41 @@ def test_decoder_limits_exit_two(tmp_path, capsys):
     assert main(["cohomology", _task_heis(tmp_path), "--module",
                  str(deep)]) == EXIT_INVALID_INPUT
     assert "/module: not valid JSON: " in capsys.readouterr().err
+
+
+def test_repeated_keys_exit_two(tmp_path, monkeypatch, capsys):
+    # the decoder would keep the last value of a repeated key and exit 0;
+    # the first object closed with a repeated key is named, even when an
+    # outer repeated key would have dropped it
+    bracket = '{"left": 0, "right": 1, "result": {"2": "1", "2": "5"}}'
+    cases = {
+        '{"algebra": {"dim": 3, "brackets": [%s]}}' % bracket: "'2'",
+        '{"algebra": "heisenberg3", "algebra": "sol3"}': "'algebra'",
+        '{"algebra": {"dim": 3, "dim": 3}, "algebra": "heisenberg3"}':
+            "'dim'",
+        '{"a": {"x": 1, "x": 2}, "a": 3}': "'x'",
+    }
+    path = tmp_path / "task.json"
+    for text, key in cases.items():
+        path.write_text(text)
+        assert main(["check", str(path)]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == \
+            f"invalid input: : repeated key {key}\n"
+    module = tmp_path / "module.json"
+    module.write_text('{"dim": 1, "actions": [[["0"]], [["0"]], [["0"]]], '
+                      '"dim": 2}')
+    assert main(["cohomology", _task_heis(tmp_path), "--module",
+                 str(module)]) == EXIT_INVALID_INPUT
+    assert capsys.readouterr().err == \
+        "invalid input: /module: repeated key 'dim'\n"
+    catalog_dir = tmp_path / "catalog"
+    catalog_dir.mkdir()
+    entry = catalog_dir / "twice.json"
+    entry.write_text('{"algebra": {"dim": 3, "brackets": [%s]}}' % bracket)
+    monkeypatch.setenv("LEFSCHETZ_CATALOG_DIR", str(catalog_dir))
+    assert main(["catalog", "show", "twice"]) == EXIT_INVALID_INPUT
+    assert capsys.readouterr().err == \
+        f"invalid input: {entry}#: repeated key '2'\n"
 
 
 def test_cohomology_json_shape(tmp_path, capsys):
@@ -535,7 +574,7 @@ def test_external_catalog_entry_errors_exit_two(tmp_path, monkeypatch, capsys):
                      "#/split/nil_ideal/2: expected a basis index in 0..2"),
         "badgrading": ({"algebra": algebra, "grading": [1, 1, 0]},
                        "#/grading: expected 3 positive integer weights"),
-        "notanobject": ([algebra], ": expected a top-level object"),
+        "notanobject": ([algebra], "#: expected a top-level object"),
         "badalgebra": ({"algebra": {"dim": 0}}, "#/algebra"),
     }
     for name, (doc, _) in entries.items():
@@ -657,8 +696,10 @@ def test_catalog_commands(capsys):
 
     assert main(["catalog", "show"]) == EXIT_INVALID_INPUT
     assert "/name: catalog show needs a name" in capsys.readouterr().err
-    assert main(["catalog", "export", "nosuch"]) == EXIT_INVALID_INPUT
-    assert capsys.readouterr().err == "invalid input: 'nosuch'\n"
+    for action in ("show", "export"):
+        assert main(["catalog", action, "nosuch"]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == \
+            "invalid input: /name: unknown catalog entry 'nosuch'\n"
 
 
 def test_no_arguments_prints_help(capsys):
@@ -790,3 +831,17 @@ def test_complex_certificates_exit_three(tmp_path, monkeypatch, capsys,
     assert code == EXIT_INTERNAL
     assert (captured.out, captured.err) == \
         ("", f"internal consistency failure: {message}\n")
+
+
+def test_cli_import_loads_no_dataclasses_machinery():
+    # the values derive from ratlin.Record: importing dataclasses would load
+    # these modules into every command-line process
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lietrace.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    script = ("import sys, lietrace.cli; print(' '.join(sorted({'dataclasses', "
+              "'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules))))")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n", f"loaded: {proc.stdout}"

@@ -14,6 +14,9 @@ and a test under tests/ that exists; no other library class derives from
 ArithmeticError, so no second certificate type escapes that count.  Every
 other exception class of the library is one some `except` clause in it
 names: a fault that only tests tell apart is told apart by its message.
+No module imports `dataclasses`: it loads `inspect`, `ast`, `dis` and
+`tokenize` into every command-line process, and the values derive from
+`ratlin.Record` instead.
 """
 
 import ast
@@ -68,6 +71,16 @@ def test_no_unused_imports(path):
                     for name, line in _imported_names(tree).items()
                     if name not in used)
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_dataclasses_import(path):
+    lines = [node.lineno for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Import)
+             and "dataclasses" in [alias.name for alias in node.names]
+             or isinstance(node, ast.ImportFrom)
+             and node.module == "dataclasses"]
+    assert not lines, f"{path.name}: dataclasses imported at lines {lines}"
 
 
 def _referenced_names(node: ast.AST) -> set:
