@@ -18,7 +18,9 @@ from .ratlin import InvalidInput, Matrix, Record
 
 
 class UnknownEntry(InvalidInput, KeyError):
-    pass
+    """A name with no catalog entry.  Its message names the fault, which the
+    KeyError __str__, quoting the bare argument, would not."""
+    __str__ = InvalidInput.__str__
 
 
 class CatalogEntry(Record):
@@ -92,7 +94,7 @@ def get(name: str) -> CatalogEntry:
         if os.path.exists(path):
             return _load_entry(name, path)
     if name not in _BY_NAME:
-        raise UnknownEntry(name)
+        raise UnknownEntry(f"unknown catalog entry {name!r}")
     return _BY_NAME[name]
 
 

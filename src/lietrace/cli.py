@@ -295,8 +295,8 @@ def _cmd_catalog(args) -> int:
         raise InvalidDocument("/name", f"catalog {args.action} needs a name")
     try:
         entry = catalog_mod.get(args.name)
-    except catalog_mod.UnknownEntry:
-        raise InvalidDocument("/name", f"unknown catalog entry {args.name!r}")
+    except catalog_mod.UnknownEntry as exc:
+        raise InvalidDocument("/name", str(exc))
     if args.action == "export":
         _print_json(catalog_mod.export(args.name))
         return EXIT_OK

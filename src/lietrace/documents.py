@@ -179,8 +179,8 @@ def task_from_doc(doc) -> TaskDocument:
     if isinstance(raw_algebra, str):
         try:
             entry = get(raw_algebra)
-        except UnknownEntry:
-            _fail("/algebra", f"unknown catalog entry {raw_algebra!r}")
+        except UnknownEntry as exc:
+            _fail("/algebra", str(exc))
         algebra = entry.algebra
         if "split" not in doc and entry.split is not None:
             split = entry.split

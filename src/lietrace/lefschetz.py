@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 
 from .cecomplex import (CochainComplex, build_complex, cohomology,
                         induced_chain_map, induced_cohomology_map)
@@ -59,10 +60,12 @@ def linearization(a: Matrix) -> Fraction:
 
 
 def alternating_sum(values) -> Fraction:
-    total = Fraction(0)
-    for p, v in enumerate(values):
-        total = total - v if p % 2 else total + v
-    return total
+    """The sum of (-1)^p values[p], ints or Fractions, as one integer sum
+    over the lcm of their denominators."""
+    values = list(values)
+    den = lcm(*[v.denominator for v in values])
+    scaled = [v.numerator * (den // v.denominator) for v in values]
+    return Fraction(sum(scaled[::2]) - sum(scaled[1::2]), den)
 
 
 class CoefficientSystem:

@@ -396,10 +396,12 @@ def linear_combination(terms, matrices, den: int = 1) -> Matrix:
 
 def vanishes(terms) -> bool:
     """Whether the sum of c * a * b over the (c, a, b) `terms` is zero, b
-    None for a lone a, c an int or a Fraction.  Each term becomes an integer
-    scale over the lcm of the c.den * a.den * b.den, and the sum is
-    accumulated one row at a time into one dict, returning at the first
-    nonzero row: nothing is sorted, put in lowest terms or stored."""
+    None for a lone a, c an int or a Fraction.  Every term's shapes are
+    checked first; then a term with a zero factor (c = 0, or a or b with
+    no nonzero row) is dropped, as it adds exactly zero.  Each other term
+    becomes an integer scale over the lcm of the c.den * a.den * b.den, and
+    the sum is accumulated one row at a time into one dict, returning at the
+    first nonzero row: nothing is sorted, put in lowest terms or stored."""
     shape, scaled = None, []
     for c, a, b in terms:
         if b is None:   # a lone a is a * I
@@ -412,7 +414,7 @@ def vanishes(terms) -> bool:
         elif shape != (a.rows, b.cols):
             raise ValueError(f"shape mismatch {shape[0]}x{shape[1]} + "
                              f"{a.rows}x{b.cols}")
-        if c:
+        if c and any(a.sparse) and any(b.sparse):
             scaled.append((c.numerator, c.denominator * a.den * b.den,
                            a.sparse, b.sparse))
     total = lcm(*[q for _, q, _, _ in scaled])

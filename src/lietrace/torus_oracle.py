@@ -100,7 +100,10 @@ def count_fixed_points(torus_map: TorusMap) -> FixedPointReport:
             if y not in seen:
                 seen.add(y)
                 points.append(y)
-    points = tuple(tuple(Fraction(x, den) for x in p) for p in sorted(points))
+    # one Fraction per residue, shared by the points; den divides det B
+    # (B^-1 = adj B / det B), so there are no more residues than points
+    residue = [Fraction(k, den) for k in range(den)]
+    points = tuple(tuple(map(residue.__getitem__, p)) for p in sorted(points))
     if len(points) != count_det:
         raise InternalConsistencyFailure(
             f"enumeration found {len(points)} fixed points, "

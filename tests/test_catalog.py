@@ -26,8 +26,11 @@ def test_selftest_reports_every_entry():
 
 
 def test_unknown_entry():
-    with pytest.raises(UnknownEntry):
+    with pytest.raises(UnknownEntry) as caught:
         get("nosuch")
+    assert str(caught.value) == "unknown catalog entry 'nosuch'"
+    assert isinstance(caught.value, InvalidInput)
+    assert isinstance(caught.value, KeyError)
 
 
 def test_nilpotence_classification():

@@ -642,8 +642,33 @@ def test_invalid_split_exits_two_from_shadow(tmp_path, capsys):
     (["shadow"], {"algebra": {"dim": 2, "brackets": []},
                   "split": {"nil_ideal": [0], "complement": []}},
      "nil_ideal and complement must partition the basis indices"),
+    # the document faults no other test reaches, one per _fail site
+    (["check"], ["heisenberg3"], ": expected a top-level object"),
+    (["check"], {"algebra": "nosuch"},
+     "/algebra: unknown catalog entry 'nosuch'"),
+    (["check"], {"algebra": {"dim": 2, "basis": ["x"]}},
+     "/algebra/basis: expected 2 label strings"),
+    (["check"], {"algebra": {"dim": 2, "brackets": {}}},
+     "/algebra/brackets: expected a list"),
+    (["check"], {"algebra": {"dim": 2, "brackets": [[0, 1]]}},
+     "/algebra/brackets/0: expected an object"),
+    (["check"], {"algebra": {"dim": 3, "brackets": [
+        {"left": 0, "right": 1, "result": {"2": "1"}},
+        {"left": 0, "right": 1, "result": {"2": "1"}}]}},
+     "/algebra/brackets/1: duplicate bracket (0,1)"),
+    (["check"], {"algebra": "heisenberg3", "module": 1},
+     "/module: expected an object"),
+    (["check"], {"algebra": "abelian_1", "map": {"matrix": [["2"]]},
+                 "intertwiner": [["1"]]},
+     "/intertwiner: expected an object with a 'matrix' field"),
+    (["check"], {"algebra": "heisenberg3", "split": [[0], [1, 2]]},
+     "/split: expected an object"),
 ], ids=["degenerate-torus", "torus-cap", "complement-not-abelian",
-        "ideal-not-nilpotent", "not-an-ideal", "not-a-partition"])
+        "ideal-not-nilpotent", "not-an-ideal", "not-a-partition",
+        "task-not-an-object", "unknown-entry", "basis-labels",
+        "brackets-not-a-list", "bracket-not-an-object", "duplicate-bracket",
+        "module-not-an-object", "intertwiner-not-an-object",
+        "split-not-an-object"])
 def test_input_fault_stderr_pins(tmp_path, capsys, argv, doc, message):
     if doc is not None:
         argv = argv + [_write(tmp_path, "fault.json", doc)]

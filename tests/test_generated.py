@@ -4,18 +4,23 @@ Every repr(LefschetzReport) must hash as it did when the oracle was frozen.
 Independent identities are checked on the same reports: the cochain trace
 factorizes as det(I - f) tr(xi), the Euler characteristic, and on the
 trivial-module cases Poincare duality b_p = b_(n-p) (nilpotent algebras are
-unimodular) and Dixmier's bound b_p >= 2 for 0 < p < n.
+unimodular) and Dixmier's bound b_p >= 2 for 0 < p < n.  On the same
+algebras and modules, inner automorphisms act trivially on cohomology.
 """
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
 from lietrace.lefschetz import twisted_lefschetz
-from lietrace.liealg import series
+from lietrace.liealg import endomorphism, series
 from lietrace.ratlin import Matrix, determinant
+from lietrace.repn import Intertwiner
 
 from generated import DATA, generated_cases, report_sha256
+from helpers import reference_ad
 
 
 @pytest.fixture(scope="module")
@@ -59,3 +64,36 @@ def test_generated_set_reaches_beyond_the_catalog(reports):
     # some derived algebra [g, g] is itself non-abelian
     assert any(series(algebra, "derived").dims[2] > 0
                for _, algebra, *_ in reports)
+
+
+def _exp_nilpotent(m: Matrix) -> Matrix:
+    """exp(m) = sum of m^k / k! for a nilpotent m, the sum being finite."""
+    term = total = Matrix.identity(m.rows)
+    k = 0
+    while not term.is_zero():
+        k += 1
+        term = term * m * Fraction(1, k)
+        total = total + term
+    return total
+
+
+def test_inner_automorphisms_act_trivially():
+    # Cartan's formula L_x = d i_x + i_x d: g = exp(ad x) acts as the
+    # identity on every H^p, with xi = 1 on the trivial module and
+    # xi = g^-1 = exp(-ad x) on the adjoint module
+    rng = random.Random(25)
+    moved = 0
+    for key, algebra, module, _, _, kind in generated_cases():
+        if kind == "random":
+            continue
+        x = [rng.randint(-2, 2) for _ in range(algebra.dim)]
+        ad_x = reference_ad(algebra, x)
+        g = endomorphism(algebra, _exp_nilpotent(ad_x))
+        xi = (Matrix.identity(1) if kind == "trivial"
+              else _exp_nilpotent(-ad_x))
+        report = twisted_lefschetz(algebra, module, g, Intertwiner(
+            morphism=g, module=module, matrix=xi))
+        assert report.cohomology_maps == tuple(
+            Matrix.identity(b) for b in report.betti), key
+        moved += g.matrix != Matrix.identity(algebra.dim)
+    assert moved >= 100

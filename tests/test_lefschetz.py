@@ -40,6 +40,26 @@ def test_linearization_helper():
                                                Matrix.diagonal([2, 3])]) == -4
 
 
+def test_alternating_sum_equals_a_fraction_loop():
+    def loop(values):
+        total = Fraction(0)
+        for p, v in enumerate(values):
+            total += -v if p % 2 else v
+        return total
+
+    rng = random.Random(25)
+    cases = [[], [3], [Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)],
+             [1, Fraction(2, 3), -4, Fraction(-5, 6), Fraction(7, 10 ** 6)]]
+    cases += [[rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-99, 99),
+                                                       rng.randint(1, 60))))
+               for _ in range(rng.randint(1, 8))] for _ in range(50)]
+    for values in cases:
+        expected = loop(values)
+        for total in (alternating_sum(values),
+                      alternating_sum(v for v in values)):
+            assert total == expected and type(total) is Fraction, values
+
+
 def test_heisenberg_diagonal_report_frozen():
     # f = diag(2,3,6): H^1 is spanned by e0*, e1* (scaling 2, 3); H^2 by the
     # classes of e0^e2, e1^e2 (scaling 12, 18); H^3 scales by det = 36.

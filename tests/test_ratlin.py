@@ -720,6 +720,29 @@ def test_vanishes_names_both_shapes_on_a_mismatch():
         vanishes([(1, a, None), (1, a, a.transpose())])
 
 
+# A term with a zero factor (c = 0, or a or b with no nonzero row) adds
+# nothing, and vanishes drops it, but only after every term's shapes are
+# checked.
+def test_vanishes_drops_zero_terms_after_the_shape_check():
+    a = Matrix([[1, 2], [0, Fraction(1, 3)]])
+    zero, zero_23 = Matrix.zero(2, 2), Matrix.zero(2, 3)
+    zeros = [(5, zero, a), (Fraction(-1, 7), a, zero), (0, a, a),
+             (3, zero, None), (1, Matrix.zero(2, 5), Matrix.zero(5, 2))]
+    assert vanishes(zeros)
+    for k in range(len(zeros) + 1):
+        assert not vanishes(zeros[:k] + [(1, a, None)] + zeros[k:])
+        assert not vanishes(zeros[:k] + [(2, a, a)] + zeros[k:])
+        assert vanishes(zeros[:k] + [(1, a, a), (-1, a * a, None)] + zeros[k:])
+    with pytest.raises(ValueError, match=r"^shape mismatch 2x3 \* 2x2$"):
+        vanishes([(1, a, None), (1, zero_23, zero)])
+    with pytest.raises(ValueError, match=r"^shape mismatch 2x2 \+ 2x3$"):
+        vanishes([(1, a, None), (1, zero_23, None)])
+    with pytest.raises(ValueError, match=r"^shape mismatch 2x2 \+ 2x3$"):
+        vanishes([(1, a, None), (1, a, zero_23)])
+    with pytest.raises(ValueError, match=r"^shape mismatch 2x2 \+ 2x3$"):
+        vanishes([(0, zero, zero), (1, zero, zero_23)])
+
+
 # Canonical form: one value, one stored form.  The same matrix reached by
 # different routes stores the same numerators over the same denominator, so
 # it compares == and hashes equal; denominators run up to 10**6.
