@@ -21,13 +21,14 @@ import json
 import sys
 
 from . import catalog as catalog_mod
-from .documents import (InvalidDocument, algebra_to_doc, load_json,
-                        matrix_to_doc, module_from_doc, task_from_doc)
+from .documents import (InvalidDocument, algebra_to_doc, cap_cochains,
+                        load_json, matrix_to_doc, module_from_doc,
+                        task_from_doc)
 from .lefschetz import coefficient_system, twisted_lefschetz
 from .liealg import check_morphism, is_nilpotent, is_solvable, validate
 from .nilshadow import (SplitPresentation, build_shadow, shadow_report,
                         validate_split)
-from .ratlin import InvalidInput, format_rational
+from .ratlin import InvalidInput, format_rational, parse_integer
 from .repn import identity_intertwiner, validate_intertwiner, validate_rep
 from .torus_oracle import TorusMap, cross_check_with_ce
 
@@ -108,21 +109,6 @@ def _split_presentation(task) -> SplitPresentation:
                              complement=task.split[1])
 
 
-def _validate_all_but_split(task) -> list[str]:
-    lines = []
-    validate(task.algebra)
-    lines.append(f"algebra: ok (dim {task.algebra.dim}, Jacobi verified)")
-    validate_rep(task.module)
-    lines.append(f"module: ok (dim {task.module.dim})")
-    if task.morphism is not None:
-        check_morphism(task.morphism)
-        lines.append("map: ok (brackets preserved)")
-    if task.intertwiner is not None:
-        validate_intertwiner(task.intertwiner)
-        lines.append("intertwiner: ok (equivariant)")
-    return lines
-
-
 def _check_split(task) -> list[str]:
     """Check the document's split, if any.  No library call reads it, and
     cohomology and lefschetz check it last, after their call's checks."""
@@ -138,7 +124,17 @@ def _print_json(doc) -> None:
 
 def _cmd_check(args) -> int:
     task = _load_task(args.file)
-    for line in _validate_all_but_split(task) + _check_split(task):
+    validate(task.algebra)
+    validate_rep(task.module)
+    lines = [f"algebra: ok (dim {task.algebra.dim}, Jacobi verified)",
+             f"module: ok (dim {task.module.dim})"]
+    if task.morphism is not None:
+        check_morphism(task.morphism)
+        lines.append("map: ok (brackets preserved)")
+    if task.intertwiner is not None:
+        validate_intertwiner(task.intertwiner)
+        lines.append("intertwiner: ok (equivariant)")
+    for line in lines + _check_split(task):
         print(line)
     return EXIT_OK
 
@@ -214,7 +210,6 @@ def _cmd_shadow(args) -> int:
     if task.split is None:
         raise InvalidDocument("/split", "shadow needs a split presentation "
                               "(or a catalog algebra that carries one)")
-    _validate_all_but_split(task)
     split = _split_presentation(task)
     doc, verdict = {}, True
     if task.morphism is None:
@@ -228,6 +223,10 @@ def _cmd_shadow(args) -> int:
                "agree": verdict}
         if lef is not None:
             doc["shadow_lefschetz"] = format_rational(lef.lefschetz)
+    # no library call reads the module or the intertwiner
+    validate_rep(task.module)
+    if task.intertwiner is not None:
+        validate_intertwiner(task.intertwiner)
     doc.update(shadow=algebra_to_doc(result.shadow), shadow_nilpotent=True)
     if args.json:
         _print_json(doc)
@@ -269,15 +268,15 @@ def _parse_int_matrix(text: str):
     rows = []
     for chunk in text.split(";"):
         row = []
-        for cell in chunk.split(","):
-            cell = cell.strip()
+        for cell in map(str.strip, chunk.split(",")):
             try:
-                row.append(int(cell))
+                row.append(parse_integer(cell))
             except ValueError:
                 raise InvalidDocument("/matrix", f"not an integer: {cell!r}")
         rows.append(tuple(row))
     if any(len(r) != len(rows) for r in rows):
         raise InvalidDocument("/matrix", "matrix must be square")
+    cap_cochains(len(rows), 1, "/matrix")   # before any determinant
     return tuple(rows)
 
 

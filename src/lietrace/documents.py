@@ -43,7 +43,7 @@ def load_json(path: str, pointer: str = ""):
             seen.add(key)
         return dict(pairs)
 
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:   # RFC 8259
         try:
             return json.load(fh, object_pairs_hook=unique_keys)
         except InvalidDocument:
@@ -85,7 +85,7 @@ def _matrix(value, path, rows=None, cols=None) -> Matrix:
     return Matrix(entries)
 
 
-def _cap_cochains(n: int, m: int, path: str) -> None:
+def cap_cochains(n: int, m: int, path: str) -> None:
     """Refuse 2^n m cochains above MAX_COCHAINS, never forming a large 2^n."""
     if n >= MAX_COCHAINS.bit_length() or m << n > MAX_COCHAINS:
         _fail(path, f"2^{n} x {m} cochain dimensions in all, above the cap "
@@ -108,7 +108,7 @@ def algebra_from_doc(doc, path="/algebra") -> LieAlgebra:
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         _fail(f"{path}/dim", "expected a positive integer")
-    _cap_cochains(dim, 1, f"{path}/dim")
+    cap_cochains(dim, 1, f"{path}/dim")
     labels = doc.get("basis")
     if labels is not None:
         if (not isinstance(labels, list) or len(labels) != dim
@@ -254,7 +254,7 @@ def module_from_doc(doc, algebra, path="/module") -> Representation:
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         _fail(f"{path}/dim", "expected a positive integer")
-    _cap_cochains(algebra.dim, dim, f"{path}/dim")
+    cap_cochains(algebra.dim, dim, f"{path}/dim")
     raw_actions = doc.get("actions")
     if not isinstance(raw_actions, list) or len(raw_actions) != algebra.dim:
         _fail(f"{path}/actions", f"expected {algebra.dim} action matrices")

@@ -8,10 +8,10 @@ shadow carries the same underlying space with the modified bracket
 
 where nil(-) is the nilpotent part of the additive Jordan-Chevalley
 decomposition.  Discarding the commuting semisimple parts of the complement
-action is exactly what makes the result nilpotent while keeping every
-determinant of the form det(I - T) unchanged for split-compatible maps T:
-the induced map on the shadow is T itself under the identity identification
-of underlying spaces, so det(I - T) is one number on both sides.
+action is exactly what makes the result nilpotent while keeping det(I - T)
+unchanged for every Lie morphism T that keeps the ideal: the induced map on
+the shadow is T itself under the identity identification of underlying
+spaces, so det(I - T) is one number on both sides.
 
 build_shadow caches the shadow and the semisimple parts per split, an
 immutable value, for the MEMO_SIZE most recently used ones, so the split
@@ -27,8 +27,8 @@ from functools import lru_cache
 
 from .lefschetz import twisted_lefschetz
 from .liealg import (JacobiViolation, LieAlgebra, LieMorphism, NotAMorphism,
-                     endomorphism, is_morphism, is_nilpotent, is_solvable,
-                     validate)
+                     check_morphism, endomorphism, is_morphism, is_nilpotent,
+                     is_solvable, validate)
 from .ratlin import (MEMO_SIZE, InternalConsistencyFailure, InvalidInput,
                      Record, det_i_minus, jordan_chevalley, p_subsets,
                      vanishes)
@@ -175,24 +175,23 @@ class ShadowMapReport(Record):
         return self.det_input
 
 
-def _shadow_endomorphism(result: ShadowResult, t: LieMorphism) -> LieMorphism:
-    """T, an endomorphism of the split algebra, as S on the shadow."""
-    split = result.split
+def _check_map(split: SplitPresentation, t: LieMorphism) -> None:
+    """T must be a Lie endomorphism of the split algebra keeping the ideal."""
     if t.source is not t.target and t.source != t.target:
         raise InvalidInput("shadow transport needs an endomorphism")
     if t.source != split.algebra:
         raise InvalidInput("endomorphism is not over the split algebra")
+    check_morphism(t)
     ideal = set(split.nil_ideal)
     columns = t.matrix.transpose().sparse
     for j in split.nil_ideal:
         if any(r not in ideal for r, _ in columns[j]):
             raise InvalidInput(
                 f"map sends ideal basis vector {j} outside the ideal")
-    return endomorphism(result.shadow, t.matrix)
 
 
 def induced_shadow_map(result: ShadowResult, t: LieMorphism) -> ShadowMapReport:
-    """Carry an endomorphism T of the split algebra over to the shadow.
+    """Carry a Lie endomorphism T of the split algebra over to the shadow.
 
     T must map the ideal into itself; the induced map S is T under the
     identity identification of underlying spaces, so det(I - S) = det(I - T)
@@ -200,7 +199,8 @@ def induced_shadow_map(result: ShadowResult, t: LieMorphism) -> ShadowMapReport:
     reported, not assumed: the Lefschetz pipeline on the shadow only makes
     sense when it does.
     """
-    shadow_map = _shadow_endomorphism(result, t)
+    _check_map(result.split, t)
+    shadow_map = endomorphism(result.shadow, t.matrix)
     return ShadowMapReport(shadow_map=shadow_map,
                            is_shadow_morphism=is_morphism(shadow_map),
                            det_input=det_i_minus(t.matrix))
@@ -210,10 +210,12 @@ def shadow_report(split: SplitPresentation, t: LieMorphism) -> tuple:
     """(shadow, map report, Lefschetz report): the shadow of the split, T
     carried over to it, and the twisted Lefschetz report of S on the shadow
     with the trivial module and the identity intertwiner, or None when S is
-    not a shadow morphism.  The map report, induced_shadow_map's, is read off
-    the Lefschetz report's morphism check and det(I - A), as A is S."""
+    not a shadow morphism.  T is checked before the shadow is built.  The
+    map report is read off the Lefschetz report's check and det(I - A)."""
+    _check_map(split, t)
     result = build_shadow(split)
-    s, module = _shadow_endomorphism(result, t), trivial_module(result.shadow)
+    s = endomorphism(result.shadow, t.matrix)
+    module = trivial_module(result.shadow)
     try:
         lef = twisted_lefschetz(result.shadow, module, s,
                                 identity_intertwiner(s, module))

@@ -99,13 +99,21 @@ class Record:
 # rational text form: optional '-', digits, optional '/' digits
 # ---------------------------------------------------------------------------
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_INTEGER = "-?[0-9]+"   # ASCII digits: \d matches every Unicode digit
+_RATIONAL_RE = re.compile(f"{_INTEGER}(/[0-9]+)?")
+
+
+def parse_integer(text: str) -> int:
+    """Parse 'p', the numerator grammar of parse_rational."""
+    if not re.fullmatch(_INTEGER, text):
+        raise ValueError(f"not an integer literal: {text!r}")
+    return int(text)
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p' or 'p/q' (q > 0 after canonicalization).  Rejects floats,
     exponents, whitespace and anything else outside the grammar."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
     if "/" in text:
         num, den = text.split("/")

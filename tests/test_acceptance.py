@@ -218,20 +218,24 @@ def test_nilshadow_transport():
                                         (1, 3): {1: -1}, (2, 3): {2: -2}})
     jordan = LieAlgebra(dim=3, brackets={(0, 2): {0: -1},
                                          (1, 2): {0: -1, 1: -1}})
+    mixed_shadow = build_shadow(SplitPresentation(
+        algebra=mixed, nil_ideal=(0, 1, 2), complement=(3,)))
+    jordan_shadow = build_shadow(SplitPresentation(
+        algebra=jordan, nil_ideal=(0, 1), complement=(2,)))
+    # every map is a Lie morphism that keeps the ideal: only those come
+    # from self-maps of the solvmanifold
     matrix = [
         (shadow, Matrix.diagonal([1, 2, 3])),
         (shadow, Matrix([[1, 0, 0], [5, 2, 0], [-1, 0, 3]])),
         (shadow, Matrix([[-1, 0, 0], [0, 0, 1], [0, 1, 0]])),
         (shadow, Matrix([[-1, 0, 0], [0, 0, 2], [0, 1, 0]])),
-        (build_shadow(SplitPresentation(algebra=mixed, nil_ideal=(0, 1, 2),
-                                        complement=(3,))),
-         Matrix.diagonal([2, 3, 6, -1])),
-        (build_shadow(SplitPresentation(algebra=jordan, nil_ideal=(0, 1),
-                                        complement=(2,))),
-         Matrix.diagonal([6, 2, 3])),
-        (build_shadow(SplitPresentation(algebra=jordan, nil_ideal=(0, 1),
-                                        complement=(2,))),
-         Matrix.diagonal([2, 2, 3])),
+        (mixed_shadow, Matrix.diagonal([2, 3, 6, 1])),
+        (mixed_shadow, Matrix.diagonal([0, 0, 0, 3])),
+        # a morphism whose S does not keep the shadow bracket
+        (mixed_shadow, Matrix([[0, 2, 0, 1], [0, 1, 0, 0], [0, -1, 0, 0],
+                               [0, 0, 0, 1]])),
+        (jordan_shadow, Matrix([[2, 1, 0], [0, 2, 0], [0, 0, 1]])),
+        (jordan_shadow, Matrix.diagonal([0, 0, 3])),
     ]
     accepted = 0
     for result, t_matrix in matrix:
@@ -243,7 +247,7 @@ def test_nilshadow_transport():
             continue
         assert run.lefschetz == linearization(t_matrix)
         accepted += 1
-    assert accepted >= 6
+    assert accepted >= 7
     return f"{accepted} accepted transports + passthrough + abelian shadow"
 
 

@@ -307,6 +307,13 @@ def test_torus_rejects_degenerate_and_malformed(capsys):
     assert "/matrix: not an integer: 'x'" in capsys.readouterr().err
     assert main(["torus", "--matrix", "1,2,3;4,5,6"]) == EXIT_INVALID_INPUT
     assert "/matrix: matrix must be square" in capsys.readouterr().err
+    # a cell has the integer grammar of a rational literal: int() alone
+    # would read 1_0 as 10, +2 as 2 and the Arabic-Indic three as 3
+    for cell in ("1_0", "+2", "\u0663", "1/1"):
+        assert main(["torus", "--matrix", f"{cell},1;1,1"]) == \
+            EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == \
+            f"invalid input: /matrix: not an integer: {cell!r}\n"
 
 
 def test_torus_point_cap_exits_two_fast(capsys):
@@ -318,6 +325,21 @@ def test_torus_point_cap_exits_two_fast(capsys):
     assert code == EXIT_INVALID_INPUT
     assert capsys.readouterr().err == \
         f"invalid input: {10 ** 18} fixed points, above the cap of 10000\n"
+
+
+def test_torus_cochain_cap_exits_two_fast(capsys):
+    # the cross-check runs the cochains of the abelian algebra of dim n, so
+    # --matrix takes the documents' cap: 2^11 is refused before any
+    # determinant
+    start = time.perf_counter()
+    code = main(["torus", "--matrix",
+                 ";".join(",".join("2" if i == j else "0" for j in range(11))
+                          for i in range(11))])
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_INVALID_INPUT
+    assert capsys.readouterr().err == (
+        "invalid input: /matrix: 2^11 x 1 cochain dimensions in all, above "
+        "the cap of 1024\n")
 
 
 def _abelian_task(n, seed=0):
@@ -775,10 +797,11 @@ _HEIS_ADJOINT = {"dim": 3, "actions": [
 _NOT_AN_IDEAL = {"nil_ideal": [0], "complement": [1, 2]}
 _NOT_PRESERVED = ("invalid input: bracket not preserved on basis pair (0,1), "
                   "defect (0, 0, 1)\n")
-# one fault each, and one document with two, and the stderr each gave when
-# the commands still validated their input before the library call, and
-# before the shadow report checked its map once.  Each document has a split,
-# its own or its catalog entry's, since shadow needs one.
+# one fault each, and one document with two, and the stderr each gives
+# whichever library call or command checks it: the same line for all three
+# commands, as it was when they validated their input before the library
+# call.  Each document has a split, its own or its catalog entry's, since
+# shadow needs one.
 _FAULTS = [
     ({"algebra": {"dim": 3, "brackets": [
         {"left": 0, "right": 1, "result": {"2": "1"}},
@@ -815,6 +838,20 @@ def test_first_fault_named_on_stderr(tmp_path, capsys, command, doc, message):
     captured = capsys.readouterr()
     assert code == EXIT_INVALID_INPUT
     assert (captured.out, captured.err) == ("", message)
+
+
+@pytest.mark.parametrize("doc, first", [
+    ({**_FAULTS[0][0], "map": {"matrix": _NON_MORPHISM}}, _FAULTS[0][1]),
+    ({**_FAULTS[1][0], "map": {"matrix": _NON_MORPHISM}}, _FAULTS[1][1]),
+], ids=["algebra", "module"])
+def test_shadow_names_the_map_before_the_algebra_and_module(
+        tmp_path, capsys, doc, first):
+    # the shadow report checks T before it builds the shadow, and the
+    # module after; lefschetz checks the algebra and module first
+    path = _write(tmp_path, "faults.json", doc)
+    for command, message in (("shadow", _NOT_PRESERVED), ("lefschetz", first)):
+        assert main([command, path]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr() == ("", message)
 
 
 def _perturb_d1(monkeypatch):
@@ -856,6 +893,25 @@ def test_complex_certificates_exit_three(tmp_path, monkeypatch, capsys,
     assert code == EXIT_INTERNAL
     assert (captured.out, captured.err) == \
         ("", f"internal consistency failure: {message}\n")
+
+
+def test_documents_decode_as_utf8_under_any_locale(tmp_path):
+    # RFC 8259: JSON text is UTF-8, whatever the locale's encoding; under
+    # the C locale without UTF-8 mode that encoding is ASCII
+    path = tmp_path / "label.json"
+    path.write_bytes(json.dumps({"algebra": {"dim": 1, "basis": ["\u00e9"]}},
+                                ensure_ascii=False).encode("utf-8"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lietrace.__file__)))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONUTF8", "PYTHONIOENCODING")}
+    env.update(LC_ALL="C", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "lietrace.cli",
+                           "check", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        EXIT_OK, "algebra: ok (dim 1, Jacobi verified)\nmodule: ok (dim 1)\n",
+        "")
 
 
 def test_cli_import_loads_no_dataclasses_machinery():

@@ -32,8 +32,13 @@ MIXED = LieAlgebra(dim=4, brackets={(0, 1): {2: 1}, (0, 3): {0: -1},
 # [e2,e0] = e0, [e2,e1] = e0 + e1: ad(e2) on the ideal (0, 1) is the Jordan
 # block [[1,1],[0,1]]
 JORDAN = LieAlgebra(dim=3, brackets={(0, 2): {0: -1}, (1, 2): {0: -1, 1: -1}})
-
-
+MIXED_SPLIT = SplitPresentation(algebra=MIXED, nil_ideal=(0, 1, 2),
+                                complement=(3,))
+JORDAN_SPLIT = SplitPresentation(algebra=JORDAN, nil_ideal=(0, 1),
+                                 complement=(2,))
+# a morphism of MIXED whose S is no shadow morphism: S[e1, e3]' = 0, but
+# Se1 = 2e0 + e1 - e2 and Se3 = e0 + e3 give [Se1, Se3]' = -e2
+MIXED_NOT_SHADOW = [[0, 2, 0, 1], [0, 1, 0, 0], [0, -1, 0, 0], [0, 0, 0, 1]]
 SOL3_SPLIT = SplitPresentation(algebra=SOL3.algebra, nil_ideal=(1, 2),
                                complement=(0,))
 
@@ -264,11 +269,37 @@ def test_transport_diagonal_and_zero_maps_end_to_end():
 
 
 def test_transport_rejects_split_breaking_maps():
-    result = _sol3_shadow()
-    bad = endomorphism(SOL3.algebra, Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 1]]))
-    with pytest.raises(InvalidInput, match=whole(
-            "map sends ideal basis vector 1 outside the ideal")):
-        induced_shadow_map(result, bad)
+    # sol3 morphisms always keep its nilradical, so break the split on an
+    # abelian algebra, where every linear map is a morphism
+    split = SplitPresentation(algebra=LieAlgebra(dim=2), nil_ideal=(0,),
+                              complement=(1,))
+    swap = endomorphism(split.algebra, Matrix([[0, 1], [1, 0]]))
+    for call in (lambda: shadow_report(split, swap),
+                 lambda: induced_shadow_map(build_shadow(split), swap)):
+        with pytest.raises(InvalidInput) as err:
+            call()
+        assert str(err.value) == \
+            "map sends ideal basis vector 0 outside the ideal"
+
+
+@pytest.mark.parametrize("split, diagonal, pair, defect", [
+    (MIXED_SPLIT, [2, 3, 6, -1], "(0,3)", "(4, 0, 0, 0)"),
+    (JORDAN_SPLIT, [6, 2, 3], "(0,2)", "(-12, 0, 0)"),
+    (JORDAN_SPLIT, [2, 2, 3], "(0,2)", "(-4, 0, 0)"),
+], ids=["mixed", "jordan-shadow-morphism", "jordan"])
+def test_transport_refuses_non_morphisms(split, diagonal, pair, defect):
+    # each keeps the ideal, and the first two are shadow morphisms: only
+    # the bracket check of T on the split algebra refuses them, and
+    # shadow_report runs it before it checks the split
+    t = endomorphism(split.algebra, Matrix.diagonal(diagonal))
+    message = f"bracket not preserved on basis pair {pair}, defect {defect}"
+    with pytest.raises(InvalidInput) as err:
+        shadow_report(split, t)
+    assert str(err.value) == message
+    assert nilshadow._shadow.cache_info().misses == 0
+    with pytest.raises(InvalidInput) as err:
+        induced_shadow_map(build_shadow(split), t)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("t, message", [
@@ -285,20 +316,24 @@ def test_transport_guards(t, message):
 
 def test_transport_end_to_end_on_mixed_example():
     # det(I - T) computed on the solvable algebra equals the Lefschetz
-    # number of the induced map on the nilpotent shadow
-    split = SplitPresentation(algebra=MIXED, nil_ideal=(0, 1, 2),
-                              complement=(3,))
-    t = endomorphism(MIXED, Matrix.diagonal([2, 3, 6, -1]))
-    report, run = _shadow_lefschetz(split, t)
-    assert report.det_input == run.lefschetz == -20
-    assert run.betti == (1, 3, 4, 3, 1)  # heisenberg3 times a circle
+    # number of the induced map on the nilpotent shadow.  diag(a, b, ab, 1)
+    # is a morphism for all a, b; a morphism that is nonzero on the ideal
+    # fixes e3 modulo it, so only one that kills the ideal has L != 0
+    for diagonal, number in (([2, 3, 6, 1], 0), ([-1, 2, -2, 1], 0),
+                             ([0, 0, 0, 3], -2)):
+        t = endomorphism(MIXED, Matrix.diagonal(diagonal))
+        report, run = _shadow_lefschetz(MIXED_SPLIT, t)
+        assert report.det_input == run.lefschetz == number
+        assert run.betti == (1, 3, 4, 3, 1)  # heisenberg3 times a circle
 
 
 def test_random_diagonal_actions():
     # one complement direction acting with random rational eigenvalues on an
     # abelian ideal: the shadow is abelian and determinants transport for
-    # every ideal-preserving triangular T
+    # every ideal-preserving triangular morphism T.  With T e_k = t e_k, T
+    # is a morphism exactly when T_ij (t w_i - w_j) = 0 on the ideal
     rng = random.Random(127)
+    dets = set()
     for _ in range(10):
         k = rng.choice([2, 3])
         weights = [Fraction(rng.randint(-3, 3)) for _ in range(k)]
@@ -314,14 +349,17 @@ def test_random_diagonal_actions():
         assert result.shadow.brackets == {}
 
         rows = [[Fraction(0)] * (k + 1) for _ in range(k + 1)]
+        rows[k][k] = scale = Fraction(rng.randint(-2, 2))
         for i in range(k):
             for j in range(i, k):
-                rows[i][j] = Fraction(rng.randint(-2, 2))
-        rows[k][k] = Fraction(rng.randint(-2, 2))
+                if scale * weights[i] == weights[j]:
+                    rows[i][j] = Fraction(rng.randint(-2, 2))
         t = Matrix(rows)
         report = induced_shadow_map(result,
                                     endomorphism(algebra, t))
         assert report.det_input == determinant(Matrix.identity(k + 1) - t)
+        dets.add(report.det_input)
+    assert len(dets) > 2
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +447,8 @@ def test_second_shadow_of_a_split_decomposes_nothing(monkeypatch):
 def test_shadow_report_checks_the_map_once_and_takes_one_determinant(
         monkeypatch):
     # counted at every site where nilshadow, liealg and lefschetz look the
-    # two up: is_morphism reads liealg's check_morphism
+    # two up: is_morphism reads liealg's check_morphism.  One morphism check
+    # is of T on the split algebra, the other of S on the shadow
     calls = {"check_morphism": 0, "det_i_minus": 0}
     for name in calls:
         for module in (nilshadow, liealg, lefschetz):
@@ -422,19 +461,21 @@ def test_shadow_report_checks_the_map_once_and_takes_one_determinant(
     t = endomorphism(SOL3.algebra, Matrix([[-1, 0, 0], [0, 0, 2], [0, 1, 0]]))
     _, report, run = shadow_report(SOL3_SPLIT, t)
     assert report.det_input == run.lefschetz == -2
-    assert calls == {"check_morphism": 1, "det_i_minus": 1}
+    assert calls == {"check_morphism": 2, "det_i_minus": 1}
 
 
 def test_shadow_report_map_report_equals_induced_shadow_map():
-    # every catalog split with its sample maps, MIXED, and the Jordan-block
-    # maps, diag(2, 2, 3) of which is not a shadow morphism
+    # every catalog split with its sample maps, and morphisms of MIXED and
+    # of the Jordan-block example, MIXED_NOT_SHADOW of which is not a
+    # shadow morphism
     splits = _splits()
     cases = [(split, t) for name, split in zip(list_entries(), splits)
              for t in sample_endomorphisms(get(name))]
-    cases.append((splits[-2], endomorphism(MIXED,
-                                           Matrix.diagonal([2, 3, 6, -1]))))
-    cases += [(splits[-1], endomorphism(JORDAN, Matrix.diagonal(d)))
-              for d in ([6, 2, 3], [2, 2, 3])]
+    cases += [(MIXED_SPLIT, endomorphism(MIXED, m))
+              for m in (MIXED_NOT_SHADOW, Matrix.diagonal([2, 3, 6, 1]))]
+    cases += [(JORDAN_SPLIT, endomorphism(JORDAN, m))
+              for m in ([[2, 1, 0], [0, 2, 0], [0, 0, 1]],
+                        Matrix.diagonal([0, 0, 3]))]
     kinds = set()
     for split, t in cases:
         _, report, run = shadow_report(split, t)

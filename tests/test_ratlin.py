@@ -18,7 +18,8 @@ from lietrace.ratlin import (InternalConsistencyFailure, JordanParts, Matrix,
                              exterior_power, exterior_powers,
                              format_rational, inverse,
                              jordan_chevalley, kernel_and_image, kron,
-                             linear_combination, minimal_polynomial, p_subsets, parse_rational,
+                             linear_combination, minimal_polynomial, p_subsets,
+                             parse_integer, parse_rational,
                              quotient_basis, rref, squarefree_part, vanishes)
 
 from helpers import (NotInSpan, dense_matrix, greedy_complete,
@@ -39,9 +40,17 @@ def test_parse_and_format_rational():
     assert parse_rational("4/6") == Fraction(2, 3)   # canonicalized
     assert format_rational(Fraction(-3, 2)) == "-3/2"
     assert format_rational(Fraction(14, 2)) == "7"
-    for bad in ("1.5", "1e3", " 1", "1/ 2", "1/-2", "--1", "", "a", "1/0"):
+    # "5\n" passed a $-anchored match, and \d any Unicode digit, such as
+    # the Arabic-Indic three; int() alone would also take "1_0" and "+1"
+    for bad in ("1.5", "1e3", " 1", "1/ 2", "1/-2", "--1", "", "a", "1/0",
+                "5\n", "1/2\n", "\u0663", "1/\u0663", "1_0", "+1"):
         with pytest.raises(ValueError):
             parse_rational(bad)
+    assert [parse_integer(x) for x in ("0", "-12", "007")] == [0, -12, 7]
+    for bad in ("1/2", "5\n", " 5", "\u0663", "1_0", "+1", "-", ""):
+        with pytest.raises(ValueError, match=whole(
+                f"not an integer literal: {bad!r}")):
+            parse_integer(bad)
 
 
 def test_rational_canonical_form_is_stable():

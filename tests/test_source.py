@@ -16,7 +16,8 @@ other exception class of the library is one some `except` clause in it
 names: a fault that only tests tell apart is told apart by its message.
 No module imports `dataclasses`: it loads `inspect`, `ast`, `dis` and
 `tokenize` into every command-line process, and the values derive from
-`ratlin.Record` instead.
+`ratlin.Record` instead.  Every `open(` names its encoding, so a document
+reads the same under any locale.
 """
 
 import ast
@@ -218,6 +219,18 @@ def test_certificate_table_names_existing_tests():
                    node.name for node in _tree(TESTS / path).body
                    if isinstance(node, ast.FunctionDef)}]
     assert rows and not missing, f"certificate tests not found: {missing}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_open_names_an_encoding(path):
+    # a file format fixes its encoding, the locale does not: JSON is UTF-8
+    # (RFC 8259) under any locale
+    lines = [node.lineno for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             == "open"
+             and "encoding" not in [k.arg for k in node.keywords]]
+    assert not lines, f"{path.name}: open without an encoding at {lines}"
 
 
 ROOTS = {"InvalidInput", "InternalConsistencyFailure"}
