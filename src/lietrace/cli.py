@@ -43,6 +43,9 @@ _INPUT_ERRORS = (InvalidInput, OSError)
 
 
 def main(argv=None) -> int:
+    # a label the locale cannot encode prints backslash-escaped, as on stderr
+    if hasattr(sys.stdout, "reconfigure"):   # not on a StringIO
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = _build_parser()
     args = parser.parse_args(argv)
     if not hasattr(args, "handler"):
@@ -124,12 +127,13 @@ def _print_json(doc) -> None:
 
 def _cmd_check(args) -> int:
     task = _load_task(args.file)
+    if task.morphism is not None:
+        check_morphism(task.morphism)
     validate(task.algebra)
     validate_rep(task.module)
     lines = [f"algebra: ok (dim {task.algebra.dim}, Jacobi verified)",
              f"module: ok (dim {task.module.dim})"]
     if task.morphism is not None:
-        check_morphism(task.morphism)
         lines.append("map: ok (brackets preserved)")
     if task.intertwiner is not None:
         validate_intertwiner(task.intertwiner)
@@ -146,19 +150,19 @@ def _cmd_cohomology(args) -> int:
                                       task.algebra, "/module")
         if task.intertwiner is not None:
             task.intertwiner = identity_intertwiner(task.morphism, task.module)
-    system = coefficient_system(task.algebra, task.module)
-    cohom = system.cohomology
-    report = {"betti": [d.betti for d in cohom],
-              "dims": list(system.complex.dims)}
-    if task.morphism is not None:
+    report = {}
+    if task.morphism is not None:   # the report checks the map first
         maps = twisted_lefschetz(task.algebra, task.module, task.morphism,
                                  task.intertwiner).cohomology_maps
         report["maps"] = {str(p): matrix_to_doc(m) for p, m in enumerate(maps)}
+    system = coefficient_system(task.algebra, task.module)  # the report's, if any
+    report.update(betti=[d.betti for d in system.cohomology],
+                  dims=list(system.complex.dims))
     _check_split(task)
     if args.verbose:
         report["representatives"] = {
             str(p): matrix_to_doc(d.representative_basis)
-            for p, d in enumerate(cohom)}
+            for p, d in enumerate(system.cohomology)}
     if args.json:
         _print_json(report)
         return EXIT_OK

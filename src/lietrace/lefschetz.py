@@ -112,16 +112,17 @@ def twisted_lefschetz(algebra: LieAlgebra, module: Representation,
     """Full pipeline: validate, build the complex, induce maps on cohomology,
     and compare the alternating trace with det(I - A).
 
-    linearization_matrix defaults to the morphism matrix.  The algebra and
-    module are validated with their coefficient system, once per value; the
-    morphism and intertwiner, which must be over them, on every call.
+    linearization_matrix defaults to the morphism matrix.  The inputs are
+    checked in one order: the morphism, on every call and before anything
+    is built; the algebra and module with their coefficient system, once
+    per value; then the intertwiner, on every call.
     """
-    system = coefficient_system(algebra, module)
     if (morphism.source, morphism.target) != (algebra, algebra):
         raise InvalidInput("morphism is not over the given algebra")
     if (intertwiner.morphism, intertwiner.module) != (morphism, module):
         raise InvalidInput("intertwiner is over another map or module")
     check_morphism(morphism)
+    system = coefficient_system(algebra, module)
     validate_intertwiner(intertwiner)
     chain_map = induced_chain_map(system.complex, morphism, intertwiner)
     cohom = system.cohomology

@@ -13,11 +13,12 @@ unchanged for every Lie morphism T that keeps the ideal: the induced map on
 the shadow is T itself under the identity identification of underlying
 spaces, so det(I - T) is one number on both sides.
 
-build_shadow caches the shadow and the semisimple parts per split, an
-immutable value, for the MEMO_SIZE most recently used ones, so the split
-checks, the Jordan-Chevalley decompositions and the shadow's Jacobi and
-nilpotency certificates run once per split.  shadow_report is the whole
-solvmanifold report: one twisted_lefschetz checks S and gives det(I - T).
+build_shadow caches its result per split, an immutable value, for the
+MEMO_SIZE most recently used ones, so the split checks, the Jordan-Chevalley
+decompositions and the shadow's Jacobi and nilpotency certificates, read off
+the coefficient system a report on the shadow then reuses, run once per
+split.  shadow_report is the whole solvmanifold report: T is checked first,
+then one twisted_lefschetz checks S and gives det(I - T).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .lefschetz import twisted_lefschetz
+from .lefschetz import coefficient_system, twisted_lefschetz
 from .liealg import (JacobiViolation, LieAlgebra, LieMorphism, NotAMorphism,
                      check_morphism, endomorphism, is_morphism, is_nilpotent,
                      is_solvable, validate)
@@ -119,21 +120,16 @@ class ShadowResult(Record):
     semisimple_parts: tuple   # one matrix per complement generator
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def build_shadow(split: SplitPresentation) -> ShadowResult:
     """Replace each complement action by its nilpotent part.
 
     The shadow bracket keeps ideal x ideal brackets, sets complement pairs to
     zero, and lets a complement generator act on the ideal through
     nil(ad a) = ad a - semisimple(ad a).  Its Jacobi identity and nilpotency
-    hold by theorem, so they are certified.  Built on first use of the split.
+    hold by theorem, so they are certified, read off the coefficient system
+    of the shadow with the trivial module.  Built on first use of the split.
     """
-    shadow, semisimple_parts = _shadow(split)
-    return ShadowResult(split=split, shadow=shadow,
-                        semisimple_parts=semisimple_parts)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _shadow(split: SplitPresentation) -> tuple:
     parts = validate_split(split)
     algebra = split.algebra
     n = algebra.dim
@@ -156,12 +152,13 @@ def _shadow(split: SplitPresentation) -> tuple:
             brackets[(i, j)] = dict(column)
     shadow = LieAlgebra(dim=n, brackets=brackets, labels=algebra.labels)
     try:
-        validate(shadow)
+        system = coefficient_system(shadow, trivial_module(shadow))
     except JacobiViolation as err:
         raise InternalConsistencyFailure(f"shadow bracket: {err}") from err
-    if not is_nilpotent(shadow):
+    if not system.nilpotent:
         raise InternalConsistencyFailure("shadow bracket failed to be nilpotent")
-    return shadow, tuple(p.semisimple for p in parts)
+    return ShadowResult(split=split, shadow=shadow,
+                        semisimple_parts=tuple(p.semisimple for p in parts))
 
 
 class ShadowMapReport(Record):

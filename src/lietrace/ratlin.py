@@ -303,19 +303,11 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other, "+")
-        den = lcm(self.den, other.den)
-        s1, s2 = den // self.den, den // other.den
-        out = []
-        for r1, r2 in zip(self.sparse, other.sparse):
-            acc = {j: s1 * x for j, x in r1}
-            for j, x in r2:
-                acc[j] = acc[j] + s2 * x if j in acc else s2 * x
-            out.append(packed_row(acc))
-        return Matrix._of(tuple(out), self.cols, den)
+        return linear_combination([(0, 1), (1, 1)], (self, other))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other, "-")
-        return self + -other
+        return linear_combination([(0, 1), (1, -1)], (self, other))
 
     def __neg__(self) -> "Matrix":
         return Matrix._canonical(tuple(tuple((j, -x) for j, x in row)
@@ -345,13 +337,7 @@ class Matrix:
         return Matrix._of(tuple(out), other.cols, self.den * other.den)
 
     def _scaled(self, c) -> "Matrix":
-        c = as_fraction(c)
-        if not c:
-            return Matrix.zero(self.rows, self.cols)
-        a = c.numerator
-        return Matrix._of(tuple(tuple((j, a * x) for j, x in row)
-                                for row in self.sparse), self.cols,
-                          self.den * c.denominator)
+        return linear_combination([(0, as_fraction(c))], (self,))
 
     __rmul__ = _scaled
 

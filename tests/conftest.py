@@ -11,9 +11,9 @@ from lietrace import lefschetz, nilshadow, ratlin
 @pytest.fixture(autouse=True)
 def cold_caches():
     lefschetz.coefficient_system.cache_clear()
-    nilshadow._shadow.cache_clear()
+    nilshadow.build_shadow.cache_clear()
     ratlin._subset_tables.cache_clear()
     yield
     lefschetz.coefficient_system.cache_clear()
-    nilshadow._shadow.cache_clear()
+    nilshadow.build_shadow.cache_clear()
     ratlin._subset_tables.cache_clear()

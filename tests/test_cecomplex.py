@@ -12,15 +12,15 @@ from lietrace.cecomplex import (ChainMap, InternalConsistencyFailure,
                                 induced_chain_map, induced_cohomology_map)
 from lietrace.liealg import LieAlgebra, LieMorphism, endomorphism
 from lietrace.lefschetz import coefficient_system
-from lietrace.ratlin import (InvalidInput, Matrix, inverse, kernel_and_image,
-                             quotient_basis)
+from lietrace.ratlin import (InvalidInput, Matrix, determinant, inverse,
+                             kernel_and_image, quotient_basis)
 from lietrace.repn import (Intertwiner, adjoint_module, identity_intertwiner,
                            trivial_module, validate_intertwiner)
 
 from generated import generated_cases
 from helpers import (ALL_NAMES, greedy_complete, heisenberg_defining_module,
-                     random_modules, reference_differential, solve_in_span,
-                     zero_vec)
+                     random_invertible, random_modules, reference_differential,
+                     solve_in_span, zero_vec)
 
 HEIS3 = get("heisenberg3").algebra
 SOL3 = get("sol3").algebra
@@ -247,6 +247,24 @@ def test_induced_maps_are_contravariantly_functorial():
             # pullback reverses composition: (f.g)* = g*.f*
             for p in range(4):
                 assert mc[p] == mg[p] * mf[p]
+
+    # diag(A, det A) is a morphism for every A in GL_2(Q).  H^0 and H^3 are
+    # lines, but on H^1 and H^2 two such maps rarely commute: here in 196 of
+    # those 200 degrees, so the test sees the order of the product
+    def block(a):
+        return endomorphism(HEIS3, Matrix([[a[0, 0], a[0, 1], 0],
+                                           [a[1, 0], a[1, 1], 0],
+                                           [0, 0, determinant(a)]]))
+    rng = random.Random(113)
+    noncommuting = 0
+    for _ in range(100):
+        f, g = (block(random_invertible(rng, 2)) for _ in range(2))
+        mf, mg = induced(f), induced(g)
+        mc = induced(endomorphism(HEIS3, f.matrix * g.matrix))
+        for p in range(4):
+            assert mc[p] == mg[p] * mf[p]
+            noncommuting += mg[p] * mf[p] != mf[p] * mg[p]
+    assert noncommuting == 196
 
 
 def test_build_is_deterministic():

@@ -840,18 +840,19 @@ def test_first_fault_named_on_stderr(tmp_path, capsys, command, doc, message):
     assert (captured.out, captured.err) == ("", message)
 
 
-@pytest.mark.parametrize("doc, first", [
-    ({**_FAULTS[0][0], "map": {"matrix": _NON_MORPHISM}}, _FAULTS[0][1]),
-    ({**_FAULTS[1][0], "map": {"matrix": _NON_MORPHISM}}, _FAULTS[1][1]),
+@pytest.mark.parametrize("command", ["check", "lefschetz", "cohomology",
+                                     "shadow"])
+@pytest.mark.parametrize("doc", [
+    {**_FAULTS[0][0], "map": {"matrix": _NON_MORPHISM}},
+    {**_FAULTS[1][0], "map": {"matrix": _NON_MORPHISM}},
 ], ids=["algebra", "module"])
-def test_shadow_names_the_map_before_the_algebra_and_module(
-        tmp_path, capsys, doc, first):
-    # the shadow report checks T before it builds the shadow, and the
-    # module after; lefschetz checks the algebra and module first
-    path = _write(tmp_path, "faults.json", doc)
-    for command, message in (("shadow", _NOT_PRESERVED), ("lefschetz", first)):
-        assert main([command, path]) == EXIT_INVALID_INPUT
-        assert capsys.readouterr() == ("", message)
+def test_every_command_names_the_map_first(tmp_path, capsys, command, doc):
+    # one order for every command: the map, then the algebra, the module
+    # and the intertwiner; a broken algebra or module is named only once
+    # the map is a morphism
+    assert main([command, _write(tmp_path, "faults.json", doc)]) == \
+        EXIT_INVALID_INPUT
+    assert capsys.readouterr() == ("", _NOT_PRESERVED)
 
 
 def _perturb_d1(monkeypatch):
@@ -895,23 +896,52 @@ def test_complex_certificates_exit_three(tmp_path, monkeypatch, capsys,
         ("", f"internal consistency failure: {message}\n")
 
 
+def _run_under_the_c_locale(args, utf8=False, **env):
+    """`python -m lietrace.cli *args` under the C locale, whose encoding is
+    ASCII without UTF-8 mode, with no PYTHONUTF8 or PYTHONIOENCODING."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lietrace.__file__)))
+    env = {**{k: v for k, v in os.environ.items()
+              if k not in ("PYTHONUTF8", "PYTHONIOENCODING")}, **env}
+    env.update(LC_ALL="C", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-X", f"utf8={int(utf8)}", "-m",
+                           "lietrace.cli", *args],
+                          env=env, capture_output=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def test_documents_decode_as_utf8_under_any_locale(tmp_path):
-    # RFC 8259: JSON text is UTF-8, whatever the locale's encoding; under
-    # the C locale without UTF-8 mode that encoding is ASCII
+    # RFC 8259: JSON text is UTF-8, whatever the locale's encoding
     path = tmp_path / "label.json"
     path.write_bytes(json.dumps({"algebra": {"dim": 1, "basis": ["\u00e9"]}},
                                 ensure_ascii=False).encode("utf-8"))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(lietrace.__file__)))
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("PYTHONUTF8", "PYTHONIOENCODING")}
-    env.update(LC_ALL="C", PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "lietrace.cli",
-                           "check", str(path)],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        EXIT_OK, "algebra: ok (dim 1, Jacobi verified)\nmodule: ok (dim 1)\n",
-        "")
+    assert _run_under_the_c_locale(["check", str(path)]) == (
+        EXIT_OK, b"algebra: ok (dim 1, Jacobi verified)\nmodule: ok (dim 1)\n",
+        b"")
+
+
+@pytest.mark.parametrize("utf8, label", [(False, b"\\xe9"),
+                                         (True, "\u00e9".encode())],
+                         ids=["ascii", "utf8"])
+def test_labels_print_under_any_locale(tmp_path, utf8, label):
+    # a label the stdout encoding cannot hold is printed backslash-escaped,
+    # as stderr does, and a UTF-8 stdout gets it as it is
+    algebra = {"dim": 3, "basis": ["\u00e9", "x", "y"],
+               "brackets": [{"left": 0, "right": 1, "result": {"2": "1"}}]}
+    (tmp_path / "catalog").mkdir()
+    for path, doc in ((tmp_path / "task.json",
+                       {"algebra": algebra,
+                        "split": {"nil_ideal": [0, 1, 2], "complement": []}}),
+                      (tmp_path / "catalog" / "accent.json", algebra)):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    brackets = b"[" + label + b",x] = y\n"
+    assert _run_under_the_c_locale(["shadow", str(tmp_path / "task.json")],
+                                   utf8) == \
+        (EXIT_OK, b"shadow brackets: " + brackets, b"")
+    assert _run_under_the_c_locale(
+        ["catalog", "show", "accent"], utf8,
+        LEFSCHETZ_CATALOG_DIR=str(tmp_path / "catalog")) == \
+        (EXIT_OK, b"accent: dim 3, nilpotent\n  brackets: " + brackets, b"")
 
 
 def test_cli_import_loads_no_dataclasses_machinery():

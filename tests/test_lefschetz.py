@@ -536,3 +536,21 @@ def test_second_map_on_a_coefficient_system_eliminates_nothing(monkeypatch):
     second = twisted_lefschetz(*_filiform_adjoint(6, t=3))
     assert calls == []
     assert first.betti == second.betti and second.lefschetz == second.hopf
+
+
+def test_a_non_morphism_is_refused_before_any_complex_is_built(monkeypatch):
+    # the map is checked first, so a refused map costs no complex, and its
+    # coefficient system is not cached
+    calls = []
+
+    def counting(*args, real=cecomplex.build_complex):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr("lietrace.lefschetz.build_complex", counting)
+    f = endomorphism(HEIS3, Matrix.diagonal([2, 3, 5]))
+    module = trivial_module(HEIS3)
+    with pytest.raises(InvalidInput, match=whole(
+            "bracket not preserved on basis pair (0,1), defect (0, 0, 1)")):
+        twisted_lefschetz(HEIS3, module, f, identity_intertwiner(f, module))
+    assert calls == []
+    assert coefficient_system.cache_info().currsize == 0

@@ -296,7 +296,7 @@ def test_transport_refuses_non_morphisms(split, diagonal, pair, defect):
     with pytest.raises(InvalidInput) as err:
         shadow_report(split, t)
     assert str(err.value) == message
-    assert nilshadow._shadow.cache_info().misses == 0
+    assert nilshadow.build_shadow.cache_info().misses == 0
     with pytest.raises(InvalidInput) as err:
         induced_shadow_map(build_shadow(split), t)
     assert str(err.value) == message
@@ -380,7 +380,7 @@ def _splits():
 def test_shadow_hit_equals_cold_result():
     cold = []
     for split in _splits():
-        nilshadow._shadow.cache_clear()
+        nilshadow.build_shadow.cache_clear()
         cold.append(build_shadow(split))
     warm = [build_shadow(split) for split in _splits()]
     assert warm == cold
@@ -391,7 +391,7 @@ def test_shadow_hit_equals_cold_result():
                                   nil_ideal=entry.split[0],
                                   complement=entry.split[1])
         for t in sample_endomorphisms(entry):
-            nilshadow._shadow.cache_clear()
+            nilshadow.build_shadow.cache_clear()
             first = induced_shadow_map(build_shadow(split), t)
             second = induced_shadow_map(build_shadow(split), t)
             assert first == second and repr(first) == repr(second)
@@ -419,7 +419,7 @@ def test_invalid_split_raises_on_every_call():
             build_shadow(split)
         errors.append(err.value)
     assert errors[0] is not errors[1]
-    assert nilshadow._shadow.cache_info().currsize == 0
+    assert nilshadow.build_shadow.cache_info().currsize == 0
 
 
 def test_second_shadow_of_a_split_decomposes_nothing(monkeypatch):
@@ -462,6 +462,25 @@ def test_shadow_report_checks_the_map_once_and_takes_one_determinant(
     _, report, run = shadow_report(SOL3_SPLIT, t)
     assert report.det_input == run.lefschetz == -2
     assert calls == {"check_morphism": 2, "det_i_minus": 1}
+
+
+def test_cold_shadow_report_validates_each_algebra_once(monkeypatch):
+    # sol3 and its shadow are each checked for Jacobi once, and the marked
+    # ideal and the shadow each decided nilpotent once: the shadow's
+    # certificates and its Lefschetz report read one coefficient system.
+    # Counted at every site where nilshadow, liealg and lefschetz look the
+    # two up
+    calls = {"validate": 0, "is_nilpotent": 0}
+    for name in calls:
+        for module in (nilshadow, liealg, lefschetz):
+            def counting(*args, _name=name, _original=getattr(module, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(module, name, counting)
+    t = endomorphism(SOL3.algebra, Matrix([[-1, 0, 0], [0, 0, 2], [0, 1, 0]]))
+    _, report, run = shadow_report(SOL3_SPLIT, t)
+    assert report.det_input == run.lefschetz == -2
+    assert calls == {"validate": 2, "is_nilpotent": 2}
 
 
 def test_shadow_report_map_report_equals_induced_shadow_map():
