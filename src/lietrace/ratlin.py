@@ -3,11 +3,13 @@
 A Matrix is the integer nonzeros of its rows over one positive denominator,
 in lowest terms.  Products, sums, kron, traces and exterior powers multiply
 only integers and walk only the nonzeros (the cochain differentials are a
-few percent nonzero); rref eliminates fraction-free on the integer rows,
-and determinant, det(I - m) and inverse share one fraction-free (Bareiss)
-kernel on them.  Every identity the library certifies (d o d = 0, chain maps,
-cocycle images, brackets) is a sum of c * a * b that one kernel, vanishes,
-checks row by row, stopping at the first nonzero row, without building the
+few percent nonzero): no empty row is packed, scanned or divided, and a
+product row from a left row with one nonzero is its partner row, scaled.
+rref eliminates fraction-free on the integer rows, and determinant,
+det(I - m) and inverse share one fraction-free (Bareiss) kernel on them.
+Every identity the library certifies (d o d = 0, chain maps, cocycle
+images, brackets) is a sum of c * a * b that one kernel, vanishes, checks
+row by row, stopping at the first nonzero row, without building the
 products.  The reduced row echelon form is unique, so every derived
 basis (kernels, images, cohomology representatives, each a Matrix whose
 rows are the basis vectors) is the one elimination over Fraction gives, on
@@ -216,11 +218,14 @@ class Matrix:
 
     @classmethod
     def _of(cls, sparse: tuple, cols: int, den: int = 1) -> "Matrix":
-        """The integer `sparse` rows over `den` > 0, put in lowest terms."""
-        g = gcd(den, *[x for row in sparse for _, x in row]) if den > 1 else 1
-        if g > 1:
-            den //= g
-            sparse = tuple(tuple((j, x // g) for j, x in row) for row in sparse)
+        """The integer `sparse` rows over `den` > 0, put in lowest terms,
+        walking only the non-empty rows."""
+        if den > 1:
+            g = gcd(den, *[x for row in sparse if row for _, x in row])
+            if g > 1:
+                den //= g
+                sparse = tuple([tuple([(j, x // g) for j, x in row])
+                                if row else () for row in sparse])
         return cls._canonical(sparse, cols, den)
 
     @classmethod
@@ -316,7 +321,8 @@ class Matrix:
 
     def __mul__(self, other):
         """Matrix product, or a scaling by a number.  A product with a
-        square identity over 1 is the other factor itself."""
+        square identity over 1 is the other factor itself, and a left row
+        with one nonzero (k, a) is row k of the other factor times a."""
         if not isinstance(other, Matrix):
             return self._scaled(other)
         if self.cols != other.rows:
@@ -329,6 +335,12 @@ class Matrix:
         brows = other.sparse
         out = []
         for row in self.sparse:
+            if len(row) == 1:
+                ((k, a),) = row
+                brow = brows[k]
+                out.append(tuple([(j, a * b) for j, b in brow]) if brow
+                           else ())
+                continue
             acc = {}
             for k, a in row:
                 for j, b in brows[k]:
@@ -749,10 +761,10 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     g = gcd(den, gcd(*[x for row in a.sparse for _, x in row])
             * gcd(*[y for row in b.sparse for _, y in row]))
     width = b.cols
-    return Matrix._canonical(tuple(
-        tuple((ja * width + jb, x * y // g) for ja, x in arow
-              for jb, y in brow)
-        for arow in a.sparse for brow in b.sparse), a.cols * b.cols, den // g)
+    return Matrix._canonical(tuple([
+        tuple([(ja * width + jb, x * y // g) for ja, x in arow
+               for jb, y in brow])
+        for arow in a.sparse for brow in b.sparse]), a.cols * b.cols, den // g)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,14 @@ re-raising, so the gate reads as a checklist under `pytest -s`.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
 from functools import wraps
 
+import lietrace
 from lietrace.catalog import (get, random_graded_endomorphism,
                               sample_endomorphisms)
 from lietrace.cecomplex import (betti_numbers, build_complex, cohomology,
@@ -299,8 +301,13 @@ def test_lefschetz_json_is_byte_identical(tmp_path):
     path.write_text(json.dumps(doc))
     cmd = [sys.executable, "-m", "lietrace.cli", "lefschetz", str(path),
            "--json"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    # the child imports this checkout's library whatever PYTHONPATH holds
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lietrace.__file__)))
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                                 if p)
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    first = subprocess.run(cmd, capture_output=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, env=env)
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout and first.stdout == second.stdout
     return "two lefschetz --json runs byte-identical"

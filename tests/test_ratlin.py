@@ -613,6 +613,40 @@ def test_kron_cells_are_built_in_lowest_terms(case):
     _assert_same(kron(b, a), reference_kron(b, a))
 
 
+_MUL_CASES = {
+    # a one-entry left row is the right factor's row, scaled
+    "one-entry-into-empty-rows": (Matrix([[0, "2/3", 0], [-3, 0, 0],
+                                          [0, 0, 5]]),
+                                  Matrix([[0, 0, 0], [0, 0, 0],
+                                          ["1/2", 0, -2]])),
+    "one-entry-into-multi-entry-rows": (Matrix([["-3/2", 0, 0], [0, 0, 4],
+                                                [0, 1, 0]]),
+                                        Matrix([[1, "2/5", 0], [0, 0, 0],
+                                                [-6, 0, "3/7"]])),
+    # the product numerators share a factor 2 with den 4: the division in
+    # lowest terms skips the empty rows
+    "gcd-above-one-with-empty-rows": (Matrix([["1/2", "1/2", 0], [0, 0, 0],
+                                              [0, "3/4", 0], [0, 0, 0]]),
+                                      Matrix([[2, 4, 0], [0, 6, 0],
+                                              [0, 0, 0]])),
+    "one-entry-into-non-square": (Matrix([[0, "1/3"], [-2, 0], [0, 0]]),
+                                  Matrix([[1, 0, "-1/2", 0, 3],
+                                          [0, 0, 0, 6, 0]])),
+    "zero-left": (Matrix.zero(2, 3), Matrix([["1/2", 1], [0, 0], [3, 0]])),
+    "zero-right": (Matrix([["1/2", 0, 2], [0, 5, 0]]), Matrix.zero(3, 2)),
+    "0xn-left": (Matrix.zero(0, 3), Matrix([[1, "2/3"], [0, 4], [5, 0]])),
+    "nx0-into-0xn": (Matrix.zero(2, 0), Matrix.zero(0, 3)),
+}
+
+
+@pytest.mark.parametrize("case", _MUL_CASES.values(), ids=_MUL_CASES.keys())
+def test_products_of_pinned_rows_equal_dense_reference(case):
+    a, b = case
+    _assert_same(a * b, reference_mul(a, b))
+    if b.cols == a.rows:
+        _assert_same(b * a, reference_mul(b, a))
+
+
 def test_kron_with_the_one_by_one_identity_is_the_matrix_itself():
     a, one = Matrix([["-3/4", 0, 2], [0, 0, 0]]), Matrix.identity(1)
     assert kron(a, one) is a
