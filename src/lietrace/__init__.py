@@ -9,7 +9,7 @@ solvable algebras), torus_oracle (independent fixed point counts), catalog
 (built-in examples), cli (command line).
 """
 
-from .ratlin import (Matrix, determinant, exterior_power, jordan_chevalley,
+from .ratlin import (Matrix, determinant, exterior_powers, jordan_chevalley,
                      minimal_polynomial, rref)
 from .liealg import (LieAlgebra, LieMorphism, ad, bracket, check_morphism,
                      endomorphism, is_nilpotent, is_solvable, series, validate)
@@ -25,7 +25,7 @@ from .torus_oracle import TorusMap, count_fixed_points, cross_check_with_ce
 from . import catalog
 
 __all__ = [
-    "Matrix", "determinant", "exterior_power", "jordan_chevalley",
+    "Matrix", "determinant", "exterior_powers", "jordan_chevalley",
     "minimal_polynomial", "rref",
     "LieAlgebra", "LieMorphism", "ad", "bracket", "check_morphism",
     "endomorphism", "is_nilpotent", "is_solvable", "series", "validate",

@@ -114,7 +114,9 @@ def _load_entry(name: str, path: str) -> CatalogEntry:
     if not isinstance(doc, dict):
         raise InvalidDocument(root, "expected a top-level object")
     try:
-        algebra = algebra_from_doc(doc.get("algebra", doc), "/algebra")
+        wrapped = "algebra" in doc   # else a bare algebra document
+        algebra = algebra_from_doc(doc["algebra"] if wrapped else doc,
+                                   "/algebra" if wrapped else "")
         grading = split = None
         if "grading" in doc:
             grading = grading_from_doc(doc["grading"], algebra.dim)

@@ -61,7 +61,7 @@ def _differential(algebra: LieAlgebra, module: Representation, p: int) -> Matrix
     block (T, R + k) for each l e_k in [e_i, e_j] with k not in R: a and b
     are the places of i and j in T, c that of k in R + k."""
     n, m = algebra.dim, module.dim
-    _, grow, targets = subset_tables(n, p + 1)
+    _, grow, targets = subset_tables(n)[p + 1]
     rows = [{} for _ in range(len(targets) * m)]
     brackets, bracket_den = integer_brackets(algebra)
     den = lcm(bracket_den, *[action.den for action in module.actions])
@@ -78,7 +78,7 @@ def _differential(algebra: LieAlgebra, module: Representation, p: int) -> Matrix
                     acc[col] = acc[col] + term if col in acc else term
     # second sum: bracket keys have i < j, so i sits at the same place in
     # R + i as in T; k in R would repeat an argument, which gives 0
-    for faces in subset_tables(n, p)[1]:      # none in degree 0
+    for faces in subset_tables(n)[p][1]:      # none in degree 0
         for i, (ri, oi) in faces.items():
             for j, (t, oj) in grow[ri].items():
                 for k, c in brackets.get((i, j), {}).items():

@@ -22,14 +22,13 @@ import sys
 
 from . import catalog as catalog_mod
 from .documents import (InvalidDocument, algebra_to_doc, cap_cochains,
-                        load_json, matrix_to_doc, module_from_doc,
-                        task_from_doc)
+                        load_json, matrix_to_doc, task_from_doc)
 from .lefschetz import coefficient_system, twisted_lefschetz
 from .liealg import check_morphism, is_nilpotent, is_solvable, validate
 from .nilshadow import (SplitPresentation, build_shadow, shadow_report,
                         validate_split)
 from .ratlin import InvalidInput, format_rational, parse_integer
-from .repn import identity_intertwiner, validate_intertwiner, validate_rep
+from .repn import validate_intertwiner, validate_rep
 from .torus_oracle import TorusMap, cross_check_with_ce
 
 EXIT_OK = 0
@@ -103,8 +102,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_task(path: str):
-    return task_from_doc(load_json(path))
+def _load_task(path: str, module_path: str | None = None):
+    doc = load_json(path)
+    module_doc = load_json(module_path, "/module") if module_path else None
+    return task_from_doc(doc, module_doc)
 
 
 def _split_presentation(task) -> SplitPresentation:
@@ -144,12 +145,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_cohomology(args) -> int:
-    task = _load_task(args.file)
-    if args.module:
-        task.module = module_from_doc(load_json(args.module, "/module"),
-                                      task.algebra, "/module")
-        if task.intertwiner is not None:
-            task.intertwiner = identity_intertwiner(task.morphism, task.module)
+    task = _load_task(args.file, args.module)
     report = {}
     if task.morphism is not None:   # the report checks the map first
         maps = twisted_lefschetz(task.algebra, task.module, task.morphism,

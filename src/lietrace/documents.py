@@ -167,7 +167,10 @@ class TaskDocument:
         self.split = split                  # (nil_ideal, complement) or None
 
 
-def task_from_doc(doc) -> TaskDocument:
+def task_from_doc(doc, module_doc=None) -> TaskDocument:
+    """The task of a parsed document.  module_doc, a --module file, stands
+    in for the module field, which is still parsed first; the intertwiner
+    is built against the module in force."""
     from .catalog import UnknownEntry, get
     from .repn import trivial_module
 
@@ -193,6 +196,8 @@ def task_from_doc(doc) -> TaskDocument:
     module = trivial_module(algebra)
     if "module" in doc:
         module = module_from_doc(doc["module"], algebra, "/module")
+    if module_doc is not None:
+        module = module_from_doc(module_doc, algebra, "/module")
 
     morphism = None
     if "map" in doc:

@@ -13,8 +13,9 @@ kernel, ratlin.vanishes, checks row by row, stopping at the first nonzero
 row, without building the products: bracket_terms gives
 rho([e_i, e_j]) - [rho(e_i), rho(e_j)] for any action matrices, Jacobi is
 that identity for the basis ads, and a morphism f satisfies
-ad(f e_i) f = f ad(e_i).  Only a failed check builds its two sides, to
-report the defect.  The series are sparse reduced row spaces.
+ad(f e_i) f = f ad(e_i).  A failed check names its defect from the very
+terms it checked (_defect), and one with no defect is a library bug.
+The series are sparse reduced row spaces.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from functools import cached_property
 from math import lcm
 from types import MappingProxyType
 
-from .ratlin import (InvalidInput, Matrix, Record, Vector, as_fraction,
-                     format_vector, linear_combination, p_subsets,
-                     packed_row, rref, vanishes)
+from .ratlin import (InternalConsistencyFailure, InvalidInput, Matrix,
+                     Record, Vector, as_fraction, format_vector,
+                     linear_combination, p_subsets, packed_row, rref,
+                     vanishes)
 
 
 class JacobiViolation(InvalidInput):
@@ -105,20 +107,15 @@ def validate(algebra: LieAlgebra) -> None:
     """Check the Jacobi identity on all basis triples i < j < k.
 
     Jacobi says that ad is a representation: bracket_terms on the basis
-    ads, pair by pair.  Where they do not vanish, column k > j of
-    represented_bracket's difference is the defect [[e_i,e_j],e_k] +
-    [[e_j,e_k],e_i] + [[e_k,e_i],e_j]; triples are visited in lexicographic
-    order.
+    ads, pair by pair.  Where they do not vanish, column k > j of their sum
+    is the defect [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j];
+    triples are visited in lexicographic order.
     """
-    n = algebra.dim
     ads = algebra.basis_ads
-    for i, j in p_subsets(n - 1, 2):
-        if not vanishes(bracket_terms(algebra, ads, i, j)):
-            lhs, rhs = represented_bracket(algebra, ads, i, j)
-            defects = (lhs - rhs).transpose()
-            for k in range(j + 1, n):
-                if defects.sparse[k]:
-                    raise JacobiViolation(i, j, k, defects.row(k))
+    for i, j in p_subsets(algebra.dim - 1, 2):
+        terms = bracket_terms(algebra, ads, i, j)
+        if not vanishes(terms):
+            raise JacobiViolation(i, j, *_defect(terms, j))
 
 
 def bracket_terms(algebra: LieAlgebra, actions: tuple, i: int,
@@ -132,14 +129,19 @@ def bracket_terms(algebra: LieAlgebra, actions: tuple, i: int,
             + [(-1, actions[i], actions[j]), (1, actions[j], actions[i])])
 
 
-def represented_bracket(algebra: LieAlgebra, actions: tuple, i: int,
-                        j: int) -> tuple[Matrix, Matrix]:
-    """(rho([e_i, e_j]), [rho(e_i), rho(e_j)]) as matrices, built only to
-    report the defect of a failed bracket_terms check; the first is the sum
-    of c rho(e_k) over the structure constants of (i, j)."""
-    return (linear_combination(algebra.brackets.get((i, j), {}).items(),
-                               actions),
-            actions[i] * actions[j] - actions[j] * actions[i])
+def _defect(terms: list, after: int, den: int = 1) -> tuple[int, Vector]:
+    """(k, column k): the first nonzero column k > after of the sum of
+    c * a * b / den over the ratlin.vanishes `terms` of a failed check.
+    Earlier columns repeat a basis tuple checked before or vanish by
+    antisymmetry, so where there is none the library is wrong."""
+    total = linear_combination(
+        [(t, c) for t, (c, _, _) in enumerate(terms)],
+        [a if b is None else a * b for _, a, b in terms], den).transpose()
+    for k in range(after + 1, total.rows):
+        if total.sparse[k]:
+            return k, total.row(k)
+    raise InternalConsistencyFailure(
+        f"a failed bracket check has no nonzero column past {after}")
 
 
 def integer_brackets(algebra: LieAlgebra) -> tuple[dict, int]:
@@ -244,22 +246,16 @@ def check_morphism(f: LieMorphism) -> None:
 
     For each i, ad(f e_i) f - f ad(e_i) must vanish; times den, the
     denominator of f, that is the terms c ad(e_k) f over the integers c of
-    column i of f, and -den f ad(e_i).  Where it does not, the two sides
-    are built and column j > i of their difference is the defect
-    [f e_i, f e_j] - f[e_i, e_j].
+    column i of f, and -den f ad(e_i).  Where it does not, column j > i of
+    their sum over den is the defect [f e_i, f e_j] - f[e_i, e_j].
     """
-    src, m = f.source, f.matrix
-    src_ads, tgt_ads = src.basis_ads, f.target.basis_ads
-    images = m.transpose().sparse
-    for i in range(src.dim - 1):
-        if not vanishes([(c, tgt_ads[k], m) for k, c in images[i]]
-                        + [(-m.den, m, src_ads[i])]):
-            lhs = linear_combination(images[i], tgt_ads, m.den) * m
-            rhs = m * src_ads[i]
-            defects = (lhs - rhs).transpose()
-            for j in range(i + 1, src.dim):
-                if defects.sparse[j]:
-                    raise NotAMorphism(i, j, defects.row(j))
+    m = f.matrix
+    src_ads, tgt_ads = f.source.basis_ads, f.target.basis_ads
+    for i, column in enumerate(m.transpose().sparse[:-1]):
+        terms = ([(c, tgt_ads[k], m) for k, c in column]
+                 + [(-m.den, m, src_ads[i])])
+        if not vanishes(terms):
+            raise NotAMorphism(i, *_defect(terms, i, m.den))
 
 
 def is_morphism(f: LieMorphism) -> bool:

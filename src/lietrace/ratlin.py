@@ -670,14 +670,10 @@ def p_subsets(n: int, p: int) -> list[tuple[int, ...]]:
 
 
 def exterior_powers(m: Matrix) -> list[Matrix]:
-    """Lambda^0 m .. Lambda^n m.  Rows and columns of Lambda^p are indexed
-    by the lexicographic p-subsets of subset_tables; entry (S, T) is the
-    minor of m with rows S and columns T."""
-    return list(_exterior_powers(m))
-
-
-def _exterior_powers(m: Matrix):
-    """Lambda^0 m, Lambda^1 m, ... generated degree by degree, from the
+    """Lambda^0 m .. Lambda^n m, Lambda^0 m == [1] and Lambda^1 m == m,
+    multiplicative (Cauchy-Binet).  Rows and columns of Lambda^p are
+    indexed by the lexicographic p-subsets of subset_tables; entry (S, T)
+    is the minor of m with rows S and columns T.  They are built from the
     integer rows M of m over their own denominators d: row S of Lambda^p m
     is row S of Lambda^p M over the product of d_s for s in S.
 
@@ -685,16 +681,15 @@ def _exterior_powers(m: Matrix):
     minors: with s the first row of S, minor(S, T) is the sum over positions
     k of (-1)^k M[s][T[k]] minor(S - s, T - T[k]).  It is accumulated over
     the nonzeros of row s of M and of row S - s of Lambda^(p-1) M, through
-    subset_tables, which the cochain differentials read too.
+    the tables of subset_tables(n), which the cochain differentials read too.
     """
     if not m.is_square():
         raise ValueError("exterior power of non-square matrix")
     n = m.rows
     mrows, d = _in_lowest_terms(m.sparse, [m.den] * n)
     prev, prev_dens = _IDENTITY_1.sparse, [1]
-    yield _IDENTITY_1
-    for p in range(1, n + 1):
-        heads, grow, _ = subset_tables(n, p)
+    powers = [_IDENTITY_1]
+    for heads, grow, _ in subset_tables(n)[1:]:
         rows, dens = [], []
         for s, face_row in heads:
             mrow = mrows[s]
@@ -710,43 +705,31 @@ def _exterior_powers(m: Matrix):
             dens.append(d[s] * prev_dens[face_row])
         prev, prev_dens = rows, dens
         sparse, den = _over_lcm_of_rows(rows, dens)
-        yield Matrix._canonical(sparse, len(heads), den)
+        powers.append(Matrix._canonical(sparse, len(heads), den))
+    return powers
 
 
-def subset_tables(n: int, p: int) -> tuple:
-    """(heads, grow, subsets) of degree p in dimension n: the one place
-    where p-subsets are indexed and an insertion into one is signed, for
-    the exterior powers and the cochain differentials.  subsets are the
-    lexicographic p-subsets; heads[S] = (first element s, index of S - s);
-    grow[F][t] = (index of F + t, whether t sits at an odd place in it) for
-    each (p-1)-subset F and t not in F.  Degree 0 holds the empty subset;
-    degree p is built on first use from degree p - 1's subsets and kept,
-    for the MEMO_SIZE most recent n."""
-    tables = _subset_tables(n)
-    if p not in tables:
-        index = {s: i for i, s in enumerate(subset_tables(n, p - 1)[2])}
+@lru_cache(maxsize=MEMO_SIZE)
+def subset_tables(n: int) -> tuple:
+    """The (heads, grow, subsets) of every degree p = 0..n in dimension n,
+    the one place where p-subsets are indexed and an insertion into one is
+    signed, for the exterior powers and the cochain differentials.  subsets
+    are the lexicographic p-subsets; heads[S] = (first element s, index of
+    S - s); grow[F][t] = (index of F + t, whether t sits at an odd place in
+    it) for each (p-1)-subset F and t not in F.  Degree 0 holds the empty
+    subset; each degree is built from the subsets of the one below, all in
+    one pass on the first use of n, and kept for the MEMO_SIZE most recent
+    n."""
+    tables = [((), (), [()])]
+    for p in range(1, n + 1):
+        index = {s: i for i, s in enumerate(tables[-1][2])}
         subsets = p_subsets(n, p)
         grow = [{} for _ in index]
         for col, cols in enumerate(subsets):
             for k, t in enumerate(cols):
                 grow[index[cols[:k] + cols[k + 1:]]][t] = (col, k % 2 == 1)
-        tables[p] = [(s[0], index[s[1:]]) for s in subsets], grow, subsets
-    return tables[p]
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _subset_tables(n: int) -> dict:
-    """Degree -> subset_tables(n, degree), filled in on demand."""
-    return {0: ((), (), [()])}
-
-
-def exterior_power(m: Matrix, p: int) -> Matrix:
-    """p-th exterior power, built up to degree p only.  Multiplicative
-    (Cauchy-Binet), Lambda^1 m == m and Lambda^0 m == [1]."""
-    for q, power in enumerate(_exterior_powers(m)):
-        if q == p:
-            return power
-    raise ValueError(f"degree {p} not in 0..{m.rows}")
+        tables.append(([(s[0], index[s[1:]]) for s in subsets], grow, subsets))
+    return tuple(tables)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

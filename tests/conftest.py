@@ -12,8 +12,8 @@ from lietrace import lefschetz, nilshadow, ratlin
 def cold_caches():
     lefschetz.coefficient_system.cache_clear()
     nilshadow.build_shadow.cache_clear()
-    ratlin._subset_tables.cache_clear()
+    ratlin.subset_tables.cache_clear()
     yield
     lefschetz.coefficient_system.cache_clear()
     nilshadow.build_shadow.cache_clear()
-    ratlin._subset_tables.cache_clear()
+    ratlin.subset_tables.cache_clear()

@@ -263,6 +263,41 @@ def reference_exterior_power(m: Matrix, p: int) -> Matrix:
                    for s in subsets])
 
 
+def _restricted_trace(f: Matrix, basis: list) -> Fraction:
+    """tr(f | V) for the span V of the independent dense column vectors in
+    `basis`, which f maps into V: the trace of the coefficients of each
+    f v in the basis, f v summed over the nonzero entries of f."""
+    if not basis:
+        return Fraction(0)
+    images = [[sum((x * v[j] for j, x in enumerate(row) if x), Fraction(0))
+               for row in f.entries] for v in basis]
+    coefficients = reference_solve_all_in_span(dense_matrix(basis, f.cols),
+                                               dense_matrix(images, f.rows))
+    return sum((coefficients.entries[i][i] for i in range(len(basis))),
+               Fraction(0))
+
+
+def reference_cohomology_traces(algebra: LieAlgebra, f, xi) -> list:
+    """tr H^p(F) for p = 0..n as tr(F_p | Z^p) - tr(F_p | B^p), with d_p,
+    F_p = Lambda^p f^T (x) xi, Z^p and B^p rebuilt from the dense
+    references alone.  Z^p and B^p are F_p-invariant, so the identity holds
+    in any basis; the Hopf certificate sees only the alternating sum."""
+    n, module = algebra.dim, xi.module
+    ft = reference_transpose(f.matrix)
+    traces, coboundaries = [], []               # B^0 = 0
+    for p in range(n + 1):
+        block = reference_kron(reference_exterior_power(ft, p), xi.matrix)
+        if p < n:
+            cocycles, image = reference_kernel_and_image(
+                reference_differential(algebra, module, p))
+        else:                                   # Z^n = C^n
+            cocycles, image = list(Matrix.identity(block.rows).entries), []
+        traces.append(_restricted_trace(block, cocycles)
+                      - _restricted_trace(block, coboundaries))
+        coboundaries = image
+    return traces
+
+
 def det_a_minus_i(rows) -> Fraction:
     """det(A - I) of the integer rows A, from fraction_gauss_jordan."""
     return fraction_gauss_jordan([[x - (i == j) for j, x in enumerate(row)]

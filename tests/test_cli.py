@@ -178,6 +178,30 @@ def test_cohomology_module_override(tmp_path, capsys):
     assert json.loads(out)["betti"] == [1, 4, 5, 2]
 
 
+@pytest.mark.parametrize("extra, code, err", [
+    ({"intertwiner": {"matrix": [["1/2", "0", "0"], ["0", "1/3", "0"],
+                                 ["0", "0", "1/6"]]}}, EXIT_OK, ""),
+    ({}, EXIT_INVALID_INPUT,
+     "invalid input: intertwiner not equivariant at basis vector 0\n"),
+    ({"intertwiner": {"matrix": [["5"]]}}, EXIT_INVALID_INPUT,
+     "invalid input: /intertwiner/matrix: expected 3 rows, got 1\n"),
+], ids=["inverse", "default", "trivial-shaped"])
+def test_cohomology_module_override_keeps_the_intertwiner(tmp_path, capsys,
+                                                          extra, code, err):
+    # the document's intertwiner, or the identity by default, is built
+    # against the --module module: for the adjoint module of heisenberg3
+    # and f = diag(2, 3, 6), xi = f^-1 is equivariant and xi = 1 is not
+    from lietrace.catalog import get
+    from lietrace.documents import matrix_to_doc
+
+    module_path = _write(tmp_path, "module.json", {
+        "dim": 3, "actions": [matrix_to_doc(a) for a in
+                              get("heisenberg3").algebra.basis_ads]})
+    assert main(["cohomology", _task_heis(tmp_path, **extra), "--module",
+                 module_path]) == code
+    assert capsys.readouterr().err == err
+
+
 def test_lefschetz_agreeing_run(tmp_path, capsys):
     code = main(["lefschetz", _task_heis(tmp_path), "--json"])
     out = capsys.readouterr().out
@@ -204,6 +228,15 @@ def test_lefschetz_disagreeing_run_exits_one(tmp_path, capsys):
     assert doc["det_i_minus_a"] == "-10"
     assert doc["agree"] is False
     assert "intertwiner trace" in doc["note"]
+
+
+def test_lefschetz_text_note(tmp_path, capsys):
+    path = _task_heis(tmp_path, intertwiner={"matrix": [["5"]]})
+    assert main(["lefschetz", path]) == EXIT_VERDICT_FALSE
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "agree: no",
+        "note: disagreement is expected: twisted coefficients with "
+        "intertwiner trace != 1 rescale the cohomological side"]
 
 
 def test_lefschetz_solvable_note(tmp_path, capsys):
@@ -598,6 +631,7 @@ def test_external_catalog_entry_errors_exit_two(tmp_path, monkeypatch, capsys):
                        "#/grading: expected 3 positive integer weights"),
         "notanobject": ([algebra], "#: expected a top-level object"),
         "badalgebra": ({"algebra": {"dim": 0}}, "#/algebra"),
+        "bare": ({"dim": 0}, "#/dim: expected a positive integer"),
     }
     for name, (doc, _) in entries.items():
         _write(catalog_dir, f"{name}.json", doc)
@@ -733,6 +767,9 @@ def test_catalog_commands(capsys):
     assert main(["catalog", "show", "heisenberg3"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "nilpotent" in out and "[e0,e1] = e2" in out
+
+    assert main(["catalog", "show", "sol3"]) == EXIT_OK
+    assert "  split: ideal [1, 2], complement [0]\n" in capsys.readouterr().out
 
     assert main(["catalog", "export", "sol3"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)

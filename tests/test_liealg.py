@@ -348,3 +348,16 @@ def test_second_check_morphism_builds_no_ads(monkeypatch):
     check_morphism(f)
     assert rows == []
     assert adjoint_module(algebra).actions is algebra.basis_ads
+
+
+def test_failed_check_without_a_defect_is_a_library_bug(monkeypatch):
+    # A failed bracket check names its defect from the terms it checked;
+    # when they sum to no defect the check is wrong, which must not pass as
+    # a valid input
+    monkeypatch.setattr(liealg, "vanishes", lambda terms: False)
+    with pytest.raises(ratlin.InternalConsistencyFailure,
+                       match="no nonzero column past 1"):
+        validate(get("heisenberg5").algebra)
+    with pytest.raises(ratlin.InternalConsistencyFailure,
+                       match="no nonzero column past 0"):
+        check_morphism(endomorphism(HEIS3, Matrix.diagonal([2, 3, 6])))

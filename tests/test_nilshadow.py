@@ -41,6 +41,12 @@ JORDAN_SPLIT = SplitPresentation(algebra=JORDAN, nil_ideal=(0, 1),
 MIXED_NOT_SHADOW = [[0, 2, 0, 1], [0, 1, 0, 0], [0, -1, 0, 0], [0, 0, 0, 1]]
 SOL3_SPLIT = SplitPresentation(algebra=SOL3.algebra, nil_ideal=(1, 2),
                                complement=(0,))
+# two complement generators: ad(e0) is a Jordan block on (e2, e3) and
+# ad(e1) scales e4, so the shadow keeps [e0,e2]' = e3 and drops [e1,e4]
+TWO = LieAlgebra(dim=5, brackets={(0, 2): {2: 1, 3: 1}, (0, 3): {3: 1},
+                                  (1, 4): {4: 1}})
+TWO_SPLIT = SplitPresentation(algebra=TWO, nil_ideal=(2, 3, 4),
+                              complement=(0, 1))
 
 
 def _sol3_shadow() -> ShadowResult:
@@ -78,6 +84,34 @@ def test_mixed_shadow_frozen():
                                             complement=(3,)))
     assert result.shadow.brackets == {(0, 1): {2: Fraction(1)}}
     assert result.semisimple_parts == (Matrix.diagonal([1, 1, 2, 0]),)
+
+
+def test_two_generator_complement_frozen(tmp_path, capsys):
+    # the complement x complement bracket [e0,e1]' is zero and the two
+    # semisimple parts commute; the shadow is heisenberg3 times a 2-torus
+    result = build_shadow(TWO_SPLIT)
+    assert result.semisimple_parts == (Matrix.diagonal([0, 0, 1, 1, 0]),
+                                       Matrix.diagonal([0, 0, 0, 0, 1]))
+    assert result.shadow.brackets == {(0, 2): {3: Fraction(1)}}
+    assert is_nilpotent(result.shadow)
+    t = endomorphism(TWO, Matrix.diagonal([-1, -1, 0, 0, 0]))
+    report, run = _shadow_lefschetz(TWO_SPLIT, t)
+    assert report.det_input == run.lefschetz == 4
+    assert run.betti == (1, 4, 7, 7, 4, 1)
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({
+        "algebra": algebra_to_doc(TWO),
+        "split": {"nil_ideal": [2, 3, 4], "complement": [0, 1]},
+        "map": {"matrix": [[str(x) for x in row]
+                           for row in t.matrix.entries]}}))
+    assert main(["shadow", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "agree": True, "det_i_minus_t": "4", "is_shadow_morphism": True,
+        "shadow": {"basis": ["e0", "e1", "e2", "e3", "e4"],
+                   "brackets": [{"left": 0, "right": 2,
+                                 "result": {"3": "1"}}],
+                   "dim": 5},
+        "shadow_lefschetz": "4", "shadow_nilpotent": True}
 
 
 def test_nilpotent_passthrough():

@@ -15,7 +15,7 @@ import lietrace
 from lietrace import ratlin
 from lietrace.ratlin import (InternalConsistencyFailure, JordanParts, Matrix,
                              SingularMatrix, det_i_minus, determinant,
-                             exterior_power, exterior_powers,
+                             exterior_powers,
                              format_rational, inverse,
                              jordan_chevalley, kernel_and_image, kron,
                              linear_combination, minimal_polynomial, p_subsets,
@@ -258,42 +258,19 @@ def test_out_of_span_target_raises(case, data):
 
 def test_exterior_power_frozen_examples():
     m = Matrix.diagonal([2, 3, 6])
-    assert exterior_power(m, 0) == Matrix([[1]])
-    assert exterior_power(m, 1) == m
-    assert exterior_power(m, 2) == Matrix.diagonal([6, 12, 18])
-    assert exterior_power(m, 3) == Matrix([[36]])
-    with pytest.raises(ValueError, match=whole("degree 4 not in 0..3")):
-        exterior_power(m, 4)
-    with pytest.raises(ValueError, match=whole("degree -1 not in 0..3")):
-        exterior_power(m, -1)
+    assert exterior_powers(m) == [Matrix([[1]]), m, Matrix.diagonal([6, 12, 18]),
+                                  Matrix([[36]])]
     with pytest.raises(ValueError,
                        match=whole("exterior power of non-square matrix")):
-        exterior_power(Matrix([[1, 2]]), 1)
-
-
-def test_exterior_power_stops_at_its_degree(monkeypatch):
-    # Lambda^2 of a 12 x 12 matrix needs the subsets of sizes 1 and 2 only,
-    # not the 924 of size 6
-    sizes = []
-
-    def recording(n, p):
-        sizes.append(p)
-        return p_subsets(n, p)
-
-    monkeypatch.setattr(ratlin, "p_subsets", recording)
-    m = Matrix.diagonal(range(1, 13))
-    assert exterior_power(m, 2) == Matrix.diagonal(
-        [i * j for i in range(1, 13) for j in range(i + 1, 13)])
-    assert sizes == [1, 2]
+        exterior_powers(Matrix([[1, 2]]))
 
 
 def test_exterior_powers_reuse_their_subset_tables(monkeypatch):
-    # the Laplace tables depend on the dimension only, and are kept per
-    # degree: after Lambda^2 of one 7 x 7 matrix, all the powers of another
-    # build the subsets of sizes 3 to 7, and a third builds none
+    # the Laplace tables depend on the dimension only: the powers of the
+    # first 7 x 7 matrix build the subsets of every size once, and those of
+    # a second build none
     rng = random.Random(43)
-    first, second, third = (random_matrix(rng, 7) for _ in range(3))
-    exterior_power(first, 2)
+    first, second = (random_matrix(rng, 7) for _ in range(2))
     sizes = []
 
     def recording(n, p):
@@ -301,12 +278,12 @@ def test_exterior_powers_reuse_their_subset_tables(monkeypatch):
         return p_subsets(n, p)
 
     monkeypatch.setattr(ratlin, "p_subsets", recording)
-    exterior_powers(second)
-    assert sizes == [3, 4, 5, 6, 7]
+    exterior_powers(first)
+    assert sizes == [1, 2, 3, 4, 5, 6, 7]
     sizes.clear()
-    powers = exterior_powers(third)
+    powers = exterior_powers(second)
     assert sizes == []
-    assert powers == [reference_exterior_power(third, p) for p in range(8)]
+    assert powers == [reference_exterior_power(second, p) for p in range(8)]
 
 
 def test_exterior_power_multiplicative():
@@ -315,16 +292,16 @@ def test_exterior_power_multiplicative():
     for _ in range(10):
         n = rng.randint(2, 4)
         a, b = random_matrix(rng, n), random_matrix(rng, n)
-        for p in range(n + 1):
-            assert exterior_power(a * b, p) == \
-                exterior_power(a, p) * exterior_power(b, p)
-    assert exterior_power(Matrix.identity(4), 2) == Matrix.identity(6)
+        assert exterior_powers(a * b) == [
+            x * y for x, y in zip(exterior_powers(a), exterior_powers(b))]
+    assert exterior_powers(Matrix.identity(4))[2] == Matrix.identity(6)
 
 
 def test_characteristic_identity_small():
     # by hand for [[2,1],[1,1]]: 1 - 3 + 1 = -1 = det(I - m)
     m = Matrix([[2, 1], [1, 1]])
-    total = sum((-1) ** p * exterior_power(m, p).trace() for p in range(3))
+    total = sum((-1) ** p * power.trace()
+                for p, power in enumerate(exterior_powers(m)))
     assert total == Fraction(-1)
     assert determinant(Matrix.identity(2) - m) == Fraction(-1)
 
@@ -334,8 +311,8 @@ def test_characteristic_identity_random():
     for _ in range(40):
         n = rng.randint(1, 5)
         m = random_matrix(rng, n)
-        lhs = sum((-1) ** p * exterior_power(m, p).trace()
-                  for p in range(n + 1))
+        lhs = sum((-1) ** p * power.trace()
+                  for p, power in enumerate(exterior_powers(m)))
         assert lhs == determinant(Matrix.identity(n) - m)
 
 
@@ -388,7 +365,6 @@ def test_exterior_powers_equal_minor_reference(m):
     assert len(powers) == m.rows + 1
     for p, power in enumerate(powers):
         _assert_same(power, reference_exterior_power(m, p))
-        assert exterior_power(m, p) == power
 
 
 @settings(max_examples=300, deadline=None)
@@ -1056,3 +1032,21 @@ def test_jordan_chevalley_invariants_random():
     for _ in range(25):
         m = random_matrix(rng, rng.randint(1, 4))
         _check_jordan_parts(m, jordan_chevalley(m))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Matrix([[1, 2], [3]]), "ragged rows"),
+    (lambda: Matrix([[1, 2]]).trace(), "trace of non-square matrix"),
+    (lambda: minimal_polynomial(Matrix([[1, 2]])),
+     "minimal polynomial of non-square matrix"),
+    (lambda: jordan_chevalley(Matrix([[1, 2]])),
+     "jordan_chevalley of non-square matrix"),
+    (lambda: lietrace.series(lietrace.LieAlgebra(dim=2), "upper"),
+     "unknown series kind 'upper'"),
+], ids=["ragged", "trace", "minimal-polynomial", "jordan-chevalley",
+        "series"])
+def test_misuse_messages(call, message):
+    # library misuse is a plain ValueError, never InvalidInput
+    with pytest.raises(ValueError, match=whole(message)) as err:
+        call()
+    assert err.type is ValueError
