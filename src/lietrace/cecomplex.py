@@ -11,13 +11,16 @@ omega, evaluated on x_1 .. x_{p+1} (positions 1-based), is
 
 d o d = 0 is verified exactly when the complex is built; with the trivial
 module the first sum drops out and d is determined by the brackets alone.
-Like the chain-map and cocycle checks, it goes through ratlin.vanishes, row
-by row, stopping at the first nonzero row, without building the product.
+Like the cocycle check and the chain-map check of a map that is not
+diagonal, it goes through ratlin.vanishes, row by row, stopping at the
+first nonzero row, without building the product; a diagonal chain map is
+checked on its weights (induced_chain_map).
 """
 
 from __future__ import annotations
 
-from math import comb, lcm
+from functools import cached_property
+from math import comb, gcd, lcm
 
 from .liealg import LieAlgebra, LieMorphism, integer_brackets
 from .ratlin import (InternalConsistencyFailure, InvalidInput, Matrix,
@@ -35,6 +38,20 @@ class CochainComplex(Record):
     @property
     def top_degree(self) -> int:
         return self.algebra.dim
+
+    @cached_property
+    def supports(self) -> tuple:
+        """supports[p] = (rows, cols): the row and the column index of each
+        nonzero of d_p, row-major, for the chain-map check of diagonal maps.
+        Built on first read and kept with the complex, not in == or repr."""
+        out = []
+        for d in self.differentials:
+            rows, cols = [], []
+            for i, row in enumerate(d.sparse):
+                rows += [i] * len(row)
+                cols += [j for j, _ in row]
+            out.append((tuple(rows), tuple(cols)))
+        return tuple(out)
 
 
 def build_complex(algebra: LieAlgebra, module: Representation) -> CochainComplex:
@@ -157,18 +174,77 @@ class ChainMap(Record):
 
 def induced_chain_map(complex_: CochainComplex, f: LieMorphism,
                       xi: Intertwiner) -> ChainMap:
-    """Build all degree blocks and verify the chain-map property exactly."""
+    """Build all degree blocks and verify the chain-map property exactly.
+
+    A diagonal f and xi give diagonal blocks, lambda_S mu_u at (S, u) for
+    lambda_S the product of f's diagonal over S.  _weights builds them as
+    integers w_p over f.den^p xi.den; in lowest terms they have the value
+    and stored form of the Kronecker products below.  Entry (i, j) of
+    F_(p+1) d_p - d_p F_p is then d_p[i][j] (F_(p+1)[i][i] - F_p[j][j]),
+    so the check compares w_(p+1)[i] with f.den w_p[j] at each nonzero
+    (i, j) of d_p, listed by complex_.supports.  Any other map takes
+    Lambda^p(f^T) (x) xi and vanishes.
+    """
     n = complex_.top_degree
     if f.source.dim != n or f.target.dim != n:
         raise InvalidInput("morphism dimension does not match the complex")
-    ft = f.matrix.transpose()
-    blocks = tuple(kron(power, xi.matrix) for power in exterior_powers(ft))
+    lam, mu = _diagonal(f.matrix), _diagonal(xi.matrix)
+    if lam is None or mu is None:
+        weights = None
+        ft = f.matrix.transpose()
+        blocks = tuple(kron(power, xi.matrix) for power in exterior_powers(ft))
+    else:
+        weights = _weights(lam, mu, n)
+        blocks = tuple(_diagonal_block(w, f.matrix.den ** p * xi.matrix.den)
+                       for p, w in enumerate(weights))
     for p in range(n):
         d = complex_.differentials[p]
-        if not vanishes([(1, blocks[p + 1], d), (-1, d, blocks[p])]):
+        if weights is None:
+            commutes = vanishes([(1, blocks[p + 1], d), (-1, d, blocks[p])])
+        else:
+            rows, cols = complex_.supports[p]
+            below = weights[p]
+            if f.matrix.den != 1:
+                below = [f.matrix.den * x for x in below]
+            commutes = (list(map(weights[p + 1].__getitem__, rows))
+                        == list(map(below.__getitem__, cols)))
+        if not commutes:
             raise InternalConsistencyFailure(
                 f"induced map does not commute with d at degree {p}")
     return ChainMap(complex=complex_, blocks=blocks)
+
+
+def _diagonal(m: Matrix) -> list | None:
+    """The diagonal numerators of m if its every row i is () or ((i, x),),
+    else None."""
+    out = []
+    for i, row in enumerate(m.sparse):
+        if not row:
+            out.append(0)
+        elif len(row) == 1 and row[0][0] == i:
+            out.append(row[0][1])
+        else:
+            return None
+    return out
+
+
+def _weights(lam: list, mu: list, n: int) -> list:
+    """w_p[S m + u] = lambda_S mu_u for p = 0..n, lambda_S = lambda_s
+    lambda_(S - s) for (s, S - s) the heads of subset_tables(n)."""
+    products, out = [1], [mu]
+    for heads, _, _ in subset_tables(n)[1:]:
+        products = [lam[s] * products[face] for s, face in heads]
+        out.append(products if mu == [1]
+                   else [x * y for x in products for y in mu])
+    return out
+
+
+def _diagonal_block(weights: list, den: int) -> Matrix:
+    """diag(weights) / den in lowest terms."""
+    g = gcd(den, *weights)
+    return Matrix._canonical(tuple([((i, x // g),) if x else ()
+                                    for i, x in enumerate(weights)]),
+                             len(weights), den // g)
 
 
 def induced_cohomology_map(cohom: list[CohomologyData],

@@ -18,11 +18,16 @@ caches, for the MEMO_SIZE most recently used ones: the validated complex,
 its cohomology and the transposed representatives and class coordinates
 that the induced maps multiply by, so the Jacobi, module, d o d, quotient
 rank and (trivial module, nilpotent algebra) Poincare duality checks run
-once per value.  Once per dimension n: the p-subset tables
-(ratlin.subset_tables) and the torus oracle's abelian algebra with its
-trivial module and basis ads.  On every report: the morphism,
-intertwiner, chain-map, cocycle-image and Hopf checks, and
-products of the map with what is cached, transposing only the n x n map.
+once per value; the complex keeps the supports of its differentials from
+the first report of a diagonal map.  Once per dimension n: the p-subset
+tables (ratlin.subset_tables) and the torus oracle's abelian algebra with
+its trivial module and basis ads.  On every report: the morphism,
+intertwiner, chain-map, cocycle-image and Hopf checks, and products of the
+map with what is cached.  A diagonal map and intertwiner (a graded
+diag(t^w) with a scalar xi or xi = f^-1) give diagonal chain-map blocks,
+built from their weights and checked on the supports with no transpose,
+exterior power or Kronecker product; any other map is transposed, n x n,
+and its blocks are Kronecker products of its exterior powers with xi.
 """
 
 from __future__ import annotations

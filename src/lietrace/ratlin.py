@@ -9,7 +9,8 @@ rref eliminates fraction-free on the integer rows, and determinant,
 det(I - m) and inverse share one fraction-free (Bareiss) kernel on them.
 Every identity the library certifies (d o d = 0, chain maps, cocycle
 images, brackets) is a sum of c * a * b that one kernel, vanishes, checks
-row by row, stopping at the first nonzero row, without building the
+(apart from the chain map of a diagonal map, which cecomplex checks on its
+weights) row by row, stopping at the first nonzero row, without building the
 products.  The reduced row echelon form is unique, so every derived
 basis (kernels, images, cohomology representatives, each a Matrix whose
 rows are the basis vectors) is the one elimination over Fraction gives, on

@@ -16,7 +16,12 @@ its size:
 - abelian n = 8, 9, 10, trivial module, a seeded dense map with entries
   in {-3..3}/{1, 2}: every exterior power of the map is dense;
 - filiform n = 7, 8, 9, [e0, ei] = e(i+1), adjoint module, f = diag(2^w)
-  for the weights (1, 1, 2, ..., n-1) and xi = f^-1.
+  for the weights (1, 1, 2, ..., n-1) and xi = f^-1: diagonal, so the
+  chain map is built from its weights;
+- the same complexes with f = diag(2^w) exp(ad e1), an automorphism that
+  is not diagonal (ad e1 takes e0 to -e2), and xi = f^-1: the chain map is
+  built from exterior powers and Kronecker products, so the two filiform
+  rows of one n time both paths on the same complex.
 
 Each torus row times one pass of count_fixed_points, or of
 cross_check_with_ce, with the number of fixed points as its size:
@@ -51,11 +56,14 @@ def abelian_dense(lib, n):
     return algebra, module, f, lib.repn.identity_intertwiner(f, module)
 
 
-def filiform_adjoint(lib, n):
+def filiform_adjoint(lib, n, twisted=False):
     algebra = lib.liealg.LieAlgebra(
         dim=n, brackets={(0, i): {i + 1: 1} for i in range(1, n - 1)})
     weights = (1,) + tuple(range(1, n))
     matrix = lib.ratlin.Matrix.diagonal([2 ** w for w in weights])
+    if twisted:
+        matrix = matrix * (lib.ratlin.Matrix.identity(n)
+                           + algebra.basis_ads[1])
     f = lib.liealg.endomorphism(algebra, matrix)
     module = lib.repn.adjoint_module(algebra)
     xi = lib.repn.Intertwiner(morphism=f, module=module,
@@ -63,8 +71,14 @@ def filiform_adjoint(lib, n):
     return algebra, module, f, xi
 
 
+def filiform_twisted_adjoint(lib, n):
+    return filiform_adjoint(lib, n, twisted=True)
+
+
 CASES = [(f"abelian{n} dense", abelian_dense, n) for n in (8, 9, 10)] + \
-    [(f"filiform{n}/adj", filiform_adjoint, n) for n in (7, 8, 9)]
+    [case for n in (7, 8, 9)
+     for case in ((f"filiform{n}/adj", filiform_adjoint, n),
+                  (f"filiform{n}/adj exp", filiform_twisted_adjoint, n))]
 
 
 def int_det(rows) -> int:

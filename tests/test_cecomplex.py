@@ -14,8 +14,9 @@ from lietrace.liealg import LieAlgebra, LieMorphism, endomorphism
 from lietrace.lefschetz import coefficient_system
 from lietrace.ratlin import (InvalidInput, Matrix, determinant, inverse,
                              kernel_and_image, quotient_basis)
-from lietrace.repn import (Intertwiner, adjoint_module, identity_intertwiner,
-                           trivial_module, validate_intertwiner)
+from lietrace.repn import (Intertwiner, Representation, adjoint_module,
+                           identity_intertwiner, trivial_module,
+                           validate_intertwiner)
 
 from generated import generated_cases
 from helpers import (ALL_NAMES, greedy_complete, heisenberg_defining_module,
@@ -182,18 +183,139 @@ def test_identity_map_induces_identity_everywhere():
         assert m == Matrix.identity(m.rows)
 
 
-def test_chain_map_violation_frozen():
+def test_chain_map_violation_frozen(monkeypatch):
     # using f itself instead of its inverse as the coefficient map breaks
-    # commutation with d already at degree zero
+    # commutation with d already at degree zero, on the diagonal path
+    # (diag(2, 3, 6)) and on the Kronecker path (diag(2, 3, 6) exp(ad e0));
+    # each path must raise the one message
     module = adjoint_module(HEIS3)
     cx = build_complex(HEIS3, module)
-    f = endomorphism(HEIS3, Matrix.diagonal([2, 3, 6]))
-    bad = Intertwiner(morphism=f, module=module, matrix=f.matrix)
-    with pytest.raises(InternalConsistencyFailure) as err:
-        induced_chain_map(cx, f, bad)
-    assert str(err.value) == "induced map does not commute with d at degree 0"
-    good = Intertwiner(morphism=f, module=module, matrix=inverse(f.matrix))
-    induced_chain_map(cx, f, good)
+    twisted = Matrix.diagonal([2, 3, 6]) * (Matrix.identity(3)
+                                            + HEIS3.basis_ads[0])
+    assert any(len(row) > 1 for row in twisted.sparse)
+    powers = []
+    monkeypatch.setattr(cecomplex, "exterior_powers",
+                        lambda m: powers.append(m) or ratlin.exterior_powers(m))
+    for matrix, kronecker in ((Matrix.diagonal([2, 3, 6]), 0), (twisted, 1)):
+        f = endomorphism(HEIS3, matrix)
+        bad = Intertwiner(morphism=f, module=module, matrix=f.matrix)
+        with pytest.raises(InternalConsistencyFailure) as err:
+            induced_chain_map(cx, f, bad)
+        assert str(err.value) == \
+            "induced map does not commute with d at degree 0"
+        good = Intertwiner(morphism=f, module=module, matrix=inverse(f.matrix))
+        validate_intertwiner(good)
+        induced_chain_map(cx, f, good)
+        assert len(powers) == 2 * kronecker
+        powers.clear()
+
+
+_ENTRIES = [Fraction(x) for x in (0, 1, -1, 2, -3)] + [Fraction(1, 2),
+                                                     Fraction(-2, 3)]
+
+
+def _kronecker_oracle(cx, f, xi):
+    """The blocks Lambda^p(f^T) (x) xi and the first degree at which
+    vanishes refuses F_(p+1) d_p = d_p F_p on them, or None."""
+    blocks = tuple(ratlin.kron(power, xi.matrix)
+                   for power in ratlin.exterior_powers(f.matrix.transpose()))
+    for p, d in enumerate(cx.differentials):
+        if not ratlin.vanishes([(1, blocks[p + 1], d), (-1, d, blocks[p])]):
+            return blocks, p
+    return blocks, None
+
+
+def _diagonal_cases():
+    """(module, f, xi) with f and xi diagonal.  On each catalog algebra:
+    graded maps diag(t^w) (sol3: diag(1, a, b)) with a scalar xi on the
+    trivial module, xi = f^-1 (f invertible) and the wrong xi = f on the
+    adjoint module, and a diagonal f that need not be a morphism with a
+    random diagonal xi on both modules; then the trivial and adjoint cases
+    of tests/generated.py, with xi = f besides f^-1 on the adjoint ones.
+    Entries are drawn from _ENTRIES: zero, negative and fractional."""
+    rng = random.Random(30)
+    out = []
+    for name in ALL_NAMES:
+        entry = get(name)
+        algebra, n = entry.algebra, entry.algebra.dim
+        trivial, adjoint = trivial_module(algebra), adjoint_module(algebra)
+        for _ in range(3):
+            t = rng.choice(_ENTRIES)
+            graded = ([t ** w for w in entry.grading] if entry.grading
+                      else [1] + [rng.choice(_ENTRIES) for _ in range(n - 1)])
+            f = endomorphism(algebra, Matrix.diagonal(graded))
+            out.append((trivial, f, Matrix([[rng.choice(_ENTRIES)]])))
+            if all(graded):
+                out.append((adjoint, f, inverse(f.matrix)))
+            out.append((adjoint, f, f.matrix))
+            g = endomorphism(algebra, Matrix.diagonal(
+                [rng.choice(_ENTRIES) for _ in range(n)]))
+            out.append((trivial, g, Matrix([[rng.choice(_ENTRIES)]])))
+            out.append((adjoint, g, Matrix.diagonal(
+                [rng.choice(_ENTRIES) for _ in range(n)])))
+    for _, _, module, f, xi, kind in generated_cases()[:60]:
+        if kind != "random":
+            out.append((module, f, xi.matrix))
+        if kind == "adjoint":
+            out.append((module, f, f.matrix))
+    return [(module, f, Intertwiner(morphism=f, module=module, matrix=xi))
+            for module, f, xi in out]
+
+
+def test_diagonal_chain_maps_match_the_kronecker_oracle(monkeypatch):
+    # Diagonal f and xi never reach exterior_powers or kron: their blocks
+    # are built from the weights, equal (==, so the same stored form) to
+    # Lambda^p(f^T) (x) xi, and the weight check on the supports of d
+    # gives the verdict and the degree of vanishes on those blocks.  The
+    # blocks are also read off a complex with d = 0 (the abelian algebra
+    # and a module acting by 0), where every map commutes.
+    def refused(*args):
+        raise AssertionError("a diagonal map took the Kronecker path")
+    monkeypatch.setattr(cecomplex, "exterior_powers", refused)
+    monkeypatch.setattr(cecomplex, "kron", refused)
+    complexes, verdicts = {}, []
+    for module, f, xi in _diagonal_cases():
+        n, m = module.algebra.dim, module.dim
+        flat = LieAlgebra(dim=n)
+        flat_module = Representation(algebra=flat, dim=m,
+                                     actions=(Matrix.zero(m, m),) * n)
+        for key in ((module.algebra, module), (flat, flat_module)):
+            if key not in complexes:
+                complexes[key] = build_complex(*key)
+        cx = complexes[module.algebra, module]
+        blocks, degree = _kronecker_oracle(cx, f, xi)
+        if degree is None:
+            assert induced_chain_map(cx, f, xi).blocks == blocks
+        else:
+            with pytest.raises(InternalConsistencyFailure) as err:
+                induced_chain_map(cx, f, xi)
+            assert str(err.value) == \
+                f"induced map does not commute with d at degree {degree}"
+        flat_f = endomorphism(flat, f.matrix)
+        assert induced_chain_map(
+            complexes[flat, flat_module], flat_f,
+            Intertwiner(morphism=flat_f, module=flat_module,
+                        matrix=xi.matrix)).blocks == blocks
+        verdicts.append(degree)
+    # each condition at degree p + 1 is one at degree p times some
+    # lambda_R, so a diagonal map that fails, fails at degree 0 or 1
+    assert len(verdicts) > 150
+    assert verdicts.count(None) > 50
+    assert set(verdicts) == {None, 0, 1}
+
+
+def test_supports_are_the_nonzeros_of_each_differential():
+    # the index lists the diagonal chain-map check reads, kept with the
+    # complex on first read and left out of == and repr
+    module = heisenberg_defining_module(HEIS3)
+    cx = build_complex(HEIS3, module)
+    shown = repr(cx)
+    for (rows, cols), d in zip(cx.supports, cx.differentials):
+        assert list(zip(rows, cols)) == [
+            (i, j) for i in range(d.rows) for j in range(d.cols) if d[i, j]]
+    assert cx.supports is cx.supports
+    assert repr(cx) == shown and "supports" not in shown
+    assert cx == build_complex(HEIS3, module)
 
 
 @pytest.mark.parametrize("source, target", [("abelian_2", "abelian_2"),

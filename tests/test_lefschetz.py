@@ -275,13 +275,18 @@ def test_validate_inputs_guard():
         twisted_lefschetz(HEIS3, module, bad, xi)
 
 
-def _filiform_adjoint(n: int, t: int = 2):
+def _filiform_adjoint(n: int, t: int = 2, twisted: bool = False):
     """The filiform algebra of dim n, [e0, ei] = e(i+1), with the adjoint
-    module, f = diag(t^w) for the weights (1, 1, 2, ..., n-1) and xi = f^-1."""
+    module, f = diag(t^w) for the weights (1, 1, 2, ..., n-1) and xi = f^-1;
+    twisted, f = diag(t^w) exp(ad e1), an automorphism that is not
+    diagonal (ad e1 takes e0 to -e2 and squares to 0)."""
     algebra = LieAlgebra(dim=n, brackets={(0, i): {i + 1: 1}
                                           for i in range(1, n - 1)})
     weights = (1,) + tuple(range(1, n))
-    f = endomorphism(algebra, Matrix.diagonal([t ** w for w in weights]))
+    matrix = Matrix.diagonal([t ** w for w in weights])
+    if twisted:
+        matrix = matrix * (Matrix.identity(n) + algebra.basis_ads[1])
+    f = endomorphism(algebra, matrix)
     module = adjoint_module(algebra)
     return algebra, module, f, Intertwiner(morphism=f, module=module,
                                            matrix=inverse(f.matrix))
@@ -313,9 +318,10 @@ def test_warm_filiform6_adjoint_report_transposes_only_the_map(monkeypatch):
     # A structural guard in place of a timing test: the transposes that the
     # induced maps on cohomology need are built with the cohomology, once
     # per coefficient system, so a second filiform6 report with the adjoint
-    # module transposes only the 6 x 6 map f, in check_morphism,
-    # validate_intertwiner and induced_chain_map.  A transpose of an image
-    # matrix reps * F_p^T or of a chain-map block would show here.
+    # module transposes only the 6 x 6 map f, in check_morphism and
+    # validate_intertwiner; induced_chain_map builds the blocks of the
+    # diagonal f from its weights, with no transpose.  A transpose of an
+    # image matrix reps * F_p^T or of a chain-map block would show here.
     case = _filiform_adjoint(6)
     twisted_lefschetz(*case)
     shapes = []
@@ -326,7 +332,7 @@ def test_warm_filiform6_adjoint_report_transposes_only_the_map(monkeypatch):
 
     monkeypatch.setattr(ratlin.Matrix, "transpose", recording)
     report = twisted_lefschetz(*case)
-    assert shapes == [(6, 6)] * 3
+    assert shapes == [(6, 6)] * 2
     assert report.lefschetz == report.hopf
 
 
@@ -338,9 +344,10 @@ def test_filiform6_adjoint_report_packs_only_kept_rows(monkeypatch):
     # the rows of matrices the report keeps are packed (3065 when each
     # identity built and compared its products).  Products skip their
     # empty rows, a left row with one nonzero scales its partner row
-    # without packing, and kron builds its cells without packing, so the
-    # cold report packs 460 rows and a second, warm report of the same
-    # values 82.  Both counts are deterministic.
+    # without packing, and the chain-map blocks of the diagonal f are
+    # built from its weights with no exterior power (whose 63 rows were
+    # packed), so the cold report packs 397 rows and a second, warm report
+    # of the same values 19.  Both counts are deterministic.
     algebra, module, f, xi = _filiform_adjoint(6)
     again = _filiform_adjoint(6)
     calls = []
@@ -356,8 +363,34 @@ def test_filiform6_adjoint_report_packs_only_kept_rows(monkeypatch):
     monkeypatch.undo()
     assert report.lefschetz == report.hopf
     assert warm == report
-    assert cold <= 460
-    assert len(calls) - cold <= 82
+    assert cold <= 397
+    assert len(calls) - cold <= 19
+
+
+@pytest.mark.parametrize("twisted, kronecker", [(False, 0), (True, 1)])
+def test_only_a_map_that_is_not_diagonal_builds_exterior_powers(
+        monkeypatch, twisted, kronecker):
+    # A structural guard in place of a timing test: a warm filiform6
+    # adjoint report of diag(2^w) with xi = f^-1 builds its blocks from the
+    # weights and checks them on the supports of d, with no exterior power,
+    # kron or chain-map vanishes (two terms; the cocycle-image check has
+    # one); diag(2^w) exp(ad e1) takes each of the first two once and the
+    # check once per differential.
+    case = _filiform_adjoint(6, twisted=twisted)
+    assert any(len(row) > 1 for row in case[2].matrix.sparse) == twisted
+    twisted_lefschetz(*case)
+    calls = []
+    for name in ("exterior_powers", "kron", "vanishes"):
+        def counting(*args, real=getattr(cecomplex, name), name=name):
+            calls.append(name if name != "vanishes" else len(args[0]))
+            return real(*args)
+        monkeypatch.setattr(cecomplex, name, counting)
+    report = twisted_lefschetz(*case)
+    assert report.lefschetz == report.hopf
+    assert calls.count("exterior_powers") == kronecker
+    assert calls.count("kron") == 7 * kronecker
+    assert calls.count(2) == 6 * kronecker
+    assert calls.count(1) == 6
 
 
 def test_filiform6_adjoint_report_stays_sparse(monkeypatch):
