@@ -88,11 +88,11 @@ def list_entries() -> list[str]:
 
 
 def get(name: str) -> CatalogEntry:
+    """The entry `name`: an external one only where name + ".json" is a
+    file name in the directory itself, never a path out of it."""
     extra = _external_dir()
-    if extra:
-        path = os.path.join(extra, name + ".json")
-        if os.path.exists(path):
-            return _load_entry(name, path)
+    if extra and name + ".json" in os.listdir(extra):
+        return _load_entry(name, os.path.join(extra, name + ".json"))
     if name not in _BY_NAME:
         raise UnknownEntry(f"unknown catalog entry {name!r}")
     return _BY_NAME[name]

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .liealg import LieAlgebra, LieMorphism
 from .ratlin import InvalidInput, Matrix, format_rational, parse_rational
-from .repn import Intertwiner, Representation
+from .repn import Intertwiner, Representation, trivial_module
 
 MAX_COCHAINS = 1024   # bounds sum_p dim C^p = 2^n m (dim n, module dim m)
 MAX_LITERAL_DIGITS = 1000   # digits in one rational literal, '-p/q' or p
@@ -172,7 +172,6 @@ def task_from_doc(doc, module_doc=None) -> TaskDocument:
     in for the module field, which is still parsed first; the intertwiner
     is built against the module in force."""
     from .catalog import UnknownEntry, get
-    from .repn import trivial_module
 
     if not isinstance(doc, dict):
         _fail("", "expected a top-level object")
@@ -184,11 +183,7 @@ def task_from_doc(doc, module_doc=None) -> TaskDocument:
             entry = get(raw_algebra)
         except UnknownEntry as exc:
             _fail("/algebra", str(exc))
-        algebra = entry.algebra
-        if "split" not in doc and entry.split is not None:
-            split = entry.split
-        else:
-            split = None
+        algebra, split = entry.algebra, entry.split
     else:
         algebra = algebra_from_doc(raw_algebra, "/algebra")
         split = None
@@ -201,21 +196,13 @@ def task_from_doc(doc, module_doc=None) -> TaskDocument:
 
     morphism = None
     if "map" in doc:
-        raw_map = doc["map"]
-        if not isinstance(raw_map, dict) or "matrix" not in raw_map:
-            _fail("/map", "expected an object with a 'matrix' field")
-        matrix = _matrix(raw_map["matrix"], "/map/matrix",
-                         rows=algebra.dim, cols=algebra.dim)
+        matrix = _matrix_field(doc, "map", algebra.dim)
         morphism = LieMorphism(source=algebra, target=algebra, matrix=matrix)
 
     intertwiner = None
     if morphism is not None:
         if "intertwiner" in doc:
-            raw_xi = doc["intertwiner"]
-            if not isinstance(raw_xi, dict) or "matrix" not in raw_xi:
-                _fail("/intertwiner", "expected an object with a 'matrix' field")
-            matrix = _matrix(raw_xi["matrix"], "/intertwiner/matrix",
-                             rows=module.dim, cols=module.dim)
+            matrix = _matrix_field(doc, "intertwiner", module.dim)
         else:
             matrix = Matrix.identity(module.dim)
         intertwiner = Intertwiner(morphism=morphism, module=module,
@@ -228,6 +215,15 @@ def task_from_doc(doc, module_doc=None) -> TaskDocument:
 
     return TaskDocument(algebra=algebra, morphism=morphism, module=module,
                         intertwiner=intertwiner, split=split)
+
+
+def _matrix_field(doc, key, dim) -> Matrix:
+    """The dim x dim matrix of the object at /key, an object with a
+    'matrix' field."""
+    raw = doc[key]
+    if not isinstance(raw, dict) or "matrix" not in raw:
+        _fail(f"/{key}", "expected an object with a 'matrix' field")
+    return _matrix(raw["matrix"], f"/{key}/matrix", rows=dim, cols=dim)
 
 
 def split_from_doc(raw, dim) -> tuple:
@@ -269,5 +265,4 @@ def module_from_doc(doc, algebra, path="/module") -> Representation:
 
 
 def matrix_to_doc(m: Matrix) -> list:
-    return [[format_rational(Fraction(row.get(j, 0), m.den))
-             for j in range(m.cols)] for row in map(dict, m.sparse)]
+    return [list(map(format_rational, row)) for row in m.entries]

@@ -21,11 +21,10 @@ The series are sparse reduced row spaces.
 from __future__ import annotations
 
 from functools import cached_property
-from math import lcm
 from types import MappingProxyType
 
 from .ratlin import (InternalConsistencyFailure, InvalidInput, Matrix,
-                     Record, Vector, as_fraction, format_vector,
+                     Record, Vector, _over_lcm, as_fraction, format_vector,
                      linear_combination, p_subsets, packed_row, rref,
                      vanishes)
 
@@ -147,11 +146,9 @@ def _defect(terms: list, after: int, den: int = 1) -> tuple[int, Vector]:
 def integer_brackets(algebra: LieAlgebra) -> tuple[dict, int]:
     """(brackets, den): the structure constants as integers over the lcm
     of their denominators, keyed as in algebra.brackets."""
-    den = lcm(*[c.denominator for comps in algebra.brackets.values()
-                for c in comps.values()])
-    return {key: {k: c.numerator * (den // c.denominator)
-                  for k, c in comps.items()}
-            for key, comps in algebra.brackets.items()}, den
+    rows, den = _over_lcm([comps.items()
+                           for comps in algebra.brackets.values()])
+    return dict(zip(algebra.brackets, map(dict, rows))), den
 
 
 def bracket(algebra: LieAlgebra, x: Vector, y: Vector) -> Vector:

@@ -1,10 +1,11 @@
 """Exact rational linear algebra, with no floats and no tolerances.
 
-A Matrix is the integer nonzeros of its rows over one positive denominator,
-in lowest terms.  Products, sums, kron, traces and exterior powers multiply
-only integers and walk only the nonzeros (the cochain differentials are a
-few percent nonzero): no empty row is packed, scanned or divided, and a
-product row from a left row with one nonzero is its partner row, scaled.
+A Matrix is its shape and the integer nonzeros of its rows over one positive
+denominator, in lowest terms; it stores no dense view.  Products, sums, kron,
+traces and exterior powers multiply only integers and walk only the nonzeros
+(the cochain differentials are a few percent nonzero): no empty row is
+packed, scanned or divided, and a product row from a left row with one
+nonzero is its partner row, scaled.
 rref eliminates fraction-free on the integer rows, and determinant,
 det(I - m) and inverse share one fraction-free (Bareiss) kernel on them.
 Every identity the library certifies (d o d = 0, chain maps, cocycle
@@ -14,8 +15,9 @@ weights) row by row, stopping at the first nonzero row, without building the
 products.  The reduced row echelon form is unique, so every derived
 basis (kernels, images, cohomology representatives, each a Matrix whose
 rows are the basis vectors) is the one elimination over Fraction gives, on
-any platform.  Fraction appears only at the edges: dense input, `entries`
-(repr, JSON), trace, determinant and the polynomial helpers.
+any platform.  Fraction appears only at the edges: dense input, the dense
+views (`entries`, `row`, `m[i, j]`, built from the rows on each read, for
+repr and JSON), trace, determinant and the polynomial helpers.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, compress, repeat
+from itertools import combinations
 from math import gcd, lcm, prod
-from operator import is_not
 
 _ZERO = Fraction(0)
 MEMO_SIZE = 16   # every functools.lru_cache of the package holds this many
@@ -161,10 +162,8 @@ Vector = tuple  # tuple[Fraction, ...]
 
 
 def _nonzeros(v) -> list:
-    """The nonzero (index, value) pairs of a dense vector; _ZERO, the zero
-    written here, is skipped by identity."""
-    return [p for p in compress(enumerate(v), map(is_not, v, repeat(_ZERO)))
-            if p[1]]
+    """The nonzero (index, value) pairs of a dense vector."""
+    return [(j, x) for j, x in enumerate(v) if x]
 
 
 def _over_lcm(rows) -> tuple:
@@ -203,10 +202,10 @@ class Matrix:
     """Immutable matrix over Q: `sparse` holds each row as its nonzero
     (column, int) numerators sorted by column, over one denominator `den` >
     0 with gcd(den, numerators) = 1, so equal matrices store equal data.
-    The constructor coerces dense rows with as_fraction; `entries`, a dense
-    view of Fractions built on first read and cached, is for repr."""
+    The constructor coerces dense rows with as_fraction; `entries`, `row`
+    and `m[i, j]` build dense Fractions from those rows on each read."""
 
-    __slots__ = ("rows", "cols", "sparse", "den", "_dense")
+    __slots__ = ("rows", "cols", "sparse", "den")
 
     def __init__(self, entries):
         rows = [tuple(as_fraction(x) for x in row) for row in entries]
@@ -215,7 +214,6 @@ class Matrix:
             raise ValueError("ragged rows")
         self.rows = len(rows)
         self.sparse, self.den = _over_lcm([_nonzeros(row) for row in rows])
-        self._dense = None
 
     @classmethod
     def _of(cls, sparse: tuple, cols: int, den: int = 1) -> "Matrix":
@@ -237,16 +235,13 @@ class Matrix:
         self.cols = cols
         self.sparse = sparse
         self.den = den
-        self._dense = None
         return self
 
     @property
     def entries(self) -> tuple:
-        """Dense row-major view of Fractions, built on first read and cached."""
-        if self._dense is None:
-            self._dense = tuple(_densified(row, self.cols, self.den)
-                                for row in self.sparse)
-        return self._dense
+        """Dense row-major view of Fractions, built on each read."""
+        return tuple(_densified(row, self.cols, self.den)
+                     for row in self.sparse)
 
     # -- constructors -------------------------------------------------------
 
@@ -282,10 +277,10 @@ class Matrix:
 
     def __getitem__(self, index):
         i, j = index
-        return self.entries[i][j]
+        return self.row(i)[j]
 
     def row(self, i: int) -> Vector:
-        return self.entries[i]
+        return _densified(self.sparse[i], self.cols, self.den)
 
     def is_square(self) -> bool:
         return self.rows == self.cols

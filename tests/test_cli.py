@@ -648,6 +648,32 @@ def test_external_catalog_entry_errors_exit_two(tmp_path, monkeypatch, capsys):
         assert err.startswith(f"invalid input: {entry_file}{message}"), err
 
 
+def test_catalog_names_stay_in_the_catalog_dir(tmp_path, monkeypatch, capsys):
+    # an external entry is a file name in LEFSCHETZ_CATALOG_DIR itself; a
+    # relative or absolute path to a JSON file outside it is unknown
+    entries, outside = tmp_path / "entries", tmp_path / "outside"
+    entries.mkdir()
+    outside.mkdir()
+    _write(entries, "inside.json", {"dim": 2})
+    _write(outside, "evil.json", {"dim": 2})
+    monkeypatch.setenv("LEFSCHETZ_CATALOG_DIR", str(entries))
+    identity = {"matrix": [[1, 0], [0, 1]]}
+    path = _write(tmp_path, "task.json", {"algebra": "inside", "map": identity})
+    assert main(["lefschetz", path]) == EXIT_OK
+    capsys.readouterr()
+    for name in ("../outside/evil", str(outside / "evil")):
+        path = _write(tmp_path, "task.json", {"algebra": name, "map": identity})
+        assert main(["lefschetz", path]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == \
+            f"invalid input: /algebra: unknown catalog entry {name!r}\n"
+        assert main(["catalog", "show", name]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == \
+            f"invalid input: /name: unknown catalog entry {name!r}\n"
+    assert main(["catalog", "list"]) == EXIT_OK
+    names = capsys.readouterr().out.split()
+    assert "inside" in names and not any("evil" in n for n in names)
+
+
 def test_shadow_decomposes_each_generator_once(tmp_path, monkeypatch, capsys):
     from lietrace import nilshadow
     calls = []
@@ -800,12 +826,10 @@ def test_json_output_is_deterministic(tmp_path, capsys):
     assert first == second
 
 
-def test_lefschetz_runs_each_input_check_once(tmp_path, monkeypatch, capsys):
-    # the library call validates the algebra, module, map and intertwiner;
-    # the command adds no second pass.  Counted at every site where cli and
-    # lefschetz look the validators up; conftest empties the coefficient
-    # cache, so the algebra and module checks run too.
-    from lietrace import cli, lefschetz
+def _count_input_checks(monkeypatch) -> dict:
+    """Validator name -> calls, counted at every site where cli, lefschetz
+    and nilshadow look the four validators up."""
+    from lietrace import cli, lefschetz, nilshadow
 
     calls = {}
     for name in ("validate", "validate_rep", "check_morphism",
@@ -813,14 +837,34 @@ def test_lefschetz_runs_each_input_check_once(tmp_path, monkeypatch, capsys):
         def counting(arg, _name=name, _original=getattr(lefschetz, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _original(arg)
-        for module in (cli, lefschetz):
-            monkeypatch.setattr(module, name, counting)
+        for module in (cli, lefschetz, nilshadow):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_lefschetz_runs_each_input_check_once(tmp_path, monkeypatch, capsys):
+    # the library call validates the algebra, module, map and intertwiner;
+    # the command adds no second pass.  conftest empties the coefficient
+    # cache, so the algebra and module checks run too.
+    calls = _count_input_checks(monkeypatch)
     doc = {"algebra": {"dim": 3, "brackets": [
                {"left": 0, "right": 1, "result": {"2": "1"}}]},
            "map": {"matrix": [["2", "0", "0"], ["0", "3", "0"],
                               ["0", "0", "6"]]}}
     assert main(["lefschetz", _write(tmp_path, "heis.json", doc)]) == EXIT_OK
     assert calls == {"validate": 1, "validate_rep": 1, "check_morphism": 1,
+                     "validate_intertwiner": 1}
+
+
+def test_lefschetz_validates_a_split_algebra_twice(tmp_path, monkeypatch,
+                                                   capsys):
+    # every catalog entry carries a split, and validate_split, public, must
+    # validate the algebra it is given: on a catalog-named document the
+    # algebra is validated by the library call and again by the split check
+    calls = _count_input_checks(monkeypatch)
+    assert main(["lefschetz", _task_heis(tmp_path)]) == EXIT_OK
+    assert calls == {"validate": 2, "validate_rep": 1, "check_morphism": 1,
                      "validate_intertwiner": 1}
 
 

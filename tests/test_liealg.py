@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +13,14 @@ from lietrace.catalog import get
 from lietrace.cecomplex import build_complex
 from lietrace.liealg import (JacobiViolation, LieAlgebra, LieMorphism,
                              NotAMorphism, ad, bracket, check_morphism,
-                             endomorphism, is_morphism, is_nilpotent,
-                             is_solvable, series, validate)
+                             endomorphism, integer_brackets, is_morphism,
+                             is_nilpotent, is_solvable, series, validate)
 from lietrace.ratlin import InvalidInput, Matrix, inverse, p_subsets
 from lietrace.nilshadow import SplitPresentation
 from lietrace.repn import (Intertwiner, adjoint_module, trivial_module,
                            validate_intertwiner, validate_rep)
 
+from generated import generated_cases
 from helpers import (ALL_NAMES, basis_bracket, kernel_basis, reference_ad,
                      reference_bracket, reference_check_morphism,
                      reference_series, reference_validate)
@@ -361,3 +363,26 @@ def test_failed_check_without_a_defect_is_a_library_bug(monkeypatch):
     with pytest.raises(ratlin.InternalConsistencyFailure,
                        match="no nonzero column past 0"):
         check_morphism(endomorphism(HEIS3, Matrix.diagonal([2, 3, 6])))
+
+
+def test_integer_brackets_equal_a_fraction_reference():
+    # the structure constants over the lcm of their denominators, keyed and
+    # ordered as in algebra.brackets, on the catalog, the generated
+    # algebras and two tables with non-integer constants
+    algebras = [get(name).algebra for name in ALL_NAMES]
+    algebras += [algebra for _, algebra, *_ in generated_cases()]
+    algebras += [LieAlgebra(dim=3, brackets={(0, 1): {1: "1/2"},
+                                             (0, 2): {2: "-3/4"}}),
+                 LieAlgebra(dim=4, brackets={(0, 1): {2: "2/3", 3: "5/6"},
+                                             (0, 2): {3: "-4/9"}})]
+    for algebra in algebras:
+        brackets, den = integer_brackets(algebra)
+        assert den == lcm(*[c.denominator
+                            for comps in algebra.brackets.values()
+                            for c in comps.values()])
+        assert list(brackets) == list(algebra.brackets)
+        assert all(type(c) is int for comps in brackets.values()
+                   for c in comps.values())
+        assert {key: {k: Fraction(c, den) for k, c in comps.items()}
+                for key, comps in brackets.items()} == \
+            {key: dict(comps) for key, comps in algebra.brackets.items()}

@@ -566,6 +566,33 @@ def test_sparse_products_equal_dense_reference(data):
         _assert_same(dense_matrix(a.transpose().entries, r).transpose(), a)
 
 
+def test_a_matrix_is_its_four_fields():
+    # no dense view is stored next to the sparse rows
+    assert Matrix.__slots__ == ("rows", "cols", "sparse", "den")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_matrices(), st.integers(-8, 8), st.integers(-8, 8))
+def test_dense_views_agree_and_round_trip(m, i, j):
+    # entries, row(i) and m[i, j] are built from the sparse rows on each
+    # read: they agree cell by cell, index as tuples do (negative indices,
+    # IndexError out of range) and give m back
+    entries = m.entries
+    assert all(type(x) is Fraction for row in entries for x in row)
+    assert entries == tuple(m.row(r) for r in range(m.rows))
+    assert all(m[r, c] == entries[r][c]
+               for r in range(m.rows) for c in range(m.cols))
+    assert dense_matrix(entries, m.cols) == m
+    if not -m.rows <= i < m.rows:
+        with pytest.raises(IndexError):
+            m.row(i)
+    elif -m.cols <= j < m.cols:
+        assert m.row(i) == entries[i] and m[i, j] == entries[i][j]
+        return
+    with pytest.raises(IndexError):
+        m[i, j]
+
+
 _KRON_CASES = {
     # g = gcd(a.den * b.den, content(a) * content(b)) > 1 from one side
     "a.den-with-content(b)": (Matrix([["1/3"]]), Matrix([[3, 6]])),

@@ -7,7 +7,7 @@ import pytest
 
 from lietrace.catalog import get, random_graded_endomorphism
 from lietrace.liealg import endomorphism
-from lietrace.ratlin import InvalidInput, Matrix, inverse
+from lietrace.ratlin import InvalidInput, Matrix, format_rational, inverse
 from lietrace.repn import (Intertwiner, Representation, adjoint_module,
                            identity_intertwiner, pullback, trivial_module,
                            validate_intertwiner, validate_rep)
@@ -26,6 +26,26 @@ def test_trivial_and_adjoint_modules_validate():
         algebra = get(name).algebra
         validate_rep(trivial_module(algebra))
         validate_rep(adjoint_module(algebra))
+
+
+def test_dense_action_lists_equal_matrix_actions():
+    # nested lists of rational strings, alone or next to a Matrix, are
+    # coerced to the same actions
+    for module in (heisenberg_defining_module(HEIS3), adjoint_module(HEIS3)):
+        dense = [[[format_rational(x) for x in row] for row in a.entries]
+                 for a in module.actions]
+        mixed = [module.actions[0]] + dense[1:]
+        for actions in (dense, mixed):
+            rebuilt = Representation(algebra=HEIS3, dim=module.dim,
+                                     actions=actions)
+            assert rebuilt == module
+            assert all(type(a) is Matrix for a in rebuilt.actions)
+
+
+def test_adjoint_module_shares_the_basis_ads():
+    for name in ALL_NAMES:
+        algebra = get(name).algebra
+        assert adjoint_module(algebra).actions is algebra.basis_ads
 
 
 def test_defining_module_of_heisenberg_validates():
