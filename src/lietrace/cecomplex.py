@@ -11,10 +11,10 @@ omega, evaluated on x_1 .. x_{p+1} (positions 1-based), is
 
 d o d = 0 is verified exactly when the complex is built; with the trivial
 module the first sum drops out and d is determined by the brackets alone.
-Like the cocycle check and the chain-map check of a map that is not
-diagonal, it goes through ratlin.vanishes, row by row, stopping at the
-first nonzero row, without building the product; a diagonal chain map is
-checked on its weights (induced_chain_map).
+Like the representative and cocycle-image checks and the chain-map check of
+a map that is not diagonal, it goes through ratlin.vanishes, row by row,
+stopping at the first nonzero row, without building the product; a
+diagonal chain map is checked on its weights (induced_chain_map).
 """
 
 from __future__ import annotations
@@ -138,23 +138,41 @@ class CohomologyData(Record):
 def cohomology(complex_: CochainComplex) -> list[CohomologyData]:
     """One rref per differential d_p gives both the degree-p cocycles (its
     kernel) and the degree-(p+1) coboundaries (its image); one small rref
-    per degree picks the representatives and certifies their count."""
-    dims = complex_.dims
-    pairs = [kernel_and_image(d) for d in complex_.differentials]
+    per degree picks the representatives.  Per degree the kernel and image
+    of d_p are checked to have dims[p] rows between them (rank-nullity),
+    and the representatives to be as many as the Betti number, cocycles
+    (d_p reps^T = 0) and inverted by the class coordinates (coords^T
+    reps^T = I), each by ratlin.vanishes, building no product."""
+    dims, differentials = complex_.dims, complex_.differentials
+    pairs = [kernel_and_image(d) for d in differentials]
     cocycles = [kernel for kernel, _ in pairs] + [Matrix.identity(dims[-1])]
     coboundaries = [Matrix.zero(0, dims[0])] + [image for _, image in pairs]
     out = []
     for p, (z, b) in enumerate(zip(cocycles, coboundaries)):
+        if p < len(pairs) and z.rows + coboundaries[p + 1].rows != dims[p]:
+            raise InternalConsistencyFailure(
+                f"rank-nullity fails at degree {p}: kernel {z.rows} + image "
+                f"{coboundaries[p + 1].rows} != dim C^p {dims[p]}")
         reps, coordinates, rank = quotient_basis(z, b)
         betti = z.rows - b.rows
         if rank != b.rows:
             raise InternalConsistencyFailure(
                 f"{reps.rows} representatives but betti {betti} at degree {p}")
+        columns = reps.transpose()
+        if p < len(differentials) and \
+                not vanishes([(1, differentials[p], columns)]):
+            raise InternalConsistencyFailure(
+                f"a representative is not a cocycle at degree {p}")
+        coordinates = coordinates.transpose()
+        if not vanishes([(1, coordinates, columns),
+                         (-1, Matrix.identity(reps.rows), None)]):
+            raise InternalConsistencyFailure(
+                f"class coordinates do not invert the representatives at "
+                f"degree {p}")
         out.append(CohomologyData(
             degree=p, betti=betti, cocycle_basis=z, coboundary_basis=b,
-            representative_basis=reps,
-            transposed_representatives=reps.transpose(),
-            transposed_coordinates=coordinates.transpose()))
+            representative_basis=reps, transposed_representatives=columns,
+            transposed_coordinates=coordinates))
     return out
 
 
@@ -249,21 +267,30 @@ def _diagonal_block(weights: list, den: int) -> Matrix:
 
 def induced_cohomology_map(cohom: list[CohomologyData],
                            chain_map: ChainMap) -> list[Matrix]:
-    """Matrix of the induced map on each H^p in the representative basis.
-
-    The columns of X = F_p * reps^T are the images F_p h of the
-    representatives.  Each is checked to be a cocycle, d_p * X = 0, and
-    H_p = coords^T * X takes them to the classes, column by column, with
-    the transposes built once with the cohomology: no rref and no
-    cochain-sized transpose runs here.
-    """
+    """Matrix of the induced map on each H^p in the representative basis:
+    the images of the representatives (_cocycle_images), each checked to be
+    a cocycle, d_p * X = 0, then their classes (_classes).  No rref and no
+    cochain-sized transpose runs here."""
     differentials = chain_map.complex.differentials
-    out = []
-    for p, data in enumerate(cohom):
-        images = chain_map.blocks[p] * data.transposed_representatives
-        if p < len(differentials) and \
-                not vanishes([(1, differentials[p], images)]):
+    images = _cocycle_images(cohom, chain_map)
+    for p, (d, x) in enumerate(zip(differentials, images)):
+        if not vanishes([(1, d, x)]):
             raise InternalConsistencyFailure(
                 f"induced cocycle leaves the cocycle space at degree {p}")
-        out.append(data.transposed_coordinates * images)
-    return out
+    return _classes(cohom, images)
+
+
+def _cocycle_images(cohom: list[CohomologyData],
+                    chain_map: ChainMap) -> list[Matrix]:
+    """X_p = F_p * reps^T, whose columns are the images F_p h of the
+    representatives, with the transpose built once with the cohomology."""
+    return [block * data.transposed_representatives
+            for block, data in zip(chain_map.blocks, cohom)]
+
+
+def _classes(cohom: list[CohomologyData], images: list) -> list[Matrix]:
+    """H_p = coords^T * X_p: the cocycle images on the classes, column by
+    column.  Only a cocycle X_p has a class, so the caller vouches for
+    d_p * X_p = 0."""
+    return [data.transposed_coordinates * x
+            for data, x in zip(cohom, images)]

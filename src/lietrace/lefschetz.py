@@ -16,14 +16,18 @@ Only the induced maps depend on the map, and a report builds nothing else.
 Once per coefficient system (g, V), an immutable value, coefficient_system
 caches, for the MEMO_SIZE most recently used ones: the validated complex,
 its cohomology and the transposed representatives and class coordinates
-that the induced maps multiply by, so the Jacobi, module, d o d, quotient
-rank and (trivial module, nilpotent algebra) Poincare duality checks run
-once per value; the complex keeps the supports of its differentials from
-the first report of a diagonal map.  Once per dimension n: the p-subset
-tables (ratlin.subset_tables) and the torus oracle's abelian algebra with
-its trivial module and basis ads.  On every report: the morphism,
-intertwiner, chain-map, cocycle-image and Hopf checks, and products of the
-map with what is cached.  A diagonal map and intertwiner (a graded
+that the induced maps multiply by, so the Jacobi, module, d o d,
+rank-nullity, quotient rank, representative (d_p reps^T = 0 and coords^T
+reps^T = I) and (trivial module, nilpotent algebra) Poincare duality checks
+run once per value; the complex keeps the supports of its differentials
+from the first report of a diagonal map.  Once per dimension n: the
+p-subset tables (ratlin.subset_tables) and the torus oracle's abelian
+algebra with its trivial module and basis ads.  On every report: the
+morphism, intertwiner, chain-map, cochain-trace (diagonal maps) and Hopf
+checks, and products of the map with what is cached.  The report takes
+coords^T (F_p reps^T) with no cocycle-image check: F_p is a chain map on
+the cached complex and the representatives are its cocycles, so d_p F_p h
+= F_(p+1) d_p h = 0.  A diagonal map and intertwiner (a graded
 diag(t^w) with a scalar xi or xi = f^-1) give diagonal chain-map blocks,
 built from their weights and checked on the supports with no transpose,
 exterior power or Kronecker product; any other map is transposed, n x n,
@@ -36,8 +40,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
-from .cecomplex import (CochainComplex, build_complex, cohomology,
-                        induced_chain_map, induced_cohomology_map)
+from .cecomplex import (CochainComplex, _classes, _cocycle_images, _diagonal,
+                        build_complex, cohomology, induced_chain_map)
 from .liealg import (LieAlgebra, LieMorphism, check_morphism, is_nilpotent,
                      validate)
 from .ratlin import (MEMO_SIZE, InternalConsistencyFailure, InvalidInput,
@@ -110,6 +114,28 @@ def coefficient_system(algebra: LieAlgebra,
     return system
 
 
+def _check_cochain_traces(traces: tuple, f: Matrix, xi: Matrix) -> None:
+    """tr F_p = e_p(f) tr xi for each p, checked for a diagonal f and xi,
+    e_p the coefficients of prod_i (1 + lambda_i t) over f.den^p and tr xi
+    the sum of xi's diagonal over xi.den, compared as cross-multiplied
+    integers.  It ties the blocks to f and xi, which neither the chain-map
+    check nor Hopf does."""
+    lam, mu = _diagonal(f), _diagonal(xi)
+    if lam is None or mu is None:
+        return
+    e = [1]
+    for x in lam:
+        e = [a + x * b for a, b in zip(e + [0], [0] + e)]
+    tr_xi = sum(mu)
+    for p, (trace, e_p) in enumerate(zip(traces, e)):
+        if trace.numerator * f.den ** p * xi.den != \
+                trace.denominator * e_p * tr_xi:
+            expected = Fraction(e_p * tr_xi, f.den ** p * xi.den)
+            raise InternalConsistencyFailure(
+                f"cochain trace {format_rational(trace)} at degree {p} != "
+                f"e_{p}(f) tr xi = {format_rational(expected)}")
+
+
 def twisted_lefschetz(algebra: LieAlgebra, module: Representation,
                       morphism: LieMorphism, intertwiner: Intertwiner,
                       linearization_matrix: Matrix | None = None
@@ -131,10 +157,13 @@ def twisted_lefschetz(algebra: LieAlgebra, module: Representation,
     validate_intertwiner(intertwiner)
     chain_map = induced_chain_map(system.complex, morphism, intertwiner)
     cohom = system.cohomology
-    maps = induced_cohomology_map(cohom, chain_map)
+    # a chain map on system.complex takes the representatives, cocycles of
+    # that complex, to cocycles, so induced_cohomology_map's check holds
+    maps = _classes(cohom, _cocycle_images(cohom, chain_map))
 
     cohom_traces = tuple(m.trace() for m in maps)
     cochain_traces = tuple(b.trace() for b in chain_map.blocks)
+    _check_cochain_traces(cochain_traces, morphism.matrix, intertwiner.matrix)
     lefschetz_number = alternating_sum(cohom_traces)
     hopf = alternating_sum(cochain_traces)
     if lefschetz_number != hopf:

@@ -8,16 +8,19 @@ packed, scanned or divided, and a product row from a left row with one
 nonzero is its partner row, scaled.
 rref eliminates fraction-free on the integer rows, and determinant,
 det(I - m) and inverse share one fraction-free (Bareiss) kernel on them.
-Every identity the library certifies (d o d = 0, chain maps, cocycle
-images, brackets) is a sum of c * a * b that one kernel, vanishes, checks
-(apart from the chain map of a diagonal map, which cecomplex checks on its
-weights) row by row, stopping at the first nonzero row, without building the
-products.  The reduced row echelon form is unique, so every derived
-basis (kernels, images, cohomology representatives, each a Matrix whose
-rows are the basis vectors) is the one elimination over Fraction gives, on
-any platform.  Fraction appears only at the edges: dense input, the dense
-views (`entries`, `row`, `m[i, j]`, built from the rows on each read, for
-repr and JSON), trace, determinant and the polynomial helpers.
+Every identity the library certifies (d o d = 0, the cohomology
+representatives d_p reps^T = 0 and coords^T reps^T = I, chain maps,
+cocycle images, brackets) is a sum of c * a * b that one kernel, vanishes,
+checks (apart from the chain map of a diagonal map, which cecomplex checks
+on its weights) row by row, stopping at the first nonzero row, without
+building the products; the counts (rank-nullity, the representatives =
+betti) and the cochain traces of a diagonal map are compared as integers.
+The reduced row echelon form is unique, so every derived basis (kernels,
+images, cohomology representatives, each a Matrix whose rows are the basis
+vectors) is the one elimination over Fraction gives, on any platform.
+Fraction appears only at the edges: dense input, the dense views
+(`entries`, `row`, `m[i, j]`, built from the rows on each read, for repr
+and JSON), trace, determinant and the polynomial helpers.
 """
 
 from __future__ import annotations
@@ -45,8 +48,9 @@ class InvalidInput(ValueError):
 
 class InternalConsistencyFailure(ArithmeticError):
     """The one certificate exception: an identity that must hold (d o d = 0,
-    chain maps, cocycle images, Hopf trace, convergence of an exact
-    iteration) failed; indicates a bug, not bad input."""
+    rank-nullity, cohomology representatives, chain maps, cocycle images,
+    cochain traces, Hopf trace, convergence of an exact iteration) failed;
+    indicates a bug, not bad input."""
 
 
 class Record:

@@ -632,6 +632,55 @@ def test_representative_count_is_certified(monkeypatch):
         cohomology(build_complex(HEIS3, trivial_module(HEIS3)))
 
 
+def test_representatives_are_certified_cocycles(monkeypatch):
+    # e0* and e1* span the degree one cocycles of heisenberg3 and e2* is
+    # not one (d e2* = -e0^e1): a quotient basis that swaps e2* in for its
+    # last representative fails at degree 1, under python -O too
+    def swap_in_e2(kernel, fixed):
+        reps, coordinates, rank = quotient_basis(kernel, fixed)
+        if reps.cols == 3 and reps.rows:
+            reps = Matrix(list(reps.entries[:-1]) + [[0, 0, 1]])
+        return reps, coordinates, rank
+    monkeypatch.setattr(cecomplex, "quotient_basis", swap_in_e2)
+    with pytest.raises(InternalConsistencyFailure) as err:
+        cohomology(build_complex(HEIS3, trivial_module(HEIS3)))
+    assert str(err.value) == "a representative is not a cocycle at degree 1"
+
+
+def test_negated_class_coordinates_fail_at_degree_zero(monkeypatch):
+    # class coordinates that come back negated pass the rank, count and
+    # cocycle checks and would negate every induced map on cohomology;
+    # coords^T reps^T = -I fails at degree 0
+    def negated(kernel, fixed):
+        reps, coordinates, rank = quotient_basis(kernel, fixed)
+        return reps, -coordinates, rank
+    monkeypatch.setattr(cecomplex, "quotient_basis", negated)
+    with pytest.raises(InternalConsistencyFailure) as err:
+        cohomology(build_complex(HEIS3, trivial_module(HEIS3)))
+    assert str(err.value) == \
+        "class coordinates do not invert the representatives at degree 0"
+
+
+def test_public_induced_map_checks_each_cocycle_image(monkeypatch):
+    # induced_cohomology_map takes any ChainMap, so it checks d_p X = 0 with
+    # one one-term vanishes per degree below n, even where the report skips
+    # it; cohomology's certificates run before the counting starts
+    module = adjoint_module(HEIS3)
+    cx = build_complex(HEIS3, module)
+    cohom = cohomology(cx)
+    f = endomorphism(HEIS3, Matrix.diagonal([2, 3, 6]))
+    chain_map = induced_chain_map(cx, f, Intertwiner(
+        morphism=f, module=module, matrix=inverse(f.matrix)))
+    calls = []
+
+    def counting(terms, real=ratlin.vanishes):
+        calls.append(len(terms))
+        return real(terms)
+    monkeypatch.setattr(cecomplex, "vanishes", counting)
+    induced_cohomology_map(cohom, chain_map)
+    assert calls == [1] * HEIS3.dim
+
+
 def test_filiform6_adjoint_cohomology_eliminates_once_per_differential(
         monkeypatch):
     # A structural guard in place of a timing test: cohomology and the

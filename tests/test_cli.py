@@ -977,6 +977,26 @@ def test_complex_certificates_exit_three(tmp_path, monkeypatch, capsys,
         ("", f"internal consistency failure: {message}\n")
 
 
+def test_rank_nullity_fires_on_a_dropped_kernel_row(tmp_path, monkeypatch,
+                                                    capsys):
+    # a kernel that loses its first row loses the one degree-0 class of
+    # heisenberg3 with the adjoint module: with no map to report on, the
+    # Betti numbers 0 3 4 2 (for 1 4 5 2) pass the representative count, and
+    # Poincare duality covers only the trivial module
+    from lietrace import cecomplex, ratlin
+
+    def drop_first(m):
+        kernel, image = ratlin.kernel_and_image(m)
+        return kernel.submatrix(range(1, kernel.rows), range(kernel.cols)), image
+    monkeypatch.setattr(cecomplex, "kernel_and_image", drop_first)
+    doc = {"algebra": "heisenberg3", "module": _HEIS_ADJOINT}
+    code = main(["cohomology", _write(tmp_path, "task.json", doc)])
+    assert (code, *capsys.readouterr()) == (
+        EXIT_INTERNAL, "",
+        "internal consistency failure: rank-nullity fails at degree 0: "
+        "kernel 0 + image 2 != dim C^p 3\n")
+
+
 def _run_under_the_c_locale(args, utf8=False, **env):
     """`python -m lietrace.cli *args` under the C locale, whose encoding is
     ASCII without UTF-8 mode, with no PYTHONUTF8 or PYTHONIOENCODING."""

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lietrace import cecomplex, liealg, ratlin
+from lietrace import cecomplex, lefschetz, liealg, ratlin
 from lietrace.catalog import (get, list_entries, random_graded_endomorphism,
                               sample_endomorphisms)
 from lietrace.cli import EXIT_INTERNAL, main
@@ -147,44 +147,56 @@ def test_hopf_identity_check_frozen():
     assert _hopf_values(HEIS3, adjoint_module(HEIS3), ident) == (0, 0, 0)
 
 
-def test_hopf_fires_through_negated_class_coordinates(monkeypatch):
-    # a fault upstream of the traces: class coordinates that come back
-    # negated pass the rank and cocycle-image checks but negate every
-    # induced map on cohomology, so for f = diag(2, 3, 6) the cohomology
-    # side reads 10 while the cochain side stays at -10.  The cache is
-    # emptied on both sides, so no system built under the patch survives.
-    def negated(kernel, fixed):
-        reps, coordinates, rank = ratlin.quotient_basis(kernel, fixed)
-        return reps, -coordinates, rank
-    monkeypatch.setattr(cecomplex, "quotient_basis", negated)
-    coefficient_system.cache_clear()
-    try:
-        with pytest.raises(InternalConsistencyFailure,
-                           match="cochain-level alternating trace -10 != "
-                                 "cohomology-level 10") as err:
-            _trivial_run(HEIS3, [[2, 0, 0], [0, 3, 0], [0, 0, 6]])
-    finally:
-        coefficient_system.cache_clear()
+def test_hopf_fires_through_negated_class_maps(monkeypatch):
+    # a fault past every other certificate: the class step of the report
+    # returning its maps negated leaves the cohomology, the chain map and
+    # the cochain traces as they are, but for f = diag(2, 3, 6) the
+    # cohomology side reads 10 while the cochain side stays at -10
+    def negated(cohom, images, real=lefschetz._classes):
+        return [-m for m in real(cohom, images)]
+    monkeypatch.setattr(lefschetz, "_classes", negated)
+    with pytest.raises(InternalConsistencyFailure,
+                       match="cochain-level alternating trace -10 != "
+                             "cohomology-level 10") as err:
+        _trivial_run(HEIS3, [[2, 0, 0], [0, 3, 0], [0, 0, 6]])
     assert "Fraction(" not in str(err.value)
 
 
-def test_poincare_duality_fires_on_a_dropped_cocycle(monkeypatch, tmp_path,
-                                                    capsys):
-    # a kernel that loses its first row loses the one degree-0 class of
-    # abelian_2: betti 0 1 1 passes the representative count, but a
-    # nilpotent algebra with the trivial module has symmetric Betti numbers
-    def drop_first(m):
-        kernel, image = ratlin.kernel_and_image(m)
-        return kernel.submatrix(range(1, kernel.rows), range(kernel.cols)), image
-    monkeypatch.setattr(cecomplex, "kernel_and_image", drop_first)
-    path = tmp_path / "abelian_2.json"
-    path.write_text('{"algebra": "abelian_2"}')
+def test_cochain_trace_certificate_fires_on_a_dropped_scalar(monkeypatch):
+    # a diagonal path that drops a scalar xi = [2] builds the blocks of
+    # Lambda^p(f^T) alone: they commute with d and Hopf compares two sides
+    # of the same blocks, so only tr F_p = e_p(f) tr xi sees that heisenberg3
+    # with f = diag(2, 3, 6) would report hopf -10 where det(I - f) tr xi
+    # is -20
+    def scalar_dropped(lam, mu, n, real=cecomplex._weights):
+        return real(lam, [1] if len(mu) == 1 else mu, n)
+    monkeypatch.setattr(cecomplex, "_weights", scalar_dropped)
+    with pytest.raises(InternalConsistencyFailure) as err:
+        _trivial_run(HEIS3, [[2, 0, 0], [0, 3, 0], [0, 0, 6]], Fraction(2))
+    assert str(err.value) == \
+        "cochain trace 1 at degree 0 != e_0(f) tr xi = 2"
+
+
+def test_poincare_duality_fires_on_a_zeroed_differential(monkeypatch,
+                                                         tmp_path, capsys):
+    # a zero d_1 for filiform4 passes d o d, rank-nullity and the
+    # representative certificates, since its kernel and image are those of
+    # the zero map, but a nilpotent algebra with the trivial module has
+    # symmetric Betti numbers
+    differential = cecomplex._differential
+
+    def zeroed(algebra, module, p):
+        d = differential(algebra, module, p)
+        return Matrix.zero(d.rows, d.cols) if p == 1 else d
+    monkeypatch.setattr(cecomplex, "_differential", zeroed)
+    path = tmp_path / "filiform4.json"
+    path.write_text('{"algebra": "filiform4"}')
     code = main(["cohomology", str(path)])
     assert (code, *capsys.readouterr()) == (
         EXIT_INTERNAL, "",
-        "internal consistency failure: Betti numbers [0, 1, 1] of a nilpotent "
-        "algebra with the trivial module are not symmetric (Poincare "
-        "duality)\n")
+        "internal consistency failure: Betti numbers [1, 4, 4, 2, 1] of a "
+        "nilpotent algebra with the trivial module are not symmetric "
+        "(Poincare duality)\n")
 
 
 def test_conjugation_invariance():
@@ -339,15 +351,15 @@ def test_warm_filiform6_adjoint_report_transposes_only_the_map(monkeypatch):
 def test_filiform6_adjoint_report_packs_only_kept_rows(monkeypatch):
     # A structural guard in place of a timing test: every identity of one
     # filiform6 report with the adjoint module (Jacobi, the module, the
-    # morphism and the intertwiner, d o d, the chain map, the cocycle
-    # images) goes through ratlin.vanishes, which packs no row, so only
-    # the rows of matrices the report keeps are packed (3065 when each
-    # identity built and compared its products).  Products skip their
-    # empty rows, a left row with one nonzero scales its partner row
-    # without packing, and the chain-map blocks of the diagonal f are
-    # built from its weights with no exterior power (whose 63 rows were
-    # packed), so the cold report packs 397 rows and a second, warm report
-    # of the same values 19.  Both counts are deterministic.
+    # morphism and the intertwiner, d o d, the representatives and their
+    # class coordinates, the chain map) goes through ratlin.vanishes, which
+    # packs no row, so only the rows of matrices the report keeps are
+    # packed (3065 when each identity built and compared its products).
+    # Products skip their empty rows, a left row with one nonzero scales its
+    # partner row without packing, and the chain-map blocks of the diagonal
+    # f are built from its weights with no exterior power (whose 63 rows
+    # were packed), so the cold report packs 397 rows and a second, warm
+    # report of the same values 19.  Both counts are deterministic.
     algebra, module, f, xi = _filiform_adjoint(6)
     again = _filiform_adjoint(6)
     calls = []
@@ -373,9 +385,11 @@ def test_only_a_map_that_is_not_diagonal_builds_exterior_powers(
     # A structural guard in place of a timing test: a warm filiform6
     # adjoint report of diag(2^w) with xi = f^-1 builds its blocks from the
     # weights and checks them on the supports of d, with no exterior power,
-    # kron or chain-map vanishes (two terms; the cocycle-image check has
-    # one); diag(2^w) exp(ad e1) takes each of the first two once and the
-    # check once per differential.
+    # kron or chain-map vanishes (two terms); diag(2^w) exp(ad e1) takes
+    # each of the first two once and the check once per differential.
+    # Neither runs a one-term vanishes: the cohomology certifies its
+    # representatives once per coefficient system, so the report checks no
+    # cocycle image.
     case = _filiform_adjoint(6, twisted=twisted)
     assert any(len(row) > 1 for row in case[2].matrix.sparse) == twisted
     twisted_lefschetz(*case)
@@ -390,7 +404,7 @@ def test_only_a_map_that_is_not_diagonal_builds_exterior_powers(
     assert calls.count("exterior_powers") == kronecker
     assert calls.count("kron") == 7 * kronecker
     assert calls.count(2) == 6 * kronecker
-    assert calls.count(1) == 6
+    assert calls.count(1) == 0
 
 
 def test_filiform6_adjoint_report_stays_sparse(monkeypatch):

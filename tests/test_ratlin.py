@@ -921,12 +921,85 @@ sys.exit("no check fired in " + ", ".join(missing) if missing else 0)
 """
 
 
-def test_shape_checks_survive_python_O():
+# Run under `python -O` too: the rank-nullity, representative and cochain
+# trace certificates raise on the mutants their firing tests use.
+_OPTIMIZED_CERTIFICATE_SCRIPT = """
+import sys
+from lietrace import cecomplex, lefschetz
+from lietrace.catalog import get
+from lietrace.liealg import endomorphism
+from lietrace.ratlin import (InternalConsistencyFailure, Matrix,
+                             kernel_and_image, quotient_basis)
+from lietrace.repn import Intertwiner, adjoint_module, trivial_module
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+h3 = get("heisenberg3").algebra
+
+def negated(kernel, fixed):
+    reps, coordinates, rank = quotient_basis(kernel, fixed)
+    return reps, -coordinates, rank
+
+def swap_in_e2(kernel, fixed):
+    reps, coordinates, rank = quotient_basis(kernel, fixed)
+    if reps.cols == 3 and reps.rows:
+        reps = Matrix(list(reps.entries[:-1]) + [[0, 0, 1]])
+    return reps, coordinates, rank
+
+def drop_first(m):
+    kernel, image = kernel_and_image(m)
+    return kernel.submatrix(range(1, kernel.rows), range(kernel.cols)), image
+
+def scalar_dropped(lam, mu, n, real=cecomplex._weights):
+    return real(lam, [1] if len(mu) == 1 else mu, n)
+
+def cohomology_of(module):
+    return lambda: cecomplex.cohomology(cecomplex.build_complex(h3, module))
+
+def report():
+    module = trivial_module(h3)
+    f = endomorphism(h3, Matrix.diagonal([2, 3, 6]))
+    lefschetz.twisted_lefschetz(h3, module, f, Intertwiner(
+        morphism=f, module=module, matrix=Matrix([[2]])))
+
+missing = []
+for name, mutant, run, message in [
+        ("quotient_basis", negated, cohomology_of(trivial_module(h3)),
+         "class coordinates do not invert"),
+        ("quotient_basis", swap_in_e2, cohomology_of(trivial_module(h3)),
+         "not a cocycle"),
+        ("kernel_and_image", drop_first, cohomology_of(adjoint_module(h3)),
+         "rank-nullity"),
+        ("_weights", scalar_dropped, report, "cochain trace")]:
+    real = getattr(cecomplex, name)
+    setattr(cecomplex, name, mutant)
+    lefschetz.coefficient_system.cache_clear()
+    try:
+        run()
+        missing.append(message)
+    except InternalConsistencyFailure as exc:
+        if message not in str(exc):
+            missing.append(message)
+    finally:
+        setattr(cecomplex, name, real)
+sys.exit("no check fired for " + ", ".join(missing) if missing else 0)
+"""
+
+
+def _run_optimized(script: str) -> subprocess.CompletedProcess:
     src = os.path.dirname(os.path.dirname(os.path.abspath(lietrace.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_SHAPE_SCRIPT],
+    return subprocess.run([sys.executable, "-O", "-c", script],
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=60)
+
+
+def test_shape_checks_survive_python_O():
+    proc = _run_optimized(_OPTIMIZED_SHAPE_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cohomology_and_trace_certificates_survive_python_O():
+    proc = _run_optimized(_OPTIMIZED_CERTIFICATE_SCRIPT)
     assert proc.returncode == 0, proc.stderr
 
 
