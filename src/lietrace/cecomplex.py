@@ -14,18 +14,20 @@ module the first sum drops out and d is determined by the brackets alone.
 Like the representative and cocycle-image checks and the chain-map check of
 a map that is not diagonal, it goes through ratlin.vanishes, row by row,
 stopping at the first nonzero row, without building the product; a
-diagonal chain map is checked on its weights (induced_chain_map).
+diagonal chain map is checked on its weights and traces (induced_chain_map).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm
 
 from .liealg import LieAlgebra, LieMorphism, integer_brackets
 from .ratlin import (InternalConsistencyFailure, InvalidInput, Matrix,
-                     Record, exterior_powers, kernel_and_image, kron,
-                     packed_row, quotient_basis, subset_tables, vanishes)
+                     Record, exterior_powers, format_rational,
+                     kernel_and_image, kron, packed_row, quotient_basis,
+                     subset_tables, vanishes)
 from .repn import Intertwiner, Representation
 
 
@@ -185,9 +187,14 @@ def betti_numbers(complex_: CochainComplex) -> tuple:
 # ---------------------------------------------------------------------------
 
 class ChainMap(Record):
-    """Degreewise maps F_p = Lambda^p(f transpose) (x) xi, commuting with d."""
+    """Degreewise maps F_p = Lambda^p(f transpose) (x) xi, commuting with d.
+    traces[p] = tr F_p, taken on first read and kept, not in == or repr."""
     complex: CochainComplex
     blocks: tuple  # blocks[p]: C^p -> C^p
+
+    @cached_property
+    def traces(self) -> tuple:
+        return tuple(block.trace() for block in self.blocks)
 
 
 def induced_chain_map(complex_: CochainComplex, f: LieMorphism,
@@ -200,36 +207,49 @@ def induced_chain_map(complex_: CochainComplex, f: LieMorphism,
     and stored form of the Kronecker products below.  Entry (i, j) of
     F_(p+1) d_p - d_p F_p is then d_p[i][j] (F_(p+1)[i][i] - F_p[j][j]),
     so the check compares w_(p+1)[i] with f.den w_p[j] at each nonzero
-    (i, j) of d_p, listed by complex_.supports.  Any other map takes
-    Lambda^p(f^T) (x) xi and vanishes.
+    (i, j) of d_p, listed by complex_.supports.  Then tr F_p = e_p(f) tr xi
+    in integers, e_p from prod_i (1 + lambda_i t) over f.den^p and tr xi as
+    sum(mu) over xi.den, ties the blocks to f and xi, as neither the
+    chain-map check nor Hopf does.  Any other map takes Lambda^p(f^T) (x) xi
+    and vanishes.
     """
     n = complex_.top_degree
     if f.source.dim != n or f.target.dim != n:
         raise InvalidInput("morphism dimension does not match the complex")
     lam, mu = _diagonal(f.matrix), _diagonal(xi.matrix)
-    if lam is None or mu is None:
-        weights = None
+    diagonal = lam is not None and mu is not None
+    f_den, xi_den = f.matrix.den, xi.matrix.den
+    if diagonal:
+        weights = _weights(lam, mu, n)
+        dens = [f_den ** p * xi_den for p in range(n + 1)]
+        blocks = tuple(map(_diagonal_block, weights, dens))
+        below = weights if f_den == 1 else \
+            [[f_den * x for x in w] for w in weights[:-1]]
+        verdicts = (list(map(weights[p + 1].__getitem__, rows))
+                    == list(map(below[p].__getitem__, cols))
+                    for p, (rows, cols) in enumerate(complex_.supports))
+    else:
         ft = f.matrix.transpose()
         blocks = tuple(kron(power, xi.matrix) for power in exterior_powers(ft))
-    else:
-        weights = _weights(lam, mu, n)
-        blocks = tuple(_diagonal_block(w, f.matrix.den ** p * xi.matrix.den)
-                       for p, w in enumerate(weights))
-    for p in range(n):
-        d = complex_.differentials[p]
-        if weights is None:
-            commutes = vanishes([(1, blocks[p + 1], d), (-1, d, blocks[p])])
-        else:
-            rows, cols = complex_.supports[p]
-            below = weights[p]
-            if f.matrix.den != 1:
-                below = [f.matrix.den * x for x in below]
-            commutes = (list(map(weights[p + 1].__getitem__, rows))
-                        == list(map(below.__getitem__, cols)))
+        verdicts = (vanishes([(1, blocks[p + 1], d), (-1, d, blocks[p])])
+                    for p, d in enumerate(complex_.differentials))
+    for p, commutes in enumerate(verdicts):
         if not commutes:
             raise InternalConsistencyFailure(
                 f"induced map does not commute with d at degree {p}")
-    return ChainMap(complex=complex_, blocks=blocks)
+    chain_map = ChainMap(complex=complex_, blocks=blocks)
+    if diagonal:
+        e = [1]
+        for x in lam:
+            e = [a + x * b for a, b in zip(e + [0], [0] + e)]
+        tr_xi = sum(mu)
+        for p, (trace, e_p) in enumerate(zip(chain_map.traces, e)):
+            if trace.numerator * dens[p] != trace.denominator * e_p * tr_xi:
+                expected = Fraction(e_p * tr_xi, dens[p])
+                raise InternalConsistencyFailure(
+                    f"cochain trace {format_rational(trace)} at degree {p} "
+                    f"!= e_{p}(f) tr xi = {format_rational(expected)}")
+    return chain_map
 
 
 def _diagonal(m: Matrix) -> list | None:

@@ -22,7 +22,7 @@ import sys
 
 from . import catalog as catalog_mod
 from .documents import (InvalidDocument, algebra_to_doc, cap_cochains,
-                        load_json, matrix_to_doc, task_from_doc)
+                        cap_literal, load_json, matrix_to_doc, task_from_doc)
 from .lefschetz import coefficient_system, twisted_lefschetz
 from .liealg import check_morphism, is_nilpotent, is_solvable, validate
 from .nilshadow import (SplitPresentation, build_shadow, shadow_report,
@@ -269,6 +269,7 @@ def _parse_int_matrix(text: str):
     for chunk in text.split(";"):
         row = []
         for cell in map(str.strip, chunk.split(",")):
+            cap_literal(cell, "/matrix")   # before int() meets its limit
             try:
                 row.append(parse_integer(cell))
             except ValueError:

@@ -58,10 +58,7 @@ def _rational(value, path) -> Fraction:
     if not isinstance(value, (int, str)):
         _fail(path, f"expected a rational string, got {type(value).__name__}")
     text = format_rational(value) if isinstance(value, int) else value
-    digits = sum(map(str.isdigit, text))
-    if digits > MAX_LITERAL_DIGITS:
-        _fail(path, f"{digits} digits in a rational literal, above the cap "
-                    f"of {MAX_LITERAL_DIGITS}")
+    cap_literal(text, path)
     try:
         return parse_rational(text)
     except ValueError as exc:
@@ -83,6 +80,14 @@ def _matrix(value, path, rows=None, cols=None) -> Matrix:
     if cols is not None and width != cols:
         _fail(path, f"expected {cols} columns, got {width}")
     return Matrix(entries)
+
+
+def cap_literal(text: str, path: str) -> None:
+    """Refuse a literal of more than MAX_LITERAL_DIGITS digits."""
+    digits = sum(map(str.isdigit, text))
+    if digits > MAX_LITERAL_DIGITS:
+        _fail(path, f"{digits} digits in a rational literal, above the cap "
+                    f"of {MAX_LITERAL_DIGITS}")
 
 
 def cap_cochains(n: int, m: int, path: str) -> None:

@@ -23,15 +23,13 @@ run once per value; the complex keeps the supports of its differentials
 from the first report of a diagonal map.  Once per dimension n: the
 p-subset tables (ratlin.subset_tables) and the torus oracle's abelian
 algebra with its trivial module and basis ads.  On every report: the
-morphism, intertwiner, chain-map, cochain-trace (diagonal maps) and Hopf
-checks, and products of the map with what is cached.  The report takes
+morphism and intertwiner checks, induced_chain_map's chain-map and
+(diagonal maps) cochain-trace checks on the traces the report reads, the
+Hopf check, and products of the map with what is cached.  The report takes
 coords^T (F_p reps^T) with no cocycle-image check: F_p is a chain map on
 the cached complex and the representatives are its cocycles, so d_p F_p h
-= F_(p+1) d_p h = 0.  A diagonal map and intertwiner (a graded
-diag(t^w) with a scalar xi or xi = f^-1) give diagonal chain-map blocks,
-built from their weights and checked on the supports with no transpose,
-exterior power or Kronecker product; any other map is transposed, n x n,
-and its blocks are Kronecker products of its exterior powers with xi.
+= F_(p+1) d_p h = 0.  How the blocks are built, from weights for a
+diagonal f and xi or as Kronecker products, is induced_chain_map's choice.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
-from .cecomplex import (CochainComplex, _classes, _cocycle_images, _diagonal,
+from .cecomplex import (CochainComplex, _classes, _cocycle_images,
                         build_complex, cohomology, induced_chain_map)
 from .liealg import (LieAlgebra, LieMorphism, check_morphism, is_nilpotent,
                      validate)
@@ -114,28 +112,6 @@ def coefficient_system(algebra: LieAlgebra,
     return system
 
 
-def _check_cochain_traces(traces: tuple, f: Matrix, xi: Matrix) -> None:
-    """tr F_p = e_p(f) tr xi for each p, checked for a diagonal f and xi,
-    e_p the coefficients of prod_i (1 + lambda_i t) over f.den^p and tr xi
-    the sum of xi's diagonal over xi.den, compared as cross-multiplied
-    integers.  It ties the blocks to f and xi, which neither the chain-map
-    check nor Hopf does."""
-    lam, mu = _diagonal(f), _diagonal(xi)
-    if lam is None or mu is None:
-        return
-    e = [1]
-    for x in lam:
-        e = [a + x * b for a, b in zip(e + [0], [0] + e)]
-    tr_xi = sum(mu)
-    for p, (trace, e_p) in enumerate(zip(traces, e)):
-        if trace.numerator * f.den ** p * xi.den != \
-                trace.denominator * e_p * tr_xi:
-            expected = Fraction(e_p * tr_xi, f.den ** p * xi.den)
-            raise InternalConsistencyFailure(
-                f"cochain trace {format_rational(trace)} at degree {p} != "
-                f"e_{p}(f) tr xi = {format_rational(expected)}")
-
-
 def twisted_lefschetz(algebra: LieAlgebra, module: Representation,
                       morphism: LieMorphism, intertwiner: Intertwiner,
                       linearization_matrix: Matrix | None = None
@@ -162,16 +138,14 @@ def twisted_lefschetz(algebra: LieAlgebra, module: Representation,
     maps = _classes(cohom, _cocycle_images(cohom, chain_map))
 
     cohom_traces = tuple(m.trace() for m in maps)
-    cochain_traces = tuple(b.trace() for b in chain_map.blocks)
-    _check_cochain_traces(cochain_traces, morphism.matrix, intertwiner.matrix)
     lefschetz_number = alternating_sum(cohom_traces)
-    hopf = alternating_sum(cochain_traces)
+    hopf = alternating_sum(chain_map.traces)
     if lefschetz_number != hopf:
         raise InternalConsistencyFailure(
             "Hopf trace identity failed: cochain-level alternating trace "
             f"{format_rational(hopf)} != cohomology-level "
             f"{format_rational(lefschetz_number)} (cochain traces "
-            f"{format_vector(cochain_traces)}, cohomology traces "
+            f"{format_vector(chain_map.traces)}, cohomology traces "
             f"{format_vector(cohom_traces)})")
 
     a = linearization_matrix if linearization_matrix is not None else morphism.matrix
@@ -191,7 +165,7 @@ def twisted_lefschetz(algebra: LieAlgebra, module: Representation,
         dims=system.complex.dims,
         cohomology_maps=tuple(maps),
         cohomology_traces=cohom_traces,
-        cochain_traces=cochain_traces,
+        cochain_traces=chain_map.traces,
         lefschetz=lefschetz_number,
         hopf=hopf,
         det_i_minus_a=det_value,

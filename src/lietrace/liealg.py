@@ -63,8 +63,7 @@ class LieAlgebra(Record):
         for (i, j), comps in self.brackets.items():
             if not (0 <= i < j < self.dim):
                 raise InvalidInput(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
-            entry = {k: as_fraction(c) for k, c in comps.items()
-                     if as_fraction(c) != 0}
+            entry = {k: x for k, c in comps.items() if (x := as_fraction(c))}
             for k in entry:
                 if not 0 <= k < self.dim:
                     raise InvalidInput(f"bracket result index {k} out of range")

@@ -12,7 +12,8 @@ from lietrace.liealg import (JacobiViolation, LieAlgebra, NotAMorphism,
                              SeriesReport)
 from lietrace.ratlin import (Matrix, SingularMatrix, determinant, inverse,
                              kernel_and_image, p_subsets, rref)
-from lietrace.repn import Representation, adjoint_module, trivial_module
+from lietrace.repn import (Intertwiner, Representation, adjoint_module,
+                           trivial_module, validate_intertwiner)
 
 
 def whole(message: str) -> str:
@@ -556,3 +557,31 @@ def random_modules(seed: int, count: int) -> list[Representation]:
             base = direct_sum(trivial_module(algebra), adjoint_module(algebra))
         out.append(conjugated_module(base, random_invertible(rng, base.dim)))
     return out
+
+
+def random_intertwiner(rng, f, module) -> Intertwiner:
+    """A random combination of a basis of the m x m matrices xi with
+    xi rho(f e_i) = rho(e_i) xi, the kernel of those equations on the m^2
+    entries of xi."""
+    m, rho = module.dim, module.actions
+    equations = []
+    for i in range(f.source.dim):
+        image = Matrix.zero(m, m)
+        for k in range(f.target.dim):
+            image = image + f.matrix[k, i] * rho[k]
+        for a in range(m):
+            for c in range(m):
+                row = [Fraction(0)] * (m * m)
+                for b in range(m):
+                    row[a * m + b] += image[b, c]
+                    row[b * m + c] -= rho[i][a, b]
+                equations.append(row)
+    kernel, _ = kernel_and_image(Matrix(equations))
+    xi = [Fraction(0)] * (m * m)
+    for v in kernel.entries:
+        c = rng.randint(-2, 2)
+        xi = [x + c * y for x, y in zip(xi, v)]
+    xi = Intertwiner(morphism=f, module=module, matrix=Matrix(
+        [xi[a * m:(a + 1) * m] for a in range(m)]))
+    validate_intertwiner(xi)
+    return xi

@@ -13,15 +13,15 @@ from lietrace.cecomplex import (ChainMap, InternalConsistencyFailure,
 from lietrace.liealg import LieAlgebra, LieMorphism, endomorphism
 from lietrace.lefschetz import coefficient_system
 from lietrace.ratlin import (InvalidInput, Matrix, determinant, inverse,
-                             kernel_and_image, quotient_basis)
+                             quotient_basis)
 from lietrace.repn import (Intertwiner, Representation, adjoint_module,
                            identity_intertwiner, trivial_module,
                            validate_intertwiner)
 
 from generated import generated_cases
 from helpers import (ALL_NAMES, greedy_complete, heisenberg_defining_module,
-                     random_invertible, random_modules, reference_differential,
-                     solve_in_span, zero_vec)
+                     random_intertwiner, random_invertible, random_modules,
+                     reference_differential, solve_in_span, zero_vec)
 
 HEIS3 = get("heisenberg3").algebra
 SOL3 = get("sol3").algebra
@@ -208,6 +208,41 @@ def test_chain_map_violation_frozen(monkeypatch):
         induced_chain_map(cx, f, good)
         assert len(powers) == 2 * kronecker
         powers.clear()
+
+
+def test_cochain_trace_certificate_fires_in_the_chain_map(monkeypatch):
+    # the diagonal route certifies its own blocks: a _weights that drops a
+    # scalar xi = [2] builds the blocks of Lambda^p(f^T) alone, which
+    # commute with d, and a direct call raises before any report reads
+    # them, naming the first degree whose trace is not e_p(f) tr xi
+    def scalar_dropped(lam, mu, n, real=cecomplex._weights):
+        return real(lam, [1] if len(mu) == 1 else mu, n)
+    monkeypatch.setattr(cecomplex, "_weights", scalar_dropped)
+    module = trivial_module(HEIS3)
+    f = endomorphism(HEIS3, Matrix.diagonal([2, 3, 6]))
+    xi = Intertwiner(morphism=f, module=module, matrix=Matrix([[2]]))
+    with pytest.raises(InternalConsistencyFailure) as err:
+        induced_chain_map(build_complex(HEIS3, module), f, xi)
+    assert str(err.value) == \
+        "cochain trace 1 at degree 0 != e_0(f) tr xi = 2"
+
+
+def test_chain_map_traces_are_kept_outside_its_value():
+    # traces[p] = tr F_p on both routes, read once and kept, and not part
+    # of ==, hash or repr
+    module = adjoint_module(HEIS3)
+    cx = build_complex(HEIS3, module)
+    twisted = Matrix.diagonal([2, 3, 6]) * (Matrix.identity(3)
+                                            + HEIS3.basis_ads[0])
+    for matrix in (Matrix.diagonal([2, 3, 6]), twisted):
+        f = endomorphism(HEIS3, matrix)
+        xi = Intertwiner(morphism=f, module=module, matrix=inverse(matrix))
+        cm = induced_chain_map(cx, f, xi)
+        fresh = ChainMap(complex=cx, blocks=cm.blocks)
+        assert cm.traces is cm.traces
+        assert cm.traces == tuple(b.trace() for b in cm.blocks)
+        assert (cm, hash(cm), repr(cm)) == (fresh, hash(fresh), repr(fresh))
+        assert "traces" not in repr(cm)
 
 
 _ENTRIES = [Fraction(x) for x in (0, 1, -1, 2, -3)] + [Fraction(1, 2),
@@ -512,34 +547,6 @@ def _transposed_formula(data, block) -> Matrix:
     return (reps * block.transpose() * coordinates).transpose()
 
 
-def _intertwiner(rng, f, module) -> Intertwiner:
-    """A random combination of a basis of the m x m matrices xi with
-    xi rho(f e_i) = rho(e_i) xi, the kernel of those equations on the m^2
-    entries of xi."""
-    m, rho = module.dim, module.actions
-    equations = []
-    for i in range(f.source.dim):
-        image = Matrix.zero(m, m)
-        for k in range(f.target.dim):
-            image = image + f.matrix[k, i] * rho[k]
-        for a in range(m):
-            for c in range(m):
-                row = [Fraction(0)] * (m * m)
-                for b in range(m):
-                    row[a * m + b] += image[b, c]
-                    row[b * m + c] -= rho[i][a, b]
-                equations.append(row)
-    kernel, _ = kernel_and_image(Matrix(equations))
-    xi = [Fraction(0)] * (m * m)
-    for v in kernel.entries:
-        c = rng.randint(-2, 2)
-        xi = [x + c * y for x, y in zip(xi, v)]
-    xi = Intertwiner(morphism=f, module=module, matrix=Matrix(
-        [xi[a * m:(a + 1) * m] for a in range(m)]))
-    validate_intertwiner(xi)
-    return xi
-
-
 def test_induced_maps_keep_their_orientation():
     # induced_cohomology_map computes coords^T (F_p reps^T) with the
     # transposes built once per coefficient system; it must equal
@@ -551,7 +558,7 @@ def test_induced_maps_keep_their_orientation():
     for module in random_modules(seed=139, count=6):
         entry = next(get(name) for name in ALL_NAMES
                      if get(name).algebra == module.algebra)
-        cases += [(module.algebra, module, f, _intertwiner(rng, f, module))
+        cases += [(module.algebra, module, f, random_intertwiner(rng, f, module))
                   for f in sample_endomorphisms(entry)]
     asymmetric = 0
     for algebra, module, f, xi in cases:

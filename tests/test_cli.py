@@ -375,6 +375,20 @@ def test_torus_cochain_cap_exits_two_fast(capsys):
         "the cap of 1024\n")
 
 
+def test_torus_cells_take_the_literal_cap(capsys):
+    # a cell has the documents' MAX_LITERAL_DIGITS cap, counted before
+    # int(), which would refuse a cell past 4300 digits at the
+    # interpreter's limit as if it were not an integer
+    assert main(["torus", "--matrix", f"2,{'7' * 1000};0,2"]) == EXIT_OK
+    capsys.readouterr()
+    for cell, digits in (("7" * 1001, 1001), ("-" + "9" * 5000, 5000)):
+        assert main(["torus", "--matrix", f"2,{cell};0,2"]) == \
+            EXIT_INVALID_INPUT
+        assert capsys.readouterr() == ("", (
+            f"invalid input: /matrix: {digits} digits in a rational literal, "
+            f"above the cap of {MAX_LITERAL_DIGITS}\n"))
+
+
 def _abelian_task(n, seed=0):
     # abelian of dim n with a seeded dense integer map, entries in -2..2
     rng = random.Random(seed)

@@ -17,7 +17,9 @@ from lietrace.ratlin import (InternalConsistencyFailure, InvalidInput, Matrix,
 from lietrace.repn import (Intertwiner, Representation, adjoint_module,
                            identity_intertwiner, trivial_module)
 
-from helpers import NILPOTENT_NAMES, random_invertible, whole
+from generated import generated_cases
+from helpers import (NILPOTENT_NAMES, random_intertwiner, random_invertible,
+                     random_modules, whole)
 
 HEIS3 = get("heisenberg3").algebra
 SOL3 = get("sol3").algebra
@@ -177,6 +179,48 @@ def test_cochain_trace_certificate_fires_on_a_dropped_scalar(monkeypatch):
         "cochain trace 1 at degree 0 != e_0(f) tr xi = 2"
 
 
+def _dual(module: Representation) -> Representation:
+    """V*, on which e_i acts by -rho(e_i)^T."""
+    return Representation(algebra=module.algebra, dim=module.dim, actions=tuple(
+        -a.transpose() for a in module.actions))
+
+
+def test_twisted_poincare_duality():
+    # the cup product pairs H^p(g; V) with H^(n-p)(g; V*) into H^n(g) = Q
+    # for a nilpotent (so unimodular) g of dim n: b_p(V) = b_(n-p)(V*), and
+    # for an automorphism f with intertwiner X on V, X^-T intertwines f on
+    # V* and X^-1 intertwines f^-1 on V, with
+    # tr H^(n-p)(f; V*, X^-T) = det f tr H^p(f^-1; V, X^-1).  Run over the
+    # invertible generated cases and random modules over the nilpotent
+    # catalog with their invertible sample maps and random intertwiners.
+    cases = [(a, m, f, xi.matrix) for _, a, m, f, xi, _ in generated_cases()]
+    rng = random.Random(33)
+    for module in random_modules(seed=31, count=8):
+        entry = next(get(name) for name in NILPOTENT_NAMES + ["sol3"]
+                     if get(name).algebra == module.algebra)
+        if entry.name == "sol3":
+            continue
+        for f in sample_endomorphisms(entry):
+            cases.append((module.algebra, module, f,
+                          random_intertwiner(rng, f, module).matrix))
+    checked = 0
+    for algebra, module, f, x in cases:
+        if determinant(f.matrix) == 0 or determinant(x) == 0:
+            continue
+        dual = _dual(module)
+        f_inv = endomorphism(algebra, inverse(f.matrix))
+        back = twisted_lefschetz(algebra, module, f_inv, Intertwiner(
+            morphism=f_inv, module=module, matrix=inverse(x)))
+        there = twisted_lefschetz(algebra, dual, f, Intertwiner(
+            morphism=f, module=dual, matrix=inverse(x).transpose()))
+        assert there.betti == back.betti[::-1], (algebra, module, f)
+        assert there.cohomology_traces[::-1] == tuple(
+            determinant(f.matrix) * t for t in back.cohomology_traces), \
+            (algebra, module, f)
+        checked += 1
+    assert checked == 238   # 200 generated, 38 on random modules
+
+
 def test_poincare_duality_fires_on_a_zeroed_differential(monkeypatch,
                                                          tmp_path, capsys):
     # a zero d_1 for filiform4 passes d o d, rank-nullity and the
@@ -276,6 +320,40 @@ def test_each_trace_is_computed_once(monkeypatch):
     assert report.agree
     assert len(traces) == len(report.cochain_traces) + len(
         report.cohomology_maps) == 8
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+def test_a_warm_report_reads_each_diagonal_once(monkeypatch, twisted):
+    # induced_chain_map alone reads the diagonals of f and xi, once each,
+    # to choose its route and, for a diagonal map, to certify its traces;
+    # the report reads cochain_traces off the chain map, which takes one
+    # trace per block
+    case = _filiform_adjoint(4, twisted=twisted)
+    twisted_lefschetz(*case)
+    diagonals, traced, chain_maps = [], [], []
+
+    def counting_diagonal(m, real=cecomplex._diagonal):
+        diagonals.append(m)
+        return real(m)
+
+    def counting_trace(m, real=Matrix.trace):
+        traced.append(m)
+        return real(m)
+
+    def kept(*args, real=cecomplex.induced_chain_map):
+        chain_maps.append(real(*args))
+        return chain_maps[-1]
+
+    monkeypatch.setattr(cecomplex, "_diagonal", counting_diagonal)
+    monkeypatch.setattr(Matrix, "trace", counting_trace)
+    monkeypatch.setattr(lefschetz, "induced_chain_map", kept)
+    report = twisted_lefschetz(*case)
+    (chain_map,) = chain_maps
+    assert len(diagonals) == 2
+    on_blocks = [m for m in traced if any(m is b for b in chain_map.blocks)]
+    assert len(on_blocks) == len(chain_map.blocks) == 5
+    assert all(m is b for m, b in zip(on_blocks, chain_map.blocks))
+    assert report.cochain_traces is chain_map.traces
 
 
 def test_validate_inputs_guard():

@@ -333,6 +333,21 @@ def test_algebras_from_equal_brackets_are_equal_values():
     assert len(splits) == 1
 
 
+def test_each_structure_constant_is_coerced_once(monkeypatch):
+    # the value and the zero filter share one coercion per coefficient
+    coerced = []
+
+    def counting(x, real=liealg.as_fraction):
+        coerced.append(x)
+        return real(x)
+    monkeypatch.setattr(liealg, "as_fraction", counting)
+    algebra = LieAlgebra(dim=4, brackets={(0, 1): {2: "1", 3: 0},
+                                          (0, 2): {3: Fraction(1, 2)}})
+    assert coerced == ["1", 0, Fraction(1, 2)]
+    assert {pair: dict(c) for pair, c in algebra.brackets.items()} == \
+        {(0, 1): {2: 1}, (0, 2): {3: Fraction(1, 2)}}
+
+
 def test_second_check_morphism_builds_no_ads(monkeypatch):
     # A structural guard: the basis ads are built once per algebra, so a
     # second morphism check packs none of their rows, and the adjoint

@@ -922,7 +922,8 @@ sys.exit("no check fired in " + ", ".join(missing) if missing else 0)
 
 
 # Run under `python -O` too: the rank-nullity, representative and cochain
-# trace certificates raise on the mutants their firing tests use.
+# trace certificates raise on the mutants their firing tests use, the last
+# through a report and through induced_chain_map called directly.
 _OPTIMIZED_CERTIFICATE_SCRIPT = """
 import sys
 from lietrace import cecomplex, lefschetz
@@ -961,6 +962,14 @@ def report():
     lefschetz.twisted_lefschetz(h3, module, f, Intertwiner(
         morphism=f, module=module, matrix=Matrix([[2]])))
 
+def chain_map():
+    module = trivial_module(h3)
+    f = endomorphism(h3, Matrix.diagonal([2, 3, 6]))
+    cecomplex.induced_chain_map(
+        cecomplex.build_complex(h3, module), f,
+        Intertwiner(morphism=f, module=module, matrix=Matrix([[2]])))
+
+trace_message = "cochain trace 1 at degree 0 != e_0(f) tr xi = 2"
 missing = []
 for name, mutant, run, message in [
         ("quotient_basis", negated, cohomology_of(trivial_module(h3)),
@@ -969,7 +978,8 @@ for name, mutant, run, message in [
          "not a cocycle"),
         ("kernel_and_image", drop_first, cohomology_of(adjoint_module(h3)),
          "rank-nullity"),
-        ("_weights", scalar_dropped, report, "cochain trace")]:
+        ("_weights", scalar_dropped, report, trace_message),
+        ("_weights", scalar_dropped, chain_map, trace_message)]:
     real = getattr(cecomplex, name)
     setattr(cecomplex, name, mutant)
     lefschetz.coefficient_system.cache_clear()

@@ -221,6 +221,22 @@ def test_certificate_table_names_existing_tests():
     assert rows and not missing, f"certificate tests not found: {missing}"
 
 
+def test_every_mutant_applies_once():
+    # the committed mutation list (tests/mutants.py, an opt-in run) goes
+    # stale silently when the source it mutates moves: each entry's old
+    # text must occur exactly once in its file, and its test must exist
+    from mutants import KINDS, MUTANTS
+    bad = []
+    for file, old, new, test, kind in MUTANTS:
+        path, name = test.split("::")
+        count = (Path(lietrace.__file__).parent / file).read_text().count(old)
+        if count != 1 or new == old or kind not in KINDS or name not in {
+                node.name for node in _tree(TESTS.parent / path).body
+                if isinstance(node, ast.FunctionDef)}:
+            bad.append((file, old, count, test, kind))
+    assert MUTANTS and not bad, f"stale mutants: {bad}"
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_open_names_an_encoding(path):
     # a file format fixes its encoding, the locale does not: JSON is UTF-8
